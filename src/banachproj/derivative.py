@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sets, solver
-from .numdiff import ConvergenceError, StepSchedule, numdiff_derivative
+from .numdiff import ConvergenceError, NumericDerivative, StepSchedule, numdiff_derivative
 from .space import LpSpace
 
 __all__ = [
@@ -88,6 +88,7 @@ class BoundaryClass:
 class DerivativeResult:
     value: np.ndarray
     case_label: str
+    numeric: NumericDerivative | None = None   # the estimate behind a "numeric" label
 
     def to_json(self) -> dict:
         return {"value": [float(c) for c in self.value], "case_label": self.case_label}
@@ -399,4 +400,4 @@ def directional_derivative(space: LpSpace, C, x, v,
             "projection quotients did not settle within the schedule",
             trace=list(zip(est.ts, est.quotients)),
         )
-    return DerivativeResult(est.estimate, "numeric")
+    return DerivativeResult(est.estimate, "numeric", est)

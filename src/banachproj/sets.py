@@ -37,6 +37,7 @@ __all__ = [
     "descriptor_to_json",
     "descriptor_dimension",
     "contains",
+    "support",
     "project_ball",
     "project_positive_cone",
     "project_coordinate_subspace",
@@ -436,6 +437,50 @@ def contains(space: LpSpace, C, x, tol: float | None = None) -> bool:
         from .solver import project
 
         return space.norm(x - project(space, C, x)) <= eff
+    raise TypeError(f"unknown set descriptor {type(C).__name__}")
+
+
+# -- support points --------------------------------------------------------
+
+def support(space: LpSpace, C, j, x, box: float) -> np.ndarray | None:
+    """A point z of C with ⟨j, z⟩ >= ⟨j, w⟩ for all w in C ∩ {|w_i - x_i| <= box}.
+
+    Bounded sets return their maximizer over all of C.  The cone and the
+    subspace return the box corner picked by the signs of j, the ray the
+    far end of a piece of it that covers the box, and the H-polytope the
+    boxed LP solution, or None when the LP fails.  The box must reach C;
+    once box > ‖x - u‖ it holds every point of C closer to x than u, so
+    ⟨J(x - u), u - z⟩ is a sound optimality gap for u (see solver).
+    """
+    j = np.asarray(j, dtype=float)
+    x = np.asarray(x, dtype=float)
+    if isinstance(C, Ball):
+        # c + (r/‖j‖_q) J⁻¹(j), written out so that ‖j‖_q is taken once
+        nj = space.dual_norm(j)
+        if nj == 0.0:
+            return C.center.copy()
+        return C.center + C.radius * (np.abs(j) / nj) ** (space.q - 1.0) * np.sign(j)
+    if isinstance(C, PositiveCone):
+        return np.maximum(np.where(j > 0.0, x + box, x - box), 0.0)
+    if isinstance(C, CoordinateSubspace):
+        return np.where(C.free, x + box * np.sign(j), 0.0)
+    if isinstance(C, Segment):
+        return C.u.copy() if space.pairing(j, C.u) >= space.pairing(j, C.w) else C.w.copy()
+    if isinstance(C, Ray):
+        if space.pairing(j, C.dir) <= 0.0:
+            return C.v.copy()
+        far = (np.max(np.abs(x - C.v)) + box) / np.max(np.abs(C.dir))
+        return C.v + far * C.dir
+    if isinstance(C, Singleton):
+        return C.y.copy()
+    if isinstance(C, PolytopeV):
+        return C.vertices[int(np.argmax(C.vertices @ j))].copy()
+    if isinstance(C, PolytopeH):
+        res = optimize.linprog(
+            c=-j, A_ub=C.normals, b_ub=C.offsets,
+            bounds=list(zip(x - box, x + box)), method="highs",
+        )
+        return np.asarray(res.x, dtype=float) if res.status == 0 else None
     raise TypeError(f"unknown set descriptor {type(C).__name__}")
 
 

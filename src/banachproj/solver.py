@@ -1,16 +1,19 @@
-"""Numerical ℓ_p projection onto polytopes, with optimality certificates.
+"""Certified ℓ_p projection: the support gap, and a polytope solver.
 
-The optimality test is variational: u is the projection of x onto a
-convex set C exactly when ⟨J(x - u), u - z⟩ >= 0 for every z in C.  The
-left side is affine in z, so over a vertex-represented polytope it is
-enough to probe the vertices, and over a half-space representation the
-worst z is a linear program.  The solver runs a smooth constrained
-minimization first (SLSQP on Σ|x_i - z_i|^p, which is C¹ for p > 1 and
-needs no second derivatives), then polishes with conditional-gradient
-steps driven by the certificate itself until the residual clears the
-tolerance or the iteration budget runs out.  A failed certificate is
-reported as converged=False with the best iterate retained — never
-silently accepted.
+u is the projection of x onto a convex set C exactly when
+⟨J(x - u), u - z⟩ >= 0 for every z in C.  The left side is affine in z,
+so its minimum over C sits at the support point z = sets.support(C, j)
+of j = J(x - u): the residual ⟨j, u - z⟩ is the Frank–Wolfe duality gap
+of u and certifies it against the whole set, not a sample of it.  Every
+certificate here, closed form or iterative, is this one formula; the box
+2‖x - u‖ + 1 that keeps it finite on unbounded sets holds every point of
+C closer to x than u, so it stays sound.
+
+Polytopes run SLSQP on Σ|x_i - z_i|^p (C¹ for p > 1, no second
+derivatives needed) first, then conditional-gradient steps toward the
+support point until the gap clears the tolerance; `max_iter` caps both
+together.  A failed certificate or support LP is reported as
+converged=False with the best iterate retained — never silently accepted.
 """
 from __future__ import annotations
 
@@ -35,15 +38,21 @@ __all__ = [
 
 CERT_TOL = 1e-8
 MAX_ITER = 100_000
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass
 class ProjectionCertificate:
-    """A candidate projection with its variational residual.
+    """A candidate projection with its support-gap residual.
 
-    converged implies residual >= -cert_tol and membership of `point` in
-    the target set within the membership tolerance; `distance` is the
-    ℓ_p distance from the query point to `point`.
+    `residual` is ⟨j, u - z⟩ for j = J(x - u) and z the support point
+    (-inf when the support LP fails).  converged implies membership of
+    `point` in the set and residual >= -(cert_tol + 4·n·ε·Σ|j_i|(|u_i| + |z_i|)):
+    that forward rounding bound of the pairing, the same for every set,
+    keeps exact projections of far points certified and is below 1e-13 at
+    unit scale.  It does not cover rounding inside u itself, so a far
+    point whose u_i cancels (|u_i| much below the ball center's |c_i|)
+    can still fail.  `distance` is the ℓ_p distance from x to `point`.
     """
 
     point: np.ndarray
@@ -65,8 +74,9 @@ class ProjectionCertificate:
 def certify(space: LpSpace, x, u, probes) -> float:
     """min over probe points z of ⟨J(x - u), u - z⟩.
 
-    Nonnegative over a probe set that spans the set's extreme points
-    certifies optimality of u; a negative value exhibits a better point.
+    With the one probe sets.support(space, C, J(x - u), x, box) this is
+    the support gap, and nonnegative certifies u over all of C; a
+    negative value exhibits a better point.
     """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -109,23 +119,53 @@ def _line_min(space: LpSpace, x: np.ndarray, u: np.ndarray, d: np.ndarray) -> fl
     return float(optimize.brentq(slope, 0.0, 1.0, xtol=1e-15, rtol=1e-12, maxiter=2000))
 
 
-def _hrep_worst_probe(space: LpSpace, C: sets.PolytopeH, x: np.ndarray,
-                      u: np.ndarray, box: float) -> np.ndarray | None:
-    """z in C (boxed) maximizing ⟨J(x - u), z⟩, or None when degenerate.
+def _support_gap(space: LpSpace, C, x: np.ndarray, u: np.ndarray, iterations: int,
+                 cert_tol: float, box: float | None = None) -> ProjectionCertificate:
+    """Certify u by the support gap at j = J(x - u); box defaults to 2‖x - u‖ + 1."""
+    r = x - u
+    j = space.duality_map(r)
+    distance = space.norm(r)
+    if box is None:
+        box = 2.0 * distance + 1.0
+    z = sets.support(space, C, j, x, box)
+    if z is None:
+        return ProjectionCertificate(u, -math.inf, iterations, distance, False)
+    residual = space.pairing(j, u - z)
+    if residual < -cert_tol:   # allow the pairing's forward rounding bound
+        cert_tol += 4.0 * u.size * _EPS * float(np.dot(np.abs(j), np.abs(u) + np.abs(z)))
+    return ProjectionCertificate(u, residual, iterations, distance, residual >= -cert_tol)
 
-    The box |z_i - x_i| <= box is sound for certification: any point of C
-    strictly closer to x than u lies inside it, so a clean certificate on
-    the boxed set implies one on all of C.
+
+def _conditional_gradient(space: LpSpace, C, x: np.ndarray, u: np.ndarray, box: float,
+                          iterations: int, max_iter: int, cert_tol: float):
+    """Frank–Wolfe steps toward the support point, with exact line search.
+
+    The internal target is tighter than cert_tol because for p > 2 the
+    gap is only order p-1 in the point error: clearing 1e-8 can leave
+    coordinates 1e-5 off, while a couple more exact line minimizations
+    reach the flat optimum nearly exactly.  Returns (u, iterations).
     """
-    j = space.duality_map(x - u)
-    n = x.size
-    bounds = [(x[i] - box, x[i] + box) for i in range(n)]
-    res = optimize.linprog(
-        c=-j, A_ub=C.normals, b_ub=C.offsets, bounds=bounds, method="highs"
-    )
-    if res.status != 0:
-        return None
-    return np.asarray(res.x, dtype=float)
+    f, _ = _objective(space, x)
+    polish_tol = min(cert_tol, 1e-12)
+    f_prev = f(u)
+    while iterations < max_iter:
+        j = space.duality_map(x - u)
+        z = sets.support(space, C, j, x, box)
+        if z is None or space.pairing(j, u - z) >= -polish_tol:
+            break
+        t = _line_min(space, x, u, z - u)
+        if t <= 0.0:
+            break
+        u = u + t * (z - u)
+        iterations += 1
+        # monotone objective decrease is the honest progress measure; the
+        # gap alone can chatter at Hölder scale for p < 2, so stop once the
+        # decrease is below double precision
+        f_cur = f(u)
+        if f_prev - f_cur <= 1e-15 * max(1.0, f_cur):
+            break
+        f_prev = f_cur
+    return u, iterations
 
 
 def _project_vrep(space: LpSpace, C: sets.PolytopeV, x: np.ndarray,
@@ -153,44 +193,14 @@ def _project_vrep(space: LpSpace, C: sets.PolytopeV, x: np.ndarray,
         bounds=[(0.0, 1.0)] * m,
         constraints=[{"type": "eq", "fun": lambda lam: np.sum(lam) - 1.0,
                       "jac": lambda lam: np.ones_like(lam)}],
-        options={"maxiter": 400, "ftol": 1e-16},
+        options={"maxiter": max(1, min(400, max_iter)), "ftol": 1e-16},
     )
     lam = np.clip(res.x, 0.0, None)
     lam = lam / lam.sum()
     u = lam @ V
-    iterations = int(res.nit)
-
-    # certificate-driven polish: move toward the most violating vertex.
-    # The internal target is tighter than cert_tol because for p > 2 the
-    # residual is only order p-1 in the point error: clearing 1e-8 can
-    # leave coordinates 1e-5 off, while a couple more exact line
-    # minimizations reach the flat optimum nearly exactly.
-    polish_tol = min(cert_tol, 1e-12)
-    residual = -math.inf
-    f_prev = f(u)
-    while iterations < max_iter:
-        j = space.duality_map(x - u)
-        scores = V @ j
-        k = int(np.argmax(scores))
-        residual = float(space.pairing(j, u) - scores[k])
-        if residual >= -polish_tol:
-            break
-        t = _line_min(space, x, u, V[k] - u)
-        if t <= 0.0:
-            break
-        u = u + t * (V[k] - u)
-        iterations += 1
-        # every step decreases the objective; stop once the decrease is
-        # below double precision rather than spinning on the residual
-        f_cur = f(u)
-        if f_prev - f_cur <= 1e-15 * max(1.0, f_cur):
-            break
-        f_prev = f_cur
-
-    residual = certify(space, x, u, list(V))
-    return ProjectionCertificate(
-        u, residual, iterations, space.norm(x - u), residual >= -cert_tol
-    )
+    box = 2.0 * space.norm(x - u) + 1.0
+    u, iterations = _conditional_gradient(space, C, x, u, box, int(res.nit), max_iter, cert_tol)
+    return _support_gap(space, C, x, u, iterations, cert_tol, box)
 
 
 def _coordinate_polish(C: sets.PolytopeH, x: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -223,6 +233,12 @@ def _coordinate_polish(C: sets.PolytopeH, x: np.ndarray, u: np.ndarray) -> np.nd
     return z
 
 
+def _feasible(C: sets.PolytopeH, z: np.ndarray) -> bool:
+    """Do all rows hold at membership scale?"""
+    slack = 1e-9 * max(1.0, float(np.abs(C.offsets).max()))
+    return bool(np.all(C.normals @ z <= C.offsets + slack))
+
+
 def _pull_feasible(C: sets.PolytopeH, z: np.ndarray, anchor: np.ndarray) -> np.ndarray:
     """Shift z toward a feasible anchor until rows hold at membership scale.
 
@@ -231,14 +247,12 @@ def _pull_feasible(C: sets.PolytopeH, z: np.ndarray, anchor: np.ndarray) -> np.n
     anchor itself lay on that row and no strict convex combination could
     clear it.  Membership tolerance is the contract, not exactness.
     """
-    slack = 1e-9 * max(1.0, float(np.abs(C.offsets).max()))
-    if np.all(C.normals @ z <= C.offsets + slack):
+    if _feasible(C, z):
         return z
     lo, hi = 0.0, 1.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        cand = z + mid * (anchor - z)
-        if np.all(C.normals @ cand <= C.offsets + slack):
+        if _feasible(C, z + mid * (anchor - z)):
             hi = mid
         else:
             lo = mid
@@ -252,17 +266,13 @@ def _project_hrep(space: LpSpace, C: sets.PolytopeH, x: np.ndarray,
     constraints = [{"type": "ineq",
                     "fun": lambda z: C.offsets - C.normals @ z,
                     "jac": lambda z: -C.normals}]
-    # see _project_vrep: polish past cert_tol so that flat coordinates
-    # (order p-1 residual sensitivity) still land within 1e-6 of the optimum
-    polish_tol = min(cert_tol, 1e-12)
     iterations = 0
-    residual = -math.inf
     u = None
     start = z0
     for attempt in range(2):
         res = optimize.minimize(
             f, start, jac=grad, method="SLSQP", constraints=constraints,
-            options={"maxiter": 400, "ftol": 1e-16},
+            options={"maxiter": max(1, min(400, max_iter - iterations)), "ftol": 1e-16},
         )
         cand = _coordinate_polish(C, x, _pull_feasible(C, np.asarray(res.x, dtype=float), z0))
         if u is None or f(cand) <= f(u):
@@ -270,27 +280,7 @@ def _project_hrep(space: LpSpace, C: sets.PolytopeH, x: np.ndarray,
         iterations += int(res.nit)
         box = 2.0 * space.norm(x - u) + 1.0
         while iterations < max_iter:
-            f_prev = f(u)
-            while iterations < max_iter:
-                probe = _hrep_worst_probe(space, C, x, u, box)
-                if probe is None:
-                    break
-                j = space.duality_map(x - u)
-                residual = space.pairing(j, u - probe)
-                if residual >= -polish_tol:
-                    break
-                t = _line_min(space, x, u, probe - u)
-                if t <= 0.0:
-                    break
-                u = u + t * (probe - u)
-                iterations += 1
-                # monotone objective decrease is the honest progress
-                # measure; the residual alone can chatter at Holder scale
-                # for p < 2
-                f_cur = f(u)
-                if f_prev - f_cur <= 1e-15 * max(1.0, f_cur):
-                    break
-                f_prev = f_cur
+            u, iterations = _conditional_gradient(space, C, x, u, box, iterations, max_iter, cert_tol)
             # coordinatewise finisher between gradient phases, never inside
             # one: interleaving it with the steps stalls the iteration on
             # coupled rows, where clipping and the gradient direction fight.
@@ -305,17 +295,14 @@ def _project_hrep(space: LpSpace, C: sets.PolytopeH, x: np.ndarray,
                     iterations += 1
                     continue
             break
-        probe = _hrep_worst_probe(space, C, x, u, box)
-        if probe is not None:
-            residual = certify(space, x, u, [probe])
-        if residual >= -cert_tol or iterations >= max_iter:
+        cert = _support_gap(space, C, x, u, iterations, cert_tol, box)
+        if cert.converged or iterations >= max_iter:
             break
         # failed certificate with budget left: restart the smooth solver
         # from the current iterate, a start the first run never saw
         start = u
-    feasible = bool(np.all(C.normals @ u <= C.offsets + 1e-9 * max(1.0, float(np.abs(C.offsets).max()))))
-    ok = residual >= -cert_tol and feasible
-    return ProjectionCertificate(u, float(residual), iterations, space.norm(x - u), ok)
+    cert.converged = cert.converged and _feasible(C, u)
+    return cert
 
 
 def project_polytope(space: LpSpace, C, x, max_iter: int = MAX_ITER,
@@ -329,44 +316,6 @@ def project_polytope(space: LpSpace, C, x, max_iter: int = MAX_ITER,
     if isinstance(C, sets.PolytopeH):
         return _project_hrep(space, C, x, max_iter, cert_tol)
     raise TypeError(f"not a polytope descriptor: {type(C).__name__}")
-
-
-def _canonical_probes(space: LpSpace, C, x: np.ndarray, u: np.ndarray) -> list:
-    """Deterministic probe points spanning the relevant extremes of C."""
-    n = u.size
-    if isinstance(C, sets.Ball):
-        eye = np.eye(n)
-        probes = [C.center + C.radius * e for e in eye]
-        probes += [C.center - C.radius * e for e in eye]
-        probes.append(u)
-        return probes
-    if isinstance(C, sets.PositiveCone):
-        scale = max(1.0, 2.0 * space.norm(u))
-        probes = [np.zeros(n)] + [scale * e for e in np.eye(n)]
-        probes.append(u)
-        return probes
-    if isinstance(C, sets.CoordinateSubspace):
-        probes = []
-        for i in np.flatnonzero(C.free):
-            e = np.zeros(n)
-            e[i] = 1.0
-            probes.append(u + e)
-            probes.append(u - e)
-        return probes
-    if isinstance(C, sets.Segment):
-        return [C.u, C.w]
-    if isinstance(C, sets.Ray):
-        far = max(2.0, 4.0 * space.norm(u - C.v) / max(space.norm(C.dir), 1e-30))
-        return [C.v, C.v + far * C.dir]
-    if isinstance(C, sets.Singleton):
-        return [C.y]
-    if isinstance(C, sets.PolytopeV):
-        return list(C.vertices)
-    if isinstance(C, sets.PolytopeH):
-        box = 2.0 * space.norm(x - u) + 1.0
-        probe = _hrep_worst_probe(space, C, x, u, box)
-        return [probe if probe is not None else u]
-    raise TypeError(f"unknown set descriptor {type(C).__name__}")
 
 
 def project(space: LpSpace, C, x) -> np.ndarray:
@@ -391,16 +340,12 @@ def project(space: LpSpace, C, x) -> np.ndarray:
 
 def project_with_certificate(space: LpSpace, C, x, max_iter: int = MAX_ITER,
                              cert_tol: float = CERT_TOL) -> ProjectionCertificate:
-    """Projection plus residual for any descriptor.
+    """Projection plus support-gap residual for any descriptor.
 
     Closed-form projections report zero iterations; their residuals are
-    still evaluated against canonical probe sets rather than assumed.
+    still evaluated against the set's support point rather than assumed.
     """
     x = np.asarray(x, dtype=float)
     if isinstance(C, (sets.PolytopeH, sets.PolytopeV)):
         return project_polytope(space, C, x, max_iter=max_iter, cert_tol=cert_tol)
-    u = project(space, C, x)
-    residual = certify(space, x, u, _canonical_probes(space, C, x, u))
-    return ProjectionCertificate(
-        u, residual, 0, space.norm(x - u), residual >= -cert_tol
-    )
+    return _support_gap(space, C, x, project(space, C, x), 0, cert_tol)

@@ -2,8 +2,10 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -96,6 +98,32 @@ class TestDerivative:
         # the numeric cross-check rides along in the same report
         assert report["agreement"] is not None
         assert report["agreement"] <= 1e-6
+
+    def test_numeric_sets_difference_once(self, tmp_path, monkeypatch):
+        import banachproj.cli as cli_mod
+        import banachproj.derivative as deriv_mod
+
+        calls = []
+
+        def counting(fn):
+            def wrapped(*args, **kwargs):
+                calls.append(fn.__module__)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(cli_mod, "numdiff_derivative", counting(cli_mod.numdiff_derivative))
+        monkeypatch.setattr(deriv_mod, "numdiff_derivative", counting(deriv_mod.numdiff_derivative))
+        code, out, _ = run_cli(tmp_path, "derivative", {
+            "space": {"p": 3, "n": 2},
+            "set": {"type": "segment", "u": [0, 0], "w": [1, 0]},
+            "inputs": {"x": [0.5, 1], "v": [1, 0]},
+        })
+        assert code == 0
+        assert len(calls) == 1
+        report = json.loads(out)
+        # the analytic value is the numeric estimate itself here
+        assert report["analytic"]["case_label"] == "numeric"
+        assert report["agreement"] == 0.0
 
     def test_ball_report_shape(self, tmp_path):
         code, out, _ = run_cli(tmp_path, "derivative", {
@@ -352,6 +380,25 @@ class TestErrors:
         assert code == 3
         assert "infeasible" in err
 
+    def test_bad_input_value_exit_2(self, tmp_path):
+        code, _, err = run_cli(tmp_path, "derivative", {
+            "space": {"p": 2, "n": 2},
+            "set": {"type": "ball", "center": [0, 0], "radius": 1},
+            "inputs": {"x": [2, 0], "v": [0, 0]},
+        })
+        assert code == 2
+        assert "invalid input" in err
+
+    def test_numeric_failure_exit_4(self, tmp_path):
+        # the ray parameter would have to exceed 1e18 to reach x
+        code, _, err = run_cli(tmp_path, "project", {
+            "space": {"p": 2, "n": 2},
+            "set": {"type": "ray", "v": [0, 0], "dir": [1e-20, 0]},
+            "inputs": {"x": [1e3, 0]},
+        })
+        assert code == 4
+        assert "overflow" in err
+
     def test_unknown_command_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["nonsense", "--config", "whatever.json"])
@@ -384,8 +431,13 @@ class TestConsoleScript:
             "set": {"type": "singleton", "y": [1, 2]},
             "inputs": {"x": [0, 0]},
         }))
+        # the child imports the same package as this process, installed or not
+        import banachproj
+        src = str(Path(banachproj.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
         proc = subprocess.run([sys.executable, "-m", "banachproj.cli", "project",
                                "--config", str(path)],
-                              capture_output=True, text=True, timeout=60)
+                              capture_output=True, text=True, timeout=60, env=env)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["point"] == [1, 2]

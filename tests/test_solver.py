@@ -15,12 +15,14 @@ from banachproj import (
     Segment,
     Singleton,
     certify,
+    contains,
     project,
     project_ball,
     project_coordinate_subspace,
     project_polytope,
     project_positive_cone,
     project_with_certificate,
+    support,
 )
 from oracles import grid_argmin, grid_project, lp_norm
 
@@ -55,6 +57,93 @@ class TestCertify:
         space = LpSpace(2.0)
         with pytest.raises(ValueError, match="probe"):
             certify(space, np.ones(2), np.zeros(2), [])
+
+
+def _support_cases(rng, n):
+    """(descriptor, sampler of broad members) pairs for every set type."""
+    c = rng.normal(size=n)
+    a, d = rng.normal(size=n), rng.normal(size=n)
+    V = rng.normal(size=(n + 3, n))
+    A = np.vstack([np.eye(n), -np.eye(n), rng.normal(size=(2, n))])
+    b = np.concatenate([np.full(2 * n, 1.5), [0.5, 0.5]])
+    free = np.arange(n) % 2 == 0
+
+    def ball(p, k):
+        g = rng.normal(size=(k, n))
+        g /= np.array([lp_norm(row, p) for row in g])[:, None]
+        return c + 0.8 * rng.uniform(0.0, 1.0, (k, 1)) ** (1.0 / n) * g
+
+    def polytope_h(p, k):
+        Z = rng.uniform(-1.5, 1.5, (20 * k, n))
+        return Z[np.all(Z @ A.T <= b, axis=1)]
+
+    return [
+        (Ball(center=c, radius=0.8), ball),
+        (PositiveCone(), lambda p, k: np.abs(rng.normal(size=(k, n))) * 3.0),
+        (CoordinateSubspace(free=free), lambda p, k: np.where(free, 3.0 * rng.normal(size=(k, n)), 0.0)),
+        (Segment(u=a, w=a + d), lambda p, k: a + rng.uniform(0.0, 1.0, (k, 1)) * d),
+        (Ray(v=a, dir=d), lambda p, k: a + rng.uniform(0.0, 20.0, (k, 1)) * d),
+        (Singleton(y=c), lambda p, k: np.tile(c, (k, 1))),
+        (PolytopeV(vertices=V), lambda p, k: rng.dirichlet(np.ones(n + 3), size=k) @ V),
+        (PolytopeH(normals=A, offsets=b), polytope_h),
+    ]
+
+
+class TestSupportGap:
+    def test_canonical_probe_blind_spot_is_exposed(self):
+        # e1 is on the unit sphere and ties the old probes ±e_i and u at
+        # exactly 0, yet lies about 0.5 from the true projection of x
+        space = LpSpace(3.0)
+        C = Ball(center=np.zeros(3), radius=1.0)
+        x = np.array([2.0, 1.0, 0.5])
+        u = np.array([1.0, 0.0, 0.0])
+        probes = [s * e for s in (1.0, -1.0) for e in np.eye(3)] + [u]
+        assert certify(space, x, u, probes) == 0.0
+        assert space.norm(u - project(space, C, x)) > 0.49
+        j = space.duality_map(x - u)
+        z = support(space, C, j, x, 2.0 * space.norm(x - u) + 1.0)
+        assert certify(space, x, u, [z]) < -CERT_TOL
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_support_point_beats_sampled_members(self, p, rng):
+        space = LpSpace(p)
+        n = 3
+        for C, sample in _support_cases(rng, n):
+            for _ in range(10):
+                j = rng.normal(size=n)
+                x = rng.normal(size=n)
+                box = float(rng.uniform(6.0, 9.0))   # reaches every set here
+                z = support(space, C, j, x, box)
+                assert contains(space, C, z), type(C).__name__
+                W = sample(p, 400)
+                W = W[np.all(np.abs(W - x) <= box, axis=1)]
+                assert len(W) > 0, type(C).__name__
+                assert np.all(W @ j <= j @ z + 1e-9 * max(1.0, np.abs(j) @ np.abs(z))), \
+                    type(C).__name__
+
+    def test_failed_support_lp_never_certifies(self, monkeypatch):
+        import banachproj.sets as sets_mod
+
+        space = LpSpace(2.0)
+        C = PolytopeH(normals=[[1.0, 0.0], [0.0, 1.0]], offsets=[1.0, 1.0])
+        monkeypatch.setattr(sets_mod, "support", lambda *args: None)
+        cert = project_polytope(space, C, np.array([2.0, 0.5]))
+        assert not cert.converged
+        assert cert.residual == -np.inf
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
+    def test_far_exact_ball_projections_stay_certified(self, p, rng):
+        # the gap's rounding error grows like eps * ‖x - u‖ * ‖z‖, far
+        # above CERT_TOL at this scale; the rounding allowance absorbs it
+        space = LpSpace(p)
+        for _ in range(50):
+            n = int(rng.integers(2, 7))
+            C = Ball(center=rng.normal(size=n), radius=float(rng.uniform(0.5, 2.0)))
+            x = rng.normal(size=n)
+            x *= 1e10 / space.norm(x)
+            cert = project_with_certificate(space, C, x)
+            assert cert.converged
+            assert np.array_equal(cert.point, project(space, C, x))
 
 
 class TestVertexRepresentation:
