@@ -22,18 +22,16 @@ positive-cone clauses
     negative coordinates of x; k counts zero coordinates whose direction
     component was clamped.  Coordinate i of the value is v_i when x_i > 0,
     or when x_i = 0 with v_i >= 0; it is 0 when x_i < 0, or when x_i = 0
-    with v_i < 0.  In dimension 3 the ten sign regions are dispatched as
-    explicit branches and cross-checked against the coordinatewise rule.
+    with v_i < 0.  The test suite checks this rule against an explicit
+    table of the ten sign regions of dimension 3.
 
 coordinate-subspace clauses
     "subspace:orthogonal"       v in the annihilator: the derivative is 0.
     "subspace:tangent"          v in the subspace: the derivative is v.
-    "subspace:coordinatewise"   mixed v, conjectured closed form (free
-                                coordinates kept) confirmed by difference
-                                quotients before being returned.
-    "subspace:numeric"          mixed v where the quotients converged but
-                                contradicted the closed form; the numeric
-                                estimate is returned.
+    "subspace:coordinatewise"   mixed v: the free coordinates of v are
+                                kept and the masked ones zeroed.  The
+                                projection is linear, so these three
+                                clauses are exact at every base point.
 
 region clauses
     "interior"               x in the interior of C: the derivative is v.
@@ -44,7 +42,6 @@ region clauses
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,9 +67,6 @@ TIE_TOL = 1e-9
 
 #: relative half-width of the sphere band in ball case dispatch
 SPHERE_BAND = 1e-9
-
-#: tolerance for confirming the subspace closed form against quotients
-SUBSPACE_VALIDATE_TOL = 1e-6
 
 
 @dataclass
@@ -174,94 +168,6 @@ def _cone_coordinatewise(x: np.ndarray, v: np.ndarray) -> DerivativeResult:
     return DerivativeResult(value, _cone_label(x, clamped))
 
 
-def _cone_table_3d(x: np.ndarray, v: np.ndarray) -> DerivativeResult:
-    """Explicit ten-region dispatch for n = 3.
-
-    Written out case by case on purpose: it mirrors the published clause
-    table and serves as an independent twin of the coordinatewise rule
-    (the test suite checks the two agree on every sign pattern).
-    """
-    pos = x > 0.0
-    zer = x == 0.0
-    neg = x < 0.0
-    P, Z, N = int(pos.sum()), int(zer.sum()), int(neg.sum())
-    out = np.zeros(3)
-
-    if (P, Z, N) == (3, 0, 0):
-        # interior: locally the identity
-        return DerivativeResult(v.copy(), _cone_label(x, 0))
-    if (P, Z, N) == (2, 1, 0):
-        # open face: the zero coordinate only follows nonnegative pushes
-        k = int(np.argmax(zer))
-        out[:] = v
-        clamped = 0
-        if v[k] < 0.0:
-            out[k] = 0.0
-            clamped = 1
-        return DerivativeResult(out, _cone_label(x, clamped))
-    if (P, Z, N) == (1, 2, 0):
-        # open edge: each zero coordinate clamps independently
-        i = int(np.argmax(pos))
-        out[i] = v[i]
-        clamped = 0
-        for k in np.flatnonzero(zer):
-            if v[k] >= 0.0:
-                out[k] = v[k]
-            else:
-                clamped += 1
-        return DerivativeResult(out, _cone_label(x, clamped))
-    if (P, Z, N) == (0, 3, 0):
-        # vertex: the derivative is the clipped direction
-        clamped = 0
-        for k in range(3):
-            if v[k] >= 0.0:
-                out[k] = v[k]
-            else:
-                clamped += 1
-        return DerivativeResult(out, _cone_label(x, clamped))
-    if (P, Z, N) == (2, 0, 1):
-        # outside, nearest point on an open face: negative coordinate inert
-        for i in np.flatnonzero(pos):
-            out[i] = v[i]
-        return DerivativeResult(out, _cone_label(x, 0))
-    if (P, Z, N) == (1, 1, 1):
-        # outside, nearest point on an edge, one grazing coordinate
-        i = int(np.argmax(pos))
-        k = int(np.argmax(zer))
-        out[i] = v[i]
-        clamped = 0
-        if v[k] >= 0.0:
-            out[k] = v[k]
-        else:
-            clamped = 1
-        return DerivativeResult(out, _cone_label(x, clamped))
-    if (P, Z, N) == (1, 0, 2):
-        # outside, nearest point on an edge, both negatives inert
-        i = int(np.argmax(pos))
-        out[i] = v[i]
-        return DerivativeResult(out, _cone_label(x, 0))
-    if (P, Z, N) == (0, 2, 1):
-        # outside, projecting to the vertex, two grazing coordinates
-        clamped = 0
-        for k in np.flatnonzero(zer):
-            if v[k] >= 0.0:
-                out[k] = v[k]
-            else:
-                clamped += 1
-        return DerivativeResult(out, _cone_label(x, clamped))
-    if (P, Z, N) == (0, 1, 2):
-        # outside, projecting to the vertex, one grazing coordinate
-        k = int(np.argmax(zer))
-        clamped = 0
-        if v[k] >= 0.0:
-            out[k] = v[k]
-        else:
-            clamped = 1
-        return DerivativeResult(out, _cone_label(x, clamped))
-    # (0, 0, 3): interior of the inverse image of the vertex
-    return DerivativeResult(out, _cone_label(x, 0))
-
-
 def positive_cone_derivative(x, v) -> DerivativeResult:
     """Directional derivative of coordinatewise clipping.
 
@@ -274,25 +180,18 @@ def positive_cone_derivative(x, v) -> DerivativeResult:
         raise ValueError("point and direction must have matching shapes")
     if not np.any(v):
         raise ValueError("direction must be nonzero")
-    if x.size == 3:
-        return _cone_table_3d(x, v)
     return _cone_coordinatewise(x, v)
 
 
-def _validated_coordinatewise(space: LpSpace, free: np.ndarray, x: np.ndarray,
-                              v: np.ndarray, schedule: StepSchedule | None) -> DerivativeResult:
-    candidate = np.where(free, v, 0.0)
-    projector = lambda z: sets.project_coordinate_subspace(free, z)
-    est = numdiff_derivative(space, projector, x, v, schedule)
-    if not est.converged:
-        raise ConvergenceError(
-            "quotients for the subspace derivative did not settle",
-            trace=list(zip(est.ts, est.quotients)),
-        )
-    gap = space.norm(est.estimate - candidate)
-    if gap <= SUBSPACE_VALIDATE_TOL * max(1.0, space.norm(candidate)):
-        return DerivativeResult(candidate, "subspace:coordinatewise")
-    return DerivativeResult(est.estimate, "subspace:numeric")
+def _subspace_clause(space: LpSpace, mask: np.ndarray, v: np.ndarray) -> DerivativeResult:
+    # the projection zeroes the masked coordinates: it is linear, so its
+    # derivative at every point is the same masking of v
+    vscale = space.norm(v)
+    if np.all(np.abs(v[mask]) <= 1e-15 * vscale):
+        return DerivativeResult(np.zeros_like(v), "subspace:orthogonal")
+    if np.all(np.abs(v[~mask]) <= 1e-15 * vscale):
+        return DerivativeResult(v.copy(), "subspace:tangent")
+    return DerivativeResult(np.where(mask, v, 0.0), "subspace:coordinatewise")
 
 
 def subspace_derivative(space: LpSpace, free, y, v,
@@ -301,8 +200,9 @@ def subspace_derivative(space: LpSpace, free, y, v,
 
     Directions inside the subspace pass through unchanged; directions in
     the annihilator (supported on masked coordinates) are flattened to 0;
-    mixed directions use the coordinatewise closed form, accepted only
-    after difference quotients confirm it at this particular (y, v).
+    mixed directions keep their free coordinates.  All three are exact,
+    because the projection is linear; `schedule` is accepted for
+    symmetry with the numeric derivatives and is not used.
     """
     y, v = _as_pair(y, v)
     mask = np.asarray(free, dtype=bool)
@@ -313,12 +213,7 @@ def subspace_derivative(space: LpSpace, free, y, v,
     scale = max(1.0, space.norm(y))
     if np.any(np.abs(y[~mask]) > sets.MEMBERSHIP_TOL * scale):
         raise ValueError("base point must belong to the subspace")
-    vscale = space.norm(v)
-    if np.all(np.abs(v[mask]) <= 1e-15 * vscale):
-        return DerivativeResult(np.zeros_like(v), "subspace:orthogonal")
-    if np.all(np.abs(v[~mask]) <= 1e-15 * vscale):
-        return DerivativeResult(v.copy(), "subspace:tangent")
-    return _validated_coordinatewise(space, mask, y, v, schedule)
+    return _subspace_clause(space, mask, v)
 
 
 def interior_derivative(space: LpSpace, C, x, v) -> DerivativeResult:
@@ -371,18 +266,9 @@ def directional_derivative(space: LpSpace, C, x, v,
     if isinstance(C, sets.PositiveCone):
         return positive_cone_derivative(x, v)
     if isinstance(C, sets.CoordinateSubspace):
-        mask = C.free
-        scale = max(1.0, space.norm(x))
-        if np.any(np.abs(x[~mask]) > sets.MEMBERSHIP_TOL * scale):
-            # off-set base point: the projection is linear, so the same
-            # validated coordinatewise rule applies at any x
-            vscale = space.norm(v)
-            if np.all(np.abs(v[mask]) <= 1e-15 * vscale):
-                return DerivativeResult(np.zeros_like(v), "subspace:orthogonal")
-            if np.all(np.abs(v[~mask]) <= 1e-15 * vscale):
-                return DerivativeResult(v.copy(), "subspace:tangent")
-            return _validated_coordinatewise(space, mask, x, v, schedule)
-        return subspace_derivative(space, mask, x, v, schedule)
+        if np.any(np.abs(x[~C.free]) > sets.MEMBERSHIP_TOL * max(1.0, space.norm(x))):
+            return _subspace_clause(space, C.free, v)   # off-set base point
+        return subspace_derivative(space, C.free, x, v)
     if isinstance(C, sets.Singleton):
         return DerivativeResult(np.zeros_like(v), "singleton")
     if isinstance(C, (sets.Segment, sets.Ray)):

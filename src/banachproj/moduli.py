@@ -11,7 +11,10 @@ true modulus) and ρ by incomplete maximization (a lower bound).  Each
 grid point gets a quasi-random batch of sphere pairs — Sobol points
 pushed through the Γ(1/p) transform, which makes them uniform on the
 ℓ_p sphere — plus structured axis/diagonal seeds, followed by rounds of
-coordinate-descent refinement around the incumbent.  For δ the pair is
+coordinate-descent refinement around the incumbent.  The Sobol engine
+and the Γ quantile come from `scipy.stats`, which is imported on the
+first estimate (on the calling thread, before any worker starts), not
+with the package: nothing else needs it.  For δ the pair is
 pinned to ‖x - y‖ = ε by bisection along sphere paths, since the
 infimum is approached on that boundary.
 
@@ -37,13 +40,12 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
-from scipy.stats import qmc
 
 from . import solver
+from ._scipy import stats
 from .space import LpSpace
 
 __all__ = [
@@ -186,7 +188,7 @@ def _sphere_from_uniforms(U: np.ndarray, p: float) -> np.ndarray:
 
 
 def _sobol_block(dim: int, count: int, seed) -> np.ndarray:
-    eng = qmc.Sobol(d=dim, scramble=True, seed=seed)
+    eng = stats.qmc.Sobol(d=dim, scramble=True, seed=seed)
     m = max(3, math.ceil(math.log2(max(count, 2))))
     return eng.random_base2(m)[:count]
 
@@ -372,6 +374,7 @@ def estimate_convexity_modulus(p: float, n: int, eps_grid, budget: int = 100_000
     eps = _validate_grid(eps_grid, 2.0, "epsilon")
     seeds = np.random.SeedSequence(seed).spawn(eps.size)
     work = [(p, n, float(e), int(budget), int(rounds), s) for e, s in zip(eps, seeds)]
+    stats.load()   # first import on this thread, never racing inside the pool
     results = _grid_map(_delta_point, work, thread_count(threads))
     vals = np.array([r[0] for r in results])
     evals = int(sum(r[1] for r in results))
@@ -396,6 +399,7 @@ def estimate_smoothness_modulus(p: float, n: int, t_grid, budget: int = 100_000,
     ts = _validate_grid(t_grid, math.inf, "t")
     seeds = np.random.SeedSequence(seed).spawn(ts.size + 1)[1:]
     work = [(p, n, float(t), int(budget), int(rounds), s) for t, s in zip(ts, seeds)]
+    stats.load()   # first import on this thread, never racing inside the pool
     results = _grid_map(_rho_point, work, thread_count(threads))
     vals = np.array([r[0] for r in results])
     evals = int(sum(r[1] for r in results))

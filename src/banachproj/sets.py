@@ -18,8 +18,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
+from ._scipy import optimize
 from .space import LpSpace
 
 __all__ = [

@@ -21,9 +21,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from . import sets
+from ._scipy import optimize
 from .space import LpSpace
 
 __all__ = [
@@ -47,12 +47,13 @@ class ProjectionCertificate:
 
     `residual` is ⟨j, u - z⟩ for j = J(x - u) and z the support point
     (-inf when the support LP fails).  converged implies membership of
-    `point` in the set and residual >= -(cert_tol + 4·n·ε·Σ|j_i|(|u_i| + |z_i|)):
-    that forward rounding bound of the pairing, the same for every set,
-    keeps exact projections of far points certified and is below 1e-13 at
-    unit scale.  It does not cover rounding inside u itself, so a far
-    point whose u_i cancels (|u_i| much below the ball center's |c_i|)
-    can still fail.  `distance` is the ℓ_p distance from x to `point`.
+    `point` in the set and residual >= -(cert_tol + 4·n·ε·Σ|j_i|(|u_i| + |z_i| + |c_i|)),
+    with c the center for a ball and 0 for every other set.  That is a
+    forward rounding bound of the pairing and, through |c_i|, of the
+    ball's u = c + s(x - c), whose coordinates cancel to |u_i| << |c_i|
+    for far points.  It keeps exact projections of far points certified
+    and is below 1e-13 at unit scale.  `distance` is the ℓ_p distance
+    from x to `point`.
     """
 
     point: np.ndarray
@@ -131,8 +132,11 @@ def _support_gap(space: LpSpace, C, x: np.ndarray, u: np.ndarray, iterations: in
     if z is None:
         return ProjectionCertificate(u, -math.inf, iterations, distance, False)
     residual = space.pairing(j, u - z)
-    if residual < -cert_tol:   # allow the pairing's forward rounding bound
-        cert_tol += 4.0 * u.size * _EPS * float(np.dot(np.abs(j), np.abs(u) + np.abs(z)))
+    if residual < -cert_tol:   # allow the rounding of the pairing, and of u itself
+        scale = np.abs(u) + np.abs(z)
+        if isinstance(C, sets.Ball):   # u = c + s(x - c) cancels where |u_i| << |c_i|
+            scale += np.abs(C.center)
+        cert_tol += 4.0 * u.size * _EPS * float(np.dot(np.abs(j), scale))
     return ProjectionCertificate(u, residual, iterations, distance, residual >= -cert_tol)
 
 

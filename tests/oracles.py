@@ -108,6 +108,95 @@ def param_grid_min(fn, t_lo, t_hi, final_step=1e-6, pts=200):
         hi = min(t_hi, best_t + 1.5 * step)
 
 
+def cone_table_3d(x, v):
+    """Derivative of the positive-cone projection in R^3, region by region.
+
+    Returns (value, label) with the package's "cone:p{a}z{b}n{c}/clamp{k}"
+    label.  Written out case by case over the ten sign regions of x on
+    purpose: it mirrors the published clause table and is an independent
+    twin of the package's coordinatewise rule.
+    """
+    x = np.asarray(x, dtype=float)
+    v = np.asarray(v, dtype=float)
+    pos = x > 0.0
+    zer = x == 0.0
+    neg = x < 0.0
+    P, Z, N = int(pos.sum()), int(zer.sum()), int(neg.sum())
+    out = np.zeros(3)
+    clamped = 0
+
+    def label():
+        return f"cone:p{P}z{Z}n{N}/clamp{clamped}"
+
+    if (P, Z, N) == (3, 0, 0):
+        # interior: locally the identity
+        return v.copy(), label()
+    if (P, Z, N) == (2, 1, 0):
+        # open face: the zero coordinate only follows nonnegative pushes
+        k = int(np.argmax(zer))
+        out[:] = v
+        if v[k] < 0.0:
+            out[k] = 0.0
+            clamped = 1
+        return out, label()
+    if (P, Z, N) == (1, 2, 0):
+        # open edge: each zero coordinate clamps independently
+        i = int(np.argmax(pos))
+        out[i] = v[i]
+        for k in np.flatnonzero(zer):
+            if v[k] >= 0.0:
+                out[k] = v[k]
+            else:
+                clamped += 1
+        return out, label()
+    if (P, Z, N) == (0, 3, 0):
+        # vertex: the derivative is the clipped direction
+        for k in range(3):
+            if v[k] >= 0.0:
+                out[k] = v[k]
+            else:
+                clamped += 1
+        return out, label()
+    if (P, Z, N) == (2, 0, 1):
+        # outside, nearest point on an open face: negative coordinate inert
+        for i in np.flatnonzero(pos):
+            out[i] = v[i]
+        return out, label()
+    if (P, Z, N) == (1, 1, 1):
+        # outside, nearest point on an edge, one grazing coordinate
+        i = int(np.argmax(pos))
+        k = int(np.argmax(zer))
+        out[i] = v[i]
+        if v[k] >= 0.0:
+            out[k] = v[k]
+        else:
+            clamped = 1
+        return out, label()
+    if (P, Z, N) == (1, 0, 2):
+        # outside, nearest point on an edge, both negatives inert
+        i = int(np.argmax(pos))
+        out[i] = v[i]
+        return out, label()
+    if (P, Z, N) == (0, 2, 1):
+        # outside, projecting to the vertex, two grazing coordinates
+        for k in np.flatnonzero(zer):
+            if v[k] >= 0.0:
+                out[k] = v[k]
+            else:
+                clamped += 1
+        return out, label()
+    if (P, Z, N) == (0, 1, 2):
+        # outside, projecting to the vertex, one grazing coordinate
+        k = int(np.argmax(zer))
+        if v[k] >= 0.0:
+            out[k] = v[k]
+        else:
+            clamped = 1
+        return out, label()
+    # (0, 0, 3): interior of the inverse image of the vertex
+    return out, label()
+
+
 def hilbert_delta(eps):
     """Exact Euclidean modulus of convexity."""
     eps = np.asarray(eps, dtype=float)

@@ -423,6 +423,15 @@ class TestReporting:
         assert target.read_text().splitlines()[1] == '"with,comma",1.5'
 
 
+def child_env() -> dict:
+    """Environment for a fresh interpreter that imports the same package
+    as this process, installed or not."""
+    import banachproj
+    src = str(Path(banachproj.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+
+
 class TestConsoleScript:
     def test_installed_entry_point(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -431,13 +440,71 @@ class TestConsoleScript:
             "set": {"type": "singleton", "y": [1, 2]},
             "inputs": {"x": [0, 0]},
         }))
-        # the child imports the same package as this process, installed or not
-        import banachproj
-        src = str(Path(banachproj.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
         proc = subprocess.run([sys.executable, "-m", "banachproj.cli", "project",
                                "--config", str(path)],
-                              capture_output=True, text=True, timeout=60, env=env)
+                              capture_output=True, text=True, timeout=60, env=child_env())
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["point"] == [1, 2]
+
+
+SEGMENT = ([0.5, -1.0, 2.0], [1.5, 0.25, -0.5], [1.2, -0.3, 1.1])   # u, w, x: interior foot
+MODULI_ARGS = (3.0, 2, [0.2, 0.5, 1.0])
+MODULI_KW = {"budget": 500, "seed": 7, "threads": 2}
+
+LAZY_PROBE = """
+import contextlib, io, json, sys
+import banachproj, banachproj.cli
+from banachproj import LpSpace, project_segment
+with contextlib.redirect_stdout(io.StringIO()):
+    code = banachproj.cli.main(["project", "--config", sys.argv[1]])
+loaded = [m for m in ("scipy.optimize", "scipy.stats") if m in sys.modules]
+u, w, x = json.loads(sys.argv[2])
+point = project_segment(LpSpace(3.0), u, w, x)
+print(json.dumps({"code": code, "loaded": loaded, "point": [repr(c) for c in point],
+                  "optimize_after": "scipy.optimize" in sys.modules}))
+"""
+
+MODULI_PROBE = """
+import json, sys
+from banachproj import estimate_convexity_modulus
+args, kw = json.loads(sys.argv[1])
+est = estimate_convexity_modulus(*args, **kw)
+print(json.dumps([repr(d) for d in est.delta_values]))
+"""
+
+
+class TestStartup:
+    """Closed forms load no SciPy solver or sampler; first use loads them."""
+
+    def run_fresh(self, code, *args):
+        proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                              text=True, timeout=120, env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    def test_ball_command_loads_neither_optimize_nor_stats(self, tmp_path):
+        import scipy.optimize  # noqa: F401  (the reference answer runs with it loaded)
+        from banachproj import LpSpace, project_segment
+
+        path = tmp_path / "ball.json"
+        path.write_text(json.dumps({
+            "space": {"p": 3, "n": 3},
+            "set": {"type": "ball", "center": [0, 0, 0], "radius": 1},
+            "inputs": [[2, 2, 2], [0.1, 0.2, 0.3]],
+        }))
+        out = self.run_fresh(LAZY_PROBE, str(path), json.dumps(SEGMENT))
+        assert out["code"] == 0
+        assert out["loaded"] == []
+        # the segment's root finder imports scipy.optimize on first use and
+        # gives the answer of an interpreter that had it loaded all along
+        assert out["optimize_after"]
+        eager = project_segment(LpSpace(3.0), *SEGMENT)
+        assert out["point"] == [repr(c) for c in eager]
+
+    def test_first_moduli_estimate_on_a_pool_matches_a_warm_one(self):
+        import scipy.stats  # noqa: F401  (the reference estimate runs with it loaded)
+        from banachproj import estimate_convexity_modulus
+
+        warm = estimate_convexity_modulus(*MODULI_ARGS, **MODULI_KW)
+        fresh = self.run_fresh(MODULI_PROBE, json.dumps([MODULI_ARGS, MODULI_KW]))
+        assert fresh == [repr(d) for d in warm.delta_values]

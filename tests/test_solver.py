@@ -24,6 +24,7 @@ from banachproj import (
     project_with_certificate,
     support,
 )
+from banachproj.solver import _support_gap
 from oracles import grid_argmin, grid_project, lp_norm
 
 SIMPLEX = PolytopeV(vertices=np.eye(3))
@@ -144,6 +145,35 @@ class TestSupportGap:
             cert = project_with_certificate(space, C, x)
             assert cert.converged
             assert np.array_equal(cert.point, project(space, C, x))
+
+    def test_far_ball_projections_with_cancelling_coordinates_stay_certified(self):
+        # u = c + s(x - c) rounds each u_i with an error of order eps |c_i|,
+        # which the pairing's own rounding term misses where u_i cancels to
+        # |u_i| << |c_i|; an allowance without |c_i| leaves 5, 1 and 1 of
+        # these uncertified at 1e9, 1e10 and 1e12
+        rng = np.random.default_rng(0)
+        spaces = [LpSpace(p) for p in (1.5, 2.0, 3.0, 4.0)]
+        for scale in (1e8, 1e9, 1e10, 1e12):
+            uncertified = 0
+            for _ in range(10_000):
+                space = spaces[int(rng.integers(4))]
+                n = int(rng.integers(2, 9))
+                C = Ball(center=rng.normal(size=n), radius=float(rng.uniform(0.5, 2.0)))
+                x = rng.normal(size=n)
+                x *= scale / space.norm(x)
+                uncertified += not project_with_certificate(space, C, x).converged
+            assert uncertified == 0, scale
+
+    @pytest.mark.parametrize("shift", [0.0, 5.0])
+    def test_center_allowance_still_rejects_the_e1_counterexample(self, shift):
+        space = LpSpace(3.0)
+        c = np.full(3, shift)
+        C = Ball(center=c, radius=1.0)
+        x = c + np.array([2.0, 1.0, 0.5])
+        u = c + np.array([1.0, 0.0, 0.0])
+        cert = _support_gap(space, C, x, u, 0, CERT_TOL)
+        assert not cert.converged
+        assert cert.residual < -0.1
 
 
 class TestVertexRepresentation:
