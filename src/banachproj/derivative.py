@@ -174,10 +174,7 @@ def positive_cone_derivative(x, v) -> DerivativeResult:
     Boundary membership of a coordinate uses exact comparison with 0.0;
     callers control any rounding of their inputs.  Independent of p.
     """
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if x.shape != v.shape:
-        raise ValueError("point and direction must have matching shapes")
+    x, v = _as_pair(x, v)
     if not np.any(v):
         raise ValueError("direction must be nonzero")
     return _cone_coordinatewise(x, v)
@@ -194,15 +191,13 @@ def _subspace_clause(space: LpSpace, mask: np.ndarray, v: np.ndarray) -> Derivat
     return DerivativeResult(np.where(mask, v, 0.0), "subspace:coordinatewise")
 
 
-def subspace_derivative(space: LpSpace, free, y, v,
-                        schedule: StepSchedule | None = None) -> DerivativeResult:
+def subspace_derivative(space: LpSpace, free, y, v) -> DerivativeResult:
     """Directional derivative of a coordinate-subspace projection at y in C.
 
     Directions inside the subspace pass through unchanged; directions in
     the annihilator (supported on masked coordinates) are flattened to 0;
     mixed directions keep their free coordinates.  All three are exact,
-    because the projection is linear; `schedule` is accepted for
-    symmetry with the numeric derivatives and is not used.
+    because the projection is linear.
     """
     y, v = _as_pair(y, v)
     mask = np.asarray(free, dtype=bool)

@@ -7,10 +7,13 @@ The modulus of convexity and the modulus of smoothness are
 
 Neither optimization is solved to global optimality here: δ is estimated
 by incomplete minimization (the reported value is an upper bound on the
-true modulus) and ρ by incomplete maximization (a lower bound).  Each
-grid point gets a quasi-random batch of sphere pairs — Sobol points
-pushed through the Γ(1/p) transform, which makes them uniform on the
-ℓ_p sphere — plus structured axis/diagonal seeds, followed by rounds of
+true modulus) and ρ by incomplete maximization (a lower bound).  Both go
+through one search driver, `_search_point`, that minimizes a score over
+pairs of unit vectors: 1 - ‖(x + y)/2‖ for δ, and
+1 - (‖x + ty‖ + ‖x - ty‖)/2 for ρ, whose infimum is -ρ(t).  Each grid
+point gets a quasi-random batch of sphere pairs — Sobol points pushed
+through the Γ(1/p) transform, which makes them uniform on the ℓ_p
+sphere — plus structured axis/diagonal seeds, followed by rounds of
 coordinate-descent refinement around the incumbent.  The Sobol engine
 and the Γ quantile come from `scipy.stats`, which is imported on the
 first estimate (on the calling thread, before any worker starts), not
@@ -255,7 +258,13 @@ def _coordinate_cands(base: np.ndarray, h: float) -> np.ndarray:
     return base[None, :] + steps
 
 
-def _delta_point(p: float, n: int, eps: float, budget: int, rounds: int, seed_seq) -> tuple[float, int]:
+def _search_point(p: float, n: int, score, pin, budget: int, rounds: int, seed_seq) -> tuple[float, int]:
+    """Smallest score(X, Y) found over sphere pairs, and the pairs examined.
+
+    A Sobol batch plus the axis seeds, then `rounds` of coordinate and
+    random-cloud refinement around the incumbent at three step sizes;
+    `pin` maps each candidate pair's Y back onto the constraint set.
+    """
     rng = np.random.default_rng(seed_seq)
     sobol_seed = int(rng.integers(0, 2 ** 31))
     evals = 0
@@ -267,11 +276,11 @@ def _delta_point(p: float, n: int, eps: float, budget: int, rounds: int, seed_se
     Xs, Ys = _axis_seed_pairs(p, n)
     X = np.vstack([X, Xs])
     Y = np.vstack([Y, Ys])
-    Y = _pin_pairs(p, X, Y, eps)
-    gaps = 1.0 - _row_norms(0.5 * (X + Y), p)
+    Y = pin(X, Y)
+    vals = score(X, Y)
     evals += len(X)
-    k = int(np.argmin(gaps))
-    best_x, best_y, best = X[k], Y[k], float(gaps[k])
+    k = int(np.argmin(vals))
+    best_x, best_y, best = X[k], Y[k], float(vals[k])
 
     remaining = max(0, budget - evals)
     cloud = max(16, remaining // max(rounds, 1) // 4) if rounds else 0
@@ -286,58 +295,30 @@ def _delta_point(p: float, n: int, eps: float, budget: int, rounds: int, seed_se
             Yc.append(best_y[None, :] + hh * rng.standard_normal((cloud, n)))
             Xc = _unit_rows(np.vstack(Xc), p)
             Yc = _unit_rows(np.vstack(Yc), p)
-            Yc = _pin_pairs(p, Xc, Yc, eps)
-            g = 1.0 - _row_norms(0.5 * (Xc + Yc), p)
+            Yc = pin(Xc, Yc)
+            v = score(Xc, Yc)
             evals += len(Xc)
-            kk = int(np.argmin(g))
-            if g[kk] < best:
-                best = float(g[kk])
+            kk = int(np.argmin(v))
+            if v[kk] < best:
+                best = float(v[kk])
                 best_x, best_y = Xc[kk], Yc[kk]
         h /= 4.0
+    return best, evals
+
+
+def _delta_point(p: float, n: int, eps: float, budget: int, rounds: int, seed_seq) -> tuple[float, int]:
+    best, evals = _search_point(
+        p, n, lambda X, Y: 1.0 - _row_norms(0.5 * (X + Y), p),
+        lambda X, Y: _pin_pairs(p, X, Y, eps), budget, rounds, seed_seq)
     return max(best, 0.0), evals
 
 
 def _rho_point(p: float, n: int, t: float, budget: int, rounds: int, seed_seq) -> tuple[float, int]:
-    rng = np.random.default_rng(seed_seq)
-    sobol_seed = int(rng.integers(0, 2 ** 31))
-    evals = 0
-
-    def value(X, Y):
-        return 0.5 * (_row_norms(X + Y, p) + _row_norms(X - Y, p)) - 1.0
-
-    init = max(64, int(budget * 0.6))
-    U = _sobol_block(2 * n, init, sobol_seed)
-    X = _sphere_from_uniforms(U[:, :n], p)
-    Yu = _sphere_from_uniforms(U[:, n:], p)
-    Xs, Ys = _axis_seed_pairs(p, n)
-    X = np.vstack([X, Xs])
-    Yu = np.vstack([Yu, Ys])
-    vals = value(X, t * Yu)
-    evals += len(X)
-    k = int(np.argmax(vals))
-    best_x, best_u, best = X[k], Yu[k], float(vals[k])
-
-    remaining = max(0, budget - evals)
-    cloud = max(16, remaining // max(rounds, 1) // 4) if rounds else 0
-    h = 0.3
-    for _ in range(rounds):
-        for hh in (h, h / 4.0, h / 16.0):
-            Xc = [_coordinate_cands(best_x, hh)]
-            Uc = [np.repeat(best_u[None, :], 2 * n, axis=0)]
-            Xc.append(np.repeat(best_x[None, :], 2 * n, axis=0))
-            Uc.append(_coordinate_cands(best_u, hh))
-            Xc.append(best_x[None, :] + hh * rng.standard_normal((cloud, n)))
-            Uc.append(best_u[None, :] + hh * rng.standard_normal((cloud, n)))
-            Xc = _unit_rows(np.vstack(Xc), p)
-            Uc = _unit_rows(np.vstack(Uc), p)
-            v = value(Xc, t * Uc)
-            evals += len(Xc)
-            kk = int(np.argmax(v))
-            if v[kk] > best:
-                best = float(v[kk])
-                best_x, best_u = Xc[kk], Uc[kk]
-        h /= 4.0
-    return float(np.clip(best, 0.0, t)), evals
+    # minimizing 1 - s maximizes s - 1 bit for bit: fl(1 - s) = -fl(s - 1)
+    best, evals = _search_point(
+        p, n, lambda X, Y: 1.0 - 0.5 * (_row_norms(X + t * Y, p) + _row_norms(X - t * Y, p)),
+        lambda X, Y: Y, budget, rounds, seed_seq)
+    return float(np.clip(-best, 0.0, t)), evals
 
 
 def _grid_map(fn, args_list, threads: int):

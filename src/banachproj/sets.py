@@ -343,8 +343,12 @@ def _param_distance_slope(space: LpSpace, base: np.ndarray, d: np.ndarray, t: fl
 
 
 def _project_line_param(space: LpSpace, origin: np.ndarray, d: np.ndarray, x: np.ndarray,
-                        lo: float, hi: float | None) -> float:
-    """Parameter of the nearest point on {origin + t d : t in [lo, hi]}."""
+                        lo: float, hi: float | None, xtol: float = 1e-14) -> float:
+    """Parameter of the nearest point on {origin + t d : t in [lo, hi]}.
+
+    `xtol` is Brent's absolute tolerance: segments and rays keep 1e-14,
+    the polytope solver's Frank–Wolfe steps ask for 1e-15.
+    """
     base = x - origin
     if _param_distance_slope(space, base, d, lo) >= 0.0:
         return lo
@@ -362,7 +366,7 @@ def _project_line_param(space: LpSpace, origin: np.ndarray, d: np.ndarray, x: np
     # default 100
     sol = optimize.brentq(
         lambda t: _param_distance_slope(space, base, d, t),
-        lo, hi, xtol=1e-14, rtol=1e-12, maxiter=2000,
+        lo, hi, xtol=xtol, rtol=1e-12, maxiter=2000,
     )
     return float(sol)
 

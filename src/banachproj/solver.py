@@ -12,7 +12,9 @@ C closer to x than u, so it stays sound.
 Polytopes run SLSQP on Σ|x_i - z_i|^p (C¹ for p > 1, no second
 derivatives needed) first, then conditional-gradient steps toward the
 support point until the gap clears the tolerance; `max_iter` caps both
-together.  A failed certificate or support LP is reported as
+together.  Each step's exact line search is the segment projector's
+parameter search, `sets._project_line_param`, at a tighter Brent
+tolerance.  A failed certificate or support LP is reported as
 converged=False with the best iterate retained — never silently accepted.
 """
 from __future__ import annotations
@@ -30,7 +32,6 @@ __all__ = [
     "ProjectionCertificate",
     "CERT_TOL",
     "MAX_ITER",
-    "certify",
     "project_polytope",
     "project",
     "project_with_certificate",
@@ -72,22 +73,6 @@ class ProjectionCertificate:
         }
 
 
-def certify(space: LpSpace, x, u, probes) -> float:
-    """min over probe points z of ⟨J(x - u), u - z⟩.
-
-    With the one probe sets.support(space, C, J(x - u), x, box) this is
-    the support gap, and nonnegative certifies u over all of C; a
-    negative value exhibits a better point.
-    """
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    probes = [np.asarray(z, dtype=float) for z in probes]
-    if not probes:
-        raise ValueError("at least one probe point is required")
-    j = space.duality_map(x - u)
-    return min(space.pairing(j, u - z) for z in probes)
-
-
 def _objective(space: LpSpace, x: np.ndarray):
     p = space.p
 
@@ -99,25 +84,6 @@ def _objective(space: LpSpace, x: np.ndarray):
         return -p * np.abs(r) ** (p - 1.0) * np.sign(r)
 
     return f, grad
-
-
-def _line_min(space: LpSpace, x: np.ndarray, u: np.ndarray, d: np.ndarray) -> float:
-    """argmin over t in [0, 1] of ‖x - (u + t d)‖_p (1-d convex problem)."""
-    p = space.p
-
-    def slope(t):
-        r = x - u - t * d
-        return float(-p * np.dot(np.abs(r) ** (p - 1.0) * np.sign(r), d))
-
-    s0 = slope(0.0)
-    if s0 >= 0.0:
-        return 0.0
-    s1 = slope(1.0)
-    if s1 <= 0.0:
-        return 1.0
-    # generous cap: the root degenerates when x - u is parallel to d, and
-    # Brent's worst case is quadratic in the bisection depth
-    return float(optimize.brentq(slope, 0.0, 1.0, xtol=1e-15, rtol=1e-12, maxiter=2000))
 
 
 def _support_gap(space: LpSpace, C, x: np.ndarray, u: np.ndarray, iterations: int,
@@ -157,7 +123,7 @@ def _conditional_gradient(space: LpSpace, C, x: np.ndarray, u: np.ndarray, box: 
         z = sets.support(space, C, j, x, box)
         if z is None or space.pairing(j, u - z) >= -polish_tol:
             break
-        t = _line_min(space, x, u, z - u)
+        t = sets._project_line_param(space, u, z - u, x, 0.0, 1.0, xtol=1e-15)
         if t <= 0.0:
             break
         u = u + t * (z - u)

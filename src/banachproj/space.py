@@ -15,7 +15,9 @@ by the projection derivatives:
 * ``norm_smoothness``   — the one-sided derivative of t ↦ ‖x + t v‖ at 0,
   evaluated in closed form as ⟨Jx, v⟩ on the unit sphere;
 * ``duality_smoothness`` — the one-sided derivative of t ↦ ⟨J(x + t v), x⟩
-  at 0, evaluated numerically from extrapolated difference quotients.
+  at 0, evaluated numerically by ``numdiff_derivative`` (the same quotient
+  window and Richardson step as the projection derivatives) on the
+  1-vector map z ↦ [⟨J z, x⟩].
 
 The closed form used by ``norm_smoothness`` is not taken on faith: the
 test suite validates it against the raw difference quotient of the norm
@@ -27,7 +29,7 @@ import math
 
 import numpy as np
 
-from .numdiff import ConvergenceError, StepSchedule
+from .numdiff import ConvergenceError, StepSchedule, numdiff_derivative
 
 __all__ = ["LpSpace", "SPHERE_TOL"]
 
@@ -150,8 +152,9 @@ class LpSpace:
     def duality_smoothness(self, x, v, schedule: StepSchedule | None = None) -> float:
         """One-sided derivative of t ↦ ⟨J(x + t v), x⟩ at t = 0, unit x, v.
 
-        Evaluated numerically: quotients over the schedule, a convergence
-        window, and one Richardson step.  A sequence that never settles
+        Evaluated numerically by `numdiff_derivative` on the 1-vector map
+        z ↦ [⟨J z, x⟩]: quotients over the schedule, a convergence window,
+        and one Richardson step.  A sequence that never settles
         raises ConvergenceError — a value is never invented.  On the unit
         sphere this functional satisfies the split identity
 
@@ -165,29 +168,11 @@ class LpSpace:
             raise ValueError("point and direction must have matching shapes")
         self._require_unit(x, "base point")
         self._require_unit(v, "direction")
-        sched = schedule if schedule is not None else StepSchedule()
-
-        base = self.pairing(self.duality_map(x), x)
-        ts: list[float] = []
-        quotients: list[float] = []
-        hit = False
-        for t in sched.t_values:
-            g = (self.pairing(self.duality_map(x + t * v), x) - base) / t
-            ts.append(t)
-            quotients.append(g)
-            if len(quotients) >= sched.window:
-                recent = quotients[-sched.window:]
-                spread = max(recent) - min(recent)
-                if spread < sched.quotient_tol:
-                    hit = True
-                    break
-        if not hit:
+        est = numdiff_derivative(self, lambda z: np.array([self.pairing(self.duality_map(z), x)]),
+                                 x, v, schedule)
+        if not est.converged:
             raise ConvergenceError(
                 "duality smoothness quotients did not settle within the schedule",
-                trace=list(zip(ts, quotients)),
+                trace=[(t, float(q[0])) for t, q in zip(est.ts, est.quotients)],
             )
-        ratio = ts[-2] / ts[-1]
-        extrap = (ratio * quotients[-1] - quotients[-2]) / (ratio - 1.0)
-        if abs(extrap - quotients[-1]) > 10.0 * sched.quotient_tol:
-            return quotients[-1]
-        return extrap
+        return float(est.estimate[0])

@@ -47,6 +47,15 @@ def xi_quotient(p, x, v, t):
     return (jdot(x + t * v) - jdot(x)) / t
 
 
+def probe_gap(p, x, u, probes):
+    """min over probe points z of <J(x - u), u - z>, J from the power formula."""
+    x = np.asarray(x, dtype=float)
+    u = np.asarray(u, dtype=float)
+    r = x - u
+    j = np.abs(r) ** (p - 1.0) * np.sign(r) / lp_norm(r, p) ** (p - 2.0)
+    return min(float(j @ (u - np.asarray(z, dtype=float))) for z in probes)
+
+
 def grid_argmin(objective, feasible, lo, hi, final_step=1e-3, pts=13):
     """Multiresolution grid minimization over a box intersected with a
     vectorized feasibility predicate.
@@ -207,3 +216,37 @@ def hilbert_rho(t):
     """Exact Euclidean modulus of smoothness."""
     t = np.asarray(t, dtype=float)
     return np.sqrt(1.0 + t ** 2) - 1.0
+
+
+def exact_delta(p, eps):
+    """Modulus of convexity of ℓ_p.
+
+    p >= 2: Clarkson's closed form 1 - (1 - (ε/2)^p)^(1/p).  p < 2: Hanner's
+    implicit equation (1 - δ + ε/2)^p + |1 - δ - ε/2|^p = 2, whose left side
+    decreases in δ on [0, 1], solved by bisection.
+    """
+    out = []
+    for e in np.atleast_1d(np.asarray(eps, dtype=float)):
+        if p >= 2.0:
+            out.append(1.0 - (1.0 - (e / 2.0) ** p) ** (1.0 / p))
+            continue
+        lo, hi = 0.0, 1.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if (1.0 - mid + e / 2.0) ** p + abs(1.0 - mid - e / 2.0) ** p > 2.0:
+                lo = mid
+            else:
+                hi = mid
+        out.append(0.5 * (lo + hi))
+    return np.array(out)
+
+
+def exact_rho(p, t):
+    """Modulus of smoothness of ℓ_p (Lindenstrauss).
+
+    p <= 2: (1 + t^p)^(1/p) - 1.  p >= 2: (((1 + t)^p + |1 - t|^p)/2)^(1/p) - 1.
+    """
+    t = np.asarray(t, dtype=float)
+    if p <= 2.0:
+        return (1.0 + t ** p) ** (1.0 / p) - 1.0
+    return (((1.0 + t) ** p + np.abs(1.0 - t) ** p) / 2.0) ** (1.0 / p) - 1.0

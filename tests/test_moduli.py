@@ -21,7 +21,7 @@ from banachproj.moduli import (
     hilbert_smoothness_modulus,
     thread_count,
 )
-from oracles import hilbert_delta, hilbert_rho, lp_norm
+from oracles import exact_delta, exact_rho, hilbert_delta, hilbert_rho, lp_norm
 
 # Small budgets keep the suite fast.  The classical extremal families are
 # planted as search seeds, so the p = 2 values are machine-exact even here;
@@ -161,6 +161,20 @@ class TestSmoothnessEstimate:
     def test_grid_validation(self):
         with pytest.raises(ValueError, match="t grid"):
             estimate_smoothness_modulus(2.0, 2, [0.4, 0.2], budget=500)
+
+
+class TestExactCurves:
+    # the sampler bounds the moduli of ℓ_p^n from the safe side, and those
+    # bound the moduli of ℓ_p: δ from above, ρ from below
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_estimates_are_one_sided_against_exact_curves(self, p, n):
+        eps = np.geomspace(0.1, 1.9, 6)
+        ts = np.geomspace(0.05, 1.5, 6)
+        d = estimate_convexity_modulus(p, n, eps, budget=2000, seed=7, rounds=1)
+        r = estimate_smoothness_modulus(p, n, ts, budget=2000, seed=7, rounds=1)
+        assert np.all(d.delta_values >= exact_delta(p, eps) * (1.0 - 1e-9))
+        assert np.all(r.rho_values <= exact_rho(p, ts) * (1.0 + 1e-9))
 
 
 class TestDeterminism:

@@ -14,7 +14,6 @@ from banachproj import (
     Ray,
     Segment,
     Singleton,
-    certify,
     contains,
     project,
     project_ball,
@@ -25,7 +24,7 @@ from banachproj import (
     support,
 )
 from banachproj.solver import _support_gap
-from oracles import grid_argmin, grid_project, lp_norm
+from oracles import grid_argmin, grid_project, lp_norm, probe_gap
 
 SIMPLEX = PolytopeV(vertices=np.eye(3))
 
@@ -39,25 +38,20 @@ class TestCertify:
         space = LpSpace(2.0)
         x = np.array([2.0, 0.0, 0.0])
         u = np.array([1.0, 0.0, 0.0])
-        assert certify(space, x, u, list(np.eye(3))) >= -1e-8
+        assert _support_gap(space, SIMPLEX, x, u, 0, CERT_TOL).residual >= -1e-8
 
     def test_non_optimal_vertex_is_exposed(self):
-        # p=2 so J(x-u) = (2,-1,0); the worst vertex is e1 with score 2,
+        # p=2 so J(x-u) = (2,-1,0); the support vertex is e1 with score 2,
         # while <J,u> = -1, hence the residual is exactly -3
         space = LpSpace(2.0)
         x = np.array([2.0, 0.0, 0.0])
         u = np.array([0.0, 1.0, 0.0])
-        assert certify(space, x, u, list(np.eye(3))) == -3.0
+        assert _support_gap(space, SIMPLEX, x, u, 0, CERT_TOL).residual == -3.0
 
     def test_query_inside_set_scores_zero(self):
         space = LpSpace(2.0)
         inside = np.array([0.25, 0.25, 0.5])
-        assert certify(space, inside, inside, list(np.eye(3))) == 0.0
-
-    def test_empty_probes_rejected(self):
-        space = LpSpace(2.0)
-        with pytest.raises(ValueError, match="probe"):
-            certify(space, np.ones(2), np.zeros(2), [])
+        assert _support_gap(space, SIMPLEX, inside, inside, 0, CERT_TOL).residual == 0.0
 
 
 def _support_cases(rng, n):
@@ -99,11 +93,11 @@ class TestSupportGap:
         x = np.array([2.0, 1.0, 0.5])
         u = np.array([1.0, 0.0, 0.0])
         probes = [s * e for s in (1.0, -1.0) for e in np.eye(3)] + [u]
-        assert certify(space, x, u, probes) == 0.0
+        assert probe_gap(3.0, x, u, probes) == 0.0
         assert space.norm(u - project(space, C, x)) > 0.49
         j = space.duality_map(x - u)
         z = support(space, C, j, x, 2.0 * space.norm(x - u) + 1.0)
-        assert certify(space, x, u, [z]) < -CERT_TOL
+        assert probe_gap(3.0, x, u, [z]) < -CERT_TOL
 
     @pytest.mark.parametrize("p", [1.5, 3.0])
     def test_support_point_beats_sampled_members(self, p, rng):

@@ -262,6 +262,19 @@ class TestDualitySmoothness:
             space.duality_smoothness(x, v, sched)
         assert len(exc_info.value.trace) == 3
 
+    def test_trace_pairs_are_step_and_quotient(self):
+        space = LpSpace(3.0)
+        sched = StepSchedule(t_values=(0.25, 0.125, 0.0625, 0.03125), quotient_tol=1e-14)
+        x = space.unit([1.0, 2.0, -0.5])
+        v = space.unit([-1.0, 0.3, 0.9])
+        with pytest.raises(ConvergenceError) as exc_info:
+            space.duality_smoothness(x, v, sched)
+        trace = exc_info.value.trace
+        assert [t for t, _ in trace] == list(sched.t_values)
+        for t, q in trace:
+            assert type(t) is float and type(q) is float
+            assert abs(q - xi_quotient(3.0, x, v, t)) <= 1e-12
+
     def test_rejects_off_sphere_inputs(self):
         with pytest.raises(ValueError):
             LpSpace(3.0).duality_smoothness([2.0, 0.0], [1.0, 0.0])

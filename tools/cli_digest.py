@@ -1,0 +1,121 @@
+"""Fingerprint the `banachproj` CLI on a fixed corpus of configs.
+
+The corpus is built from one fixed seed: `project` batches on all eight
+set types at p in {1.5, 3} and n in {2, 3}, `derivative` on every set
+type, `classify` on a ball, the positive cone, a coordinate subspace and
+a singleton, every `verify` suite at count 5, `moduli` at budget 500 and
+`rate` on a segment.  Each config runs through `banachproj.cli.main`
+in-process, inside a temporary directory, and the script prints one line
+per config:
+
+    <name> <exit code> <sha256 of stdout>
+
+Two builds give byte-identical reports on the corpus exactly when their
+digests match.  The package is imported from the Python path, so one copy
+of this script can digest any checkout:
+
+    PYTHONPATH=src python3 tools/cli_digest.py > new.txt
+    PYTHONPATH=../parent/src python3 tools/cli_digest.py > old.txt
+    diff old.txt new.txt
+"""
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import tempfile
+
+import numpy as np
+
+from banachproj import SUITES, cli
+
+SEED = 20230917
+
+
+def _lst(a) -> list:
+    return np.asarray(a, dtype=float).tolist()
+
+
+def _sets(rng: np.random.Generator, p: float, n: int) -> dict:
+    """One descriptor of every type in dimension n, as CLI JSON."""
+    a, d = rng.normal(size=n), rng.normal(size=n)
+    A = np.vstack([np.eye(n), -np.eye(n), rng.normal(size=(2, n))])
+    b = np.concatenate([rng.uniform(0.5, 1.5, 2 * n), [0.6, 0.6]])
+    return {
+        "ball": {"type": "ball", "center": _lst(rng.normal(size=n)),
+                 "radius": float(rng.uniform(0.5, 2.0))},
+        "cone": {"type": "positive_cone"},
+        "subspace": {"type": "coordinate_subspace", "free": [i % 2 == 0 for i in range(n)]},
+        "segment": {"type": "segment", "u": _lst(a), "w": _lst(a + d)},
+        "ray": {"type": "ray", "v": _lst(a), "dir": _lst(d)},
+        "singleton": {"type": "singleton", "y": _lst(rng.normal(size=n))},
+        "polytope_h": {"type": "polytope_h",
+                       "rows": [{"normal": _lst(r), "offset": float(o)} for r, o in zip(A, b)]},
+        "polytope_v": {"type": "polytope_v", "vertices": _lst(rng.normal(size=(n + 3, n)))},
+    }
+
+
+def corpus() -> list[tuple[str, str, dict]]:
+    """(name, command, config) triples, all drawn from SEED."""
+    rng = np.random.default_rng(SEED)
+    out = []
+    for p in (1.5, 3.0):
+        for n in (2, 3):
+            space = {"p": p, "n": n}
+            for kind, C in _sets(rng, p, n).items():
+                pts = _lst(2.0 * rng.normal(size=(4, n)))
+                out.append((f"project_{kind}_p{p:g}_n{n}", "project",
+                            {"space": space, "set": C, "inputs": pts}))
+    space = {"p": 3.0, "n": 3}
+    sets3 = _sets(rng, 3.0, 3)
+    for kind, C in sets3.items():
+        inputs = {"x": _lst(2.0 * rng.normal(size=3)), "v": _lst(rng.normal(size=3))}
+        out.append((f"derivative_{kind}", "derivative", {"space": space, "set": C, "inputs": inputs}))
+    ball = sets3["ball"]
+    g = rng.normal(size=3)
+    sphere = np.asarray(ball["center"]) + ball["radius"] * g / np.sum(np.abs(g) ** 3) ** (1 / 3)
+    members = {
+        "ball": sphere,
+        "cone": np.abs(rng.normal(size=3)) * [1.0, 0.0, 1.0],
+        "subspace": rng.normal(size=3) * [1.0, 0.0, 1.0],
+        "singleton": sets3["singleton"]["y"],
+    }
+    for kind, y in members.items():
+        out.append((f"classify_{kind}", "classify",
+                    {"space": space, "set": sets3[kind], "inputs": {"x": _lst(y)}}))
+    for suite in sorted(SUITES):
+        out.append((f"verify_{suite}", "verify", {"suite": suite, "count": 5, "seed": 1}))
+    out.append(("moduli", "moduli", {
+        "space": {"p": 3.0, "n": 2}, "seed": 1,
+        "moduli": {"curve": "both", "epsilons": _lst(np.geomspace(0.1, 1.5, 5)),
+                   "ts": _lst(np.geomspace(0.05, 1.0, 5)), "budget": 500, "fit": True,
+                   "threads": 1},
+    }))
+    out.append(("rate_segment", "rate", {
+        "space": space, "set": sets3["segment"], "seed": 1,
+        "inputs": {"x": _lst(2.0 * rng.normal(size=3))}, "rate": {"count": 3},
+    }))
+    return out
+
+
+def main() -> None:
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for name, command, cfg in corpus():
+                with open("config.json", "w", encoding="utf-8") as fh:
+                    json.dump(cfg, fh)
+                buf = io.StringIO()
+                with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+                    code = cli.main([command, "--config", "config.json"])
+                digest = hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
+                print(name, code, digest, flush=True)
+        finally:
+            os.chdir(cwd)
+
+
+if __name__ == "__main__":
+    main()
