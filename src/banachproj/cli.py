@@ -37,10 +37,7 @@ from .derivative import directional_derivative
 from .numdiff import ConvergenceError, StepSchedule, cauchy_rate_probe, numdiff_derivative
 from .sets import (
     InfeasibleSetError,
-    PolytopeH,
-    PolytopeV,
     classify_point,
-    descriptor_dimension,
     descriptor_from_json,
     descriptor_to_json,
 )
@@ -95,9 +92,8 @@ def _get_set(cfg: dict, n: int):
         raise
     except (TypeError, ValueError, KeyError) as exc:
         raise _ConfigError(f"bad set descriptor: {exc}") from exc
-    dim = descriptor_dimension(C)
-    if dim is not None and dim != n:
-        raise _ConfigError(f"set lives in dimension {dim}, space says {n}")
+    if C.dim is not None and C.dim != n:
+        raise _ConfigError(f"set lives in dimension {C.dim}, space says {n}")
     return C
 
 
@@ -319,9 +315,7 @@ def _cmd_rate(cfg: dict, seed: int, out) -> int:
         t_values=tuple(2.0 ** -k for k in range(k_min, k_max + 1)),
         quotient_tol=float(opts.get("quotient_tol", 1e-7)),
         window=int(opts.get("window", 3)),
-    )
-    if isinstance(C, (PolytopeH, PolytopeV)):
-        sched = sched.truncated(1e-8)
+    ).truncated(C.solver_tol)
     rep = cauchy_rate_probe(space, lambda z: solver.project(space, C, z), x, dirs, sched)
     report = {
         "command": "rate",

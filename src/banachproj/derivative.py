@@ -251,11 +251,12 @@ def directional_derivative(space: LpSpace, C, x, v,
 
     Dispatches to the closed-form clauses where they exist.  Descriptors
     without a closed form (segments, rays, polytopes) are differenced
-    numerically; for polytopes the schedule is truncated so the iterative
-    solver's tolerance cannot pollute the quotients, and the result is
-    labeled "numeric".  Non-convergence raises ConvergenceError.
+    numerically and labeled "numeric"; for iterative projections
+    (C.solver_tol > 0) the schedule is truncated so the solver's tolerance
+    cannot pollute the quotients.  Non-convergence raises ConvergenceError.
     """
     x, v = _as_pair(x, v)
+    sets._check_dim(C, x)
     if isinstance(C, sets.Ball):
         return ball_derivative(space, C.center, C.radius, x, v)
     if isinstance(C, sets.PositiveCone):
@@ -266,16 +267,9 @@ def directional_derivative(space: LpSpace, C, x, v,
         return subspace_derivative(space, C.free, x, v)
     if isinstance(C, sets.Singleton):
         return DerivativeResult(np.zeros_like(v), "singleton")
-    if isinstance(C, (sets.Segment, sets.Ray)):
-        projector = lambda z: solver.project(space, C, z)
-        est = numdiff_derivative(space, projector, x, v, schedule)
-    elif isinstance(C, (sets.PolytopeH, sets.PolytopeV)):
-        sched = schedule if schedule is not None else StepSchedule(quotient_tol=1e-4)
-        sched = sched.truncated(1e-8)
-        projector = lambda z: solver.project(space, C, z)
-        est = numdiff_derivative(space, projector, x, v, sched)
-    else:
-        raise TypeError(f"unknown set descriptor {type(C).__name__}")
+    if C.solver_tol > 0.0:   # iterative: a looser window, no steps below the solver's noise
+        schedule = (schedule or StepSchedule(quotient_tol=1e-4)).truncated(C.solver_tol)
+    est = numdiff_derivative(space, lambda z: solver.project(space, C, z), x, v, schedule)
     if not est.converged:
         raise ConvergenceError(
             "projection quotients did not settle within the schedule",

@@ -1,21 +1,22 @@
-"""Convex-set descriptors and their closed-form metric projections.
+"""Convex-set descriptors, one class per set type, and their projections.
 
 Supported shapes: balls, the positive cone, coordinate subspaces,
 polytopes in half-space or vertex representation, segments, rays, and
-singletons.  Balls, the cone, and coordinate subspaces have closed-form
-projections; segments and rays reduce to one-dimensional convex problems
-solved by root finding on the monotone derivative; polytopes are handed
-to the iterative solver.
+singletons.  Each is a `SetDescriptor` subclass that answers for itself
+(JSON form, dimension, projection, support point, membership); a new set
+type is one such class plus its entry in `_TYPES`.  `contains`, `support`
+and the JSON codecs are entry points that check arguments and ask it.
 
-The cone and subspace projections are norm independent: the objective
-Σ|x_i - z_i|^p separates over coordinates, so each coordinate is clipped
-(or zeroed) on its own.  The test suite confirms the separability claim
-against brute-force one-dimensional minimization.
+Balls, the cone, and coordinate subspaces have closed-form projections
+(the cone and subspace ones norm independent: Σ|x_i - z_i|^p separates,
+so each coordinate is clipped or zeroed on its own); segments and rays
+reduce to root finding on a monotone derivative; polytopes are handed to
+the iterative solver.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .space import LpSpace
 
 __all__ = [
     "InfeasibleSetError",
+    "SetDescriptor",
     "Ball",
     "PositiveCone",
     "CoordinateSubspace",
@@ -35,7 +37,6 @@ __all__ = [
     "PointClass",
     "descriptor_from_json",
     "descriptor_to_json",
-    "descriptor_dimension",
     "contains",
     "support",
     "project_ball",
@@ -67,12 +68,39 @@ def _vec(x) -> np.ndarray:
     return a
 
 
+class SetDescriptor:
+    """A closed convex set; each set type is one frozen-dataclass subclass.
+
+    A subclass sets `kind` (its JSON type name) and `dim` (the dimension it
+    pins, None if any fits) and defines `project(space, x)`, `support(space,
+    j, x, box)` (see `support`) and, unless the distance to its projection
+    decides membership, `contains(space, x, eff)` at a resolved tolerance
+    eff >= 0.  Its JSON form is its fields, unless it overrides `to_json`.
+    `solver_tol` > 0 marks an iterative projection: the polytope solver
+    certifies it, and difference quotients skip steps with t² < solver_tol.
+    """
+
+    solver_tol = 0.0
+
+    def contains(self, space: LpSpace, x: np.ndarray, eff: float) -> bool:
+        return space.norm(x - self.project(space, x)) <= eff
+
+    def to_json(self) -> dict:
+        out = {"type": self.kind}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            out[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
+        return out
+
+
 @dataclass(frozen=True, eq=False)
-class Ball:
+class Ball(SetDescriptor):
     """Closed ball { z : ‖z - center‖_p <= radius }, radius > 0."""
 
     center: np.ndarray
     radius: float
+    kind = "ball"
+    dim = property(lambda self: self.center.size)
 
     def __post_init__(self):
         object.__setattr__(self, "center", _vec(self.center))
@@ -81,14 +109,39 @@ class Ball:
             raise ValueError("radius must be positive and finite")
         object.__setattr__(self, "radius", r)
 
+    def project(self, space, x):
+        return project_ball(space, self.center, self.radius, x)
+
+    def support(self, space, j, x, box):
+        # c + (r/‖j‖_q) J⁻¹(j), written out so that ‖j‖_q is taken once
+        nj = space.dual_norm(j)
+        if nj == 0.0:
+            return self.center.copy()
+        return self.center + self.radius * (np.abs(j) / nj) ** (space.q - 1.0) * np.sign(j)
+
+    def contains(self, space, x, eff):
+        return space.norm(x - self.center) <= self.radius + eff
+
 
 @dataclass(frozen=True)
-class PositiveCone:
+class PositiveCone(SetDescriptor):
     """The closed positive orthant { z : z_i >= 0 for all i }."""
+
+    kind = "positive_cone"
+    dim = None
+
+    def project(self, space, x):
+        return project_positive_cone(x)
+
+    def support(self, space, j, x, box):
+        return np.maximum(np.where(j > 0.0, x + box, x - box), 0.0)
+
+    def contains(self, space, x, eff):
+        return bool(np.all(x >= -eff))
 
 
 @dataclass(frozen=True, eq=False)
-class CoordinateSubspace:
+class CoordinateSubspace(SetDescriptor):
     """{ z : z_i = 0 for every masked coordinate }.
 
     `free` is a boolean mask: True marks coordinates allowed to vary.
@@ -97,6 +150,8 @@ class CoordinateSubspace:
     """
 
     free: np.ndarray
+    kind = "coordinate_subspace"
+    dim = property(lambda self: self.free.size)
 
     def __post_init__(self):
         mask = np.asarray(self.free, dtype=bool)
@@ -108,18 +163,40 @@ class CoordinateSubspace:
             raise ValueError("at least one coordinate must be masked")
         object.__setattr__(self, "free", mask)
 
+    def project(self, space, x):
+        return project_coordinate_subspace(self.free, x)
+
+    def support(self, space, j, x, box):
+        return np.where(self.free, x + box * np.sign(j), 0.0)
+
+    def contains(self, space, x, eff):
+        return bool(np.all(np.abs(x[~self.free]) <= eff))
+
+
+class _Polytope(SetDescriptor):
+    """Projected and certified by the iterative polytope solver."""
+
+    solver_tol = 1e-8
+
+    def project(self, space, x):
+        from .solver import project_polytope  # local import: solver builds on this module
+
+        return project_polytope(space, self, x).point
+
 
 @dataclass(frozen=True, eq=False)
-class PolytopeH:
+class PolytopeH(_Polytope):
     """Intersection of half-spaces { z : ⟨normal_k, z⟩ <= offset_k }.
 
     Feasibility is probed at construction with a linear program; an empty
     intersection raises InfeasibleSetError immediately rather than at the
-    first projection attempt.
+    first projection attempt.  Its JSON form lists {normal, offset} rows.
     """
 
     normals: np.ndarray
     offsets: np.ndarray
+    kind = "polytope_h"
+    dim = property(lambda self: self.normals.shape[1])
 
     def __post_init__(self):
         A = np.asarray(self.normals, dtype=float)
@@ -134,13 +211,8 @@ class PolytopeH:
             raise InfeasibleSetError("row with zero normal and negative offset")
         object.__setattr__(self, "normals", A)
         object.__setattr__(self, "offsets", b)
-        res = optimize.linprog(
-            c=np.zeros(A.shape[1]),
-            A_ub=A,
-            b_ub=b,
-            bounds=[(None, None)] * A.shape[1],
-            method="highs",
-        )
+        res = optimize.linprog(c=np.zeros(A.shape[1]), A_ub=A, b_ub=b,
+                               bounds=[(None, None)] * A.shape[1], method="highs")
         if res.status == 2:
             raise InfeasibleSetError("half-space system has no solution")
         if res.status != 0:
@@ -150,12 +222,30 @@ class PolytopeH:
     def feasible_point(self) -> np.ndarray:
         return self._feasible_point.copy()
 
+    def support(self, space, j, x, box):
+        res = optimize.linprog(
+            c=-j, A_ub=self.normals, b_ub=self.offsets,
+            bounds=list(zip(x - box, x + box)), method="highs",
+        )
+        return np.asarray(res.x, dtype=float) if res.status == 0 else None
+
+    def contains(self, space, x, eff):
+        return (bool(np.all(self.normals @ x <= self.offsets))
+                or (eff > 0.0 and super().contains(space, x, eff)))
+
+    def to_json(self) -> dict:
+        rows = [{"normal": n.tolist(), "offset": float(b)}
+                for n, b in zip(self.normals, self.offsets)]
+        return {"type": self.kind, "rows": rows}
+
 
 @dataclass(frozen=True, eq=False)
-class PolytopeV:
+class PolytopeV(_Polytope):
     """Convex hull of finitely many vertices (rows of `vertices`)."""
 
     vertices: np.ndarray
+    kind = "polytope_v"
+    dim = property(lambda self: self.vertices.shape[1])
 
     def __post_init__(self):
         V = np.asarray(self.vertices, dtype=float)
@@ -165,13 +255,25 @@ class PolytopeV:
             raise ValueError("vertices must be finite")
         object.__setattr__(self, "vertices", V)
 
+    def support(self, space, j, x, box):
+        return self.vertices[int(np.argmax(self.vertices @ j))].copy()
+
+    def contains(self, space, x, eff):
+        # exact hull membership is a linear feasibility problem
+        m = self.vertices.shape[0]
+        res = optimize.linprog(c=np.zeros(m), A_eq=np.vstack([self.vertices.T, np.ones((1, m))]),
+                               b_eq=np.append(x, 1.0), bounds=[(0, None)] * m, method="highs")
+        return res.status == 0 or (eff > 0.0 and super().contains(space, x, eff))
+
 
 @dataclass(frozen=True, eq=False)
-class Segment:
+class Segment(SetDescriptor):
     """Closed segment [u, w] with distinct endpoints."""
 
     u: np.ndarray
     w: np.ndarray
+    kind = "segment"
+    dim = property(lambda self: self.u.size)
 
     def __post_init__(self):
         u = _vec(self.u)
@@ -183,13 +285,22 @@ class Segment:
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "w", w)
 
+    def project(self, space, x):
+        return project_segment(space, self.u, self.w, x)
+
+    def support(self, space, j, x, box):
+        u_wins = space.pairing(j, self.u) >= space.pairing(j, self.w)
+        return (self.u if u_wins else self.w).copy()
+
 
 @dataclass(frozen=True, eq=False)
-class Ray:
+class Ray(SetDescriptor):
     """{ v + t * dir : t >= 0 } with a nonzero direction."""
 
     v: np.ndarray
     dir: np.ndarray
+    kind = "ray"
+    dim = property(lambda self: self.v.size)
 
     def __post_init__(self):
         v = _vec(self.v)
@@ -201,15 +312,41 @@ class Ray:
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "dir", d)
 
+    def project(self, space, x):
+        return project_ray(space, self.v, self.dir, x)
+
+    def support(self, space, j, x, box):
+        # the far end of a piece of the ray that covers the box
+        if space.pairing(j, self.dir) <= 0.0:
+            return self.v.copy()
+        far = (np.max(np.abs(x - self.v)) + box) / np.max(np.abs(self.dir))
+        return self.v + far * self.dir
+
 
 @dataclass(frozen=True, eq=False)
-class Singleton:
+class Singleton(SetDescriptor):
     """The one-point set {y}."""
 
     y: np.ndarray
+    kind = "singleton"
+    dim = property(lambda self: self.y.size)
 
     def __post_init__(self):
         object.__setattr__(self, "y", _vec(self.y))
+
+    def project(self, space, x):
+        return self.y.copy()
+
+    def support(self, space, j, x, box):
+        return self.y.copy()
+
+    def contains(self, space, x, eff):
+        return space.norm(x - self.y) <= eff
+
+
+#: every set type by its JSON type name
+_TYPES = {C.kind: C for C in (Ball, PositiveCone, CoordinateSubspace, PolytopeH,
+                               PolytopeV, Segment, Ray, Singleton)}
 
 
 @dataclass
@@ -225,84 +362,68 @@ class PointClass:
     witness: np.ndarray | None
 
 
-# -- JSON descriptors ------------------------------------------------------
+# -- entry points ------------------------------------------------------------
 
-def descriptor_to_json(C) -> dict:
-    if isinstance(C, Ball):
-        return {"type": "ball", "center": [float(c) for c in C.center], "radius": C.radius}
-    if isinstance(C, PositiveCone):
-        return {"type": "positive_cone"}
-    if isinstance(C, CoordinateSubspace):
-        return {"type": "coordinate_subspace", "free": [bool(f) for f in C.free]}
-    if isinstance(C, PolytopeH):
-        rows = [
-            {"normal": [float(a) for a in n], "offset": float(b)}
-            for n, b in zip(C.normals, C.offsets)
-        ]
-        return {"type": "polytope_h", "rows": rows}
-    if isinstance(C, PolytopeV):
-        return {"type": "polytope_v", "vertices": [[float(c) for c in v] for v in C.vertices]}
-    if isinstance(C, Segment):
-        return {"type": "segment", "u": [float(c) for c in C.u], "w": [float(c) for c in C.w]}
-    if isinstance(C, Ray):
-        return {"type": "ray", "v": [float(c) for c in C.v], "dir": [float(c) for c in C.dir]}
-    if isinstance(C, Singleton):
-        return {"type": "singleton", "y": [float(c) for c in C.y]}
-    raise TypeError(f"unknown set descriptor {type(C).__name__}")
-
-
-def descriptor_from_json(data: dict):
-    if not isinstance(data, dict) or "type" not in data:
-        raise ValueError("set descriptor must be an object with a 'type' field")
-    kind = data["type"]
-    try:
-        if kind == "ball":
-            return Ball(center=data["center"], radius=data["radius"])
-        if kind == "positive_cone":
-            return PositiveCone()
-        if kind == "coordinate_subspace":
-            return CoordinateSubspace(free=data["free"])
-        if kind == "polytope_h":
-            rows = data["rows"]
-            normals = [r["normal"] for r in rows]
-            offsets = [r["offset"] for r in rows]
-            return PolytopeH(normals=normals, offsets=offsets)
-        if kind == "polytope_v":
-            return PolytopeV(vertices=data["vertices"])
-        if kind == "segment":
-            return Segment(u=data["u"], w=data["w"])
-        if kind == "ray":
-            return Ray(v=data["v"], dir=data["dir"])
-        if kind == "singleton":
-            return Singleton(y=data["y"])
-    except KeyError as exc:
-        raise ValueError(f"set descriptor of type {kind!r} is missing field {exc}") from exc
-    raise ValueError(f"unknown set type {kind!r}")
-
-
-def descriptor_dimension(C):
-    """Ambient dimension pinned by the descriptor, or None if any fits."""
-    if isinstance(C, Ball):
-        return C.center.size
-    if isinstance(C, CoordinateSubspace):
-        return C.free.size
-    if isinstance(C, PolytopeH):
-        return C.normals.shape[1]
-    if isinstance(C, PolytopeV):
-        return C.vertices.shape[1]
-    if isinstance(C, Segment):
-        return C.u.size
-    if isinstance(C, Ray):
-        return C.v.size
-    if isinstance(C, Singleton):
-        return C.y.size
-    return None
+def _descriptor(C) -> SetDescriptor:
+    if not isinstance(C, SetDescriptor):
+        raise TypeError(f"unknown set descriptor {type(C).__name__}")
+    return C
 
 
 def _check_dim(C, x: np.ndarray) -> None:
-    d = descriptor_dimension(C)
+    d = _descriptor(C).dim
     if d is not None and x.size != d:
         raise ValueError(f"point has dimension {x.size}, set expects {d}")
+
+
+def descriptor_to_json(C) -> dict:
+    return _descriptor(C).to_json()
+
+
+def descriptor_from_json(data: dict) -> SetDescriptor:
+    if not isinstance(data, dict) or "type" not in data:
+        raise ValueError("set descriptor must be an object with a 'type' field")
+    kind = data["type"]
+    cls = _TYPES.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ValueError(f"unknown set type {kind!r}")
+    try:
+        if cls is PolytopeH:
+            rows = data["rows"]
+            return cls(normals=[r["normal"] for r in rows], offsets=[r["offset"] for r in rows])
+        return cls(**{f.name: data[f.name] for f in fields(cls)})
+    except KeyError as exc:
+        raise ValueError(f"set descriptor of type {kind!r} is missing field {exc}") from exc
+
+
+def contains(space: LpSpace, C, x, tol: float | None = None) -> bool:
+    """Is x within ℓ_p distance `tol` of C?
+
+    With tol=None a scale-aware default 1e-9 * max(1, ‖x‖) applies; an
+    explicit tol (0 included) is used as given.  Each set type decides by
+    exact arithmetic or its own projection; polytopes fall back to the
+    solver only when their exact test is inconclusive and tol > 0.
+    """
+    x = _vec(x)
+    _check_dim(C, x)
+    eff = MEMBERSHIP_TOL * max(1.0, space.norm(x)) if tol is None else float(tol)
+    if eff < 0.0:
+        raise ValueError("tolerance must be nonnegative")
+    return C.contains(space, x, eff)
+
+
+def support(space: LpSpace, C, j, x, box: float) -> np.ndarray | None:
+    """A point z of C with ⟨j, z⟩ >= ⟨j, w⟩ for all w in C ∩ {|w_i - x_i| <= box}.
+
+    Bounded sets return their maximizer over all of C.  The cone and the
+    subspace return the box corner picked by the signs of j, the ray the
+    far end of a piece of it that covers the box, and the H-polytope the
+    boxed LP solution, or None when the LP fails.  The box must reach C;
+    once box > ‖x - u‖ it holds every point of C closer to x than u, so
+    ⟨J(x - u), u - z⟩ is a sound optimality gap for u (see solver).
+    """
+    return _descriptor(C).support(space, np.asarray(j, dtype=float),
+                                  np.asarray(x, dtype=float), box)
 
 
 # -- closed-form projections ----------------------------------------------
@@ -388,105 +509,6 @@ def project_ray(space: LpSpace, v, direction, x) -> np.ndarray:
     return v + t * d
 
 
-# -- membership ------------------------------------------------------------
-
-def contains(space: LpSpace, C, x, tol: float | None = None) -> bool:
-    """Is x within ℓ_p distance `tol` of C?
-
-    With tol=None a scale-aware default 1e-9 * max(1, ‖x‖) applies; an
-    explicit tol (0 included) is used as given.  Balls, cones, subspaces,
-    segments, rays, and singletons are decided by exact arithmetic or
-    their own projections; polytope membership falls back to the solver
-    only when the exact tests are inconclusive and tol > 0.
-    """
-    x = _vec(x)
-    _check_dim(C, x)
-    eff = MEMBERSHIP_TOL * max(1.0, space.norm(x)) if tol is None else float(tol)
-    if eff < 0.0:
-        raise ValueError("tolerance must be nonnegative")
-
-    if isinstance(C, Ball):
-        return space.norm(x - C.center) <= C.radius + eff
-    if isinstance(C, PositiveCone):
-        return bool(np.all(x >= -eff))
-    if isinstance(C, CoordinateSubspace):
-        return bool(np.all(np.abs(x[~C.free]) <= eff))
-    if isinstance(C, Singleton):
-        return space.norm(x - C.y) <= eff
-    if isinstance(C, Segment):
-        return space.norm(x - project_segment(space, C.u, C.w, x)) <= eff
-    if isinstance(C, Ray):
-        return space.norm(x - project_ray(space, C.v, C.dir, x)) <= eff
-    if isinstance(C, PolytopeH):
-        if bool(np.all(C.normals @ x <= C.offsets)):
-            return True
-        if eff == 0.0:
-            return False
-        from .solver import project  # local import: solver builds on this module
-
-        return space.norm(x - project(space, C, x)) <= eff
-    if isinstance(C, PolytopeV):
-        # exact hull membership is a linear feasibility problem
-        V = C.vertices
-        m = V.shape[0]
-        A_eq = np.vstack([V.T, np.ones((1, m))])
-        b_eq = np.concatenate([x, [1.0]])
-        res = optimize.linprog(
-            c=np.zeros(m), A_eq=A_eq, b_eq=b_eq, bounds=[(0, None)] * m, method="highs"
-        )
-        if res.status == 0:
-            return True
-        if eff == 0.0:
-            return False
-        from .solver import project
-
-        return space.norm(x - project(space, C, x)) <= eff
-    raise TypeError(f"unknown set descriptor {type(C).__name__}")
-
-
-# -- support points --------------------------------------------------------
-
-def support(space: LpSpace, C, j, x, box: float) -> np.ndarray | None:
-    """A point z of C with ⟨j, z⟩ >= ⟨j, w⟩ for all w in C ∩ {|w_i - x_i| <= box}.
-
-    Bounded sets return their maximizer over all of C.  The cone and the
-    subspace return the box corner picked by the signs of j, the ray the
-    far end of a piece of it that covers the box, and the H-polytope the
-    boxed LP solution, or None when the LP fails.  The box must reach C;
-    once box > ‖x - u‖ it holds every point of C closer to x than u, so
-    ⟨J(x - u), u - z⟩ is a sound optimality gap for u (see solver).
-    """
-    j = np.asarray(j, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if isinstance(C, Ball):
-        # c + (r/‖j‖_q) J⁻¹(j), written out so that ‖j‖_q is taken once
-        nj = space.dual_norm(j)
-        if nj == 0.0:
-            return C.center.copy()
-        return C.center + C.radius * (np.abs(j) / nj) ** (space.q - 1.0) * np.sign(j)
-    if isinstance(C, PositiveCone):
-        return np.maximum(np.where(j > 0.0, x + box, x - box), 0.0)
-    if isinstance(C, CoordinateSubspace):
-        return np.where(C.free, x + box * np.sign(j), 0.0)
-    if isinstance(C, Segment):
-        return C.u.copy() if space.pairing(j, C.u) >= space.pairing(j, C.w) else C.w.copy()
-    if isinstance(C, Ray):
-        if space.pairing(j, C.dir) <= 0.0:
-            return C.v.copy()
-        far = (np.max(np.abs(x - C.v)) + box) / np.max(np.abs(C.dir))
-        return C.v + far * C.dir
-    if isinstance(C, Singleton):
-        return C.y.copy()
-    if isinstance(C, PolytopeV):
-        return C.vertices[int(np.argmax(C.vertices @ j))].copy()
-    if isinstance(C, PolytopeH):
-        res = optimize.linprog(
-            c=-j, A_ub=C.normals, b_ub=C.offsets,
-            bounds=list(zip(x - box, x + box)), method="highs",
-        )
-        return np.asarray(res.x, dtype=float) if res.status == 0 else None
-    raise TypeError(f"unknown set descriptor {type(C).__name__}")
-
 
 # -- structure of inverse images --------------------------------------------
 
@@ -501,7 +523,6 @@ def classify_point(space: LpSpace, C, y, tol: float | None = None) -> PointClass
     (always cuticle).  Other descriptors are refused.
     """
     y = _vec(y)
-    _check_dim(C, y)
     if not contains(space, C, y, tol):
         raise ValueError("point must belong to the set")
     scale_tol = MEMBERSHIP_TOL * max(1.0, space.norm(y)) if tol is None else float(tol)

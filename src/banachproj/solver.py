@@ -1,15 +1,17 @@
 """Certified ℓ_p projection: the support gap, and a polytope solver.
 
-u is the projection of x onto a convex set C exactly when
-⟨J(x - u), u - z⟩ >= 0 for every z in C.  The left side is affine in z,
-so its minimum over C sits at the support point z = sets.support(C, j)
-of j = J(x - u): the residual ⟨j, u - z⟩ is the Frank–Wolfe duality gap
-of u and certifies it against the whole set, not a sample of it.  Every
-certificate here, closed form or iterative, is this one formula; the box
-2‖x - u‖ + 1 that keeps it finite on unbounded sets holds every point of
-C closer to x than u, so it stays sound.
+`project` and `project_with_certificate` check the point's dimension and
+ask the descriptor C for its projection.  u is the projection of x onto
+C exactly when ⟨J(x - u), u - z⟩ >= 0 for every z in C.  The left side
+is affine in z, so its minimum over C sits at the support point
+z = sets.support(C, j) of j = J(x - u): the residual ⟨j, u - z⟩ is the
+Frank–Wolfe duality gap of u and certifies it against the whole set,
+not a sample of it.  Every certificate here, closed form or iterative, is
+this one formula; the box 2‖x - u‖ + 1 that keeps it finite on unbounded
+sets holds every point of C closer to x than u, so it stays sound.
 
-Polytopes run SLSQP on Σ|x_i - z_i|^p (C¹ for p > 1, no second
+Polytopes (C.solver_tol > 0) project through `project_polytope`, which
+certifies its own answer: SLSQP on Σ|x_i - z_i|^p (C¹ for p > 1, no second
 derivatives needed) first, then conditional-gradient steps toward the
 support point until the gap clears the tolerance; `max_iter` caps both
 together.  Each step's exact line search is the segment projector's
@@ -291,21 +293,8 @@ def project_polytope(space: LpSpace, C, x, max_iter: int = MAX_ITER,
 def project(space: LpSpace, C, x) -> np.ndarray:
     """Metric projection point for any descriptor (closed form where known)."""
     x = np.asarray(x, dtype=float)
-    if isinstance(C, sets.Ball):
-        return sets.project_ball(space, C.center, C.radius, x)
-    if isinstance(C, sets.PositiveCone):
-        return sets.project_positive_cone(x)
-    if isinstance(C, sets.CoordinateSubspace):
-        return sets.project_coordinate_subspace(C.free, x)
-    if isinstance(C, sets.Segment):
-        return sets.project_segment(space, C.u, C.w, x)
-    if isinstance(C, sets.Ray):
-        return sets.project_ray(space, C.v, C.dir, x)
-    if isinstance(C, sets.Singleton):
-        return C.y.copy()
-    if isinstance(C, (sets.PolytopeH, sets.PolytopeV)):
-        return project_polytope(space, C, x).point
-    raise TypeError(f"unknown set descriptor {type(C).__name__}")
+    sets._check_dim(C, x)
+    return C.project(space, x)
 
 
 def project_with_certificate(space: LpSpace, C, x, max_iter: int = MAX_ITER,
@@ -316,6 +305,7 @@ def project_with_certificate(space: LpSpace, C, x, max_iter: int = MAX_ITER,
     still evaluated against the set's support point rather than assumed.
     """
     x = np.asarray(x, dtype=float)
-    if isinstance(C, (sets.PolytopeH, sets.PolytopeV)):
+    sets._check_dim(C, x)
+    if C.solver_tol > 0.0:
         return project_polytope(space, C, x, max_iter=max_iter, cert_tol=cert_tol)
-    return _support_gap(space, C, x, project(space, C, x), 0, cert_tol)
+    return _support_gap(space, C, x, C.project(space, x), 0, cert_tol)

@@ -112,6 +112,11 @@ class TestDescriptorJson:
         with pytest.raises(ValueError):
             descriptor_from_json("ball")
 
+    @pytest.mark.parametrize("kind", [["ball"], None, 3], ids=["list", "none", "int"])
+    def test_malformed_type_rejected(self, kind):
+        with pytest.raises(ValueError, match="unknown set type"):
+            descriptor_from_json({"type": kind, "center": [0.0], "radius": 1.0})
+
 
 class TestContains:
     def test_sphere_point_with_zero_tolerance(self):

@@ -15,6 +15,8 @@ from banachproj import (
     Segment,
     Singleton,
     contains,
+    descriptor_to_json,
+    directional_derivative,
     project,
     project_ball,
     project_coordinate_subspace,
@@ -379,7 +381,51 @@ class TestIterationBudget:
         assert full.distance <= capped.distance + 1e-12
 
 
+# one 2-d descriptor of every type that pins its dimension
+PINNED_2D = {
+    "ball": Ball(center=[0.0, 0.0], radius=1.0),
+    "subspace": CoordinateSubspace(free=[True, False]),
+    "polytope_h": PolytopeH(normals=[[1.0, 0.0], [0.0, 1.0]], offsets=[1.0, 1.0]),
+    "polytope_v": PolytopeV(vertices=[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+    "segment": Segment(u=[0.0, 0.0], w=[1.0, 0.0]),
+    "ray": Ray(v=[0.0, 0.0], dir=[1.0, 0.0]),
+    "singleton": Singleton(y=[1.0, 2.0]),
+}
+
+# the entry points that take a descriptor and a point, called with (space, C, x, v)
+POINT_ENTRY_POINTS = {
+    "project": lambda space, C, x, v: project(space, C, x),
+    "project_with_certificate": lambda space, C, x, v: project_with_certificate(space, C, x),
+    "directional_derivative": directional_derivative,
+    "contains": lambda space, C, x, v: contains(space, C, x),
+}
+
+# every entry point that takes a descriptor, called with (space, C)
+DESCRIPTOR_ENTRY_POINTS = {
+    "contains": lambda space, C: contains(space, C, np.ones(2)),
+    "support": lambda space, C: support(space, C, np.ones(2), np.ones(2), 1.0),
+    "descriptor_to_json": lambda space, C: descriptor_to_json(C),
+    "project_with_certificate": lambda space, C: project_with_certificate(space, C, np.ones(2)),
+    "project": lambda space, C: project(space, C, np.ones(2)),
+}
+
+
 class TestDispatch:
+    @pytest.mark.parametrize("entry", sorted(POINT_ENTRY_POINTS))
+    @pytest.mark.parametrize("kind", sorted(PINNED_2D))
+    def test_wrong_dimension_rejected(self, kind, entry):
+        space = LpSpace(3.0)
+        x, v = np.array([1.0, 2.0, 3.0]), np.array([1.0, -1.0, 0.5])
+        with pytest.raises(ValueError, match="point has dimension 3, set expects 2"):
+            POINT_ENTRY_POINTS[entry](space, PINNED_2D[kind], x, v)
+
+    @pytest.mark.parametrize("entry", sorted(DESCRIPTOR_ENTRY_POINTS))
+    @pytest.mark.parametrize("bad", [object(), {"type": "ball", "center": [0.0, 0.0], "radius": 1.0}],
+                             ids=["object", "dict"])
+    def test_non_descriptors_rejected(self, bad, entry):
+        with pytest.raises(TypeError):
+            DESCRIPTOR_ENTRY_POINTS[entry](LpSpace(2.0), bad)
+
     def test_project_polytope_rejects_other_descriptors(self):
         space = LpSpace(2.0)
         with pytest.raises(TypeError):

@@ -3,8 +3,10 @@
 The corpus is built from one fixed seed: `project` batches on all eight
 set types at p in {1.5, 3} and n in {2, 3}, `derivative` on every set
 type, `classify` on a ball, the positive cone, a coordinate subspace and
-a singleton, every `verify` suite at count 5, `moduli` at budget 500 and
-`rate` on a segment.  Each config runs through `banachproj.cli.main`
+a singleton, every `verify` suite at count 5, `moduli` at budget 500,
+`rate` on a segment, a ray and both polytopes, and two malformed set
+configs (a set of the wrong dimension, an unknown set type) that must exit
+with code 2.  Each config runs through `banachproj.cli.main`
 in-process, inside a temporary directory, and the script prints one line
 per config:
 
@@ -96,6 +98,18 @@ def corpus() -> list[tuple[str, str, dict]]:
     out.append(("rate_segment", "rate", {
         "space": space, "set": sets3["segment"], "seed": 1,
         "inputs": {"x": _lst(2.0 * rng.normal(size=3))}, "rate": {"count": 3},
+    }))
+    # drawn after the configs above, so their inputs stay as they were
+    for kind in ("ray", "polytope_h", "polytope_v"):
+        out.append((f"rate_{kind}", "rate", {
+            "space": space, "set": sets3[kind], "seed": 1,
+            "inputs": {"x": _lst(2.0 * rng.normal(size=3))}, "rate": {"count": 3},
+        }))
+    out.append(("project_wrong_dimension", "project", {
+        "space": {"p": 3.0, "n": 2}, "set": sets3["ball"], "inputs": {"x": [1.0, 2.0]},
+    }))
+    out.append(("project_unknown_type", "project", {
+        "space": space, "set": {"type": "klein_bottle"}, "inputs": {"x": [1.0, 2.0, 3.0]},
     }))
     return out
 
