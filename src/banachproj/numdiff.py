@@ -123,7 +123,19 @@ def diff_quotient(projector, x, v, t: float) -> np.ndarray:
 
 
 def _window_spread(space, quotients, window: int) -> float:
+    """Largest distance between two of the last `window` quotients.
+
+    Infinite when one of them is not finite, so such a window never closes.
+    """
     recent = quotients[-window:]
+    if recent[0].size == 1:
+        # one coordinate: the norm is |a - b|, largest for the extreme pair
+        vals = [q.item() for q in recent]
+        if not all(map(math.isfinite, vals)):
+            return math.inf
+        return max(vals) - min(vals)
+    if not all(np.isfinite(q).all() for q in recent):
+        return math.inf
     worst = 0.0
     for i in range(len(recent)):
         for j in range(i + 1, len(recent)):

@@ -249,10 +249,9 @@ def properties4_suite(p: float = 3.0, n: int = 3, count: int = 25, seed: int = 4
                 worst_member_fail += 1
             worst_idem = max(worst_idem, space.norm(solver.project(space, C, u) - u))
             worst_cert = min(worst_cert, res.residual)
-            u2 = solver.project(space, C, u)
-            worst_fix = max(worst_fix, space.norm(u2 - u))
             d = space.norm(x - u)
-            for z in _set_points(rng, C, n):
+            for z in list(_set_points(rng, C, n)):
+                worst_fix = max(worst_fix, space.norm(solver.project(space, C, z) - z))
                 worst_min = max(worst_min, d - space.norm(x - z))
     col.check("projection lands in the set", worst_member_fail == 0,
               f"{worst_member_fail} membership failures")

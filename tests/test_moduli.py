@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from banachproj import (
     Ball,
@@ -16,7 +17,11 @@ from banachproj import (
     fit_power_type,
 )
 from banachproj.moduli import (
+    _gamma_magnitudes,
+    _magnitude_table,
     _pin_pairs,
+    _row_norms,
+    _sphere_from_uniforms,
     hilbert_convexity_modulus,
     hilbert_smoothness_modulus,
     thread_count,
@@ -271,6 +276,40 @@ class TestPowerFit:
         d = estimate_convexity_modulus(2.0, 2, FIT_GRID, budget=1500, seed=0, rounds=1)
         js = fit_power_type(d).to_json()
         assert set(js) == {"a", "p_fit", "b", "q_fit", "rms_delta", "rms_rho"}
+
+
+class TestSphereMap:
+    @pytest.mark.parametrize("p", [1.05, 1.5, 2.0, 3.0, 4.0, 50.0])
+    def test_tabulated_magnitude_matches_gamma_quantile(self, p):
+        rng = np.random.default_rng(12)
+        u = np.concatenate([np.clip(rng.random(100_000), 1e-12, 1.0 - 1e-12),
+                            [1e-12, 1.0 - 1e-12]])
+        got = _gamma_magnitudes(u, p)
+        x = special.gammaincinv(1.0 / p, u)
+        # where the quantile leaves the normal range (p = 50 at the low clip
+        # end) the reference is the exact small-u asymptote u Γ(1 + 1/p)
+        ref = np.where(x >= np.finfo(float).tiny, x ** (1.0 / p), u * math.gamma(1.0 + 1.0 / p))
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got / ref - 1.0)) <= 1e-5
+        assert all(np.all(np.isfinite(a)) for a in _magnitude_table(p))
+
+    @pytest.mark.parametrize("p", [1.05, 1.5, 3.0, 50.0])
+    @pytest.mark.parametrize("n", [2, 3, 7])
+    def test_rows_land_on_the_unit_sphere(self, p, n):
+        U = np.random.default_rng(13).random((2000, n))
+        rows = _sphere_from_uniforms(U, p)
+        assert max(abs(lp_norm(r, p) - 1.0) for r in rows) <= 1e-12
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_row_norms_match_a_row_sum(self, p):
+        rng = np.random.default_rng(14)
+        for n in (1, 2, 3, 4, 5, 6, 7, 8, 12):
+            M = rng.standard_normal((500, n)) * 10.0 ** rng.integers(-3, 4, size=(500, 1))
+            ref = np.sum(np.abs(M) ** p, axis=1) ** (1.0 / p)
+            if n <= 7:   # NumPy adds rows this short in order
+                assert np.array_equal(_row_norms(M, p), ref)
+            else:
+                np.testing.assert_allclose(_row_norms(M, p), ref, rtol=1e-15, atol=0.0)
 
 
 class TestPinPairs:

@@ -21,6 +21,7 @@ from banachproj import (
     project_ball,
     project_positive_cone,
 )
+from banachproj.numdiff import _window_spread
 
 
 def ball_projector(space, center, radius):
@@ -175,6 +176,21 @@ class TestNumdiffDerivative:
         assert res.ts == [0.25, 0.125, 0.0625]
         assert len(res.quotients) == 3
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_nan_quotients_never_settle(self, n):
+        # NaN away from x: every quotient is NaN, and a spread that let
+        # max(worst, nan) keep worst would read 0.0 and call it converged
+        x = np.ones(n)
+        res = numdiff_derivative(
+            LpSpace(3.0),
+            lambda y: y if np.array_equal(y, x) else np.full(n, np.nan),
+            x,
+            np.ones(n),
+        )
+        assert not res.converged
+        assert res.estimate is None
+        assert len(res.ts) == len(StepSchedule().t_values)
+
     def test_richardson_removes_linear_error(self):
         # synthetic map with quotient exactly v + t*u: the extrapolation
         # must recover v itself, several digits beyond the raw quotients
@@ -225,6 +241,23 @@ class TestNumdiffDerivative:
         space = LpSpace(2.0)
         with pytest.raises(ValueError):
             numdiff_derivative(space, lambda y: y, np.ones(2), np.zeros(2))
+
+
+class TestWindowSpread:
+    def test_one_coordinate_matches_pairwise_norms_bitwise(self):
+        rng = np.random.default_rng(8)
+        space = LpSpace(3.0)
+        for window in (2, 3, 5):
+            for _ in range(200):
+                qs = [np.array([v]) for v in rng.standard_normal(window) * 10.0 ** rng.integers(-9, 3)]
+                pairwise = max(space.norm(a - b) for i, a in enumerate(qs) for b in qs[i + 1:])
+                assert _window_spread(space, qs, window) == pairwise
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_non_finite_quotient_is_infinitely_spread(self, bad, n):
+        qs = [np.ones(n), np.full(n, bad), np.ones(n)]
+        assert _window_spread(LpSpace(3.0), qs, 3) == math.inf
 
 
 class TestCauchyRateProbe:

@@ -1,6 +1,8 @@
 """Randomized self-check suites: pass at defaults, report shapes, failure paths."""
+import numpy as np
 import pytest
 
+from banachproj import solver
 from banachproj.verify import CheckResult, SUITES, SuiteReport, run_suite
 
 
@@ -31,6 +33,18 @@ class TestFailureAccounting:
         assert not report.passed
         assert report.failures == 1
         assert "FAIL" in report.summary()
+
+    def test_constant_projector_fixes_no_member(self, monkeypatch):
+        # P(x) = P(0) lands in C and is idempotent, but moves every other
+        # member of C: only the fixed-point check can see that
+        certified, project = solver.project_with_certificate, solver.project
+        monkeypatch.setattr(solver, "project_with_certificate",
+                            lambda space, C, x: certified(space, C, np.zeros(len(x))))
+        monkeypatch.setattr(solver, "project", lambda space, C, x: project(space, C, np.zeros(len(x))))
+        checks = {c.name: c.passed for c in run_suite("properties4", count=3).checks}
+        assert checks["projection lands in the set"]
+        assert checks["idempotence P(Px) = Px"]
+        assert not checks["points of the set are fixed"]
 
     def test_hand_built_report(self):
         report = SuiteReport("demo", [

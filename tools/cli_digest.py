@@ -4,11 +4,11 @@ The corpus is built from one fixed seed: `project` batches on all eight
 set types at p in {1.5, 3} and n in {2, 3}, `derivative` on every set
 type, `classify` on a ball, the positive cone, a coordinate subspace and
 a singleton, every `verify` suite at count 5, `moduli` at budget 500,
-`rate` on a segment, a ray and both polytopes, and two malformed set
-configs (a set of the wrong dimension, an unknown set type) that must exit
-with code 2.  Each config runs through `banachproj.cli.main`
-in-process, inside a temporary directory, and the script prints one line
-per config:
+`rate` on a segment, a ray and both polytopes, two malformed set configs
+(a set of the wrong dimension, an unknown set type) that must exit with
+code 2, and last `moduli` at p = 1.5, n = 3 on two threads.  Each config
+runs through `banachproj.cli.main` in-process, inside a temporary
+directory, and the script prints one line per config:
 
     <name> <exit code> <sha256 of stdout>
 
@@ -110,6 +110,12 @@ def corpus() -> list[tuple[str, str, dict]]:
     }))
     out.append(("project_unknown_type", "project", {
         "space": space, "set": {"type": "klein_bottle"}, "inputs": {"x": [1.0, 2.0, 3.0]},
+    }))
+    out.append(("moduli_p15_n3", "moduli", {
+        "space": {"p": 1.5, "n": 3}, "seed": 1,
+        "moduli": {"curve": "both", "epsilons": _lst(np.geomspace(0.1, 1.5, 5)),
+                   "ts": _lst(np.geomspace(0.05, 1.0, 5)), "budget": 500, "fit": True,
+                   "threads": 2},
     }))
     return out
 
