@@ -89,8 +89,8 @@ class DerivativeResult:
 
 
 def _as_pair(x, v):
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
+    x = sets._vec(x)
+    v = sets._vec(v)
     if x.shape != v.shape:
         raise ValueError("point and direction must have matching shapes")
     return x, v
@@ -245,28 +245,34 @@ def interior_derivative(space: LpSpace, C, x, v) -> DerivativeResult:
     raise ValueError(f"no interior rule for {type(C).__name__}")
 
 
+#: exact clauses by descriptor class; any other class is differenced numerically
+_CLOSED_FORMS = {
+    sets.Ball: lambda space, C, x, v: ball_derivative(space, C.center, C.radius, x, v),
+    sets.PositiveCone: lambda space, C, x, v: _cone_coordinatewise(x, v),
+    sets.CoordinateSubspace: lambda space, C, x, v: _subspace_clause(space, C.free, v),
+    sets.Singleton: lambda space, C, x, v: DerivativeResult(np.zeros_like(v), "singleton"),
+}
+
+
 def directional_derivative(space: LpSpace, C, x, v,
                            schedule: StepSchedule | None = None) -> DerivativeResult:
     """One-sided derivative of the projection onto C, any descriptor.
 
-    Dispatches to the closed-form clauses where they exist.  Descriptors
-    without a closed form (segments, rays, polytopes) are differenced
+    x and v must be finite and v nonzero, for every set type.  A descriptor
+    whose class has an entry in `_CLOSED_FORMS` (balls, the positive cone,
+    coordinate subspaces, singletons) gets its exact clause at every base
+    point.  The others (segments, rays, polytopes) are differenced
     numerically and labeled "numeric"; for iterative projections
     (C.solver_tol > 0) the schedule is truncated so the solver's tolerance
     cannot pollute the quotients.  Non-convergence raises ConvergenceError.
     """
     x, v = _as_pair(x, v)
     sets._check_dim(C, x)
-    if isinstance(C, sets.Ball):
-        return ball_derivative(space, C.center, C.radius, x, v)
-    if isinstance(C, sets.PositiveCone):
-        return positive_cone_derivative(x, v)
-    if isinstance(C, sets.CoordinateSubspace):
-        if np.any(np.abs(x[~C.free]) > sets.MEMBERSHIP_TOL * max(1.0, space.norm(x))):
-            return _subspace_clause(space, C.free, v)   # off-set base point
-        return subspace_derivative(space, C.free, x, v)
-    if isinstance(C, sets.Singleton):
-        return DerivativeResult(np.zeros_like(v), "singleton")
+    if not np.any(v):
+        raise ValueError("direction must be nonzero")
+    closed_form = _CLOSED_FORMS.get(type(C))
+    if closed_form is not None:
+        return closed_form(space, C, x, v)
     if C.solver_tol > 0.0:   # iterative: a looser window, no steps below the solver's noise
         schedule = (schedule or StepSchedule(quotient_tol=1e-4)).truncated(C.solver_tol)
     est = numdiff_derivative(space, lambda z: solver.project(space, C, z), x, v, schedule)

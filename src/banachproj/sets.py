@@ -3,9 +3,12 @@
 Supported shapes: balls, the positive cone, coordinate subspaces,
 polytopes in half-space or vertex representation, segments, rays, and
 singletons.  Each is a `SetDescriptor` subclass that answers for itself
-(JSON form, dimension, projection, support point, membership); a new set
-type is one such class plus its entry in `_TYPES`.  `contains`, `support`
-and the JSON codecs are entry points that check arguments and ask it.
+(JSON form, dimension, projection, support point, membership, sample
+members, and where they exist the internal/cuticle classification and the
+cone vertex).  A new set type is one such class plus its entry in
+`_TYPES`, and an entry in `derivative._CLOSED_FORMS` if it has an exact
+derivative.  `contains`, `support`, `classify_point`, the cone checks and
+the JSON codecs are entry points that check arguments and ask it.
 
 Balls, the cone, and coordinate subspaces have closed-form projections
 (the cone and subspace ones norm independent: Σ|x_i - z_i|^p separates,
@@ -68,6 +71,26 @@ def _vec(x) -> np.ndarray:
     return a
 
 
+@dataclass
+class PointClass:
+    """Partition tag of a point of C with respect to inverse images.
+
+    tag == "internal": the inverse image of the point is the point alone.
+    tag == "cuticle":  the inverse image is strictly larger; `witness` is
+    a nonzero u with P(point + u) = point.
+    """
+
+    tag: str
+    witness: np.ndarray | None
+
+
+def _axis(n: int, i: int, value: float) -> np.ndarray:
+    # built from zeros, so a -1 witness has +0.0 (not -0.0) elsewhere
+    w = np.zeros(n)
+    w[i] = value
+    return w
+
+
 class SetDescriptor:
     """A closed convex set; each set type is one frozen-dataclass subclass.
 
@@ -75,15 +98,27 @@ class SetDescriptor:
     pins, None if any fits) and defines `project(space, x)`, `support(space,
     j, x, box)` (see `support`) and, unless the distance to its projection
     decides membership, `contains(space, x, eff)` at a resolved tolerance
-    eff >= 0.  Its JSON form is its fields, unless it overrides `to_json`.
-    `solver_tol` > 0 marks an iterative projection: the polytope solver
-    certifies it, and difference quotients skip steps with t² < solver_tol.
+    eff >= 0.  `sample(rng, n)` yields a few members of the set in R^n.
+    Types with a closed-form rule override `classify(space, y, eff)` (the
+    internal/cuticle tag of a member y, see `classify_point`) and, for
+    cones, `cone_vertex(n)`; the base versions refuse.  Its JSON form is
+    its fields, unless it overrides `to_json`.  `solver_tol` > 0 marks an
+    iterative projection: the polytope solver certifies it, and difference
+    quotients skip steps with t² < solver_tol.
     """
 
     solver_tol = 0.0
 
     def contains(self, space: LpSpace, x: np.ndarray, eff: float) -> bool:
         return space.norm(x - self.project(space, x)) <= eff
+
+    def classify(self, space: LpSpace, y: np.ndarray, eff: float) -> PointClass:
+        raise ValueError(
+            f"no closed-form internal/cuticle classification for {type(self).__name__}"
+        )
+
+    def cone_vertex(self, n: int) -> np.ndarray:
+        raise ValueError(f"{type(self).__name__} is not a supported cone descriptor")
 
     def to_json(self) -> dict:
         out = {"type": self.kind}
@@ -122,6 +157,18 @@ class Ball(SetDescriptor):
     def contains(self, space, x, eff):
         return space.norm(x - self.center) <= self.radius + eff
 
+    def sample(self, rng, n):
+        for _ in range(4):
+            d = rng.standard_normal(n)
+            d /= max(np.max(np.abs(d)), 1e-12) * n
+            yield self.center + self.radius * rng.uniform(0.0, 0.9) * d
+
+    def classify(self, space, y, eff):
+        if self.radius - space.norm(y - self.center) > eff:
+            return PointClass("internal", None)
+        # sphere point: the outward ray collapses onto y
+        return PointClass("cuticle", y - self.center)
+
 
 @dataclass(frozen=True)
 class PositiveCone(SetDescriptor):
@@ -138,6 +185,19 @@ class PositiveCone(SetDescriptor):
 
     def contains(self, space, x, eff):
         return bool(np.all(x >= -eff))
+
+    def sample(self, rng, n):
+        for _ in range(4):
+            yield np.abs(rng.standard_normal(n))
+
+    def classify(self, space, y, eff):
+        zero = y <= eff
+        if not zero.any():
+            return PointClass("internal", None)
+        return PointClass("cuticle", _axis(y.size, int(np.argmax(zero)), -1.0))
+
+    def cone_vertex(self, n):
+        return np.zeros(n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,6 +231,17 @@ class CoordinateSubspace(SetDescriptor):
 
     def contains(self, space, x, eff):
         return bool(np.all(np.abs(x[~self.free]) <= eff))
+
+    def sample(self, rng, n):
+        for _ in range(4):
+            yield np.where(self.free, rng.standard_normal(n), 0.0)
+
+    def classify(self, space, y, eff):
+        # proper subspace: translating along any masked axis projects back
+        return PointClass("cuticle", _axis(y.size, int(np.argmax(~self.free)), 1.0))
+
+    def cone_vertex(self, n):
+        return np.zeros(n)
 
 
 class _Polytope(SetDescriptor):
@@ -222,6 +293,9 @@ class PolytopeH(_Polytope):
     def feasible_point(self) -> np.ndarray:
         return self._feasible_point.copy()
 
+    def sample(self, rng, n):
+        yield self.feasible_point()
+
     def support(self, space, j, x, box):
         res = optimize.linprog(
             c=-j, A_ub=self.normals, b_ub=self.offsets,
@@ -258,6 +332,11 @@ class PolytopeV(_Polytope):
     def support(self, space, j, x, box):
         return self.vertices[int(np.argmax(self.vertices @ j))].copy()
 
+    def sample(self, rng, n):
+        m = len(self.vertices)
+        for _ in range(4):
+            yield rng.dirichlet(np.ones(m)) @ self.vertices
+
     def contains(self, space, x, eff):
         # exact hull membership is a linear feasibility problem
         m = self.vertices.shape[0]
@@ -292,6 +371,10 @@ class Segment(SetDescriptor):
         u_wins = space.pairing(j, self.u) >= space.pairing(j, self.w)
         return (self.u if u_wins else self.w).copy()
 
+    def sample(self, rng, n):
+        for t in (0.0, 0.3, 0.7, 1.0):
+            yield (1 - t) * self.u + t * self.w
+
 
 @dataclass(frozen=True, eq=False)
 class Ray(SetDescriptor):
@@ -322,6 +405,13 @@ class Ray(SetDescriptor):
         far = (np.max(np.abs(x - self.v)) + box) / np.max(np.abs(self.dir))
         return self.v + far * self.dir
 
+    def sample(self, rng, n):
+        for t in (0.0, 0.5, 2.0, 10.0):
+            yield self.v + t * self.dir
+
+    def cone_vertex(self, n):
+        return self.v.copy()
+
 
 @dataclass(frozen=True, eq=False)
 class Singleton(SetDescriptor):
@@ -335,6 +425,7 @@ class Singleton(SetDescriptor):
         object.__setattr__(self, "y", _vec(self.y))
 
     def project(self, space, x):
+        _vec(x)   # a constant map, but it refuses what the other projections refuse
         return self.y.copy()
 
     def support(self, space, j, x, box):
@@ -343,23 +434,16 @@ class Singleton(SetDescriptor):
     def contains(self, space, x, eff):
         return space.norm(x - self.y) <= eff
 
+    def sample(self, rng, n):
+        yield self.y.copy()
+
+    def classify(self, space, y, eff):
+        return PointClass("cuticle", _axis(y.size, 0, 1.0))
+
 
 #: every set type by its JSON type name
 _TYPES = {C.kind: C for C in (Ball, PositiveCone, CoordinateSubspace, PolytopeH,
                                PolytopeV, Segment, Ray, Singleton)}
-
-
-@dataclass
-class PointClass:
-    """Partition tag of a point of C with respect to inverse images.
-
-    tag == "internal": the inverse image of the point is the point alone.
-    tag == "cuticle":  the inverse image is strictly larger; `witness` is
-    a nonzero u with P(point + u) = point.
-    """
-
-    tag: str
-    witness: np.ndarray | None
 
 
 # -- entry points ------------------------------------------------------------
@@ -520,40 +604,14 @@ def classify_point(space: LpSpace, C, y, tol: float | None = None) -> PointClass
     such that P(y + u) = y.  Closed-form answers exist for balls (interior
     vs sphere), the positive cone (strictly positive coordinates vs
     boundary), coordinate subspaces (always cuticle), and singletons
-    (always cuticle).  Other descriptors are refused.
+    (always cuticle); each is its descriptor's `classify`.  Other
+    descriptors are refused.
     """
     y = _vec(y)
     if not contains(space, C, y, tol):
         raise ValueError("point must belong to the set")
     scale_tol = MEMBERSHIP_TOL * max(1.0, space.norm(y)) if tol is None else float(tol)
-
-    if isinstance(C, Ball):
-        gap = C.radius - space.norm(y - C.center)
-        if gap > scale_tol:
-            return PointClass("internal", None)
-        # sphere point: the outward ray collapses onto y
-        return PointClass("cuticle", (y - C.center).copy())
-    if isinstance(C, PositiveCone):
-        zero = y <= scale_tol
-        if not zero.any():
-            return PointClass("internal", None)
-        i = int(np.argmax(zero))
-        w = np.zeros_like(y)
-        w[i] = -1.0
-        return PointClass("cuticle", w)
-    if isinstance(C, CoordinateSubspace):
-        # proper subspace: translating along any masked axis projects back
-        i = int(np.argmax(~C.free))
-        w = np.zeros_like(y)
-        w[i] = 1.0
-        return PointClass("cuticle", w)
-    if isinstance(C, Singleton):
-        w = np.zeros_like(y)
-        w[0] = 1.0
-        return PointClass("cuticle", w)
-    raise ValueError(
-        f"no closed-form internal/cuticle classification for {type(C).__name__}"
-    )
+    return C.classify(space, y, scale_tol)
 
 
 def orthogonal_cone_residual(space: LpSpace, free, x) -> float:
@@ -589,14 +647,6 @@ def inverse_image_ray_check(space: LpSpace, center, radius: float, y, t: float,
     return space.norm(project_ball(space, c, radius, probe) - y) <= eff
 
 
-def _cone_vertex(C, n: int) -> np.ndarray:
-    if isinstance(C, (PositiveCone, CoordinateSubspace)):
-        return np.zeros(n)
-    if isinstance(C, Ray):
-        return C.v.copy()
-    raise ValueError(f"{type(C).__name__} is not a supported cone descriptor")
-
-
 def cone_translation_check(space: LpSpace, K, y, t: float, x,
                            tol: float | None = None) -> bool:
     """Translation law along cone cross sections.
@@ -610,7 +660,7 @@ def cone_translation_check(space: LpSpace, K, y, t: float, x,
     x = _vec(x)
     if t <= 0.0:
         raise ValueError("the translation parameter must be positive")
-    vertex = _cone_vertex(K, y.size)
+    vertex = _descriptor(K).cone_vertex(y.size)
     if not contains(space, K, y, tol):
         raise ValueError("base point must belong to the cone")
     from .solver import project
@@ -633,7 +683,7 @@ def dual_cone_residual(space: LpSpace, K, x, probes) -> float:
     probes = [_vec(z) for z in probes]
     if not probes:
         raise ValueError("at least one probe point is required")
-    v = _cone_vertex(K, x.size)
+    v = _descriptor(K).cone_vertex(x.size)
     for z in probes:
         if not contains(space, K, z):
             raise ValueError("every probe must belong to the cone")

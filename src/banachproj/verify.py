@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import solver
-from .derivative import ball_derivative, positive_cone_derivative
+from .derivative import directional_derivative, positive_cone_derivative
 from .sets import (
     Ball,
     CoordinateSubspace,
@@ -202,7 +202,7 @@ def subspace_suite(p: float = 3.0, n: int = 5, count: int = 200, seed: int = 3,
         worst_member = max(worst_member, float(np.max(np.abs(u[~free]), initial=0.0)))
         worst_idem = max(worst_idem, space.norm(solver.project(space, C, u) - u))
         if space.norm(x - u) > 1e-12:
-            worst_ortho = max(worst_ortho, orthogonal_cone_residual(space, C.free, x - u))
+            worst_ortho = max(worst_ortho, orthogonal_cone_residual(space, free, x - u))
     col.worst("projection zeroes the masked coordinates", worst_mask, tol)
     col.worst("projection lies in the subspace", worst_member, tol)
     col.worst("idempotence P(Px) = Px", worst_idem, tol)
@@ -250,7 +250,7 @@ def properties4_suite(p: float = 3.0, n: int = 3, count: int = 25, seed: int = 4
             worst_idem = max(worst_idem, space.norm(solver.project(space, C, u) - u))
             worst_cert = min(worst_cert, res.residual)
             d = space.norm(x - u)
-            for z in list(_set_points(rng, C, n)):
+            for z in list(C.sample(rng, n)):
                 worst_fix = max(worst_fix, space.norm(solver.project(space, C, z) - z))
                 worst_min = max(worst_min, d - space.norm(x - z))
     col.check("projection lands in the set", worst_member_fail == 0,
@@ -261,37 +261,6 @@ def properties4_suite(p: float = 3.0, n: int = 3, count: int = 25, seed: int = 4
     col.check("variational residual nonnegative", worst_cert >= -cert_tol,
               f"min residual {worst_cert:.3e}")
     return col.report()
-
-
-def _set_points(rng: np.random.Generator, C, n: int):
-    """A handful of points guaranteed to lie in C, for minimality probes."""
-    if isinstance(C, Ball):
-        for _ in range(4):
-            d = rng.standard_normal(n)
-            d /= max(np.max(np.abs(d)), 1e-12) * n
-            yield C.center + C.radius * rng.uniform(0.0, 0.9) * d
-    elif isinstance(C, PositiveCone):
-        for _ in range(4):
-            yield np.abs(rng.standard_normal(n))
-    elif isinstance(C, CoordinateSubspace):
-        for _ in range(4):
-            yield np.where(C.free, rng.standard_normal(n), 0.0)
-    elif isinstance(C, Segment):
-        for t in (0.0, 0.3, 0.7, 1.0):
-            yield (1 - t) * C.u + t * C.w
-    elif isinstance(C, Ray):
-        for t in (0.0, 0.5, 2.0, 10.0):
-            yield C.v + t * C.dir
-    elif isinstance(C, Singleton):
-        yield C.y
-    elif isinstance(C, PolytopeV):
-        m = len(C.vertices)
-        for _ in range(4):
-            w = rng.dirichlet(np.ones(m))
-            yield w @ C.vertices
-    elif isinstance(C, PolytopeH):
-        anchor = C.feasible_point()
-        yield anchor
 
 
 def hilbert_suite(n: int = 4, count: int = 300, seed: int = 5,
@@ -316,7 +285,7 @@ def hilbert_suite(n: int = 4, count: int = 300, seed: int = 5,
         py = solver.project(space, C, y)
         worst_expand = max(worst_expand, space.norm(px - py) - space.norm(x - y))
         if space.norm(x) > 1.0 + 1e-9:
-            got = ball_derivative(space, C.center, C.radius, x, v).value
+            got = directional_derivative(space, C, x, v).value
             nx = space.norm(x)
             expected = (v - (x @ v) * x / nx ** 2) / nx
             worst_form = max(worst_form, float(np.max(np.abs(got - expected))))

@@ -389,6 +389,20 @@ class TestErrors:
         assert code == 2
         assert "invalid input" in err
 
+    @pytest.mark.parametrize("command", ["project", "derivative"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_singleton_input_exit_2(self, tmp_path, command, bad):
+        # a singleton's projection is constant, yet it refuses a non-finite
+        # point like every other set type
+        code, out, err = run_cli(tmp_path, command, {
+            "space": {"p": 2, "n": 2},
+            "set": {"type": "singleton", "y": [1, 2]},
+            "inputs": {"x": [bad, 0], "v": [1, 0]},
+        })
+        assert code == 2
+        assert "coordinates must be finite" in err
+        assert out == ""
+
     def test_numeric_failure_exit_4(self, tmp_path):
         # the ray parameter would have to exceed 1e18 to reach x
         code, _, err = run_cli(tmp_path, "project", {

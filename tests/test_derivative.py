@@ -10,6 +10,7 @@ from banachproj import (
     CoordinateSubspace,
     LpSpace,
     PolytopeH,
+    PolytopeV,
     PositiveCone,
     Ray,
     Segment,
@@ -468,3 +469,52 @@ class TestDirectionalDerivativeDispatch:
         space = LpSpace(2.0)
         with pytest.raises(TypeError):
             directional_derivative(space, object(), np.ones(2), np.ones(2))
+
+
+# one 3-d descriptor of every set type
+ALL_3D = {
+    "ball": Ball(center=[0.0, 0.0, 0.0], radius=1.0),
+    "cone": PositiveCone(),
+    "subspace": CoordinateSubspace(free=[True, False, True]),
+    "polytope_h": PolytopeH(normals=np.vstack([np.eye(3), -np.eye(3)]), offsets=np.ones(6)),
+    "polytope_v": PolytopeV(vertices=np.vstack([np.zeros(3), np.eye(3)])),
+    "segment": Segment(u=[0.0, 0.0, 0.0], w=[1.0, 0.0, 0.0]),
+    "ray": Ray(v=[0.0, 0.0, 0.0], dir=[1.0, 1.0, 0.0]),
+    "singleton": Singleton(y=[1.0, 2.0, 3.0]),
+}
+
+# every derivative entry point, called with (space, x, v)
+DERIVATIVE_ENTRY_POINTS = {
+    "directional_derivative": lambda space, x, v: directional_derivative(space, ALL_3D["ball"], x, v),
+    "ball_derivative": lambda space, x, v: ball_derivative(space, np.zeros(3), 1.0, x, v),
+    "classify_sphere_direction": lambda space, x, v: classify_sphere_direction(
+        space, np.zeros(3), 1.0, x, v),
+    "positive_cone_derivative": lambda space, x, v: positive_cone_derivative(x, v),
+    "subspace_derivative": lambda space, x, v: subspace_derivative(
+        space, [True, False, True], x, v),
+    "interior_derivative": lambda space, x, v: interior_derivative(space, PositiveCone(), x, v),
+}
+
+
+class TestEntryValidation:
+    @pytest.mark.parametrize("kind", sorted(ALL_3D))
+    def test_zero_direction_rejected_for_every_type(self, kind):
+        # the base point lies off the subspace and off the singleton
+        with pytest.raises(ValueError, match="direction must be nonzero"):
+            directional_derivative(LpSpace(3.0), ALL_3D[kind], [0.3, -2.0, 1.0], np.zeros(3))
+
+    @pytest.mark.parametrize("which", ["x", "v"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("kind", sorted(ALL_3D))
+    def test_non_finite_inputs_rejected_for_every_type(self, kind, bad, which):
+        args = {"x": np.array([0.5, 0.0, 0.25]), "v": np.array([1.0, -1.0, 0.5])}
+        args[which][1] = bad
+        with pytest.raises(ValueError, match="coordinates must be finite"):
+            directional_derivative(LpSpace(3.0), ALL_3D[kind], args["x"], args["v"])
+
+    @pytest.mark.parametrize("entry", sorted(DERIVATIVE_ENTRY_POINTS))
+    def test_every_entry_point_rejects_a_nan_base_point(self, entry):
+        # a NaN base point must not come back as a NaN value under a
+        # regular clause label
+        with pytest.raises(ValueError, match="coordinates must be finite"):
+            DERIVATIVE_ENTRY_POINTS[entry](LpSpace(3.0), [np.nan, 0.0, 0.0], [1.0, 0.0, 0.0])

@@ -30,6 +30,8 @@ from banachproj import (
     project_ray,
     project_segment,
 )
+from banachproj.sets import _TYPES
+from banachproj.verify import _random_sets
 from oracles import grid_project, lp_norm, param_grid_min
 
 
@@ -368,6 +370,59 @@ class TestClassifyPoint:
             classify_point(space, Ball(center=[0.0, 0.0], radius=1.0), [3.0, 0.0])
         with pytest.raises(ValueError):
             classify_point(space, Segment(u=[0.0, 0.0], w=[1.0, 0.0]), [0.5, 0.0])
+
+
+class TestDescriptorMethods:
+    def test_every_type_samples(self):
+        for cls in _TYPES.values():
+            assert "sample" in vars(cls), cls.__name__
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_samples_are_members(self, p, n, rng):
+        space = LpSpace(p)
+        for _ in range(3):
+            descriptors = list(_random_sets(rng, n))
+            assert {C.kind for C in descriptors} == set(_TYPES)
+            for C in descriptors:
+                members = list(C.sample(rng, n))
+                assert members
+                for z in members:
+                    assert z.shape == (n,)
+                    assert contains(space, C, z), (C.kind, z)
+
+    @pytest.mark.parametrize("kind", ["polytope_h", "polytope_v", "segment", "ray"])
+    def test_classify_refused_without_a_rule(self, kind, rng):
+        space = LpSpace(3.0)
+        C = next(D for D in _random_sets(rng, 3) if D.kind == kind)
+        y = next(C.sample(rng, 3))
+        name = type(C).__name__
+        with pytest.raises(ValueError, match=f"no closed-form internal/cuticle classification for {name}"):
+            classify_point(space, C, y)
+
+    @pytest.mark.parametrize("kind", ["ball", "polytope_h", "polytope_v", "segment", "singleton"])
+    def test_cone_checks_refuse_non_cones(self, kind, rng):
+        space = LpSpace(3.0)
+        K = next(D for D in _random_sets(rng, 3) if D.kind == kind)
+        y = next(K.sample(rng, 3))
+        match = f"{type(K).__name__} is not a supported cone descriptor"
+        with pytest.raises(ValueError, match=match):
+            cone_translation_check(space, K, y, 2.0, y + 1.0)
+        with pytest.raises(ValueError, match=match):
+            dual_cone_residual(space, K, y + 1.0, [y])
+
+    def test_cone_vertices(self):
+        assert np.array_equal(PositiveCone().cone_vertex(3), np.zeros(3))
+        assert np.array_equal(CoordinateSubspace(free=[True, False]).cone_vertex(2), np.zeros(2))
+        R = Ray(v=[1.0, -2.0], dir=[0.0, 1.0])
+        vertex = R.cone_vertex(2)
+        assert np.array_equal(vertex, [1.0, -2.0])
+        vertex[0] = 5.0
+        assert R.v[0] == 1.0
+
+    def test_cone_witness_has_no_negative_zeros(self):
+        res = classify_point(LpSpace(3.0), PositiveCone(), [1.0, 0.0, 3.0])
+        assert np.signbit(res.witness).tolist() == [False, True, False]
 
 
 class TestOrthogonalConeResidual:

@@ -392,6 +392,9 @@ PINNED_2D = {
     "singleton": Singleton(y=[1.0, 2.0]),
 }
 
+# every set type in 2-d
+ALL_2D = {**PINNED_2D, "cone": PositiveCone()}
+
 # the entry points that take a descriptor and a point, called with (space, C, x, v)
 POINT_ENTRY_POINTS = {
     "project": lambda space, C, x, v: project(space, C, x),
@@ -418,6 +421,15 @@ class TestDispatch:
         x, v = np.array([1.0, 2.0, 3.0]), np.array([1.0, -1.0, 0.5])
         with pytest.raises(ValueError, match="point has dimension 3, set expects 2"):
             POINT_ENTRY_POINTS[entry](space, PINNED_2D[kind], x, v)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("entry", sorted(POINT_ENTRY_POINTS))
+    @pytest.mark.parametrize("kind", sorted(ALL_2D))
+    def test_non_finite_point_rejected(self, kind, entry, bad):
+        space = LpSpace(3.0)
+        x, v = np.array([1.0, bad]), np.array([1.0, -1.0])
+        with pytest.raises(ValueError, match="coordinates must be finite"):
+            POINT_ENTRY_POINTS[entry](space, ALL_2D[kind], x, v)
 
     @pytest.mark.parametrize("entry", sorted(DESCRIPTOR_ENTRY_POINTS))
     @pytest.mark.parametrize("bad", [object(), {"type": "ball", "center": [0.0, 0.0], "radius": 1.0}],

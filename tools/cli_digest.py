@@ -6,9 +6,12 @@ type, `classify` on a ball, the positive cone, a coordinate subspace and
 a singleton, every `verify` suite at count 5, `moduli` at budget 500,
 `rate` on a segment, a ray and both polytopes, two malformed set configs
 (a set of the wrong dimension, an unknown set type) that must exit with
-code 2, and last `moduli` at p = 1.5, n = 3 on two threads.  Each config
-runs through `banachproj.cli.main` in-process, inside a temporary
-directory, and the script prints one line per config:
+code 2, `moduli` at p = 1.5, n = 3 on two threads, and last three refused
+inputs that must exit with code 2 (`classify` on a segment, and on a
+singleton a `derivative` along a zero direction and a `project` of
+non-finite points).  Each config runs through `banachproj.cli.main`
+in-process, inside a temporary directory, and the script prints one line
+per config:
 
     <name> <exit code> <sha256 of stdout>
 
@@ -116,6 +119,19 @@ def corpus() -> list[tuple[str, str, dict]]:
         "moduli": {"curve": "both", "epsilons": _lst(np.geomspace(0.1, 1.5, 5)),
                    "ts": _lst(np.geomspace(0.05, 1.0, 5)), "budget": 500, "fit": True,
                    "threads": 2},
+    }))
+    segment = sets3["segment"]
+    midpoint = 0.5 * (np.asarray(segment["u"]) + np.asarray(segment["w"]))
+    out.append(("classify_segment", "classify", {
+        "space": space, "set": segment, "inputs": {"x": _lst(midpoint)},
+    }))
+    out.append(("derivative_singleton_zero_direction", "derivative", {
+        "space": space, "set": sets3["singleton"],
+        "inputs": {"x": [1.0, 2.0, 3.0], "v": [0.0, 0.0, 0.0]},
+    }))
+    out.append(("project_singleton_nonfinite", "project", {
+        "space": space, "set": sets3["singleton"],
+        "inputs": [[float("nan"), 0.0, 1.0], [1.0, float("inf"), 0.0]],
     }))
     return out
 
