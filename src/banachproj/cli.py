@@ -97,17 +97,21 @@ def _get_set(cfg: dict, n: int):
     return C
 
 
+def _vector(value, label: str, n: int) -> np.ndarray:
+    try:
+        vec = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise _ConfigError(f"{label} is not a numeric vector: {exc}") from exc
+    if vec.shape != (n,):
+        raise _ConfigError(f"{label} must have length {n}")
+    return vec
+
+
 def _get_vec(cfg: dict, key: str, n: int) -> np.ndarray:
     inputs = _require(cfg, "inputs")
     if not isinstance(inputs, dict) or key not in inputs:
         raise _ConfigError(f'config needs "inputs" with a {key!r} vector')
-    try:
-        vec = np.asarray(inputs[key], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise _ConfigError(f"inputs[{key!r}] is not a numeric vector: {exc}") from exc
-    if vec.shape != (n,):
-        raise _ConfigError(f"inputs[{key!r}] must have length {n}")
-    return vec
+    return _vector(inputs[key], f"inputs[{key!r}]", n)
 
 
 def _get_points(cfg: dict, n: int) -> list[np.ndarray]:
@@ -121,16 +125,7 @@ def _get_points(cfg: dict, n: int) -> list[np.ndarray]:
         return [_get_vec(cfg, "x", n)]
     if not isinstance(inputs, list) or not inputs:
         raise _ConfigError('"inputs" must be {"x": [...]} or a nonempty list of points')
-    pts = []
-    for i, entry in enumerate(inputs):
-        try:
-            vec = np.asarray(entry, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise _ConfigError(f"inputs[{i}] is not a numeric vector: {exc}") from exc
-        if vec.shape != (n,):
-            raise _ConfigError(f"inputs[{i}] must have length {n}")
-        pts.append(vec)
-    return pts
+    return [_vector(entry, f"inputs[{i}]", n) for i, entry in enumerate(inputs)]
 
 
 def _emit(report, out_path, csv_rows=None) -> None:
@@ -146,6 +141,12 @@ def _space_json(space: LpSpace, n: int) -> dict:
     return {"p": space.p, "n": n}
 
 
+def _set_report(command: str, space: LpSpace, n: int, C, **fields) -> dict:
+    # the head of every report on a set: command, space and set, in that order
+    return {"command": command, "space": _space_json(space, n), "set": descriptor_to_json(C),
+            **fields}
+
+
 def _cmd_project(cfg: dict, seed: int, out) -> int:
     space, n = _get_space(cfg)
     C = _get_set(cfg, n)
@@ -159,11 +160,7 @@ def _cmd_project(cfg: dict, seed: int, out) -> int:
         solver.project_with_certificate(space, C, x, max_iter=max_iter, cert_tol=cert_tol)
         for x in points
     ]
-    report = {
-        "command": "project",
-        "space": _space_json(space, n),
-        "set": descriptor_to_json(C),
-    }
+    report = _set_report("project", space, n, C)
     if len(points) == 1:
         report["x"] = [float(c) for c in points[0]]
         report.update(results[0].to_json())
@@ -189,16 +186,9 @@ def _cmd_derivative(cfg: dict, seed: int, out) -> int:
     agreement = None
     if est.converged:
         agreement = space.norm(result.value - est.estimate) / max(1.0, space.norm(result.value))
-    report = {
-        "command": "derivative",
-        "space": _space_json(space, n),
-        "set": descriptor_to_json(C),
-        "x": [float(c) for c in x],
-        "v": [float(c) for c in v],
-        "analytic": result.to_json(),
-        "numeric": est.summary(),
-        "agreement": agreement,
-    }
+    report = _set_report("derivative", space, n, C, x=[float(c) for c in x],
+                         v=[float(c) for c in v], analytic=result.to_json(),
+                         numeric=est.summary(), agreement=agreement)
     _emit(report, out)
     return 0
 
@@ -211,14 +201,8 @@ def _cmd_classify(cfg: dict, seed: int, out) -> int:
         pc = classify_point(space, C, x)
     except ValueError as exc:
         raise _ConfigError(str(exc)) from exc
-    report = {
-        "command": "classify",
-        "space": _space_json(space, n),
-        "set": descriptor_to_json(C),
-        "x": [float(c) for c in x],
-        "tag": pc.tag,
-        "witness": None if pc.witness is None else [float(c) for c in pc.witness],
-    }
+    report = _set_report("classify", space, n, C, x=[float(c) for c in x], tag=pc.tag,
+                         witness=None if pc.witness is None else [float(c) for c in pc.witness])
     _emit(report, out)
     return 0
 
@@ -317,14 +301,8 @@ def _cmd_rate(cfg: dict, seed: int, out) -> int:
         window=int(opts.get("window", 3)),
     ).truncated(C.solver_tol)
     rep = cauchy_rate_probe(space, lambda z: solver.project(space, C, z), x, dirs, sched)
-    report = {
-        "command": "rate",
-        "space": _space_json(space, n),
-        "set": descriptor_to_json(C),
-        "x": [float(c) for c in x],
-        **rep.summary(),
-        "pairs": [list(row) for row in rep.pairs],
-    }
+    report = _set_report("rate", space, n, C, x=[float(c) for c in x], **rep.summary(),
+                         pairs=[list(row) for row in rep.pairs])
     _emit(report, out, csv_rows=rep.csv_rows())
     return 0
 

@@ -42,6 +42,7 @@ region clauses
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +69,8 @@ TIE_TOL = 1e-9
 #: relative half-width of the sphere band in ball case dispatch
 SPHERE_BAND = 1e-9
 
+_TINY = float(np.finfo(float).tiny)   # the smallest normal double
+
 
 @dataclass
 class BoundaryClass:
@@ -88,12 +91,14 @@ class DerivativeResult:
         return {"value": [float(c) for c in self.value], "case_label": self.case_label}
 
 
-def _as_pair(x, v):
-    x = sets._vec(x)
+def _direction(x: np.ndarray, v) -> np.ndarray:
+    """v checked as a direction at the checked point x: finite, x's shape, nonzero."""
     v = sets._vec(v)
     if x.shape != v.shape:
         raise ValueError("point and direction must have matching shapes")
-    return x, v
+    if not np.any(v):
+        raise ValueError("direction must be nonzero")
+    return v
 
 
 def classify_sphere_direction(space: LpSpace, center, radius: float, x, v,
@@ -108,19 +113,33 @@ def classify_sphere_direction(space: LpSpace, center, radius: float, x, v,
     is eventually constant, and an exactly tangent direction stays
     outside, hence "up".
     """
-    x, v = _as_pair(x, v)
+    x = sets._vec(x)
+    v = _direction(x, v)
     c = np.asarray(center, dtype=float)
-    if not np.any(v):
-        raise ValueError("direction must be nonzero")
     d = space.norm(x - c)
     if abs(d - radius) > SPHERE_BAND * max(1.0, radius):
         raise ValueError("point must lie on the sphere")
-    g = space.norm_smoothness(space.unit(x - c), space.unit(v))
+    return _sphere_class(space, c, radius, x, v, d, space.norm(v), tie_tol)
+
+
+def _slope(space: LpSpace, xc: np.ndarray, d: float, v: np.ndarray, nv: float) -> float:
+    # g = ⟨J(xc/d), v/nv⟩, the norm's one-sided slope on the unit sphere.  The
+    # two quotients can leave the sphere only if d or nv is 0, subnormal or
+    # infinite, so only then does the space's unit-sphere check run
+    if not (_TINY <= d < math.inf and _TINY <= nv < math.inf):
+        space._unit_pair(space.unit(xc), v / nv)
+    return space.pairing(space.duality_map(xc / d), v / nv)
+
+
+def _sphere_class(space: LpSpace, c: np.ndarray, radius: float, x: np.ndarray, v: np.ndarray,
+                  d: float, nv: float, tie_tol: float) -> BoundaryClass:
+    # x within the band of the sphere at d = ‖x - c‖, and nv = ‖v‖
+    g = _slope(space, x - c, d, v, nv)
     if g > tie_tol:
         return BoundaryClass("up", g)
     if g < -tie_tol:
         return BoundaryClass("down", g)
-    scale = max(1.0, radius, space.norm(x - c))
+    scale = max(1.0, radius, d)
     for k in range(10, 25):
         t = 2.0 ** -k
         val = space.norm(x + t * v - c) - radius
@@ -131,27 +150,28 @@ def classify_sphere_direction(space: LpSpace, center, radius: float, x, v,
 
 def ball_derivative(space: LpSpace, center, radius: float, x, v) -> DerivativeResult:
     """Directional derivative of the ball projection at x along v."""
-    x, v = _as_pair(x, v)
-    c = np.asarray(center, dtype=float)
+    x = sets._vec(x)
+    v = _direction(x, v)
     if not (radius > 0.0):
         raise ValueError("radius must be positive")
-    if not np.any(v):
-        raise ValueError("direction must be nonzero")
-    d = space.norm(x - c)
+    return _ball_clause(space, np.asarray(center, dtype=float), radius, x, v)
+
+
+def _ball_clause(space: LpSpace, c: np.ndarray, radius: float, x: np.ndarray,
+                 v: np.ndarray) -> DerivativeResult:
+    xc = x - c
+    d = space.norm(xc)
     band = SPHERE_BAND * max(1.0, radius)
     if d < radius - band:
         return DerivativeResult(v.copy(), "ball:interior")
     nv = space.norm(v)
     if d > radius + band:
-        g = space.norm_smoothness(space.unit(x - c), v / nv)
-        value = (radius / d ** 2) * (d * v - g * nv * (x - c))
-        return DerivativeResult(value, "ball:exterior")
-    cls = classify_sphere_direction(space, c, radius, x, v)
+        g = _slope(space, xc, d, v, nv)
+        return DerivativeResult((radius / d ** 2) * (d * v - g * nv * xc), "ball:exterior")
+    cls = _sphere_class(space, c, radius, x, v, d, nv, TIE_TOL)
     if cls.tag == "down":
         return DerivativeResult(v.copy(), "ball:sphere-down")
-    g = space.norm_smoothness(space.unit(x - c), v / nv)
-    value = v - (nv / radius) * g * (x - c)
-    return DerivativeResult(value, "ball:sphere-up")
+    return DerivativeResult(v - (nv / radius) * cls.margin * xc, "ball:sphere-up")
 
 
 def _cone_label(x: np.ndarray, clamped: int) -> str:
@@ -174,10 +194,8 @@ def positive_cone_derivative(x, v) -> DerivativeResult:
     Boundary membership of a coordinate uses exact comparison with 0.0;
     callers control any rounding of their inputs.  Independent of p.
     """
-    x, v = _as_pair(x, v)
-    if not np.any(v):
-        raise ValueError("direction must be nonzero")
-    return _cone_coordinatewise(x, v)
+    x = sets._vec(x)
+    return _cone_coordinatewise(x, _direction(x, v))
 
 
 def _subspace_clause(space: LpSpace, mask: np.ndarray, v: np.ndarray) -> DerivativeResult:
@@ -199,12 +217,11 @@ def subspace_derivative(space: LpSpace, free, y, v) -> DerivativeResult:
     mixed directions keep their free coordinates.  All three are exact,
     because the projection is linear.
     """
-    y, v = _as_pair(y, v)
+    y = sets._vec(y)
+    v = _direction(y, v)
     mask = np.asarray(free, dtype=bool)
     if mask.shape != y.shape:
         raise ValueError("mask and point must have matching shapes")
-    if not np.any(v):
-        raise ValueError("direction must be nonzero")
     scale = max(1.0, space.norm(y))
     if np.any(np.abs(y[~mask]) > sets.MEMBERSHIP_TOL * scale):
         raise ValueError("base point must belong to the subspace")
@@ -221,7 +238,8 @@ def interior_derivative(space: LpSpace, C, x, v) -> DerivativeResult:
     positive cone's vertex) the projection is locally constant, so the
     derivative is 0.  Points in neither regime are refused.
     """
-    x, v = _as_pair(x, v)
+    x = sets._vec(x)
+    v = _direction(x, v)
     if isinstance(C, sets.Singleton):
         return DerivativeResult(np.zeros_like(v), "singleton")
     if isinstance(C, sets.Ball):
@@ -247,7 +265,7 @@ def interior_derivative(space: LpSpace, C, x, v) -> DerivativeResult:
 
 #: exact clauses by descriptor class; any other class is differenced numerically
 _CLOSED_FORMS = {
-    sets.Ball: lambda space, C, x, v: ball_derivative(space, C.center, C.radius, x, v),
+    sets.Ball: lambda space, C, x, v: _ball_clause(space, C.center, C.radius, x, v),
     sets.PositiveCone: lambda space, C, x, v: _cone_coordinatewise(x, v),
     sets.CoordinateSubspace: lambda space, C, x, v: _subspace_clause(space, C.free, v),
     sets.Singleton: lambda space, C, x, v: DerivativeResult(np.zeros_like(v), "singleton"),
@@ -266,10 +284,8 @@ def directional_derivative(space: LpSpace, C, x, v,
     (C.solver_tol > 0) the schedule is truncated so the solver's tolerance
     cannot pollute the quotients.  Non-convergence raises ConvergenceError.
     """
-    x, v = _as_pair(x, v)
-    sets._check_dim(C, x)
-    if not np.any(v):
-        raise ValueError("direction must be nonzero")
+    x = sets._point(C, x)
+    v = _direction(x, v)
     closed_form = _CLOSED_FORMS.get(type(C))
     if closed_form is not None:
         return closed_form(space, C, x, v)

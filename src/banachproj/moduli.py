@@ -397,6 +397,22 @@ def _validate_grid(grid, upper: float, name: str) -> np.ndarray:
     return g
 
 
+def _sample_curve(point, p: float, n: int, grid, upper: float, name: str, skip: int,
+                  budget: int, seed: int, rounds: int, threads: int | None):
+    # the argument checks and the grid loop of both estimators; ρ's seeded
+    # estimates leave the first spawned seed unused, so it passes skip = 1
+    LpSpace(p)
+    if n < 2:
+        raise ValueError("the moduli need dimension >= 2")
+    g = _validate_grid(grid, upper, name)
+    seeds = np.random.SeedSequence(seed).spawn(g.size + skip)[skip:]
+    work = [(p, n, float(a), int(budget), int(rounds), s) for a, s in zip(g, seeds)]
+    stats.load()   # first import on this thread, never racing inside the pool
+    _magnitude_table(p)   # built here once, not raced for by the workers
+    results = _grid_map(point, work, thread_count(threads))
+    return g, np.array([r[0] for r in results]), int(sum(r[1] for r in results))
+
+
 def estimate_convexity_modulus(p: float, n: int, eps_grid, budget: int = 100_000,
                                seed: int = 0, rounds: int = 3,
                                threads: int | None = None) -> ModuliEstimate:
@@ -406,17 +422,8 @@ def estimate_convexity_modulus(p: float, n: int, eps_grid, budget: int = 100_000
     the upper-bound property while enforcing the two monotonicity laws
     the true modulus satisfies.
     """
-    LpSpace(p)
-    if n < 2:
-        raise ValueError("the moduli need dimension >= 2")
-    eps = _validate_grid(eps_grid, 2.0, "epsilon")
-    seeds = np.random.SeedSequence(seed).spawn(eps.size)
-    work = [(p, n, float(e), int(budget), int(rounds), s) for e, s in zip(eps, seeds)]
-    stats.load()   # first import on this thread, never racing inside the pool
-    _magnitude_table(p)   # built here once, not raced for by the workers
-    results = _grid_map(_delta_point, work, thread_count(threads))
-    vals = np.array([r[0] for r in results])
-    evals = int(sum(r[1] for r in results))
+    eps, vals, evals = _sample_curve(_delta_point, p, n, eps_grid, 2.0, "epsilon", 0,
+                                     budget, seed, rounds, threads)
     ratio_env = np.maximum.accumulate(vals / eps)
     vals = eps * ratio_env
     return ModuliEstimate(p=float(p), n=int(n), epsilons=eps, delta_values=vals,
@@ -432,17 +439,8 @@ def estimate_smoothness_modulus(p: float, n: int, t_grid, budget: int = 100_000,
     and made nondecreasing by a running maximum, which again preserves
     the lower-bound property.
     """
-    LpSpace(p)
-    if n < 2:
-        raise ValueError("the moduli need dimension >= 2")
-    ts = _validate_grid(t_grid, math.inf, "t")
-    seeds = np.random.SeedSequence(seed).spawn(ts.size + 1)[1:]
-    work = [(p, n, float(t), int(budget), int(rounds), s) for t, s in zip(ts, seeds)]
-    stats.load()   # first import on this thread, never racing inside the pool
-    _magnitude_table(p)   # built here once, not raced for by the workers
-    results = _grid_map(_rho_point, work, thread_count(threads))
-    vals = np.array([r[0] for r in results])
-    evals = int(sum(r[1] for r in results))
+    ts, vals, evals = _sample_curve(_rho_point, p, n, t_grid, math.inf, "t", 1,
+                                    budget, seed, rounds, threads)
     vals = np.maximum.accumulate(vals)
     return ModuliEstimate(p=float(p), n=int(n), ts=ts, rho_values=vals,
                           sample_count=evals, refinement_rounds=int(rounds))

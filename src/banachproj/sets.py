@@ -8,7 +8,8 @@ members, and where they exist the internal/cuticle classification and the
 cone vertex).  A new set type is one such class plus its entry in
 `_TYPES`, and an entry in `derivative._CLOSED_FORMS` if it has an exact
 derivative.  `contains`, `support`, `classify_point`, the cone checks and
-the JSON codecs are entry points that check arguments and ask it.
+the JSON codecs are entry points that check arguments and ask it; each
+point of C is checked once, by `_point`, and the methods trust it.
 
 Balls, the cone, and coordinate subspaces have closed-form projections
 (the cone and subspace ones norm independent: Σ|x_i - z_i|^p separates,
@@ -94,11 +95,13 @@ def _axis(n: int, i: int, value: float) -> np.ndarray:
 class SetDescriptor:
     """A closed convex set; each set type is one frozen-dataclass subclass.
 
-    A subclass sets `kind` (its JSON type name) and `dim` (the dimension it
-    pins, None if any fits) and defines `project(space, x)`, `support(space,
-    j, x, box)` (see `support`) and, unless the distance to its projection
-    decides membership, `contains(space, x, eff)` at a resolved tolerance
-    eff >= 0.  `sample(rng, n)` yields a few members of the set in R^n.
+    Its methods receive a checked point: a finite 1-d float array in the
+    set's dimension (see `_point`), not checked again.  A subclass sets
+    `kind` (its JSON type name) and `dim` (the dimension it pins, None if
+    any fits) and defines `project(space, x)`, `support(space, j, x, box)`
+    (see `support`) and, unless the distance to its projection decides
+    membership, `contains(space, x, eff)` at a resolved tolerance eff >= 0.
+    `sample(rng, n)` yields a few members of the set in R^n.
     Types with a closed-form rule override `classify(space, y, eff)` (the
     internal/cuticle tag of a member y, see `classify_point`) and, for
     cones, `cone_vertex(n)`; the base versions refuse.  Its JSON form is
@@ -145,7 +148,7 @@ class Ball(SetDescriptor):
         object.__setattr__(self, "radius", r)
 
     def project(self, space, x):
-        return project_ball(space, self.center, self.radius, x)
+        return _ball_point(space, self.center, self.radius, x)
 
     def support(self, space, j, x, box):
         # c + (r/‖j‖_q) J⁻¹(j), written out so that ‖j‖_q is taken once
@@ -178,7 +181,7 @@ class PositiveCone(SetDescriptor):
     dim = None
 
     def project(self, space, x):
-        return project_positive_cone(x)
+        return np.maximum(x, 0.0)
 
     def support(self, space, j, x, box):
         return np.maximum(np.where(j > 0.0, x + box, x - box), 0.0)
@@ -224,7 +227,7 @@ class CoordinateSubspace(SetDescriptor):
         object.__setattr__(self, "free", mask)
 
     def project(self, space, x):
-        return project_coordinate_subspace(self.free, x)
+        return np.where(self.free, x, 0.0)
 
     def support(self, space, j, x, box):
         return np.where(self.free, x + box * np.sign(j), 0.0)
@@ -250,9 +253,9 @@ class _Polytope(SetDescriptor):
     solver_tol = 1e-8
 
     def project(self, space, x):
-        from .solver import project_polytope  # local import: solver builds on this module
+        from .solver import _project_polytope  # local import: solver builds on this module
 
-        return project_polytope(space, self, x).point
+        return _project_polytope(space, self, x).point
 
 
 @dataclass(frozen=True, eq=False)
@@ -365,7 +368,7 @@ class Segment(SetDescriptor):
         object.__setattr__(self, "w", w)
 
     def project(self, space, x):
-        return project_segment(space, self.u, self.w, x)
+        return _line_point(space, self.u, self.w - self.u, x, 1.0)
 
     def support(self, space, j, x, box):
         u_wins = space.pairing(j, self.u) >= space.pairing(j, self.w)
@@ -396,7 +399,7 @@ class Ray(SetDescriptor):
         object.__setattr__(self, "dir", d)
 
     def project(self, space, x):
-        return project_ray(space, self.v, self.dir, x)
+        return _line_point(space, self.v, self.dir, x, None)
 
     def support(self, space, j, x, box):
         # the far end of a piece of the ray that covers the box
@@ -425,7 +428,6 @@ class Singleton(SetDescriptor):
         object.__setattr__(self, "y", _vec(self.y))
 
     def project(self, space, x):
-        _vec(x)   # a constant map, but it refuses what the other projections refuse
         return self.y.copy()
 
     def support(self, space, j, x, box):
@@ -454,10 +456,21 @@ def _descriptor(C) -> SetDescriptor:
     return C
 
 
-def _check_dim(C, x: np.ndarray) -> None:
+def _point(C, x) -> np.ndarray:
+    """x checked as a point for C: finite, nonempty and 1-d, in C's dimension."""
+    x = _vec(x)
     d = _descriptor(C).dim
     if d is not None and x.size != d:
         raise ValueError(f"point has dimension {x.size}, set expects {d}")
+    return x
+
+
+def _tolerance(space: LpSpace, x: np.ndarray, tol: float | None) -> float:
+    # the scale-aware membership default, or tol as given
+    eff = MEMBERSHIP_TOL * max(1.0, space.norm(x)) if tol is None else float(tol)
+    if eff < 0.0:
+        raise ValueError("tolerance must be nonnegative")
+    return eff
 
 
 def descriptor_to_json(C) -> dict:
@@ -488,12 +501,8 @@ def contains(space: LpSpace, C, x, tol: float | None = None) -> bool:
     exact arithmetic or its own projection; polytopes fall back to the
     solver only when their exact test is inconclusive and tol > 0.
     """
-    x = _vec(x)
-    _check_dim(C, x)
-    eff = MEMBERSHIP_TOL * max(1.0, space.norm(x)) if tol is None else float(tol)
-    if eff < 0.0:
-        raise ValueError("tolerance must be nonnegative")
-    return C.contains(space, x, eff)
+    x = _point(C, x)
+    return C.contains(space, x, _tolerance(space, x, tol))
 
 
 def support(space: LpSpace, C, j, x, box: float) -> np.ndarray | None:
@@ -520,6 +529,10 @@ def project_ball(space: LpSpace, center, radius: float, x) -> np.ndarray:
         raise ValueError("point and center must have matching shapes")
     if not (radius > 0.0):
         raise ValueError("radius must be positive")
+    return _ball_point(space, c, radius, x)
+
+
+def _ball_point(space: LpSpace, c: np.ndarray, radius: float, x: np.ndarray) -> np.ndarray:
     d = space.norm(x - c)
     if d <= radius:
         return x.copy()
@@ -576,22 +589,18 @@ def _project_line_param(space: LpSpace, origin: np.ndarray, d: np.ndarray, x: np
     return float(sol)
 
 
+def _line_point(space: LpSpace, origin: np.ndarray, d: np.ndarray, x: np.ndarray,
+                hi: float | None) -> np.ndarray:
+    return origin + _project_line_param(space, origin, d, x, 0.0, hi) * d
+
+
 def project_segment(space: LpSpace, u, w, x) -> np.ndarray:
     u = _vec(u)
-    w = _vec(w)
-    x = _vec(x)
-    d = w - u
-    t = _project_line_param(space, u, d, x, 0.0, 1.0)
-    return u + t * d
+    return _line_point(space, u, _vec(w) - u, _vec(x), 1.0)
 
 
 def project_ray(space: LpSpace, v, direction, x) -> np.ndarray:
-    v = _vec(v)
-    d = _vec(direction)
-    x = _vec(x)
-    t = _project_line_param(space, v, d, x, 0.0, None)
-    return v + t * d
-
+    return _line_point(space, _vec(v), _vec(direction), _vec(x), None)
 
 
 # -- structure of inverse images --------------------------------------------
@@ -605,13 +614,14 @@ def classify_point(space: LpSpace, C, y, tol: float | None = None) -> PointClass
     vs sphere), the positive cone (strictly positive coordinates vs
     boundary), coordinate subspaces (always cuticle), and singletons
     (always cuticle); each is its descriptor's `classify`.  Other
-    descriptors are refused.
+    descriptors are refused before membership is tested.
     """
-    y = _vec(y)
-    if not contains(space, C, y, tol):
+    y = _point(C, y)
+    eff = _tolerance(space, y, tol)
+    tag = C.classify(space, y, eff)   # the types without a rule refuse here
+    if not C.contains(space, y, eff):
         raise ValueError("point must belong to the set")
-    scale_tol = MEMBERSHIP_TOL * max(1.0, space.norm(y)) if tol is None else float(tol)
-    return C.classify(space, y, scale_tol)
+    return tag
 
 
 def orthogonal_cone_residual(space: LpSpace, free, x) -> float:

@@ -1,14 +1,15 @@
 """Certified ℓ_p projection: the support gap, and a polytope solver.
 
-`project` and `project_with_certificate` check the point's dimension and
-ask the descriptor C for its projection.  u is the projection of x onto
-C exactly when ⟨J(x - u), u - z⟩ >= 0 for every z in C.  The left side
-is affine in z, so its minimum over C sits at the support point
-z = sets.support(C, j) of j = J(x - u): the residual ⟨j, u - z⟩ is the
-Frank–Wolfe duality gap of u and certifies it against the whole set,
-not a sample of it.  Every certificate here, closed form or iterative, is
-this one formula; the box 2‖x - u‖ + 1 that keeps it finite on unbounded
-sets holds every point of C closer to x than u, so it stays sound.
+`project`, `project_with_certificate` and `project_polytope` check the
+point once (`sets._point`) and ask the descriptor C for its projection.
+u is the projection of x onto C exactly when ⟨J(x - u), u - z⟩ >= 0 for
+every z in C.  The left side is affine in z, so its minimum over C sits
+at the support point z = sets.support(C, j) of j = J(x - u): the
+residual ⟨j, u - z⟩ is the Frank–Wolfe duality gap of u and certifies it
+against the whole set, not a sample of it.  Every certificate here,
+closed form or iterative, is this one formula; the box 2‖x - u‖ + 1 that
+keeps it finite on unbounded sets holds every point of C closer to x
+than u, so it stays sound.
 
 Polytopes (C.solver_tol > 0) project through `project_polytope`, which
 certifies its own answer: SLSQP on Σ|x_i - z_i|^p (C¹ for p > 1, no second
@@ -280,8 +281,12 @@ def _project_hrep(space: LpSpace, C: sets.PolytopeH, x: np.ndarray,
 def project_polytope(space: LpSpace, C, x, max_iter: int = MAX_ITER,
                      cert_tol: float = CERT_TOL) -> ProjectionCertificate:
     """Certified ℓ_p projection onto a polytope (either representation)."""
-    x = np.asarray(x, dtype=float)
-    if sets.contains(space, C, x, 0.0):
+    return _project_polytope(space, C, sets._point(C, x), max_iter, cert_tol)
+
+
+def _project_polytope(space: LpSpace, C, x: np.ndarray, max_iter: int = MAX_ITER,
+                      cert_tol: float = CERT_TOL) -> ProjectionCertificate:
+    if C.contains(space, x, 0.0):
         return ProjectionCertificate(x.copy(), 0.0, 0, 0.0, True)
     if isinstance(C, sets.PolytopeV):
         return _project_vrep(space, C, x, max_iter, cert_tol)
@@ -292,8 +297,7 @@ def project_polytope(space: LpSpace, C, x, max_iter: int = MAX_ITER,
 
 def project(space: LpSpace, C, x) -> np.ndarray:
     """Metric projection point for any descriptor (closed form where known)."""
-    x = np.asarray(x, dtype=float)
-    sets._check_dim(C, x)
+    x = sets._point(C, x)
     return C.project(space, x)
 
 
@@ -304,8 +308,7 @@ def project_with_certificate(space: LpSpace, C, x, max_iter: int = MAX_ITER,
     Closed-form projections report zero iterations; their residuals are
     still evaluated against the set's support point rather than assumed.
     """
-    x = np.asarray(x, dtype=float)
-    sets._check_dim(C, x)
+    x = sets._point(C, x)
     if C.solver_tol > 0.0:
-        return project_polytope(space, C, x, max_iter=max_iter, cert_tol=cert_tol)
+        return _project_polytope(space, C, x, max_iter, cert_tol)
     return _support_gap(space, C, x, C.project(space, x), 0, cert_tol)

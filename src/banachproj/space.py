@@ -125,13 +125,18 @@ class LpSpace:
 
     # -- smoothness functionals -------------------------------------------
 
-    def _require_unit(self, z: np.ndarray, name: str) -> None:
-        nz = self.norm(z)
-        if abs(nz - 1.0) > SPHERE_TOL:
-            raise ValueError(
-                f"{name} must lie on the unit sphere (|norm - 1| <= {SPHERE_TOL:g}); "
-                f"got norm {nz!r}"
-            )
+    def _unit_pair(self, x, v) -> tuple[np.ndarray, np.ndarray]:
+        # the argument check of both smoothness functionals
+        x = np.asarray(x, dtype=float)
+        v = np.asarray(v, dtype=float)
+        if x.shape != v.shape:
+            raise ValueError("point and direction must have matching shapes")
+        for z, name in ((x, "base point"), (v, "direction")):
+            nz = self.norm(z)
+            if abs(nz - 1.0) > SPHERE_TOL:
+                raise ValueError(f"{name} must lie on the unit sphere "
+                                 f"(|norm - 1| <= {SPHERE_TOL:g}); got norm {nz!r}")
+        return x, v
 
     def norm_smoothness(self, x, v) -> float:
         """One-sided derivative of t ↦ ‖x + t v‖ at t = 0, for unit x, v.
@@ -141,12 +146,7 @@ class LpSpace:
         suite.  Inputs are required on the sphere and are not silently
         renormalized.
         """
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        if x.shape != v.shape:
-            raise ValueError("point and direction must have matching shapes")
-        self._require_unit(x, "base point")
-        self._require_unit(v, "direction")
+        x, v = self._unit_pair(x, v)
         return self.pairing(self.duality_map(x), v)
 
     def duality_smoothness(self, x, v, schedule: StepSchedule | None = None) -> float:
@@ -162,12 +162,7 @@ class LpSpace:
 
         which the test suite checks across exponents.
         """
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        if x.shape != v.shape:
-            raise ValueError("point and direction must have matching shapes")
-        self._require_unit(x, "base point")
-        self._require_unit(v, "direction")
+        x, v = self._unit_pair(x, v)
         est = numdiff_derivative(self, lambda z: np.array([self.pairing(self.duality_map(z), x)]),
                                  x, v, schedule)
         if not est.converged:

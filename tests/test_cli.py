@@ -487,6 +487,18 @@ print(json.dumps([repr(d) for d in est.delta_values]))
 """
 
 
+REFUSAL_PROBE = """
+import json, sys
+from banachproj import LpSpace, PolytopeV, classify_point
+try:
+    classify_point(LpSpace(3.0), PolytopeV(vertices=[[1, 0, 0], [0, 1, 0], [0, 0, 1]]), [0.5, 0.5, 0.0])
+    message = None
+except ValueError as exc:
+    message = str(exc)
+print(json.dumps({"message": message, "optimize": "scipy.optimize" in sys.modules}))
+"""
+
+
 class TestStartup:
     """Closed forms load no SciPy solver or sampler; first use loads them."""
 
@@ -514,6 +526,11 @@ class TestStartup:
         assert out["optimize_after"]
         eager = project_segment(LpSpace(3.0), *SEGMENT)
         assert out["point"] == [repr(c) for c in eager]
+
+    def test_classify_refuses_a_polytope_before_its_membership_lp(self):
+        out = self.run_fresh(REFUSAL_PROBE)
+        assert out == {"message": "no closed-form internal/cuticle classification for PolytopeV",
+                       "optimize": False}
 
     def test_first_moduli_estimate_on_a_pool_matches_a_warm_one(self):
         import scipy.stats  # noqa: F401  (the reference estimate runs with it loaded)

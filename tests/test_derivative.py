@@ -513,6 +513,27 @@ class TestEntryValidation:
             directional_derivative(LpSpace(3.0), ALL_3D[kind], args["x"], args["v"])
 
     @pytest.mark.parametrize("entry", sorted(DERIVATIVE_ENTRY_POINTS))
+    def test_every_entry_point_rejects_a_zero_direction(self, entry):
+        # (1, 0, 0) lies on the unit sphere of every ℓ_p and in the subspace;
+        # the interior rule needs a point inside the cone
+        x = [1.0, 2.0, 3.0] if entry == "interior_derivative" else [1.0, 0.0, 0.0]
+        DERIVATIVE_ENTRY_POINTS[entry](LpSpace(3.0), x, [1.0, 0.0, 0.0])   # accepted
+        with pytest.raises(ValueError, match="direction must be nonzero"):
+            DERIVATIVE_ENTRY_POINTS[entry](LpSpace(3.0), x, np.zeros(3))
+
+    @pytest.mark.parametrize("entry", ["ball_derivative", "classify_sphere_direction"])
+    def test_ball_clauses_refuse_where_the_unit_quotients_leave_the_sphere(self, entry):
+        # an overflowing norm, and the center of a ball thinner than the
+        # sphere band, leave no unit vector to take the slope at
+        space, c = LpSpace(3.0), np.zeros(3)
+        fn = ball_derivative if entry == "ball_derivative" else classify_sphere_direction
+        with np.errstate(over="ignore"), \
+                pytest.raises(ValueError, match="direction must lie on the unit sphere"):
+            fn(space, c, 1.0, [1.0, 0.0, 0.0], np.full(3, 1.7e308))   # ‖v‖ overflows
+        with pytest.raises(ValueError, match="cannot normalize the zero vector"):
+            fn(space, c, 1e-12, c, [1.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("entry", sorted(DERIVATIVE_ENTRY_POINTS))
     def test_every_entry_point_rejects_a_nan_base_point(self, entry):
         # a NaN base point must not come back as a NaN value under a
         # regular clause label

@@ -267,6 +267,16 @@ class TestProjectCoordinateSubspace:
         with pytest.raises(ValueError):
             project_coordinate_subspace([True, False], [1.0, 2.0, 3.0])
 
+    def test_full_and_empty_masks_accepted(self):
+        # CoordinateSubspace refuses both masks; the helper takes them as given
+        x = np.array([2.0, -1.0, 7.0])
+        assert np.array_equal(project_coordinate_subspace([True] * 3, x), x)
+        assert np.array_equal(project_coordinate_subspace([False] * 3, x), np.zeros(3))
+        with pytest.raises(ValueError):
+            CoordinateSubspace(free=[True] * 3)
+        with pytest.raises(ValueError):
+            CoordinateSubspace(free=[False] * 3)
+
 
 class TestProjectSegmentAndRay:
     def test_symmetric_segment_midpoint(self):
@@ -280,6 +290,17 @@ class TestProjectSegmentAndRay:
         space = LpSpace(2.0)
         P = project_segment(space, [0.0, 0.0], [1.0, 0.0], [0.5, 3.0])
         assert_allclose(P, [0.5, 0.0], atol=1e-12)
+
+    def test_degenerate_segment_and_ray_accepted(self):
+        # Segment and Ray refuse these; the helpers return the one point
+        space = LpSpace(3.0)
+        u = np.array([0.5, -1.0])
+        assert np.array_equal(project_segment(space, u, u, [3.0, 2.0]), u)
+        assert np.array_equal(project_ray(space, u, [0.0, 0.0], [3.0, 2.0]), u)
+        with pytest.raises(ValueError):
+            Segment(u=u, w=u)
+        with pytest.raises(ValueError):
+            Ray(v=u, dir=[0.0, 0.0])
 
     def test_endpoint_clamping(self):
         space = LpSpace(3.0)

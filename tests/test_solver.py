@@ -14,6 +14,7 @@ from banachproj import (
     Ray,
     Segment,
     Singleton,
+    classify_point,
     contains,
     descriptor_to_json,
     directional_derivative,
@@ -401,6 +402,8 @@ POINT_ENTRY_POINTS = {
     "project_with_certificate": lambda space, C, x, v: project_with_certificate(space, C, x),
     "directional_derivative": directional_derivative,
     "contains": lambda space, C, x, v: contains(space, C, x),
+    "project_polytope": lambda space, C, x, v: project_polytope(space, C, x),
+    "classify_point": lambda space, C, x, v: classify_point(space, C, x),
 }
 
 # every entry point that takes a descriptor, called with (space, C)

@@ -6,10 +6,13 @@ type, `classify` on a ball, the positive cone, a coordinate subspace and
 a singleton, every `verify` suite at count 5, `moduli` at budget 500,
 `rate` on a segment, a ray and both polytopes, two malformed set configs
 (a set of the wrong dimension, an unknown set type) that must exit with
-code 2, `moduli` at p = 1.5, n = 3 on two threads, and last three refused
-inputs that must exit with code 2 (`classify` on a segment, and on a
-singleton a `derivative` along a zero direction and a `project` of
-non-finite points).  Each config runs through `banachproj.cli.main`
+code 2, `moduli` at p = 1.5, n = 3 on two threads, three refused inputs
+that must exit with code 2 (`classify` on a segment, and on a singleton
+a `derivative` along a zero direction and a `project` of non-finite
+points), and last the ball `derivative` at a sphere point along an
+outward and an inward direction and at an exterior point (the
+`ball:sphere-up`, `ball:sphere-down` and `ball:exterior` clauses),
+then a refused `classify` on a V-polytope (exit 2).  Each config runs through `banachproj.cli.main`
 in-process, inside a temporary directory, and the script prints one line
 per config:
 
@@ -132,6 +135,21 @@ def corpus() -> list[tuple[str, str, dict]]:
     out.append(("project_singleton_nonfinite", "project", {
         "space": space, "set": sets3["singleton"],
         "inputs": [[float("nan"), 0.0, 1.0], [1.0, float("inf"), 0.0]],
+    }))
+    # radial directions with a small tilt keep the sign of the sphere margin
+    radial = sphere - np.asarray(ball["center"])
+    ball_cases = {
+        "sphere_up": (sphere, radial + 0.1 * rng.normal(size=3)),
+        "sphere_down": (sphere, -radial + 0.1 * rng.normal(size=3)),
+        "exterior": (sphere + 0.5 * radial, rng.normal(size=3)),
+    }
+    for case, (x, v) in ball_cases.items():
+        out.append((f"derivative_ball_{case}", "derivative", {
+            "space": space, "set": ball, "inputs": {"x": _lst(x), "v": _lst(v)},
+        }))
+    vpoly = sets3["polytope_v"]
+    out.append(("classify_polytope_v", "classify", {
+        "space": space, "set": vpoly, "inputs": {"x": _lst(np.mean(vpoly["vertices"], axis=0))},
     }))
     return out
 
