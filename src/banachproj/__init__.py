@@ -9,12 +9,9 @@ line exposes the same operations behind JSON configs.
 from .derivative import (
     BoundaryClass,
     DerivativeResult,
-    ball_derivative,
     classify_sphere_direction,
     directional_derivative,
     interior_derivative,
-    positive_cone_derivative,
-    subspace_derivative,
 )
 from .moduli import (
     BoundReport,
@@ -31,7 +28,6 @@ from .numdiff import (
     RateReport,
     StepSchedule,
     cauchy_rate_probe,
-    diff_quotient,
     numdiff_derivative,
 )
 from .sets import (
@@ -53,11 +49,6 @@ from .sets import (
     dual_cone_residual,
     inverse_image_ray_check,
     orthogonal_cone_residual,
-    project_ball,
-    project_coordinate_subspace,
-    project_positive_cone,
-    project_ray,
-    project_segment,
     support,
 )
 from .solver import (
@@ -65,7 +56,6 @@ from .solver import (
     MAX_ITER,
     ProjectionCertificate,
     project,
-    project_polytope,
     project_with_certificate,
 )
 from .space import LpSpace
@@ -95,19 +85,10 @@ __all__ = [
     "cone_translation_check",
     "dual_cone_residual",
     "project",
-    "project_ball",
-    "project_positive_cone",
-    "project_coordinate_subspace",
-    "project_segment",
-    "project_ray",
-    "project_polytope",
     "project_with_certificate",
     "CERT_TOL",
     "MAX_ITER",
     "ProjectionCertificate",
-    "ball_derivative",
-    "positive_cone_derivative",
-    "subspace_derivative",
     "interior_derivative",
     "directional_derivative",
     "classify_sphere_direction",
@@ -117,7 +98,6 @@ __all__ = [
     "NumericDerivative",
     "RateReport",
     "ConvergenceError",
-    "diff_quotient",
     "numdiff_derivative",
     "cauchy_rate_probe",
     "ModuliEstimate",

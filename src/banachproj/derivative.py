@@ -5,8 +5,10 @@ is the right-hand limit
 
     P'(x; v) = lim_{t -> 0+} (P(x + t v) - P(x)) / t .
 
-Every analytic clause is labeled, and the labels form a small documented
-vocabulary so reports can say which branch fired:
+`directional_derivative` computes it for every descriptor, and it is the
+only way in to the ball, cone and subspace clauses below.  Every analytic
+clause is labeled, and the labels form a small documented vocabulary so
+reports can say which branch fired:
 
 ball clauses
     "ball:interior"     x strictly inside: the derivative is v.
@@ -56,9 +58,6 @@ __all__ = [
     "DerivativeResult",
     "TIE_TOL",
     "classify_sphere_direction",
-    "ball_derivative",
-    "positive_cone_derivative",
-    "subspace_derivative",
     "interior_derivative",
     "directional_derivative",
 ]
@@ -113,13 +112,13 @@ def classify_sphere_direction(space: LpSpace, center, radius: float, x, v,
     is eventually constant, and an exactly tangent direction stays
     outside, hence "up".
     """
-    x = sets._vec(x)
+    B = sets.Ball(center=center, radius=radius)
+    x = sets._point(B, x)
     v = _direction(x, v)
-    c = np.asarray(center, dtype=float)
-    d = space.norm(x - c)
-    if abs(d - radius) > SPHERE_BAND * max(1.0, radius):
+    d = space.norm(x - B.center)
+    if abs(d - B.radius) > SPHERE_BAND * max(1.0, B.radius):
         raise ValueError("point must lie on the sphere")
-    return _sphere_class(space, c, radius, x, v, d, space.norm(v), tie_tol)
+    return _sphere_class(space, B.center, B.radius, x, v, d, space.norm(v), tie_tol)
 
 
 def _slope(space: LpSpace, xc: np.ndarray, d: float, v: np.ndarray, nv: float) -> float:
@@ -146,15 +145,6 @@ def _sphere_class(space: LpSpace, c: np.ndarray, radius: float, x: np.ndarray, v
         if abs(val) > 64.0 * np.finfo(float).eps * scale:
             return BoundaryClass("up" if val > 0.0 else "down", g)
     return BoundaryClass("up", g)
-
-
-def ball_derivative(space: LpSpace, center, radius: float, x, v) -> DerivativeResult:
-    """Directional derivative of the ball projection at x along v."""
-    x = sets._vec(x)
-    v = _direction(x, v)
-    if not (radius > 0.0):
-        raise ValueError("radius must be positive")
-    return _ball_clause(space, np.asarray(center, dtype=float), radius, x, v)
 
 
 def _ball_clause(space: LpSpace, c: np.ndarray, radius: float, x: np.ndarray,
@@ -188,16 +178,6 @@ def _cone_coordinatewise(x: np.ndarray, v: np.ndarray) -> DerivativeResult:
     return DerivativeResult(value, _cone_label(x, clamped))
 
 
-def positive_cone_derivative(x, v) -> DerivativeResult:
-    """Directional derivative of coordinatewise clipping.
-
-    Boundary membership of a coordinate uses exact comparison with 0.0;
-    callers control any rounding of their inputs.  Independent of p.
-    """
-    x = sets._vec(x)
-    return _cone_coordinatewise(x, _direction(x, v))
-
-
 def _subspace_clause(space: LpSpace, mask: np.ndarray, v: np.ndarray) -> DerivativeResult:
     # the projection zeroes the masked coordinates: it is linear, so its
     # derivative at every point is the same masking of v
@@ -207,25 +187,6 @@ def _subspace_clause(space: LpSpace, mask: np.ndarray, v: np.ndarray) -> Derivat
     if np.all(np.abs(v[~mask]) <= 1e-15 * vscale):
         return DerivativeResult(v.copy(), "subspace:tangent")
     return DerivativeResult(np.where(mask, v, 0.0), "subspace:coordinatewise")
-
-
-def subspace_derivative(space: LpSpace, free, y, v) -> DerivativeResult:
-    """Directional derivative of a coordinate-subspace projection at y in C.
-
-    Directions inside the subspace pass through unchanged; directions in
-    the annihilator (supported on masked coordinates) are flattened to 0;
-    mixed directions keep their free coordinates.  All three are exact,
-    because the projection is linear.
-    """
-    y = sets._vec(y)
-    v = _direction(y, v)
-    mask = np.asarray(free, dtype=bool)
-    if mask.shape != y.shape:
-        raise ValueError("mask and point must have matching shapes")
-    scale = max(1.0, space.norm(y))
-    if np.any(np.abs(y[~mask]) > sets.MEMBERSHIP_TOL * scale):
-        raise ValueError("base point must belong to the subspace")
-    return _subspace_clause(space, mask, v)
 
 
 def interior_derivative(space: LpSpace, C, x, v) -> DerivativeResult:

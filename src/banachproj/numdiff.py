@@ -18,7 +18,6 @@ __all__ = [
     "StepSchedule",
     "NumericDerivative",
     "RateReport",
-    "diff_quotient",
     "numdiff_derivative",
     "cauchy_rate_probe",
 ]
@@ -104,22 +103,6 @@ class NumericDerivative:
             "last_t": self.ts[-1] if self.ts else None,
             "estimate": None if self.estimate is None else [float(c) for c in self.estimate],
         }
-
-
-def diff_quotient(projector, x, v, t: float) -> np.ndarray:
-    """Single one-sided quotient (P(x + t v) - P(x)) / t for t > 0."""
-    t = float(t)
-    if not (t > 0.0) or not math.isfinite(t):
-        raise ValueError("step must be a positive finite number")
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if x.shape != v.shape:
-        raise ValueError("point and direction must have matching shapes")
-    if not np.any(v):
-        raise ValueError("direction must be nonzero")
-    px = np.asarray(projector(x), dtype=float)
-    pxt = np.asarray(projector(x + t * v), dtype=float)
-    return (pxt - px) / t
 
 
 def _window_spread(space, quotients, window: int) -> float:

@@ -7,15 +7,18 @@ singletons.  Each is a `SetDescriptor` subclass that answers for itself
 members, and where they exist the internal/cuticle classification and the
 cone vertex).  A new set type is one such class plus its entry in
 `_TYPES`, and an entry in `derivative._CLOSED_FORMS` if it has an exact
-derivative.  `contains`, `support`, `classify_point`, the cone checks and
-the JSON codecs are entry points that check arguments and ask it; each
-point of C is checked once, by `_point`, and the methods trust it.
+derivative.  `contains`, `support`, `classify_point`, the inverse-image
+and cone checks and the JSON codecs are entry points that check arguments
+and ask it; each point of C is checked once, by `_point`, and the methods
+trust it.
 
-Balls, the cone, and coordinate subspaces have closed-form projections
-(the cone and subspace ones norm independent: Σ|x_i - z_i|^p separates,
-so each coordinate is clipped or zeroed on its own); segments and rays
-reduce to root finding on a monotone derivative; polytopes are handed to
-the iterative solver.
+Projections have one public way in, `solver.project` (or
+`project_with_certificate`), which checks the point and calls the
+descriptor's `project`.  Balls, the cone, and coordinate subspaces project
+in closed form (independent of p for the cone and subspace: Σ|x_i - z_i|^p
+separates, so each coordinate is clipped or zeroed on its own); segments
+and rays reduce to root finding on a monotone derivative; polytopes are
+handed to the iterative solver.
 """
 from __future__ import annotations
 
@@ -43,11 +46,6 @@ __all__ = [
     "descriptor_to_json",
     "contains",
     "support",
-    "project_ball",
-    "project_positive_cone",
-    "project_coordinate_subspace",
-    "project_segment",
-    "project_ray",
     "classify_point",
     "orthogonal_cone_residual",
     "inverse_image_ray_check",
@@ -148,7 +146,11 @@ class Ball(SetDescriptor):
         object.__setattr__(self, "radius", r)
 
     def project(self, space, x):
-        return _ball_point(space, self.center, self.radius, x)
+        # identity inside, radial pullback outside
+        d = space.norm(x - self.center)
+        if d <= self.radius:
+            return x.copy()
+        return self.center + (self.radius / d) * (x - self.center)
 
     def support(self, space, j, x, box):
         # c + (r/‖j‖_q) J⁻¹(j), written out so that ‖j‖_q is taken once
@@ -519,39 +521,7 @@ def support(space: LpSpace, C, j, x, box: float) -> np.ndarray | None:
                                   np.asarray(x, dtype=float), box)
 
 
-# -- closed-form projections ----------------------------------------------
-
-def project_ball(space: LpSpace, center, radius: float, x) -> np.ndarray:
-    """Metric projection onto a ball: identity inside, radial pullback outside."""
-    x = _vec(x)
-    c = _vec(center)
-    if x.shape != c.shape:
-        raise ValueError("point and center must have matching shapes")
-    if not (radius > 0.0):
-        raise ValueError("radius must be positive")
-    return _ball_point(space, c, radius, x)
-
-
-def _ball_point(space: LpSpace, c: np.ndarray, radius: float, x: np.ndarray) -> np.ndarray:
-    d = space.norm(x - c)
-    if d <= radius:
-        return x.copy()
-    return c + (radius / d) * (x - c)
-
-
-def project_positive_cone(x) -> np.ndarray:
-    """Coordinatewise clipping; independent of the exponent p."""
-    return np.maximum(_vec(x), 0.0)
-
-
-def project_coordinate_subspace(free, x) -> np.ndarray:
-    """Zero the masked coordinates; independent of the exponent p."""
-    x = _vec(x)
-    mask = np.asarray(free, dtype=bool)
-    if mask.shape != x.shape:
-        raise ValueError("mask and point must have matching shapes")
-    return np.where(mask, x, 0.0)
-
+# -- segments and rays: a root find on the line parameter ----------------
 
 def _param_distance_slope(space: LpSpace, base: np.ndarray, d: np.ndarray, t: float) -> float:
     # derivative of t |-> sum |base - t d|^p  (monotone increasing in t)
@@ -592,15 +562,6 @@ def _project_line_param(space: LpSpace, origin: np.ndarray, d: np.ndarray, x: np
 def _line_point(space: LpSpace, origin: np.ndarray, d: np.ndarray, x: np.ndarray,
                 hi: float | None) -> np.ndarray:
     return origin + _project_line_param(space, origin, d, x, 0.0, hi) * d
-
-
-def project_segment(space: LpSpace, u, w, x) -> np.ndarray:
-    u = _vec(u)
-    return _line_point(space, u, _vec(w) - u, _vec(x), 1.0)
-
-
-def project_ray(space: LpSpace, v, direction, x) -> np.ndarray:
-    return _line_point(space, _vec(v), _vec(direction), _vec(x), None)
 
 
 # -- structure of inverse images --------------------------------------------
@@ -648,13 +609,13 @@ def inverse_image_ray_check(space: LpSpace, center, radius: float, y, t: float,
     is the outward ray {y + t (y - center) : t >= 0}; this evaluates the
     claim at one parameter value.
     """
-    y = _vec(y)
-    c = _vec(center)
+    B = Ball(center=center, radius=radius)
+    y = _point(B, y)
     if t < 0.0:
         raise ValueError("ray parameter must be nonnegative")
-    probe = y + t * (y - c)
-    eff = MEMBERSHIP_TOL * max(1.0, space.norm(y)) if tol is None else float(tol)
-    return space.norm(project_ball(space, c, radius, probe) - y) <= eff
+    eff = _tolerance(space, y, tol)
+    probe = _vec(y + t * (y - B.center))   # a new point, which can overflow
+    return space.norm(B.project(space, probe) - y) <= eff
 
 
 def cone_translation_check(space: LpSpace, K, y, t: float, x,
@@ -666,18 +627,18 @@ def cone_translation_check(space: LpSpace, K, y, t: float, x,
     of y is equivalent to membership of x + (u - y) in the inverse image
     of u.  Returns True when the two projections agree with the law.
     """
-    y = _vec(y)
-    x = _vec(x)
+    y = _point(K, y)
+    x = _point(K, x)
     if t <= 0.0:
         raise ValueError("the translation parameter must be positive")
-    vertex = _descriptor(K).cone_vertex(y.size)
-    if not contains(space, K, y, tol):
+    vertex = K.cone_vertex(y.size)
+    if not K.contains(space, y, _tolerance(space, y, tol)):
         raise ValueError("base point must belong to the cone")
     from .solver import project
 
     u = vertex + t * (y - vertex)
     eff = MEMBERSHIP_TOL * max(1.0, space.norm(y), space.norm(x)) if tol is None else float(tol)
-    lhs = space.norm(project(space, K, x) - y) <= eff
+    lhs = space.norm(K.project(space, x) - y) <= eff
     rhs = space.norm(project(space, K, x + (u - y)) - u) <= eff
     return lhs == rhs
 
@@ -689,13 +650,13 @@ def dual_cone_residual(space: LpSpace, K, x, probes) -> float:
     the cone vertex.  Nonnegative over all of K exactly when x projects to
     the vertex; a negative value certifies that some probe beats v.
     """
-    x = _vec(x)
-    probes = [_vec(z) for z in probes]
+    x = _point(K, x)
+    probes = [_point(K, z) for z in probes]
     if not probes:
         raise ValueError("at least one probe point is required")
-    v = _descriptor(K).cone_vertex(x.size)
+    v = K.cone_vertex(x.size)
     for z in probes:
-        if not contains(space, K, z):
+        if not K.contains(space, z, _tolerance(space, z, None)):
             raise ValueError("every probe must belong to the cone")
     j = space.duality_map(x - v)
     return min(space.pairing(j, v - z) for z in probes)

@@ -1,7 +1,7 @@
 """Certified ℓ_p projection: the support gap, and a polytope solver.
 
-`project`, `project_with_certificate` and `project_polytope` check the
-point once (`sets._point`) and ask the descriptor C for its projection.
+`project` and `project_with_certificate` check the point once
+(`sets._point`) and ask the descriptor C for its projection.
 u is the projection of x onto C exactly when ⟨J(x - u), u - z⟩ >= 0 for
 every z in C.  The left side is affine in z, so its minimum over C sits
 at the support point z = sets.support(C, j) of j = J(x - u): the
@@ -11,7 +11,7 @@ closed form or iterative, is this one formula; the box 2‖x - u‖ + 1 that
 keeps it finite on unbounded sets holds every point of C closer to x
 than u, so it stays sound.
 
-Polytopes (C.solver_tol > 0) project through `project_polytope`, which
+Polytopes (C.solver_tol > 0) project through `_project_polytope`, which
 certifies its own answer: SLSQP on Σ|x_i - z_i|^p (C¹ for p > 1, no second
 derivatives needed) first, then conditional-gradient steps toward the
 support point until the gap clears the tolerance; `max_iter` caps both
@@ -35,7 +35,6 @@ __all__ = [
     "ProjectionCertificate",
     "CERT_TOL",
     "MAX_ITER",
-    "project_polytope",
     "project",
     "project_with_certificate",
 ]
@@ -278,21 +277,13 @@ def _project_hrep(space: LpSpace, C: sets.PolytopeH, x: np.ndarray,
     return cert
 
 
-def project_polytope(space: LpSpace, C, x, max_iter: int = MAX_ITER,
-                     cert_tol: float = CERT_TOL) -> ProjectionCertificate:
-    """Certified ℓ_p projection onto a polytope (either representation)."""
-    return _project_polytope(space, C, sets._point(C, x), max_iter, cert_tol)
-
-
 def _project_polytope(space: LpSpace, C, x: np.ndarray, max_iter: int = MAX_ITER,
                       cert_tol: float = CERT_TOL) -> ProjectionCertificate:
+    """Certified ℓ_p projection of a checked x onto a polytope (either representation)."""
     if C.contains(space, x, 0.0):
         return ProjectionCertificate(x.copy(), 0.0, 0, 0.0, True)
-    if isinstance(C, sets.PolytopeV):
-        return _project_vrep(space, C, x, max_iter, cert_tol)
-    if isinstance(C, sets.PolytopeH):
-        return _project_hrep(space, C, x, max_iter, cert_tol)
-    raise TypeError(f"not a polytope descriptor: {type(C).__name__}")
+    solve = _project_vrep if isinstance(C, sets.PolytopeV) else _project_hrep
+    return solve(space, C, x, max_iter, cert_tol)
 
 
 def project(space: LpSpace, C, x) -> np.ndarray:

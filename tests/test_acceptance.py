@@ -28,16 +28,12 @@ from banachproj import (
     fit_power_type,
     numdiff_derivative,
     project,
-    project_ball,
     project_with_certificate,
 )
 from banachproj.derivative import (
-    ball_derivative,
     classify_sphere_direction,
     directional_derivative,
     interior_derivative,
-    positive_cone_derivative,
-    subspace_derivative,
 )
 from banachproj.sets import cone_translation_check, inverse_image_ray_check
 from banachproj.verify import duality_suite
@@ -97,7 +93,8 @@ def test_criterion_03_ball_derivative_oracle_match():
         rng = np.random.default_rng(300 + int(10 * p))
         center = rng.standard_normal(3) * 0.2
         radius = 1.3
-        projector = lambda z: project_ball(space, center, radius, z)
+        ball = Ball(center=center, radius=radius)
+        projector = lambda z: project(space, ball, z)
         counts = {"ball:exterior": 0, "ball:sphere-up": 0, "ball:sphere-down": 0}
         worst = 0.0
         while min(counts.values()) < per_clause:
@@ -109,7 +106,7 @@ def test_criterion_03_ball_derivative_oracle_match():
                 tag = classify_sphere_direction(space, center, radius, x, v).tag
                 if counts[f"ball:sphere-{tag}"] >= per_clause:
                     continue
-            analytic = ball_derivative(space, center, radius, x, v)
+            analytic = directional_derivative(space, ball, x, v)
             if counts.get(analytic.case_label, per_clause) >= per_clause:
                 continue
             numeric = numdiff_derivative(space, projector, x, v)
@@ -129,14 +126,14 @@ def test_criterion_03_ball_derivative_oracle_match():
 def test_criterion_04_hilbert_closed_forms():
     space = LpSpace(2.0)
     rng = np.random.default_rng(400)
-    center = np.zeros(3)
+    ball = Ball(center=np.zeros(3), radius=1.0)
     worst_sphere = worst_ext = 0.0
     done_sphere = done_ext = 0
     while done_sphere < 1000 or done_ext < 1000:
         v = rng.standard_normal(3)
         if done_ext < 1000:
             x = space.unit(rng.standard_normal(3)) * rng.uniform(1.05, 3.0)
-            got = ball_derivative(space, center, 1.0, x, v).value
+            got = directional_derivative(space, ball, x, v).value
             nx = space.norm(x)
             expected = (nx ** 2 * v - (x @ v) * x) / nx ** 3
             worst_ext = max(worst_ext, float(np.max(np.abs(got - expected))))
@@ -146,7 +143,7 @@ def test_criterion_04_hilbert_closed_forms():
             up = v if x @ v > 0 else -v
             if abs(x @ up) < 1e-8:
                 continue
-            got = ball_derivative(space, center, 1.0, x, up).value
+            got = directional_derivative(space, ball, x, up).value
             expected = up - (x @ up) * x
             worst_sphere = max(worst_sphere, float(np.max(np.abs(got - expected))))
             done_sphere += 1
@@ -159,6 +156,8 @@ def test_criterion_05_cone_case_table():
     # the nine coordinate clauses: x sign x v sign, rational inputs;
     # a positive coordinate passes v, a zero coordinate clamps v to v+,
     # a negative coordinate kills it
+    space = LpSpace(3.0)
+    cone = PositiveCone()
     pad_x, pad_v = 2.0, 0.25
     for sx, sv, expect in [
         (1.5, 0.75, 0.75), (1.5, 0.0, 0.0), (1.5, -0.75, -0.75),
@@ -167,11 +166,10 @@ def test_criterion_05_cone_case_table():
     ]:
         x = np.array([sx, pad_x, pad_x])
         v = np.array([sv, pad_v, pad_v])
-        got = positive_cone_derivative(x, v).value
+        got = directional_derivative(space, cone, x, v).value
         assert got[0] == expect and got[1] == pad_v and got[2] == pad_v, (sx, sv, got)
 
     # full sign-pattern enumeration against the raw difference quotient
-    space = LpSpace(3.0)
     reps_x = {-1: -0.7, 0: 0.0, 1: 1.3}
     reps_v = {-1: -0.9, 0: 0.0, 1: 0.8}
     projector = lambda z: np.maximum(z, 0.0)
@@ -187,7 +185,7 @@ def test_criterion_05_cone_case_table():
                                 continue
                             x = np.array([reps_x[ax], reps_x[bx], reps_x[cx]])
                             v = np.array([reps_v[av], reps_v[bv], reps_v[cv]])
-                            got = positive_cone_derivative(x, v).value
+                            got = directional_derivative(space, cone, x, v).value
                             numeric = numdiff_derivative(space, projector, x, v)
                             assert numeric.converged
                             gap = float(np.max(np.abs(got - numeric.estimate)))
@@ -201,18 +199,19 @@ def test_criterion_06_subspace_law():
     space = LpSpace(3.0)
     rng = np.random.default_rng(600)
     free = np.array([True, False, True, False, True])
+    sub = CoordinateSubspace(free=free)
     worst_ortho = 0.0
     for _ in range(100):
         y = np.where(free, rng.standard_normal(5), 0.0)
         for _ in range(100):
             w = np.where(free, 0.0, rng.standard_normal(5))
-            got = subspace_derivative(space, free, y, w).value
+            got = directional_derivative(space, sub, y, w).value
             worst_ortho = max(worst_ortho, float(np.max(np.abs(got))))
     assert worst_ortho <= 1e-6
     for _ in range(100):
         y = np.where(free, rng.standard_normal(5), 0.0)
         v = np.where(free, rng.standard_normal(5), 0.0)
-        got = subspace_derivative(space, free, y, v).value
+        got = directional_derivative(space, sub, y, v).value
         assert np.array_equal(got, v)
     print(f"PASS criterion 6: annihilator directions give zero (worst {worst_ortho:.1e}), tangential pass through")
 
@@ -232,9 +231,9 @@ def test_criterion_07_structural_laws():
             worst_hom = max(worst_hom, float(np.max(np.abs(scaled - lam * base))))
         xc = rng.standard_normal(3)
         vc = rng.standard_normal(3)
-        cone_base = positive_cone_derivative(xc, vc).value
+        cone_base = directional_derivative(space, PositiveCone(), xc, vc).value
         for lam in (0.5, 2.0, 10.0):
-            scaled = positive_cone_derivative(xc, lam * vc).value
+            scaled = directional_derivative(space, PositiveCone(), xc, lam * vc).value
             worst_hom = max(worst_hom, float(np.max(np.abs(scaled - lam * cone_base))))
     assert worst_hom <= 1e-12 * 10.0
 

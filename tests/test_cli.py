@@ -468,12 +468,12 @@ MODULI_KW = {"budget": 500, "seed": 7, "threads": 2}
 LAZY_PROBE = """
 import contextlib, io, json, sys
 import banachproj, banachproj.cli
-from banachproj import LpSpace, project_segment
+from banachproj import LpSpace, Segment, project
 with contextlib.redirect_stdout(io.StringIO()):
     code = banachproj.cli.main(["project", "--config", sys.argv[1]])
 loaded = [m for m in ("scipy.optimize", "scipy.stats") if m in sys.modules]
 u, w, x = json.loads(sys.argv[2])
-point = project_segment(LpSpace(3.0), u, w, x)
+point = project(LpSpace(3.0), Segment(u=u, w=w), x)
 print(json.dumps({"code": code, "loaded": loaded, "point": [repr(c) for c in point],
                   "optimize_after": "scipy.optimize" in sys.modules}))
 """
@@ -510,7 +510,7 @@ class TestStartup:
 
     def test_ball_command_loads_neither_optimize_nor_stats(self, tmp_path):
         import scipy.optimize  # noqa: F401  (the reference answer runs with it loaded)
-        from banachproj import LpSpace, project_segment
+        from banachproj import LpSpace, Segment, project
 
         path = tmp_path / "ball.json"
         path.write_text(json.dumps({
@@ -524,7 +524,8 @@ class TestStartup:
         # the segment's root finder imports scipy.optimize on first use and
         # gives the answer of an interpreter that had it loaded all along
         assert out["optimize_after"]
-        eager = project_segment(LpSpace(3.0), *SEGMENT)
+        u, w, x = SEGMENT
+        eager = project(LpSpace(3.0), Segment(u=u, w=w), x)
         assert out["point"] == [repr(c) for c in eager]
 
     def test_classify_refuses_a_polytope_before_its_membership_lp(self):

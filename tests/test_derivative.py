@@ -16,19 +16,20 @@ from banachproj import (
     Segment,
     Singleton,
     StepSchedule,
-    ball_derivative,
     classify_sphere_direction,
     directional_derivative,
     interior_derivative,
     numdiff_derivative,
-    positive_cone_derivative,
-    project_ball,
-    project_positive_cone,
-    subspace_derivative,
+    project,
 )
 from banachproj.derivative import _cone_coordinatewise
 from banachproj.numdiff import ConvergenceError
 from oracles import cone_table_3d, lp_norm
+
+DISK = Ball(center=[0.0, 0.0], radius=1.0)
+BALL3 = Ball(center=np.zeros(3), radius=1.0)
+CONE = PositiveCone()
+PLANE = CoordinateSubspace(free=[True, True, False])   # the (x, y) plane of R^3
 
 
 class TestClassifySphereDirection:
@@ -74,46 +75,55 @@ class TestClassifySphereDirection:
         with pytest.raises(ValueError, match="sphere"):
             classify_sphere_direction(space, [0.0, 0.0], 1.0, [2.0, 0.0], [1.0, 0.0])
 
+    def test_ball_checked_as_a_descriptor(self):
+        # a NaN center once came back as BoundaryClass("up", nan), and a
+        # one-entry center broadcast against the 2-d point
+        space = LpSpace(3.0)
+        with pytest.raises(ValueError, match="coordinates must be finite"):
+            classify_sphere_direction(space, [np.nan, 0.0], 1.0, [1.0, 0.0], [0.0, 1.0])
+        with pytest.raises(ValueError, match="point has dimension 2, set expects 1"):
+            classify_sphere_direction(space, [0.0], 1.0, [1.0, 0.0], [0.0, 1.0])
+
 
 class TestBallDerivative:
     def test_euclidean_exterior_tangential(self):
         space = LpSpace(2.0)
-        res = ball_derivative(space, [0.0, 0.0], 1.0, [2.0, 0.0], [0.0, 1.0])
+        res = directional_derivative(space, DISK, [2.0, 0.0], [0.0, 1.0])
         assert_allclose(res.value, [0.0, 0.5], atol=1e-14)
         assert res.case_label == "ball:exterior"
 
     def test_euclidean_exterior_radial_vanishes(self):
         space = LpSpace(2.0)
-        res = ball_derivative(space, [0.0, 0.0], 1.0, [2.0, 0.0], [2.0, 0.0])
+        res = directional_derivative(space, DISK, [2.0, 0.0], [2.0, 0.0])
         assert_allclose(res.value, [0.0, 0.0], atol=1e-14)
 
     def test_p3_exterior_tangential(self):
         space = LpSpace(3.0)
-        res = ball_derivative(space, np.zeros(3), 1.0, [2.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+        res = directional_derivative(space, BALL3, [2.0, 0.0, 0.0], [0.0, 1.0, 0.0])
         assert_allclose(res.value, [0.0, 0.5, 0.0], atol=1e-14)
 
     def test_interior_is_identity(self):
         space = LpSpace(3.0)
         v = np.array([0.3, -1.0, 0.2])
-        res = ball_derivative(space, np.zeros(3), 1.0, [0.2, 0.1, -0.1], v)
+        res = directional_derivative(space, BALL3, [0.2, 0.1, -0.1], v)
         assert np.array_equal(res.value, v)
         assert res.case_label == "ball:interior"
 
     def test_sphere_up_outward_radial(self):
         space = LpSpace(2.0)
-        res = ball_derivative(space, [0.0, 0.0], 1.0, [1.0, 0.0], [1.0, 0.0])
+        res = directional_derivative(space, DISK, [1.0, 0.0], [1.0, 0.0])
         assert_allclose(res.value, [0.0, 0.0], atol=1e-14)
         assert res.case_label == "ball:sphere-up"
 
     def test_sphere_down_is_identity(self):
         space = LpSpace(2.0)
-        res = ball_derivative(space, [0.0, 0.0], 1.0, [1.0, 0.0], [-1.0, 0.0])
+        res = directional_derivative(space, DISK, [1.0, 0.0], [-1.0, 0.0])
         assert_allclose(res.value, [-1.0, 0.0], rtol=0, atol=0)
         assert res.case_label == "ball:sphere-down"
 
     def test_sphere_tangent_passes_through(self):
         space = LpSpace(2.0)
-        res = ball_derivative(space, [0.0, 0.0], 1.0, [1.0, 0.0], [0.0, 1.0])
+        res = directional_derivative(space, DISK, [1.0, 0.0], [0.0, 1.0])
         assert_allclose(res.value, [0.0, 1.0], atol=1e-14)
         assert res.case_label == "ball:sphere-up"
 
@@ -123,9 +133,9 @@ class TestBallDerivative:
         space = LpSpace(2.0)
         x = np.array([1.0, 0.0])
         v = np.array([-1.0, 0.1])
-        res = ball_derivative(space, np.zeros(2), 1.0, x, v)
+        res = directional_derivative(space, DISK, x, v)
         assert res.case_label == "ball:sphere-down"
-        projector = lambda z: project_ball(space, np.zeros(2), 1.0, z)
+        projector = lambda z: project(space, DISK, z)
         est = numdiff_derivative(space, projector, x, v)
         assert est.converged
         assert lp_norm(est.estimate - res.value, 2.0) <= 1e-6
@@ -142,7 +152,7 @@ class TestBallDerivative:
             if d <= r + 1e-6:
                 continue
             v = rng.normal(size=3)
-            got = ball_derivative(space, c, r, x, v).value
+            got = directional_derivative(space, Ball(center=c, radius=r), x, v).value
             expect = (r / d ** 3) * (d ** 2 * v - np.dot(x - c, v) * (x - c))
             assert lp_norm(got - expect, 2.0) <= 1e-10
 
@@ -153,7 +163,7 @@ class TestBallDerivative:
             x = rng.normal(size=3)
             x = r * x / lp_norm(x, 2.0)
             v = rng.normal(size=3)
-            res = ball_derivative(space, np.zeros(3), r, x, v)
+            res = directional_derivative(space, Ball(center=np.zeros(3), radius=r), x, v)
             if res.case_label != "ball:sphere-up":
                 continue
             expect = v - np.dot(x, v) / r ** 2 * x
@@ -165,8 +175,8 @@ class TestBallDerivative:
         for _ in range(10):
             x = rng.normal(size=3) * 2.0
             v = rng.normal(size=3)
-            base = ball_derivative(space, np.zeros(3), 1.0, x, v)
-            scaled = ball_derivative(space, np.zeros(3), 1.0, x, lam * v)
+            base = directional_derivative(space, BALL3, x, v)
+            scaled = directional_derivative(space, BALL3, x, lam * v)
             assert_allclose(scaled.value, lam * base.value, rtol=1e-12, atol=1e-14)
             assert scaled.case_label == base.case_label
 
@@ -177,17 +187,17 @@ class TestBallDerivative:
         for _ in range(10):
             x = rng.normal(size=3)
             x *= 2.5 / lp_norm(x, 3.0)
-            u = project_ball(space, np.zeros(3), 1.0, x)
-            fwd = ball_derivative(space, np.zeros(3), 1.0, x, x - u)
-            back = ball_derivative(space, np.zeros(3), 1.0, x, u - x)
+            u = project(space, BALL3, x)
+            fwd = directional_derivative(space, BALL3, x, x - u)
+            back = directional_derivative(space, BALL3, x, u - x)
             assert lp_norm(fwd.value, 3.0) <= 1e-12
             assert lp_norm(back.value, 3.0) <= 1e-12
 
     def test_retraction_direction_matches_quotients(self):
         space = LpSpace(3.0)
         x = np.array([1.8, -0.9, 0.6])
-        u = project_ball(space, np.zeros(3), 1.0, x)
-        projector = lambda z: project_ball(space, np.zeros(3), 1.0, z)
+        u = project(space, BALL3, x)
+        projector = lambda z: project(space, BALL3, z)
         est = numdiff_derivative(space, projector, x, x - u)
         assert est.converged
         assert lp_norm(est.estimate, 3.0) <= 1e-6
@@ -195,13 +205,13 @@ class TestBallDerivative:
     def test_oracle_agreement_sampled(self, rng):
         for p in (1.5, 2.0, 3.0):
             space = LpSpace(p)
-            projector = lambda z: project_ball(space, np.zeros(3), 1.0, z)
+            projector = lambda z: project(space, BALL3, z)
             for _ in range(8):
                 x = rng.normal(size=3) * 2.0
                 if abs(lp_norm(x, p) - 1.0) < 1e-3:
                     continue
                 v = rng.normal(size=3)
-                got = ball_derivative(space, np.zeros(3), 1.0, x, v)
+                got = directional_derivative(space, BALL3, x, v)
                 est = numdiff_derivative(space, projector, x, v)
                 assert est.converged
                 assert lp_norm(got.value - est.estimate, p) <= 1e-4 * max(1.0, lp_norm(got.value, p))
@@ -209,32 +219,39 @@ class TestBallDerivative:
     def test_rejects_bad_inputs(self):
         space = LpSpace(2.0)
         with pytest.raises(ValueError, match="radius"):
-            ball_derivative(space, [0.0, 0.0], -1.0, [2.0, 0.0], [1.0, 0.0])
+            directional_derivative(space, Ball(center=[0.0, 0.0], radius=-1.0),
+                                   [2.0, 0.0], [1.0, 0.0])
         with pytest.raises(ValueError, match="nonzero"):
-            ball_derivative(space, [0.0, 0.0], 1.0, [2.0, 0.0], [0.0, 0.0])
+            directional_derivative(space, DISK, [2.0, 0.0], [0.0, 0.0])
         with pytest.raises(ValueError, match="shape"):
-            ball_derivative(space, [0.0, 0.0], 1.0, [2.0, 0.0], [1.0, 0.0, 0.0])
+            directional_derivative(space, DISK, [2.0, 0.0], [1.0, 0.0, 0.0])
 
 
 class TestPositiveConeDerivative:
+    # the cone's clause does not depend on p
+
     def test_face_point_clamps_entering_coordinate(self):
-        res = positive_cone_derivative([2.0, 3.0, 0.0], [1.0, -1.0, -5.0])
+        space = LpSpace(3.0)
+        res = directional_derivative(space, CONE, [2.0, 3.0, 0.0], [1.0, -1.0, -5.0])
         assert_allclose(res.value, [1.0, -1.0, 0.0], rtol=0, atol=0)
         assert res.case_label == "cone:p2z1n0/clamp1"
 
     def test_negative_orthant_is_constant(self):
-        res = positive_cone_derivative([-1.0, -1.0, -1.0], [0.3, 0.1, -2.0])
+        space = LpSpace(3.0)
+        res = directional_derivative(space, CONE, [-1.0, -1.0, -1.0], [0.3, 0.1, -2.0])
         assert np.array_equal(res.value, np.zeros(3))
         assert res.case_label == "cone:p0z0n3/clamp0"
 
     def test_vertex_clips_direction(self):
-        res = positive_cone_derivative([0.0, 0.0, 0.0], [1.0, -1.0, -1.0])
+        space = LpSpace(3.0)
+        res = directional_derivative(space, CONE, [0.0, 0.0, 0.0], [1.0, -1.0, -1.0])
         assert_allclose(res.value, [1.0, 0.0, 0.0], rtol=0, atol=0)
         assert res.case_label == "cone:p0z3n0/clamp2"
 
     def test_interior_is_identity(self):
+        space = LpSpace(3.0)
         v = np.array([0.5, -2.0, 1.0])
-        res = positive_cone_derivative([1.0, 2.0, 3.0], v)
+        res = directional_derivative(space, CONE, [1.0, 2.0, 3.0], v)
         assert np.array_equal(res.value, v)
         assert res.case_label == "cone:p3z0n0/clamp0"
 
@@ -258,13 +275,13 @@ class TestPositiveConeDerivative:
         # piecewise-linear projector: quotients are exact once t is small
         # enough that no coordinate of x + tv changes sign
         space = LpSpace(3.0)
-        projector = lambda z: project_positive_cone(z)
+        projector = lambda z: project(space, CONE, z)
         for _ in range(40):
             x = rng.choice([-1.1, 0.0, 0.9], size=3) * rng.uniform(0.5, 1.5)
             v = rng.normal(size=3)
             if not np.any(v):
                 continue
-            got = positive_cone_derivative(x, v)
+            got = directional_derivative(space, CONE, x, v)
             est = numdiff_derivative(space, projector, x, v)
             assert est.converged
             assert lp_norm(got.value - est.estimate, 3.0) <= 1e-8
@@ -272,55 +289,57 @@ class TestPositiveConeDerivative:
     @pytest.mark.parametrize("n", [2, 5, 8])
     def test_coordinatewise_rule_other_dimensions(self, n, rng):
         space = LpSpace(1.5)
-        projector = lambda z: project_positive_cone(z)
+        projector = lambda z: project(space, CONE, z)
         for _ in range(10):
             x = rng.choice([-1.0, 0.0, 1.0], size=n) * rng.uniform(0.5, 2.0)
             v = rng.normal(size=n)
-            got = positive_cone_derivative(x, v)
+            got = directional_derivative(space, CONE, x, v)
             est = numdiff_derivative(space, projector, x, v)
             assert est.converged
             assert lp_norm(got.value - est.estimate, 1.5) <= 1e-8
 
     @pytest.mark.parametrize("lam", [0.5, 2.0])
     def test_homogeneity_exact_for_dyadic_factors(self, lam, rng):
+        space = LpSpace(3.0)
         for _ in range(10):
             x = rng.choice([-1.0, 0.0, 1.0], size=3)
             v = rng.normal(size=3)
             if not np.any(v):
                 continue
-            base = positive_cone_derivative(x, v)
-            scaled = positive_cone_derivative(x, lam * v)
+            base = directional_derivative(space, CONE, x, v)
+            scaled = directional_derivative(space, CONE, x, lam * v)
             assert np.array_equal(scaled.value, lam * base.value)
 
     def test_rejects_bad_inputs(self):
+        space = LpSpace(3.0)
         with pytest.raises(ValueError, match="shape"):
-            positive_cone_derivative([1.0, 2.0], [1.0, 2.0, 3.0])
+            directional_derivative(space, CONE, [1.0, 2.0], [1.0, 2.0, 3.0])
         with pytest.raises(ValueError, match="nonzero"):
-            positive_cone_derivative([1.0, 2.0], [0.0, 0.0])
+            directional_derivative(space, CONE, [1.0, 2.0], [0.0, 0.0])
 
 
 class TestSubspaceDerivative:
     def test_annihilator_direction_freezes(self):
         space = LpSpace(3.0)
-        res = subspace_derivative(space, [True, True, False], [2.0, 3.0, 0.0], [0.0, 0.0, 1.0])
+        res = directional_derivative(space, PLANE, [2.0, 3.0, 0.0], [0.0, 0.0, 1.0])
         assert np.array_equal(res.value, np.zeros(3))
         assert res.case_label == "subspace:orthogonal"
 
     def test_tangent_direction_passes_through(self):
         space = LpSpace(3.0)
-        res = subspace_derivative(space, [True, True, False], [2.0, 3.0, 0.0], [1.0, -1.0, 0.0])
+        res = directional_derivative(space, PLANE, [2.0, 3.0, 0.0], [1.0, -1.0, 0.0])
         assert np.array_equal(res.value, np.array([1.0, -1.0, 0.0]))
         assert res.case_label == "subspace:tangent"
 
     def test_euclidean_mixed_direction(self):
         space = LpSpace(2.0)
-        res = subspace_derivative(space, [True, True, False], np.zeros(3), [1.0, 0.0, 1.0])
+        res = directional_derivative(space, PLANE, np.zeros(3), [1.0, 0.0, 1.0])
         assert_allclose(res.value, [1.0, 0.0, 0.0], atol=1e-12)
         assert res.case_label == "subspace:coordinatewise"
 
     def test_mixed_direction_p3(self):
         space = LpSpace(3.0)
-        res = subspace_derivative(space, [True, True, False], [2.0, 3.0, 0.0], [1.0, 1.0, 1.0])
+        res = directional_derivative(space, PLANE, [2.0, 3.0, 0.0], [1.0, 1.0, 1.0])
         assert_allclose(res.value, [1.0, 1.0, 0.0], atol=1e-12)
         assert res.case_label == "subspace:coordinatewise"
 
@@ -332,18 +351,18 @@ class TestSubspaceDerivative:
                 y = rng.normal(size=4)
                 y[~free] = 0.0
                 v = rng.normal(size=4)
-                res = subspace_derivative(space, free, y, v)
+                res = directional_derivative(space, CoordinateSubspace(free=free), y, v)
                 assert res.case_label == "subspace:coordinatewise"
                 assert_allclose(res.value, np.where(free, v, 0.0), atol=1e-10)
 
     def test_rejects_bad_inputs(self):
         space = LpSpace(3.0)
-        with pytest.raises(ValueError, match="subspace"):
-            subspace_derivative(space, [True, False], [1.0, 1.0], [1.0, 0.0])
         with pytest.raises(ValueError, match="nonzero"):
-            subspace_derivative(space, [True, False], [1.0, 0.0], [0.0, 0.0])
-        with pytest.raises(ValueError, match="shape"):
-            subspace_derivative(space, [True, False, True], [1.0, 0.0], [1.0, 0.0])
+            directional_derivative(space, CoordinateSubspace(free=[True, False]),
+                                   [1.0, 0.0], [0.0, 0.0])
+        with pytest.raises(ValueError, match="dimension"):
+            directional_derivative(space, CoordinateSubspace(free=[True, False, True]),
+                                   [1.0, 0.0], [1.0, 0.0])
 
 
 class TestInteriorDerivative:
@@ -486,12 +505,8 @@ ALL_3D = {
 # every derivative entry point, called with (space, x, v)
 DERIVATIVE_ENTRY_POINTS = {
     "directional_derivative": lambda space, x, v: directional_derivative(space, ALL_3D["ball"], x, v),
-    "ball_derivative": lambda space, x, v: ball_derivative(space, np.zeros(3), 1.0, x, v),
     "classify_sphere_direction": lambda space, x, v: classify_sphere_direction(
         space, np.zeros(3), 1.0, x, v),
-    "positive_cone_derivative": lambda space, x, v: positive_cone_derivative(x, v),
-    "subspace_derivative": lambda space, x, v: subspace_derivative(
-        space, [True, False, True], x, v),
     "interior_derivative": lambda space, x, v: interior_derivative(space, PositiveCone(), x, v),
 }
 
@@ -521,12 +536,15 @@ class TestEntryValidation:
         with pytest.raises(ValueError, match="direction must be nonzero"):
             DERIVATIVE_ENTRY_POINTS[entry](LpSpace(3.0), x, np.zeros(3))
 
-    @pytest.mark.parametrize("entry", ["ball_derivative", "classify_sphere_direction"])
+    @pytest.mark.parametrize("entry", ["directional_derivative", "classify_sphere_direction"])
     def test_ball_clauses_refuse_where_the_unit_quotients_leave_the_sphere(self, entry):
         # an overflowing norm, and the center of a ball thinner than the
         # sphere band, leave no unit vector to take the slope at
         space, c = LpSpace(3.0), np.zeros(3)
-        fn = ball_derivative if entry == "ball_derivative" else classify_sphere_direction
+        fn = classify_sphere_direction
+        if entry == "directional_derivative":
+            def fn(space, c, r, x, v):
+                return directional_derivative(space, Ball(center=c, radius=r), x, v)
         with np.errstate(over="ignore"), \
                 pytest.raises(ValueError, match="direction must lie on the unit sphere"):
             fn(space, c, 1.0, [1.0, 0.0, 0.0], np.full(3, 1.7e308))   # ‖v‖ overflows

@@ -24,11 +24,7 @@ from banachproj import (
     dual_cone_residual,
     inverse_image_ray_check,
     orthogonal_cone_residual,
-    project_ball,
-    project_coordinate_subspace,
-    project_positive_cone,
-    project_ray,
-    project_segment,
+    project,
 )
 from banachproj.sets import _TYPES
 from banachproj.verify import _random_sets
@@ -168,19 +164,19 @@ class TestContains:
 class TestProjectBall:
     def test_cubic_norm_example(self):
         space = LpSpace(3.0)
-        P = project_ball(space, np.zeros(3), 1.0, [2.0, 2.0, 2.0])
+        P = project(space, Ball(center=np.zeros(3), radius=1.0), [2.0, 2.0, 2.0])
         assert_allclose(P, np.full(3, 3.0 ** (-1.0 / 3.0)), rtol=1e-15)
 
     def test_interior_point_fixed(self):
         space = LpSpace(3.0)
         x = np.array([0.1, -0.2, 0.3])
-        P = project_ball(space, np.zeros(3), 1.0, x)
+        P = project(space, Ball(center=np.zeros(3), radius=1.0), x)
         assert np.array_equal(P, x)
         assert P is not x
 
     def test_collinear_euclidean_case(self):
         space = LpSpace(2.0)
-        P = project_ball(space, [1.0, 0.0], 2.0, [5.0, 0.0])
+        P = project(space, Ball(center=[1.0, 0.0], radius=2.0), [5.0, 0.0])
         assert_allclose(P, [3.0, 0.0], rtol=1e-15)
 
     def test_idempotent(self, rng):
@@ -188,14 +184,14 @@ class TestProjectBall:
             space = LpSpace(p)
             for _ in range(20):
                 x = rng.normal(size=4) * 3.0
-                P = project_ball(space, np.zeros(4), 1.0, x)
-                P2 = project_ball(space, np.zeros(4), 1.0, P)
+                P = project(space, Ball(center=np.zeros(4), radius=1.0), x)
+                P2 = project(space, Ball(center=np.zeros(4), radius=1.0), P)
                 assert space.norm(P2 - P) < 1e-10
 
     def test_grid_search_never_beats_projection(self):
         space = LpSpace(3.0)
         x = np.array([1.3, -0.9])
-        P = project_ball(space, np.zeros(2), 1.0, x)
+        P = project(space, Ball(center=np.zeros(2), radius=1.0), x)
         feasible = lambda Z: np.sum(np.abs(Z) ** 3, axis=1) <= 1.0
         _, grid_val = grid_project(3.0, feasible, x, [-1.1, -1.1], [1.1, 1.1])
         assert space.norm(x - P) <= grid_val + 1e-3
@@ -205,7 +201,7 @@ class TestProjectBall:
         for p in (1.5, 3.0):
             space = LpSpace(p)
             x = rng.normal(size=3) * 4.0
-            u = project_ball(space, np.zeros(3), 1.0, x)
+            u = project(space, Ball(center=np.zeros(3), radius=1.0), x)
             j = space.duality_map(x - u)
             for _ in range(60):
                 z = rng.normal(size=3)
@@ -215,43 +211,51 @@ class TestProjectBall:
     def test_rejects_bad_arguments(self):
         space = LpSpace(2.0)
         with pytest.raises(ValueError):
-            project_ball(space, [0.0, 0.0], -1.0, [1.0, 0.0])
+            project(space, Ball(center=[0.0, 0.0], radius=-1.0), [1.0, 0.0])
         with pytest.raises(ValueError):
-            project_ball(space, [0.0, 0.0, 0.0], 1.0, [1.0, 0.0])
+            project(space, Ball(center=[0.0, 0.0, 0.0], radius=1.0), [1.0, 0.0])
 
 
 class TestProjectPositiveCone:
+    # clipping does not depend on p
+    space = LpSpace(3.0)
+
     def test_clips_negative_coordinates(self):
-        assert_allclose(project_positive_cone([1.0, -2.0, 3.0]), [1.0, 0.0, 3.0])
+        assert_allclose(project(self.space, PositiveCone(), [1.0, -2.0, 3.0]), [1.0, 0.0, 3.0])
 
     def test_fixed_on_cone(self):
         x = np.array([1.0, 0.0, 2.5])
-        assert np.array_equal(project_positive_cone(x), x)
+        assert np.array_equal(project(self.space, PositiveCone(), x), x)
 
     def test_all_negative_maps_to_origin(self):
-        assert np.array_equal(project_positive_cone([-1.0, -1.0, -1.0]), np.zeros(3))
+        assert np.array_equal(project(self.space, PositiveCone(), [-1.0, -1.0, -1.0]), np.zeros(3))
 
     @given(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=6))
     @settings(max_examples=50, deadline=None)
     def test_positive_part_pointwise(self, coords):
         x = np.array(coords)
-        P = project_positive_cone(x)
+        P = project(self.space, PositiveCone(), x)
         assert np.all(P >= 0.0)
         assert np.array_equal(P, np.maximum(x, 0.0))
-        assert np.array_equal(project_positive_cone(P), P)
+        assert np.array_equal(project(self.space, PositiveCone(), P), P)
 
 
 class TestProjectCoordinateSubspace:
+    # masking does not depend on p
+    space = LpSpace(3.0)
+    plane = CoordinateSubspace(free=[True, True, False])
+
     def test_masks_coordinates(self):
-        P = project_coordinate_subspace([True, True, False], [2.0, -1.0, 7.0])
+        P = project(self.space, self.plane, [2.0, -1.0, 7.0])
         assert_allclose(P, [2.0, -1.0, 0.0])
 
     def test_euclidean_case(self):
-        assert_allclose(project_coordinate_subspace([True, False], [3.0, 4.0]), [3.0, 0.0])
+        line = CoordinateSubspace(free=[True, False])
+        assert_allclose(project(LpSpace(2.0), line, [3.0, 4.0]), [3.0, 0.0])
 
     def test_fixed_on_subspace(self):
         x = np.array([2.0, -1.0, 0.0])
-        assert np.array_equal(project_coordinate_subspace([True, True, False], x), x)
+        assert np.array_equal(project(self.space, self.plane, x), x)
 
     def test_separability_against_grid_oracle(self):
         # nearest point with third coordinate pinned to zero, p = 3
@@ -259,23 +263,13 @@ class TestProjectCoordinateSubspace:
         feasible = lambda Z: np.abs(Z[:, 2]) <= 1e-12
         gp, gv = grid_project(3.0, feasible, x, [1.0, -2.0, 0.0], [3.0, 0.0, 0.0])
         space = LpSpace(3.0)
-        P = project_coordinate_subspace([True, True, False], x)
+        P = project(space, self.plane, x)
         assert space.norm(x - P) <= gv + 1e-3
         assert_allclose(gp, P, atol=2e-3)
 
     def test_mask_shape_checked(self):
-        with pytest.raises(ValueError):
-            project_coordinate_subspace([True, False], [1.0, 2.0, 3.0])
-
-    def test_full_and_empty_masks_accepted(self):
-        # CoordinateSubspace refuses both masks; the helper takes them as given
-        x = np.array([2.0, -1.0, 7.0])
-        assert np.array_equal(project_coordinate_subspace([True] * 3, x), x)
-        assert np.array_equal(project_coordinate_subspace([False] * 3, x), np.zeros(3))
-        with pytest.raises(ValueError):
-            CoordinateSubspace(free=[True] * 3)
-        with pytest.raises(ValueError):
-            CoordinateSubspace(free=[False] * 3)
+        with pytest.raises(ValueError, match="dimension"):
+            project(self.space, CoordinateSubspace(free=[True, False]), [1.0, 2.0, 3.0])
 
 
 class TestProjectSegmentAndRay:
@@ -283,53 +277,44 @@ class TestProjectSegmentAndRay:
         # |1-t|^p + t^p is symmetric about t = 1/2 for every p
         for p in (1.5, 2.0, 3.0, 4.0):
             space = LpSpace(p)
-            P = project_segment(space, [0.0, 0.0], [1.0, 1.0], [1.0, 0.0])
+            P = project(space, Segment(u=[0.0, 0.0], w=[1.0, 1.0]), [1.0, 0.0])
             assert_allclose(P, [0.5, 0.5], atol=1e-10)
 
     def test_euclidean_foot_of_perpendicular(self):
         space = LpSpace(2.0)
-        P = project_segment(space, [0.0, 0.0], [1.0, 0.0], [0.5, 3.0])
+        P = project(space, Segment(u=[0.0, 0.0], w=[1.0, 0.0]), [0.5, 3.0])
         assert_allclose(P, [0.5, 0.0], atol=1e-12)
-
-    def test_degenerate_segment_and_ray_accepted(self):
-        # Segment and Ray refuse these; the helpers return the one point
-        space = LpSpace(3.0)
-        u = np.array([0.5, -1.0])
-        assert np.array_equal(project_segment(space, u, u, [3.0, 2.0]), u)
-        assert np.array_equal(project_ray(space, u, [0.0, 0.0], [3.0, 2.0]), u)
-        with pytest.raises(ValueError):
-            Segment(u=u, w=u)
-        with pytest.raises(ValueError):
-            Ray(v=u, dir=[0.0, 0.0])
 
     def test_endpoint_clamping(self):
         space = LpSpace(3.0)
-        assert_allclose(project_segment(space, [0.0, 0.0], [1.0, 0.0], [-1.0, 2.0]), [0.0, 0.0])
-        assert_allclose(project_segment(space, [0.0, 0.0], [1.0, 0.0], [5.0, 1.0]), [1.0, 0.0])
+        S = Segment(u=[0.0, 0.0], w=[1.0, 0.0])
+        assert_allclose(project(space, S, [-1.0, 2.0]), [0.0, 0.0])
+        assert_allclose(project(space, S, [5.0, 1.0]), [1.0, 0.0])
 
     def test_segment_against_parameter_oracle(self):
         space = LpSpace(1.5)
         u = np.array([-1.0, 0.5])
         w = np.array([2.0, -1.0])
         x = np.array([0.3, 0.7])
-        P = project_segment(space, u, w, x)
+        P = project(space, Segment(u=u, w=w), x)
         _, best = param_grid_min(lambda t: lp_norm(x - (u + t * (w - u)), 1.5), 0.0, 1.0)
         assert space.norm(x - P) <= best + 1e-6
         assert contains(space, Segment(u=u, w=w), P)
 
     def test_ray_axis_instance(self):
         space = LpSpace(3.0)
-        assert_allclose(project_ray(space, [1.0, 0.0], [0.0, 1.0], [4.0, 2.0]), [1.0, 2.0])
-        assert_allclose(project_ray(space, [1.0, 0.0], [0.0, 1.0], [4.0, -3.0]), [1.0, 0.0])
+        R = Ray(v=[1.0, 0.0], dir=[0.0, 1.0])
+        assert_allclose(project(space, R, [4.0, 2.0]), [1.0, 2.0])
+        assert_allclose(project(space, R, [4.0, -3.0]), [1.0, 0.0])
 
     def test_ray_diagonal_instance(self):
         space = LpSpace(3.0)
-        P = project_ray(space, [0.0, 0.0], [1.0, 1.0], [1.0, 0.0])
+        P = project(space, Ray(v=[0.0, 0.0], dir=[1.0, 1.0]), [1.0, 0.0])
         assert_allclose(P, [0.5, 0.5], atol=1e-10)
 
     def test_ray_far_parameter(self):
         space = LpSpace(2.0)
-        P = project_ray(space, [0.0, 0.0], [1.0, 0.0], [1e6, 1.0])
+        P = project(space, Ray(v=[0.0, 0.0], dir=[1.0, 0.0]), [1e6, 1.0])
         assert_allclose(P, [1e6, 0.0], rtol=1e-12)
 
     def test_segment_idempotent(self, rng):
@@ -338,8 +323,8 @@ class TestProjectSegmentAndRay:
         w = np.array([1.0, 1.0, -1.0])
         for _ in range(10):
             x = rng.normal(size=3) * 3.0
-            P = project_segment(space, u, w, x)
-            assert space.norm(project_segment(space, u, w, P) - P) < 1e-9
+            P = project(space, Segment(u=u, w=w), x)
+            assert space.norm(project(space, Segment(u=u, w=w), P) - P) < 1e-9
 
 
 class TestClassifyPoint:
@@ -358,7 +343,7 @@ class TestClassifyPoint:
         assert_allclose(res.witness, [1.0, 0.0, 0.0])
         # the witness actually projects back: P(y + u) = y
         y = np.array([1.0, 0.0, 0.0])
-        assert_allclose(project_ball(space, B.center, B.radius, y + res.witness), y, atol=1e-12)
+        assert_allclose(project(space, B, y + res.witness), y, atol=1e-12)
 
     def test_subspace_always_cuticle(self):
         space = LpSpace(2.0)
@@ -367,7 +352,7 @@ class TestClassifyPoint:
         assert res.tag == "cuticle"
         assert_allclose(res.witness, [0.0, 0.0, 1.0])
         y = np.array([2.0, 3.0, 0.0])
-        assert np.array_equal(project_coordinate_subspace(C.free, y + res.witness), y)
+        assert np.array_equal(project(space, C, y + res.witness), y)
 
     def test_cone_regimes(self):
         space = LpSpace(3.0)
@@ -377,7 +362,7 @@ class TestClassifyPoint:
         assert res.tag == "cuticle"
         assert_allclose(res.witness, [0.0, -1.0, 0.0])
         y = np.array([1.0, 0.0, 3.0])
-        assert np.array_equal(project_positive_cone(y + res.witness), y)
+        assert np.array_equal(project(space, K, y + res.witness), y)
 
     def test_singleton_cuticle(self):
         space = LpSpace(2.0)
@@ -480,6 +465,18 @@ class TestInverseImageRay:
         with pytest.raises(ValueError):
             inverse_image_ray_check(space, np.zeros(2), 1.0, [1.0, 0.0], -0.5)
 
+    def test_negative_tolerance_rejected(self):
+        # it once answered False for this true claim
+        space = LpSpace(3.0)
+        with pytest.raises(ValueError, match="tolerance must be nonnegative"):
+            inverse_image_ray_check(space, [0.0, 0.0, 0.0], 1.0, [1.0, 0.0, 0.0], 1.0, tol=-1.0)
+
+    def test_point_checked_against_the_ball(self):
+        # it once failed inside NumPy broadcasting
+        space = LpSpace(3.0)
+        with pytest.raises(ValueError, match="point has dimension 3, set expects 2"):
+            inverse_image_ray_check(space, [0.0, 0.0], 1.0, [1.0, 0.0, 0.0], 1.0)
+
 
 class TestConeTranslation:
     def test_member_of_inverse_image(self):
@@ -535,12 +532,13 @@ class TestProjectionMonotonicity:
         """<J(x - Px) - J(y - Py), Px - Py> >= 0 over random pairs."""
         for p in (1.5, 2.0, 3.0):
             space = LpSpace(p)
-            projectors = [
-                lambda z: project_ball(space, np.zeros(4), 1.0, z),
-                project_positive_cone,
-                lambda z: project_coordinate_subspace([True, False, True, False], z),
+            descriptors = [
+                Ball(center=np.zeros(4), radius=1.0),
+                PositiveCone(),
+                CoordinateSubspace(free=[True, False, True, False]),
             ]
-            for proj in projectors:
+            for C in descriptors:
+                proj = lambda z: project(space, C, z)
                 for _ in range(40):
                     x = rng.normal(size=4) * 2.0
                     y = rng.normal(size=4) * 2.0

@@ -15,14 +15,12 @@ from banachproj import (
     Segment,
     Singleton,
     classify_point,
+    cone_translation_check,
     contains,
     descriptor_to_json,
     directional_derivative,
+    dual_cone_residual,
     project,
-    project_ball,
-    project_coordinate_subspace,
-    project_polytope,
-    project_positive_cone,
     project_with_certificate,
     support,
 )
@@ -125,7 +123,7 @@ class TestSupportGap:
         space = LpSpace(2.0)
         C = PolytopeH(normals=[[1.0, 0.0], [0.0, 1.0]], offsets=[1.0, 1.0])
         monkeypatch.setattr(sets_mod, "support", lambda *args: None)
-        cert = project_polytope(space, C, np.array([2.0, 0.5]))
+        cert = project_with_certificate(space, C, np.array([2.0, 0.5]))
         assert not cert.converged
         assert cert.residual == -np.inf
 
@@ -176,7 +174,7 @@ class TestSupportGap:
 class TestVertexRepresentation:
     def test_euclidean_simplex_nearest_vertex(self):
         space = LpSpace(2.0)
-        cert = project_polytope(space, SIMPLEX, np.array([2.0, 0.0, 0.0]))
+        cert = project_with_certificate(space, SIMPLEX, np.array([2.0, 0.0, 0.0]))
         assert_allclose(cert.point, [1.0, 0.0, 0.0], atol=1e-9)
         assert cert.converged
         assert cert.residual >= -CERT_TOL
@@ -185,7 +183,7 @@ class TestVertexRepresentation:
     def test_query_in_hull_returned_exactly(self):
         space = LpSpace(2.0)
         x = np.array([0.3, 0.3, 0.4])
-        cert = project_polytope(space, SIMPLEX, x)
+        cert = project_with_certificate(space, SIMPLEX, x)
         assert np.array_equal(cert.point, x)
         assert cert.residual == 0.0
         assert cert.iterations == 0
@@ -195,7 +193,7 @@ class TestVertexRepresentation:
     def test_single_vertex_hull(self):
         space = LpSpace(3.0)
         C = PolytopeV(vertices=np.array([[1.5, -2.0]]))
-        cert = project_polytope(space, C, np.zeros(2))
+        cert = project_with_certificate(space, C, np.zeros(2))
         assert_allclose(cert.point, [1.5, -2.0], rtol=0, atol=0)
         assert cert.residual == 0.0
         assert cert.iterations == 0
@@ -207,7 +205,7 @@ class TestVertexRepresentation:
         # parameters confirms it to 1e-5
         space = LpSpace(3.0)
         x = np.array([1.2, 0.9, -0.4])
-        cert = project_polytope(space, SIMPLEX, x)
+        cert = project_with_certificate(space, SIMPLEX, x)
         assert cert.converged
         assert_allclose(cert.point, [0.65, 0.35, 0.0], atol=1e-6)
         assert_allclose(cert.distance, 0.39675 ** (1.0 / 3.0), rtol=1e-9)
@@ -215,7 +213,7 @@ class TestVertexRepresentation:
     def test_simplex_p3_matches_inline_grid_oracle(self):
         space = LpSpace(3.0)
         x = np.array([1.3, -0.2, 0.6])
-        cert = project_polytope(space, SIMPLEX, x)
+        cert = project_with_certificate(space, SIMPLEX, x)
 
         def obj(ab):
             pts = np.stack([ab[:, 0], ab[:, 1], 1.0 - ab[:, 0] - ab[:, 1]], axis=1)
@@ -237,14 +235,14 @@ class TestVertexRepresentation:
         ])
         C = PolytopeV(vertices=V)
         x = np.array([2.0, 1.5, -1.0])
-        cert = project_polytope(space, C, x)
+        cert = project_with_certificate(space, C, x)
         assert cert.converged
         assert cert.residual >= -CERT_TOL
         assert_allclose(cert.point, [1.0, 1.0, 0.0], atol=1e-6)
         f = lambda z: np.sum(np.abs(x - z) ** 4.0)
         assert f(cert.point) <= min(f(v) for v in V) + 1e-10
         # reprojecting the answer hits the membership shortcut
-        again = project_polytope(space, C, cert.point)
+        again = project_with_certificate(space, C, cert.point)
         assert again.distance == 0.0
         assert again.iterations == 0
 
@@ -253,7 +251,7 @@ class TestHalfspaceRepresentation:
     def test_single_halfspace_clips_one_coordinate(self):
         space = LpSpace(3.0)
         C = PolytopeH(normals=[[1.0, 0.0, 0.0]], offsets=[0.0])
-        cert = project_polytope(space, C, np.array([1.0, -2.0, 3.0]))
+        cert = project_with_certificate(space, C, np.array([1.0, -2.0, 3.0]))
         assert cert.converged
         assert_allclose(cert.point, [0.0, -2.0, 3.0], atol=1e-6)
 
@@ -263,14 +261,14 @@ class TestHalfspaceRepresentation:
             normals=[[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
             offsets=[1.0, 0.0, 1.0, 0.0],
         )
-        cert = project_polytope(space, C, np.array([2.0, 0.5]))
+        cert = project_with_certificate(space, C, np.array([2.0, 0.5]))
         assert cert.converged
         assert_allclose(cert.point, [1.0, 0.5], atol=1e-9)
 
     def test_euclidean_halfplane_foot(self):
         space = LpSpace(2.0)
         C = PolytopeH(normals=[[1.0, 1.0]], offsets=[1.0])
-        cert = project_polytope(space, C, np.array([1.0, 1.0]))
+        cert = project_with_certificate(space, C, np.array([1.0, 1.0]))
         assert cert.converged
         assert_allclose(cert.point, [0.5, 0.5], atol=1e-9)
 
@@ -282,7 +280,7 @@ class TestHalfspaceRepresentation:
             normals=[[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [1.0, -0.5]],
             offsets=[1.2, 0.4, 0.5, 0.9],
         )
-        cert = project_polytope(space, C, np.array([1.6, 1.3]))
+        cert = project_with_certificate(space, C, np.array([1.6, 1.3]))
         assert cert.converged
         assert_allclose(cert.point, [0.75, 0.45], atol=1e-6)
 
@@ -292,7 +290,7 @@ class TestHalfspaceRepresentation:
         b = np.array([1.2, 0.4, 0.5, 0.9])
         C = PolytopeH(normals=A, offsets=b)
         x = np.array([-1.3, 1.7])
-        cert = project_polytope(space, C, x)
+        cert = project_with_certificate(space, C, x)
         feas = lambda Z: np.all(Z @ A.T <= b + 1e-12, axis=1)
         pt, val = grid_project(1.5, feas, x, np.array([-2.0, -2.0]),
                                np.array([2.0, 2.0]), final_step=1e-4, pts=21)
@@ -306,9 +304,9 @@ class TestHalfspaceRepresentation:
         C = PolytopeH(normals=-np.eye(3), offsets=np.zeros(3))
         for _ in range(10):
             x = rng.normal(size=3) * 2.0
-            cert = project_polytope(space, C, x)
+            cert = project_with_certificate(space, C, x)
             assert cert.converged
-            assert lp_dist(p, cert.point, project_positive_cone(x)) <= 1e-6
+            assert lp_dist(p, cert.point, project(space, PositiveCone(), x)) <= 1e-6
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
     def test_subspace_encoding_matches_closed_form(self, p, rng):
@@ -319,15 +317,15 @@ class TestHalfspaceRepresentation:
         C = PolytopeH(normals=A, offsets=np.zeros(2))
         for _ in range(10):
             x = rng.normal(size=3) * 2.0
-            cert = project_polytope(space, C, x)
+            cert = project_with_certificate(space, C, x)
             assert cert.converged
-            assert lp_dist(p, cert.point, project_coordinate_subspace(free, x)) <= 1e-6
+            assert lp_dist(p, cert.point, project(space, CoordinateSubspace(free=free), x)) <= 1e-6
 
     def test_query_inside_returned_exactly(self):
         space = LpSpace(1.5)
         C = PolytopeH(normals=[[1.0, 0.0], [0.0, 1.0]], offsets=[1.0, 1.0])
         x = np.array([0.2, -0.7])
-        cert = project_polytope(space, C, x)
+        cert = project_with_certificate(space, C, x)
         assert np.array_equal(cert.point, x)
         assert cert.iterations == 0
         assert cert.residual == 0.0
@@ -340,7 +338,7 @@ class TestHalfspaceRepresentation:
                 z = rng.normal(size=4)
                 b = A @ z + rng.uniform(0.1, 1.0, size=5)
                 C = PolytopeH(normals=A, offsets=b)
-                cert = project_polytope(space, C, rng.normal(size=4) * 3.0)
+                cert = project_with_certificate(space, C, rng.normal(size=4) * 3.0)
                 assert cert.converged
                 assert cert.residual >= -CERT_TOL
                 assert np.all(A @ cert.point <= b + 1e-9)
@@ -366,7 +364,7 @@ class TestIterationBudget:
     def test_exhausted_budget_reports_failure_with_best_iterate(self):
         space = LpSpace(3.0)
         C = PolytopeH(normals=self.A, offsets=self.b)
-        cert = project_polytope(space, C, self.x, max_iter=1)
+        cert = project_with_certificate(space, C, self.x, max_iter=1)
         assert not cert.converged
         assert cert.residual < -CERT_TOL
         assert np.all(np.isfinite(cert.point))
@@ -375,8 +373,8 @@ class TestIterationBudget:
     def test_full_budget_converges_and_improves(self):
         space = LpSpace(3.0)
         C = PolytopeH(normals=self.A, offsets=self.b)
-        capped = project_polytope(space, C, self.x, max_iter=1)
-        full = project_polytope(space, C, self.x)
+        capped = project_with_certificate(space, C, self.x, max_iter=1)
+        full = project_with_certificate(space, C, self.x)
         assert full.converged
         assert full.residual >= -CERT_TOL
         assert full.distance <= capped.distance + 1e-12
@@ -402,8 +400,10 @@ POINT_ENTRY_POINTS = {
     "project_with_certificate": lambda space, C, x, v: project_with_certificate(space, C, x),
     "directional_derivative": directional_derivative,
     "contains": lambda space, C, x, v: contains(space, C, x),
-    "project_polytope": lambda space, C, x, v: project_polytope(space, C, x),
     "classify_point": lambda space, C, x, v: classify_point(space, C, x),
+    # the cone checks test their points before asking C for a cone vertex
+    "cone_translation_check": lambda space, C, x, v: cone_translation_check(space, C, x, 2.0, x),
+    "dual_cone_residual": lambda space, C, x, v: dual_cone_residual(space, C, x, [x]),
 }
 
 # every entry point that takes a descriptor, called with (space, C)
@@ -441,11 +441,6 @@ class TestDispatch:
         with pytest.raises(TypeError):
             DESCRIPTOR_ENTRY_POINTS[entry](LpSpace(2.0), bad)
 
-    def test_project_polytope_rejects_other_descriptors(self):
-        space = LpSpace(2.0)
-        with pytest.raises(TypeError):
-            project_polytope(space, Ball(center=[0.0, 0.0], radius=1.0), np.ones(2))
-
     def test_project_rejects_unknown_descriptor(self):
         space = LpSpace(2.0)
         with pytest.raises(TypeError):
@@ -455,7 +450,7 @@ class TestDispatch:
         space = LpSpace(3.0)
         x = np.array([2.0, -1.0, 0.5])
         got = project(space, Ball(center=[0.0, 0.0, 0.0], radius=1.0), x)
-        assert_allclose(got, project_ball(space, np.zeros(3), 1.0, x), rtol=0, atol=0)
+        assert_allclose(got, (1.0 / space.norm(x)) * x, rtol=0, atol=0)   # radial pullback
         got = project(space, PositiveCone(), x)
         assert_allclose(got, [2.0, 0.0, 0.5], rtol=0, atol=0)
         free = np.array([True, True, False])
@@ -516,8 +511,8 @@ class TestDeskScaleContinuity:
             step = rng.normal(size=3)
             step *= delta * rng.uniform(0.1, 1.0) / lp_norm(step, 3.0)
             y = x + step
-            ux = project_polytope(space, SIMPLEX, x).point
-            uy = project_polytope(space, SIMPLEX, y).point
+            ux = project_with_certificate(space, SIMPLEX, x).point
+            uy = project_with_certificate(space, SIMPLEX, y).point
             assert lp_dist(3.0, ux, uy) <= 2.0 * lp_dist(3.0, x, y) + 1e-12
 
 
