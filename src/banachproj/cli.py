@@ -128,6 +128,11 @@ def _get_points(cfg: dict, n: int) -> list[np.ndarray]:
     return [_vector(entry, f"inputs[{i}]", n) for i, entry in enumerate(inputs)]
 
 
+def _given(opts: dict, **casts) -> dict:
+    # the options the config sets, each cast; the others keep the library's defaults
+    return {key: cast(opts[key]) for key, cast in casts.items() if key in opts}
+
+
 def _emit(report, out_path, csv_rows=None) -> None:
     if out_path is None:
         sys.stdout.write(reporting.dumps_stable(report))
@@ -154,12 +159,8 @@ def _cmd_project(cfg: dict, seed: int, out) -> int:
     tols = cfg.get("tolerances", {})
     if not isinstance(tols, dict):
         raise _ConfigError('"tolerances" must be an object')
-    max_iter = int(tols.get("max_iter", solver.MAX_ITER))
-    cert_tol = float(tols.get("cert_tol", solver.CERT_TOL))
-    results = [
-        solver.project_with_certificate(space, C, x, max_iter=max_iter, cert_tol=cert_tol)
-        for x in points
-    ]
+    kw = _given(tols, max_iter=int, cert_tol=float)
+    results = [solver.project_with_certificate(space, C, x, **kw) for x in points]
     report = _set_report("project", space, n, C)
     if len(points) == 1:
         report["x"] = [float(c) for c in points[0]]
@@ -211,9 +212,7 @@ def _cmd_verify(cfg: dict, seed: int, out) -> int:
     name = _require(cfg, "suite")
     if name not in SUITES:
         raise _ConfigError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    options: dict = {"seed": seed}
-    if "count" in cfg:
-        options["count"] = int(cfg["count"])
+    options = {"seed": seed, **_given(cfg, count=int)}
     if "space" in cfg:
         space, n = _get_space(cfg)
         options["p"] = space.p
@@ -235,9 +234,7 @@ def _cmd_moduli(cfg: dict, seed: int, out) -> int:
     curve = opts.get("curve", "both")
     if curve not in ("delta", "rho", "both"):
         raise _ConfigError('moduli curve must be "delta", "rho" or "both"')
-    budget = int(opts.get("budget", 100_000))
-    rounds = int(opts.get("rounds", 3))
-    threads = opts.get("threads")
+    kw = {**_given(opts, budget=int, rounds=int), "threads": opts.get("threads")}
     est = None
     try:
         if curve in ("delta", "both"):
@@ -245,13 +242,13 @@ def _cmd_moduli(cfg: dict, seed: int, out) -> int:
             if eps is None:
                 raise _ConfigError('delta estimation needs an "epsilons" grid')
             est = moduli_mod.estimate_convexity_modulus(
-                space.p, n, eps, budget=budget, seed=seed, rounds=rounds, threads=threads)
+                space.p, n, eps, seed=seed, **kw)
         if curve in ("rho", "both"):
             ts = opts.get("ts")
             if ts is None:
                 raise _ConfigError('rho estimation needs a "ts" grid')
             rho_est = moduli_mod.estimate_smoothness_modulus(
-                space.p, n, ts, budget=budget, seed=seed, rounds=rounds, threads=threads)
+                space.p, n, ts, seed=seed, **kw)
             est = rho_est if est is None else est.merged_with(rho_est)
     except ValueError as exc:
         raise _ConfigError(str(exc)) from exc
@@ -297,8 +294,7 @@ def _cmd_rate(cfg: dict, seed: int, out) -> int:
         raise _ConfigError("rate schedule needs k_max > k_min")
     sched = StepSchedule(
         t_values=tuple(2.0 ** -k for k in range(k_min, k_max + 1)),
-        quotient_tol=float(opts.get("quotient_tol", 1e-7)),
-        window=int(opts.get("window", 3)),
+        **_given(opts, quotient_tol=float, window=int),
     ).truncated(C.solver_tol)
     rep = cauchy_rate_probe(space, lambda z: solver.project(space, C, z), x, dirs, sched)
     report = _set_report("rate", space, n, C, x=[float(c) for c in x], **rep.summary(),

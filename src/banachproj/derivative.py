@@ -100,17 +100,16 @@ def _direction(x: np.ndarray, v) -> np.ndarray:
     return v
 
 
-def classify_sphere_direction(space: LpSpace, center, radius: float, x, v,
-                              tie_tol: float = TIE_TOL) -> BoundaryClass:
+def classify_sphere_direction(space: LpSpace, center, radius: float, x, v) -> BoundaryClass:
     """Sort a direction at a sphere point into "up" or "down".
 
     "up" means ‖x + t v - c‖ >= r for all small t > 0, "down" means the
     point enters the open ball.  The margin is the one-sided derivative g
     of t ↦ ‖x - c + t v‖ at 0 (up to the positive factor ‖v‖); its sign
-    decides all but exact ties.  Ties fall back to sampling the sign of
-    ‖x + t_k v - c‖ - r at t_k = 2^-k, k = 10..24: by convexity that sign
-    is eventually constant, and an exactly tangent direction stays
-    outside, hence "up".
+    decides all but ties, |g| <= TIE_TOL.  Ties fall back to sampling the
+    sign of ‖x + t_k v - c‖ - r at t_k = 2^-k, k = 10..24: by convexity
+    that sign is eventually constant, and an exactly tangent direction
+    stays outside, hence "up".
     """
     B = sets.Ball(center=center, radius=radius)
     x = sets._point(B, x)
@@ -118,7 +117,7 @@ def classify_sphere_direction(space: LpSpace, center, radius: float, x, v,
     d = space.norm(x - B.center)
     if abs(d - B.radius) > SPHERE_BAND * max(1.0, B.radius):
         raise ValueError("point must lie on the sphere")
-    return _sphere_class(space, B.center, B.radius, x, v, d, space.norm(v), tie_tol)
+    return _sphere_class(space, B.center, B.radius, x, v, d, space.norm(v))
 
 
 def _slope(space: LpSpace, xc: np.ndarray, d: float, v: np.ndarray, nv: float) -> float:
@@ -131,12 +130,12 @@ def _slope(space: LpSpace, xc: np.ndarray, d: float, v: np.ndarray, nv: float) -
 
 
 def _sphere_class(space: LpSpace, c: np.ndarray, radius: float, x: np.ndarray, v: np.ndarray,
-                  d: float, nv: float, tie_tol: float) -> BoundaryClass:
+                  d: float, nv: float) -> BoundaryClass:
     # x within the band of the sphere at d = ‖x - c‖, and nv = ‖v‖
     g = _slope(space, x - c, d, v, nv)
-    if g > tie_tol:
+    if g > TIE_TOL:
         return BoundaryClass("up", g)
-    if g < -tie_tol:
+    if g < -TIE_TOL:
         return BoundaryClass("down", g)
     scale = max(1.0, radius, d)
     for k in range(10, 25):
@@ -158,7 +157,7 @@ def _ball_clause(space: LpSpace, c: np.ndarray, radius: float, x: np.ndarray,
     if d > radius + band:
         g = _slope(space, xc, d, v, nv)
         return DerivativeResult((radius / d ** 2) * (d * v - g * nv * xc), "ball:exterior")
-    cls = _sphere_class(space, c, radius, x, v, d, nv, TIE_TOL)
+    cls = _sphere_class(space, c, radius, x, v, d, nv)
     if cls.tag == "down":
         return DerivativeResult(v.copy(), "ball:sphere-down")
     return DerivativeResult(v - (nv / radius) * cls.margin * xc, "ball:sphere-up")
@@ -199,7 +198,7 @@ def interior_derivative(space: LpSpace, C, x, v) -> DerivativeResult:
     positive cone's vertex) the projection is locally constant, so the
     derivative is 0.  Points in neither regime are refused.
     """
-    x = sets._vec(x)
+    x = sets._point(C, x)
     v = _direction(x, v)
     if isinstance(C, sets.Singleton):
         return DerivativeResult(np.zeros_like(v), "singleton")

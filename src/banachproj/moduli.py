@@ -66,34 +66,14 @@ __all__ = [
     "estimate_smoothness_modulus",
     "fit_power_type",
     "distance_bound_check",
-    "hilbert_convexity_modulus",
-    "hilbert_smoothness_modulus",
 ]
 
 
 def thread_count(requested: int | None = None) -> int:
-    """Worker cap: explicit argument, else BANACHPROJ_THREADS, else all cores."""
+    """Worker cap: the explicit argument, else all cores."""
     if requested is not None:
         return max(1, int(requested))
-    env = os.environ.get("BANACHPROJ_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ValueError(f"BANACHPROJ_THREADS must be an integer, got {env!r}") from exc
     return max(1, os.cpu_count() or 1)
-
-
-def hilbert_convexity_modulus(eps):
-    """Exact δ for p = 2: 1 - sqrt(1 - ε²/4)."""
-    eps = np.asarray(eps, dtype=float)
-    return 1.0 - np.sqrt(np.maximum(0.0, 1.0 - eps ** 2 / 4.0))
-
-
-def hilbert_smoothness_modulus(t):
-    """Exact ρ for p = 2: sqrt(1 + t²) - 1."""
-    t = np.asarray(t, dtype=float)
-    return np.sqrt(1.0 + t ** 2) - 1.0
 
 
 @dataclass
@@ -505,6 +485,9 @@ class BoundReport:
 DELTA_ENVELOPE_SHRINK = 0.9
 RHO_ENVELOPE_GROW = 1.1
 
+#: a row whose left side exceeds this multiple of the bound is an anomaly
+ANOMALY_FACTOR = 1.05
+
 
 def _delta_inverse_table(est: ModuliEstimate, fit: PowerFit):
     eps_max = float(est.epsilons.max())
@@ -527,12 +510,11 @@ def _rho_envelope(est: ModuliEstimate, fit: PowerFit, t: float) -> float:
 
 
 def distance_bound_check(space: LpSpace, C, pairs, est: ModuliEstimate,
-                         fit: PowerFit | None = None,
-                         anomaly_factor: float = 1.05) -> BoundReport:
+                         fit: PowerFit | None = None) -> BoundReport:
     """Check ‖Px - Py‖ <= k δ⁻¹(6 ρ(2‖x - y‖)) over explicit pairs.
 
     Uses conservative envelopes of the sampled moduli; rows violating the
-    bound by more than `anomaly_factor` are counted as anomalies.  Raises
+    bound by more than `ANOMALY_FACTOR` are counted as anomalies.  Raises
     when an argument of δ⁻¹ or ρ lands outside the estimated range.
     """
     if est.epsilons.size == 0 or est.ts.size == 0:
@@ -562,7 +544,7 @@ def distance_bound_check(space: LpSpace, C, pairs, est: ModuliEstimate,
                 f"(max {delta_top:g}); extend the epsilon grid or shrink the pairs"
             )
         rhs = k * float(np.interp(arg, inv_env, inv_grid))
-        ok = lhs <= anomaly_factor * rhs + 1e-12
+        ok = lhs <= ANOMALY_FACTOR * rhs + 1e-12
         if not ok:
             anomalies += 1
         rows.append((float(lhs), float(rhs), float(k), float(dist), bool(ok)))

@@ -157,7 +157,7 @@ class Ball(SetDescriptor):
         nj = space.dual_norm(j)
         if nj == 0.0:
             return self.center.copy()
-        return self.center + self.radius * (np.abs(j) / nj) ** (space.q - 1.0) * np.sign(j)
+        return self.center + self.radius * space._signed_power(j, space.q - 1.0, nj)
 
     def contains(self, space, x, eff):
         return space.norm(x - self.center) <= self.radius + eff
@@ -458,12 +458,15 @@ def _descriptor(C) -> SetDescriptor:
     return C
 
 
-def _point(C, x) -> np.ndarray:
-    """x checked as a point for C: finite, nonempty and 1-d, in C's dimension."""
+def _point(C, x, first: np.ndarray | None = None) -> np.ndarray:
+    """x checked as a point for C: finite, nonempty and 1-d, in C's dimension,
+    and in that of `first`, the call's first checked point, when given."""
     x = _vec(x)
     d = _descriptor(C).dim
     if d is not None and x.size != d:
         raise ValueError(f"point has dimension {x.size}, set expects {d}")
+    if first is not None and x.size != first.size:
+        raise ValueError(f"point has dimension {x.size}, first point has {first.size}")
     return x
 
 
@@ -527,7 +530,7 @@ def _param_distance_slope(space: LpSpace, base: np.ndarray, d: np.ndarray, t: fl
     # derivative of t |-> sum |base - t d|^p  (monotone increasing in t)
     r = base - t * d
     p = space.p
-    return float(-p * np.dot(np.abs(r) ** (p - 1.0) * np.sign(r), d))
+    return float(-p * np.dot(space._signed_power(r, p - 1.0), d))
 
 
 def _project_line_param(space: LpSpace, origin: np.ndarray, d: np.ndarray, x: np.ndarray,
@@ -628,7 +631,7 @@ def cone_translation_check(space: LpSpace, K, y, t: float, x,
     of u.  Returns True when the two projections agree with the law.
     """
     y = _point(K, y)
-    x = _point(K, x)
+    x = _point(K, x, y)
     if t <= 0.0:
         raise ValueError("the translation parameter must be positive")
     vertex = K.cone_vertex(y.size)
@@ -651,7 +654,7 @@ def dual_cone_residual(space: LpSpace, K, x, probes) -> float:
     the vertex; a negative value certifies that some probe beats v.
     """
     x = _point(K, x)
-    probes = [_point(K, z) for z in probes]
+    probes = [_point(K, z, x) for z in probes]
     if not probes:
         raise ValueError("at least one probe point is required")
     v = K.cone_vertex(x.size)

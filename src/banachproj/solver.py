@@ -83,7 +83,7 @@ def _objective(space: LpSpace, x: np.ndarray):
 
     def grad(z):
         r = x - z
-        return -p * np.abs(r) ** (p - 1.0) * np.sign(r)
+        return -p * space._signed_power(r, p - 1.0)
 
     return f, grad
 

@@ -100,13 +100,19 @@ class LpSpace:
             )
         return float(np.dot(phi, x))
 
+    @staticmethod
+    def _signed_power(x: np.ndarray, e: float, scale: float | None = None) -> np.ndarray:
+        # the ℓ_p power map |x / scale|^e sign(x), scale > 0; the sign is x's
+        # own, so a coordinate whose quotient underflows keeps its signed zero
+        a = np.abs(x) if scale is None else np.abs(x) / scale
+        return a ** e * np.sign(x)
+
     def _gradient_like(self, x: np.ndarray, expo: float) -> np.ndarray:
-        # common body of J and its inverse:  n * (|x|/n)^(e-1) * sign(x)
+        # common body of J and its inverse:  n * |x/n|^(e-1) * sign(x)
         nx = self._power_norm(x, expo)
         if nx == 0.0:
             return np.zeros_like(x)
-        scaled = np.abs(x) / nx
-        return nx * scaled ** (expo - 1.0) * np.sign(x)
+        return nx * self._signed_power(x, expo - 1.0, nx)
 
     def duality_map(self, x) -> np.ndarray:
         """Normalized duality mapping J: ⟨Jx, x⟩ = ‖x‖², ‖Jx‖_* = ‖x‖.

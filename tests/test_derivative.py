@@ -419,6 +419,19 @@ class TestInteriorDerivative:
             interior_derivative(space, CoordinateSubspace(free=[True, False]),
                                 [1.0, 0.0], [1.0, 0.0])
 
+    @pytest.mark.parametrize("C, x, v", [
+        (Singleton(y=[1.0, 2.0, 3.0]), [1.0], [1.0]),
+        (Ball(center=[0.0], radius=1.0), [0.1, 0.1], [1.0, 0.0]),
+        (Ball(center=[0.0, 0.0, 0.0], radius=1.0), [0.1, 0.1], [1.0, 0.0]),
+    ])
+    def test_point_in_the_wrong_dimension_refused(self, C, x, v):
+        with pytest.raises(ValueError, match=f"dimension {len(x)}, set expects {C.dim}"):
+            interior_derivative(LpSpace(3.0), C, x, v)
+
+    def test_non_descriptor_refused(self):
+        with pytest.raises(TypeError, match="unknown set descriptor"):
+            interior_derivative(LpSpace(3.0), "ball", [0.1, 0.1], [1.0, 0.0])
+
 
 class TestDirectionalDerivativeDispatch:
     def test_ball_route(self):

@@ -15,6 +15,7 @@ from banachproj import (
     estimate_convexity_modulus,
     estimate_smoothness_modulus,
     fit_power_type,
+    moduli,
 )
 from banachproj.moduli import (
     _gamma_magnitudes,
@@ -22,8 +23,6 @@ from banachproj.moduli import (
     _pin_pairs,
     _row_norms,
     _sphere_from_uniforms,
-    hilbert_convexity_modulus,
-    hilbert_smoothness_modulus,
     thread_count,
 )
 from oracles import exact_delta, exact_rho, hilbert_delta, hilbert_rho, lp_norm
@@ -62,34 +61,8 @@ class TestThreadCount:
         assert thread_count(0) == 1
         assert thread_count(-4) == 1
 
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("BANACHPROJ_THREADS", "5")
-        assert thread_count() == 5
-
-    def test_env_must_be_integer(self, monkeypatch):
-        monkeypatch.setenv("BANACHPROJ_THREADS", "zebra")
-        with pytest.raises(ValueError, match="BANACHPROJ_THREADS"):
-            thread_count()
-
-    def test_default_positive(self, monkeypatch):
-        monkeypatch.delenv("BANACHPROJ_THREADS", raising=False)
+    def test_default_positive(self):
         assert thread_count() >= 1
-
-
-class TestClosedForms:
-    def test_hilbert_delta_values(self):
-        assert hilbert_convexity_modulus(1.0) == pytest.approx(1.0 - math.sqrt(3.0) / 2.0)
-        assert hilbert_convexity_modulus(2.0) == pytest.approx(1.0)
-        assert hilbert_convexity_modulus(0.0) == 0.0
-
-    def test_hilbert_rho_values(self):
-        assert hilbert_smoothness_modulus(1.0) == pytest.approx(math.sqrt(2.0) - 1.0)
-        assert hilbert_smoothness_modulus(0.0) == 0.0
-
-    def test_vectorized(self):
-        eps = np.array([0.2, 0.7, 1.3])
-        np.testing.assert_allclose(hilbert_convexity_modulus(eps),
-                                   1.0 - np.sqrt(1.0 - eps ** 2 / 4.0))
 
 
 class TestConvexityEstimate:
@@ -355,12 +328,12 @@ class TestDistanceBoundCheck:
         assert report.anomalies == 0
         assert report.anomaly_rate == 0.0
 
-    def test_anomaly_counter_fires(self, est3, rng):
+    def test_anomaly_counter_fires(self, est3, rng, monkeypatch):
         # a zero tolerance factor flags every pair whose projections move
+        monkeypatch.setattr(moduli, "ANOMALY_FACTOR", 0.0)
         x = rng.normal(size=3) + 2.0
         pairs = [(x, x + np.array([0.01, -0.02, 0.015]))]
-        report = distance_bound_check(LpSpace(3.0), PositiveCone(), pairs, est3,
-                                      anomaly_factor=0.0)
+        report = distance_bound_check(LpSpace(3.0), PositiveCone(), pairs, est3)
         assert report.anomalies == 1
 
     def test_report_json(self, est3, rng):

@@ -501,6 +501,11 @@ class TestConeTranslation:
         with pytest.raises(ValueError):
             cone_translation_check(space, Ball(center=[0.0] * 3, radius=1.0), [1.0, 0.0, 0.0], 2.0, np.zeros(3))
 
+    def test_point_held_to_the_base_point_dimension(self):
+        # the cone pins no dimension, so x answers to y's
+        with pytest.raises(ValueError, match="dimension 3, first point has 1"):
+            cone_translation_check(LpSpace(3.0), PositiveCone(), [1.0], 2.0, [1.0, 1.0, -4.0])
+
 
 class TestDualConeResidual:
     def test_all_negative_point_has_nonnegative_margin(self):
@@ -525,6 +530,12 @@ class TestDualConeResidual:
             dual_cone_residual(space, PositiveCone(), np.zeros(3), [])
         with pytest.raises(ValueError):
             dual_cone_residual(space, PositiveCone(), np.zeros(3), [[-1.0, 0.0, 0.0]])
+
+    @pytest.mark.parametrize("probe", [[1.0], [1.0, 0.0]])
+    def test_probes_held_to_the_point_dimension(self, probe):
+        # the cone pins no dimension, so every probe answers to x's
+        with pytest.raises(ValueError, match=f"dimension {len(probe)}, first point has 3"):
+            dual_cone_residual(LpSpace(3.0), PositiveCone(), [-1.0, -1.0, -1.0], [probe])
 
 
 class TestProjectionMonotonicity:
