@@ -8,9 +8,9 @@ selects the tabular form for commands that have one (moduli, rate);
 everything else is JSON.  Without `--out` the report goes to stdout.
 
 Exit codes: 0 success, 1 a verify suite reported failures, 2 malformed
-config, arguments or input values, 3 infeasible set descriptor, 4 an
-iterative computation failed to converge or a numeric failure
-(ArithmeticError, e.g. a ray parameter overflow).
+config (a value of the wrong JSON type too), arguments or input values,
+3 infeasible set descriptor, 4 an iterative computation failed to converge
+or a numeric failure (ArithmeticError, e.g. a ray parameter overflow).
 
 Config keys by command (all vectors are plain JSON lists):
 
@@ -128,9 +128,28 @@ def _get_points(cfg: dict, n: int) -> list[np.ndarray]:
     return [_vector(entry, f"inputs[{i}]", n) for i, entry in enumerate(inputs)]
 
 
+def _section(cfg: dict, key: str) -> dict:
+    opts = cfg.get(key, {})
+    if not isinstance(opts, dict):
+        raise _ConfigError(f'"{key}" must be an object')
+    return opts
+
+
 def _given(opts: dict, **casts) -> dict:
-    # the options the config sets, each cast; the others keep the library's defaults
-    return {key: cast(opts[key]) for key, cast in casts.items() if key in opts}
+    # the options the config sets, each cast; the others keep their defaults.
+    # Every option is cast here, so a wrong-typed value is a config error.
+    given = {}
+    for key, cast in casts.items():
+        if key in opts:
+            try:
+                given[key] = cast(opts[key])
+            except (TypeError, ValueError) as exc:
+                raise _ConfigError(f"option {key!r}: {exc}") from exc
+    return given
+
+
+def _floats(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
 
 
 def _emit(report, out_path, csv_rows=None) -> None:
@@ -156,10 +175,7 @@ def _cmd_project(cfg: dict, seed: int, out) -> int:
     space, n = _get_space(cfg)
     C = _get_set(cfg, n)
     points = _get_points(cfg, n)
-    tols = cfg.get("tolerances", {})
-    if not isinstance(tols, dict):
-        raise _ConfigError('"tolerances" must be an object')
-    kw = _given(tols, max_iter=int, cert_tol=float)
+    kw = _given(_section(cfg, "tolerances"), max_iter=int, cert_tol=float)
     results = [solver.project_with_certificate(space, C, x, **kw) for x in points]
     report = _set_report("project", space, n, C)
     if len(points) == 1:
@@ -228,27 +244,23 @@ def _cmd_verify(cfg: dict, seed: int, out) -> int:
 
 def _cmd_moduli(cfg: dict, seed: int, out) -> int:
     space, n = _get_space(cfg)
-    opts = cfg.get("moduli", {})
-    if not isinstance(opts, dict):
-        raise _ConfigError('"moduli" must be an object')
+    opts = _section(cfg, "moduli")
     curve = opts.get("curve", "both")
     if curve not in ("delta", "rho", "both"):
         raise _ConfigError('moduli curve must be "delta", "rho" or "both"')
-    kw = {**_given(opts, budget=int, rounds=int), "threads": opts.get("threads")}
+    kw = _given(opts, budget=int, rounds=int, threads=int)
     est = None
     try:
         if curve in ("delta", "both"):
-            eps = opts.get("epsilons")
-            if eps is None:
+            if opts.get("epsilons") is None:
                 raise _ConfigError('delta estimation needs an "epsilons" grid')
             est = moduli_mod.estimate_convexity_modulus(
-                space.p, n, eps, seed=seed, **kw)
+                space.p, n, _given(opts, epsilons=_floats)["epsilons"], seed=seed, **kw)
         if curve in ("rho", "both"):
-            ts = opts.get("ts")
-            if ts is None:
+            if opts.get("ts") is None:
                 raise _ConfigError('rho estimation needs a "ts" grid')
             rho_est = moduli_mod.estimate_smoothness_modulus(
-                space.p, n, ts, seed=seed, **kw)
+                space.p, n, _given(opts, ts=_floats)["ts"], seed=seed, **kw)
             est = rho_est if est is None else est.merged_with(rho_est)
     except ValueError as exc:
         raise _ConfigError(str(exc)) from exc
@@ -274,9 +286,7 @@ def _cmd_rate(cfg: dict, seed: int, out) -> int:
     space, n = _get_space(cfg)
     C = _get_set(cfg, n)
     x = _get_vec(cfg, "x", n)
-    opts = cfg.get("rate", {})
-    if not isinstance(opts, dict):
-        raise _ConfigError('"rate" must be an object')
+    opts = _section(cfg, "rate")
     if "directions" in opts:
         try:
             dirs = [space.unit(np.asarray(d, dtype=float)) for d in opts["directions"]]
@@ -285,11 +295,11 @@ def _cmd_rate(cfg: dict, seed: int, out) -> int:
         if any(d.shape != (n,) for d in dirs):
             raise _ConfigError(f"rate directions must have length {n}")
     else:
-        count = int(opts.get("count", 8))
+        count = _given(opts, count=int).get("count", 8)
         rng = np.random.default_rng(seed)
         dirs = [space.unit(rng.standard_normal(n)) for _ in range(count)]
-    k_min = int(opts.get("k_min", 8))
-    k_max = int(opts.get("k_max", 20))
+    steps = _given(opts, k_min=int, k_max=int)
+    k_min, k_max = steps.get("k_min", 8), steps.get("k_max", 20)
     if k_max <= k_min:
         raise _ConfigError("rate schedule needs k_max > k_min")
     sched = StepSchedule(
@@ -326,7 +336,7 @@ def main(argv=None) -> int:
 
     try:
         cfg = _load_config(args.config)
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+        seed = args.seed if args.seed is not None else _given(cfg, seed=int).get("seed", 0)
         out = args.out if args.out is not None else cfg.get("output_path")
         return _COMMANDS[args.command](cfg, seed, out)
     except _ConfigError as exc:

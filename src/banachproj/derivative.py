@@ -232,25 +232,24 @@ _CLOSED_FORMS = {
 }
 
 
-def directional_derivative(space: LpSpace, C, x, v,
-                           schedule: StepSchedule | None = None) -> DerivativeResult:
+def directional_derivative(space: LpSpace, C, x, v) -> DerivativeResult:
     """One-sided derivative of the projection onto C, any descriptor.
 
     x and v must be finite and v nonzero, for every set type.  A descriptor
     whose class has an entry in `_CLOSED_FORMS` (balls, the positive cone,
     coordinate subspaces, singletons) gets its exact clause at every base
     point.  The others (segments, rays, polytopes) are differenced
-    numerically and labeled "numeric"; for iterative projections
-    (C.solver_tol > 0) the schedule is truncated so the solver's tolerance
-    cannot pollute the quotients.  Non-convergence raises ConvergenceError.
+    numerically on the default `StepSchedule` and labeled "numeric" (for an
+    iterative C.solver_tol > 0, at a 1e-4 window and without steps below the
+    solver's noise).  Non-convergence raises ConvergenceError.
     """
     x = sets._point(C, x)
     v = _direction(x, v)
     closed_form = _CLOSED_FORMS.get(type(C))
     if closed_form is not None:
         return closed_form(space, C, x, v)
-    if C.solver_tol > 0.0:   # iterative: a looser window, no steps below the solver's noise
-        schedule = (schedule or StepSchedule(quotient_tol=1e-4)).truncated(C.solver_tol)
+    schedule = (StepSchedule(quotient_tol=1e-4).truncated(C.solver_tol)
+                if C.solver_tol > 0.0 else None)
     est = numdiff_derivative(space, lambda z: solver.project(space, C, z), x, v, schedule)
     if not est.converged:
         raise ConvergenceError(

@@ -53,7 +53,7 @@ __all__ = [
     "dual_cone_residual",
 ]
 
-#: membership tolerance default, scaled by max(1, ||x||) at the call site
+#: membership tolerance default, scaled by max(1, ||x||) in `_tolerance`
 MEMBERSHIP_TOL = 1e-9
 
 
@@ -470,12 +470,9 @@ def _point(C, x, first: np.ndarray | None = None) -> np.ndarray:
     return x
 
 
-def _tolerance(space: LpSpace, x: np.ndarray, tol: float | None) -> float:
-    # the scale-aware membership default, or tol as given
-    eff = MEMBERSHIP_TOL * max(1.0, space.norm(x)) if tol is None else float(tol)
-    if eff < 0.0:
-        raise ValueError("tolerance must be nonnegative")
-    return eff
+def _tolerance(space: LpSpace, *points: np.ndarray) -> float:
+    # the scale-aware membership default, at the scale of the largest point
+    return MEMBERSHIP_TOL * max(1.0, *(space.norm(z) for z in points))
 
 
 def descriptor_to_json(C) -> dict:
@@ -507,7 +504,10 @@ def contains(space: LpSpace, C, x, tol: float | None = None) -> bool:
     solver only when their exact test is inconclusive and tol > 0.
     """
     x = _point(C, x)
-    return C.contains(space, x, _tolerance(space, x, tol))
+    eff = _tolerance(space, x) if tol is None else float(tol)
+    if eff < 0.0:
+        raise ValueError("tolerance must be nonnegative")
+    return C.contains(space, x, eff)
 
 
 def support(space: LpSpace, C, j, x, box: float) -> np.ndarray | None:
@@ -569,7 +569,7 @@ def _line_point(space: LpSpace, origin: np.ndarray, d: np.ndarray, x: np.ndarray
 
 # -- structure of inverse images --------------------------------------------
 
-def classify_point(space: LpSpace, C, y, tol: float | None = None) -> PointClass:
+def classify_point(space: LpSpace, C, y) -> PointClass:
     """Internal / cuticle partition of y ∈ C, with a canonical witness.
 
     A point is internal when it is its own entire inverse image under the
@@ -581,7 +581,7 @@ def classify_point(space: LpSpace, C, y, tol: float | None = None) -> PointClass
     descriptors are refused before membership is tested.
     """
     y = _point(C, y)
-    eff = _tolerance(space, y, tol)
+    eff = _tolerance(space, y)
     tag = C.classify(space, y, eff)   # the types without a rule refuse here
     if not C.contains(space, y, eff):
         raise ValueError("point must belong to the set")
@@ -604,8 +604,7 @@ def orthogonal_cone_residual(space: LpSpace, free, x) -> float:
     return float(np.max(np.abs(jx[mask])))
 
 
-def inverse_image_ray_check(space: LpSpace, center, radius: float, y, t: float,
-                            tol: float | None = None) -> bool:
+def inverse_image_ray_check(space: LpSpace, center, radius: float, y, t: float) -> bool:
     """Does y + t(y - center) still project onto the sphere point y?
 
     For y on the sphere the inverse image of y under the ball projection
@@ -616,13 +615,12 @@ def inverse_image_ray_check(space: LpSpace, center, radius: float, y, t: float,
     y = _point(B, y)
     if t < 0.0:
         raise ValueError("ray parameter must be nonnegative")
-    eff = _tolerance(space, y, tol)
+    eff = _tolerance(space, y)
     probe = _vec(y + t * (y - B.center))   # a new point, which can overflow
     return space.norm(B.project(space, probe) - y) <= eff
 
 
-def cone_translation_check(space: LpSpace, K, y, t: float, x,
-                           tol: float | None = None) -> bool:
+def cone_translation_check(space: LpSpace, K, y, t: float, x) -> bool:
     """Translation law along cone cross sections.
 
     For a cone K with vertex v, a point y in K, and u = v + t (y - v) on
@@ -635,12 +633,12 @@ def cone_translation_check(space: LpSpace, K, y, t: float, x,
     if t <= 0.0:
         raise ValueError("the translation parameter must be positive")
     vertex = K.cone_vertex(y.size)
-    if not K.contains(space, y, _tolerance(space, y, tol)):
+    if not K.contains(space, y, _tolerance(space, y)):
         raise ValueError("base point must belong to the cone")
     from .solver import project
 
     u = vertex + t * (y - vertex)
-    eff = MEMBERSHIP_TOL * max(1.0, space.norm(y), space.norm(x)) if tol is None else float(tol)
+    eff = _tolerance(space, y, x)
     lhs = space.norm(K.project(space, x) - y) <= eff
     rhs = space.norm(project(space, K, x + (u - y)) - u) <= eff
     return lhs == rhs
@@ -659,7 +657,7 @@ def dual_cone_residual(space: LpSpace, K, x, probes) -> float:
         raise ValueError("at least one probe point is required")
     v = K.cone_vertex(x.size)
     for z in probes:
-        if not K.contains(space, z, _tolerance(space, z, None)):
+        if not K.contains(space, z, _tolerance(space, z)):
             raise ValueError("every probe must belong to the cone")
     j = space.duality_map(x - v)
     return min(space.pairing(j, v - z) for z in probes)

@@ -30,6 +30,16 @@ from .space import LpSpace
 
 __all__ = ["CheckResult", "SuiteReport", "SUITES", "run_suite"]
 
+# The bound each suite holds its checks to; a check's detail prints it.
+DUALITY_TOL = 1e-12       # pairing and dual norm, relative
+ROUNDTRIP_TOL = 1e-10     # J*(Jx) = x, relative: two powers deep
+BALL_TOL = 1e-10
+CONE_TOL = 1e-12
+SUBSPACE_TOL = 1e-12
+ANNIHILATOR_TOL = 1e-10   # J(x - Px) on the free coordinates
+PROPERTIES4_TOL = 1e-8
+HILBERT_TOL = 1e-10
+
 
 @dataclass
 class CheckResult:
@@ -94,8 +104,7 @@ def _sample(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
     return rng.standard_normal((count, n)) * rng.uniform(0.2, 3.0, (count, 1))
 
 
-def duality_suite(p: float = 3.0, n: int = 4, count: int = 1000, seed: int = 0,
-                  tol: float = 1e-12, roundtrip_tol: float = 1e-10) -> SuiteReport:
+def duality_suite(p: float = 3.0, n: int = 4, count: int = 1000, seed: int = 0) -> SuiteReport:
     """Duality-map identities on random nonzero vectors (vectorized)."""
     space = LpSpace(p)
     rng = np.random.default_rng(seed)
@@ -106,24 +115,23 @@ def duality_suite(p: float = 3.0, n: int = 4, count: int = 1000, seed: int = 0,
     norms = np.sum(np.abs(X) ** p, axis=1) ** (1.0 / p)
     J = norms[:, None] * (np.abs(X) / norms[:, None]) ** (p - 1.0) * np.sign(X)
     pair_dev = np.abs(np.sum(J * X, axis=1) - norms ** 2) / norms ** 2
-    col.worst("pairing <Jx,x> = |x|^2 (relative)", float(pair_dev.max()), tol)
+    col.worst("pairing <Jx,x> = |x|^2 (relative)", float(pair_dev.max()), DUALITY_TOL)
 
     q = p / (p - 1.0)
     dual_norms = np.sum(np.abs(J) ** q, axis=1) ** (1.0 / q)
     dn_dev = np.abs(dual_norms - norms) / norms
-    col.worst("dual norm |Jx|_q = |x|_p (relative)", float(dn_dev.max()), tol)
+    col.worst("dual norm |Jx|_q = |x|_p (relative)", float(dn_dev.max()), DUALITY_TOL)
 
     back = dual_norms[:, None] * (np.abs(J) / dual_norms[:, None]) ** (q - 1.0) * np.sign(J)
     rt_dev = np.max(np.abs(back - X), axis=1) / norms
-    col.worst("round trip J*(Jx) = x (relative)", float(rt_dev.max()), roundtrip_tol)
+    col.worst("round trip J*(Jx) = x (relative)", float(rt_dev.max()), ROUNDTRIP_TOL)
 
     j_single = np.array([space.duality_map(x) for x in X[:20]])
     col.worst("vectorized J matches scalar API", float(np.max(np.abs(j_single - J[:20]))), 1e-13)
     return col.report()
 
 
-def ball_suite(p: float = 3.0, n: int = 4, count: int = 200, seed: int = 1,
-               tol: float = 1e-10, cert_tol: float = 1e-8) -> SuiteReport:
+def ball_suite(p: float = 3.0, n: int = 4, count: int = 200, seed: int = 1) -> SuiteReport:
     """Ball projection: membership, idempotence, radial formula, certificate."""
     space = LpSpace(p)
     rng = np.random.default_rng(seed)
@@ -143,16 +151,15 @@ def ball_suite(p: float = 3.0, n: int = 4, count: int = 200, seed: int = 1,
         expected = x if d <= r else c + (r / d) * (x - c)
         worst_radial = max(worst_radial, space.norm(u - expected))
         worst_cert = min(worst_cert, res.residual)
-    col.worst("projection stays in the ball", worst_member, tol)
-    col.worst("idempotence P(Px) = Px", worst_idem, tol)
-    col.worst("matches the radial closed form", worst_radial, tol)
-    col.check("variational residual nonnegative", worst_cert >= -cert_tol,
+    col.worst("projection stays in the ball", worst_member, BALL_TOL)
+    col.worst("idempotence P(Px) = Px", worst_idem, BALL_TOL)
+    col.worst("matches the radial closed form", worst_radial, BALL_TOL)
+    col.check("variational residual nonnegative", worst_cert >= -solver.CERT_TOL,
               f"min residual {worst_cert:.3e}")
     return col.report()
 
 
-def cone_suite(p: float = 3.0, n: int = 4, count: int = 200, seed: int = 2,
-               tol: float = 1e-12, cert_tol: float = 1e-8) -> SuiteReport:
+def cone_suite(p: float = 3.0, n: int = 4, count: int = 200, seed: int = 2) -> SuiteReport:
     """Positive-cone projection: clipping law, membership, certificate,
     and the coordinatewise derivative on random sign patterns."""
     space = LpSpace(p)
@@ -173,16 +180,15 @@ def cone_suite(p: float = 3.0, n: int = 4, count: int = 200, seed: int = 2,
         got = directional_derivative(space, C, x, v).value
         keep = (x > 0.0) | ((x == 0.0) & (v >= 0.0))
         worst_deriv = max(worst_deriv, float(np.max(np.abs(got - np.where(keep, v, 0.0)))))
-    col.worst("projection equals coordinatewise clipping", worst_clip, tol)
-    col.worst("projection lands in the cone", worst_member, tol)
-    col.check("variational residual nonnegative", worst_cert >= -cert_tol,
+    col.worst("projection equals coordinatewise clipping", worst_clip, CONE_TOL)
+    col.worst("projection lands in the cone", worst_member, CONE_TOL)
+    col.check("variational residual nonnegative", worst_cert >= -solver.CERT_TOL,
               f"min residual {worst_cert:.3e}")
-    col.worst("derivative keeps exactly the active coordinates", worst_deriv, tol)
+    col.worst("derivative keeps exactly the active coordinates", worst_deriv, CONE_TOL)
     return col.report()
 
 
-def subspace_suite(p: float = 3.0, n: int = 5, count: int = 200, seed: int = 3,
-                   tol: float = 1e-12, ortho_tol: float = 1e-10) -> SuiteReport:
+def subspace_suite(p: float = 3.0, n: int = 5, count: int = 200, seed: int = 3) -> SuiteReport:
     """Coordinate-subspace projection: masking law, membership, and the
     duality-orthogonality of the residual x - Px."""
     space = LpSpace(p)
@@ -203,10 +209,10 @@ def subspace_suite(p: float = 3.0, n: int = 5, count: int = 200, seed: int = 3,
         worst_idem = max(worst_idem, space.norm(solver.project(space, C, u) - u))
         if space.norm(x - u) > 1e-12:
             worst_ortho = max(worst_ortho, orthogonal_cone_residual(space, free, x - u))
-    col.worst("projection zeroes the masked coordinates", worst_mask, tol)
-    col.worst("projection lies in the subspace", worst_member, tol)
-    col.worst("idempotence P(Px) = Px", worst_idem, tol)
-    col.worst("J(x - Px) vanishes on the free coordinates", worst_ortho, ortho_tol)
+    col.worst("projection zeroes the masked coordinates", worst_mask, SUBSPACE_TOL)
+    col.worst("projection lies in the subspace", worst_member, SUBSPACE_TOL)
+    col.worst("idempotence P(Px) = Px", worst_idem, SUBSPACE_TOL)
+    col.worst("J(x - Px) vanishes on the free coordinates", worst_ortho, ANNIHILATOR_TOL)
     return col.report()
 
 
@@ -229,8 +235,7 @@ def _random_sets(rng: np.random.Generator, n: int):
     yield PolytopeH(normals=np.vstack([eye, -eye]), offsets=np.concatenate([hi, -lo]))
 
 
-def properties4_suite(p: float = 3.0, n: int = 3, count: int = 25, seed: int = 4,
-                      tol: float = 1e-8, cert_tol: float = 1e-8) -> SuiteReport:
+def properties4_suite(p: float = 3.0, n: int = 3, count: int = 25, seed: int = 4) -> SuiteReport:
     """The four defining projection properties on every supported set type:
     membership of Px, idempotence, fixing of points already in the set, and
     minimality against random competitors from the set."""
@@ -255,16 +260,15 @@ def properties4_suite(p: float = 3.0, n: int = 3, count: int = 25, seed: int = 4
                 worst_min = max(worst_min, d - space.norm(x - z))
     col.check("projection lands in the set", worst_member_fail == 0,
               f"{worst_member_fail} membership failures")
-    col.worst("idempotence P(Px) = Px", worst_idem, tol)
-    col.worst("points of the set are fixed", worst_fix, tol)
-    col.worst("no sampled member beats the projection", worst_min, tol)
-    col.check("variational residual nonnegative", worst_cert >= -cert_tol,
+    col.worst("idempotence P(Px) = Px", worst_idem, PROPERTIES4_TOL)
+    col.worst("points of the set are fixed", worst_fix, PROPERTIES4_TOL)
+    col.worst("no sampled member beats the projection", worst_min, PROPERTIES4_TOL)
+    col.check("variational residual nonnegative", worst_cert >= -solver.CERT_TOL,
               f"min residual {worst_cert:.3e}")
     return col.report()
 
 
-def hilbert_suite(n: int = 4, count: int = 300, seed: int = 5,
-                  tol: float = 1e-10) -> SuiteReport:
+def hilbert_suite(n: int = 4, count: int = 300, seed: int = 5) -> SuiteReport:
     """p = 2 degeneracies: J is the identity, the smoothness functionals
     collapse to the inner product, projections are nonexpansive, and the
     sphere derivative takes its classical closed form."""
@@ -290,10 +294,10 @@ def hilbert_suite(n: int = 4, count: int = 300, seed: int = 5,
             expected = (v - (x @ v) * x / nx ** 2) / nx
             worst_form = max(worst_form, float(np.max(np.abs(got - expected))))
     col.worst("duality map is the identity", worst_j, 1e-12)
-    col.worst("norm derivative equals the inner product", worst_psi, tol)
+    col.worst("norm derivative equals the inner product", worst_psi, HILBERT_TOL)
     col.check("projection onto the ball is nonexpansive",
               worst_expand <= 1e-10, f"worst expansion {worst_expand:.3e}")
-    col.worst("exterior sphere derivative takes the classical form", worst_form, tol)
+    col.worst("exterior sphere derivative takes the classical form", worst_form, HILBERT_TOL)
     return col.report()
 
 

@@ -45,9 +45,11 @@ def test_criterion_01_duality_identities():
     total = 0
     for i, p in enumerate((1.5, 2.0, 3.0, 4.0)):
         for j, n in enumerate((2, 3, 5, 8)):
-            report = duality_suite(p=p, n=n, count=650, seed=100 + 16 * i + j,
-                                   tol=1e-12, roundtrip_tol=1e-10)
+            report = duality_suite(p=p, n=n, count=650, seed=100 + 16 * i + j)
             assert report.passed, f"p={p} n={n}:\n{report.summary()}"
+            # judged at 1e-12 (pairing, dual norm) and 1e-10 (round trip)
+            bounds = [c.detail.rsplit("tol ", 1)[1] for c in report.checks[:3]]
+            assert bounds == ["1e-12", "1e-12", "1e-10"]
             total += 650
     elapsed = time.time() - t0
     assert total >= 10_000

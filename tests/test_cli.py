@@ -27,6 +27,30 @@ HARD_ROWS = [
 ]
 HARD_X = [-2.574242744582038, -2.8951062404988717, 8.042390089502893]
 
+# one config per command, and options of the wrong JSON type:
+# (command, section holding the key or None for the root, key, value)
+CONFIGS = {
+    "project": {"space": {"p": 2, "n": 2}, "set": {"type": "ball", "center": [0, 0], "radius": 1},
+                "inputs": {"x": [2, 0]}, "tolerances": {"max_iter": 10, "cert_tol": 1e-8}},
+    "verify": {"suite": "hilbert", "count": 5, "seed": 1},
+    "moduli": {"space": {"p": 2, "n": 2},
+               "moduli": {"curve": "delta", "epsilons": [0.5, 1.0], "budget": 500, "threads": 1}},
+    "rate": {"space": {"p": 2, "n": 2}, "set": {"type": "positive_cone"}, "inputs": {"x": [1, -1]},
+             "rate": {"count": 2, "k_min": 8, "k_max": 12, "window": 3}},
+}
+WRONG_TYPES = [
+    ("moduli", "moduli", "budget", None),
+    ("moduli", "moduli", "threads", [2]),
+    ("moduli", "moduli", "epsilons", {"a": 1}),
+    ("verify", None, "seed", None),
+    ("verify", None, "count", None),
+    ("rate", "rate", "count", [3]),
+    ("rate", "rate", "k_min", None),
+    ("rate", "rate", "window", []),
+    ("project", "tolerances", "max_iter", [1]),
+    ("project", "tolerances", "cert_tol", None),
+]
+
 
 def run_cli(tmp_path, command, cfg, *extra):
     path = tmp_path / "config.json"
@@ -416,6 +440,18 @@ class TestErrors:
     def test_unknown_command_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["nonsense", "--config", "whatever.json"])
+
+    @pytest.mark.parametrize("command, section, key, value", WRONG_TYPES,
+                             ids=[f"{c}-{k}" for c, _, k, _ in WRONG_TYPES])
+    def test_wrong_typed_option_is_a_config_error(self, tmp_path, command, section, key, value):
+        # each was once a TypeError traceback with exit code 1
+        cfg = json.loads(json.dumps(CONFIGS[command]))
+        (cfg[section] if section else cfg)[key] = value
+        code, out, err = run_cli(tmp_path, command, cfg)
+        assert code == 2
+        assert f"config error: option {key!r}" in err
+        assert "Traceback" not in err
+        assert out == ""
 
 
 class TestReporting:

@@ -489,13 +489,14 @@ class TestDirectionalDerivativeDispatch:
         assert_allclose(res.value, [0.0, 0.0], atol=1e-8)
 
     def test_non_convergence_raises_with_trace(self):
-        space = LpSpace(3.0)
-        sched = StepSchedule(t_values=(0.25, 0.125, 0.0625), quotient_tol=1e-18, window=3)
+        # a ray at p = 1.5 whose quotients do not settle on the default schedule
+        C = Ray(v=[-1.7071722930695223, 0.1279844920146543, 0.178204753456251],
+                dir=[2.18312868735204, -0.17866300936309754, 1.021424079171613])
+        x = [2.390407444638451, -0.12213351078248753, 0.15360200687515327]
+        v = [-0.4298437372777596, 1.7751592107843002, -1.5084321712555864]
         with pytest.raises(ConvergenceError) as exc:
-            directional_derivative(space, Segment(u=[0.0, 0.0], w=[0.3, 0.9]),
-                                   np.array([1.0, 0.0]), np.array([0.0, 1.0]),
-                                   schedule=sched)
-        assert len(exc.value.trace) == 3
+            directional_derivative(LpSpace(1.5), C, x, v)
+        assert len(exc.value.trace) == len(StepSchedule().t_values) == 23
 
     def test_unknown_descriptor(self):
         space = LpSpace(2.0)

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from banachproj import solver
+from banachproj import solver, verify
 from banachproj.verify import CheckResult, SUITES, SuiteReport, run_suite
 
 
@@ -26,10 +26,11 @@ class TestSuitesPass:
 
 
 class TestFailureAccounting:
-    def test_impossible_tolerance_fails(self):
+    def test_impossible_tolerance_fails(self, monkeypatch):
         # a negative tolerance cannot be met by any deviation, so exactly
         # the round-trip check must flip
-        report = run_suite("duality", count=50, roundtrip_tol=-1.0)
+        monkeypatch.setattr(verify, "ROUNDTRIP_TOL", -1.0)
+        report = run_suite("duality", count=50)
         assert not report.passed
         assert report.failures == 1
         assert "FAIL" in report.summary()
