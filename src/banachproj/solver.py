@@ -257,13 +257,14 @@ def _project_hrep(space: LpSpace, C: sets.PolytopeH, x: np.ndarray,
             # one: interleaving it with the steps stalls the iteration on
             # coupled rows, where clipping and the gradient direction fight.
             # At an exact optimum it is a no-op, so accepting it is always
-            # safe; re-enter the gradient phase only on a material decrease.
+            # safe; re-enter the gradient phase only on a material decrease,
+            # and only while the budget has a step left to count it.
             polished = _coordinate_polish(C, x, u)
             f_cur = f(u)
             f_pol = f(polished)
             if f_pol <= f_cur:
                 u = polished
-                if f_cur - f_pol > 1e-15 * max(1.0, f_cur):
+                if f_cur - f_pol > 1e-15 * max(1.0, f_cur) and iterations < max_iter:
                     iterations += 1
                     continue
             break

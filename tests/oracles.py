@@ -250,3 +250,37 @@ def exact_rho(p, t):
     if p <= 2.0:
         return (1.0 + t ** p) ** (1.0 / p) - 1.0
     return (((1.0 + t) ** p + np.abs(1.0 - t) ** p) / 2.0) ** (1.0 / p) - 1.0
+
+
+def bisection_pin(p, X, Y, eps):
+    """Pin each y to ‖x - y‖_p = eps on the feasible side, by bisection.
+
+    The twin of `moduli._pin_pairs`: the same sphere path from y toward x
+    (too far) or -x (too close), cut by 52 bisection steps, ending on the
+    bracket end with ‖x - y‖ >= eps.  Rows are summed in order, which is
+    NumPy's own order for the few columns used here.
+    """
+    def norms(M):
+        return np.sum(np.abs(M) ** p, axis=1) ** (1.0 / p)
+
+    def unit(M):
+        nr = norms(M)
+        return M / np.where(nr < 1e-300, 1.0, nr)[:, None]
+
+    X = np.asarray(X, dtype=float)
+    Y = np.array(Y, dtype=float)
+    if eps >= 2.0 - 1e-12:
+        return -X
+    coincident = norms(X - Y) < 1e-9
+    Y[coincident] = unit(np.roll(X[coincident], 1, axis=1))
+    toward_x = norms(X - Y) >= eps
+    E = np.where(toward_x[:, None], X, -X)
+    lo = np.zeros(len(X))
+    hi = np.ones(len(X))
+    for _ in range(52):
+        mid = 0.5 * (lo + hi)
+        move_lo = (norms(X - unit((1.0 - mid)[:, None] * Y + mid[:, None] * E)) >= eps) == toward_x
+        lo = np.where(move_lo, mid, lo)
+        hi = np.where(move_lo, hi, mid)
+    tau = np.where(toward_x, lo, hi)
+    return unit((1.0 - tau)[:, None] * Y + tau[:, None] * E)

@@ -25,7 +25,7 @@ from banachproj.moduli import (
     _sphere_from_uniforms,
     thread_count,
 )
-from oracles import exact_delta, exact_rho, hilbert_delta, hilbert_rho, lp_norm
+from oracles import bisection_pin, exact_delta, exact_rho, hilbert_delta, hilbert_rho, lp_norm
 
 # Small budgets keep the suite fast.  The classical extremal families are
 # planted as search seeds, so the p = 2 values are machine-exact even here;
@@ -297,6 +297,83 @@ class TestPinPairs:
         norms = np.array([lp_norm(y, p) for y in pinned])
         np.testing.assert_allclose(dists, 0.7, atol=1e-9)
         np.testing.assert_allclose(norms, 1.0, atol=1e-9)
+
+
+PIN_P = [1.05, 1.5, 3.0, 8.0]
+PIN_N = [2, 3, 5]
+PIN_EPS = [1e-3, 0.05, 0.5, 1.9, 1.999]
+
+
+def _pin_batch(p, n):
+    """Sphere pairs: random rows, then coincident rows, rows next to x and
+    rows next to -x, so that both path directions run at every eps < 2."""
+    rng = np.random.default_rng([15, n, int(100 * p)])
+    X = _sphere_from_uniforms(rng.random((600, n)), p)
+    Y = _sphere_from_uniforms(rng.random((600, n)), p)
+    Y[:40] = X[:40]
+    Y[40:80] = X[40:80] + 1e-4 * rng.standard_normal((40, n))
+    Y[80:120] = -X[80:120] + 1e-4 * rng.standard_normal((40, n))
+    Y[40:120] /= np.array([lp_norm(y, p) for y in Y[40:120]])[:, None]
+    return X, Y
+
+
+def _scores(p, X, Z):
+    return 1.0 - np.sum(np.abs(0.5 * (X + Z)) ** p, axis=1) ** (1.0 / p)
+
+
+class TestPinFeasibleSide:
+    # δ is reported as an upper bound because every pinned pair is feasible
+    # as computed: ‖x - y‖ >= eps holds bit for bit, not within a tolerance
+    @pytest.mark.parametrize("p", PIN_P)
+    @pytest.mark.parametrize("n", PIN_N)
+    def test_every_row_is_feasible_and_on_the_sphere(self, p, n):
+        X, Y = _pin_batch(p, n)
+        for eps in PIN_EPS:
+            d0 = _row_norms(X - Y, p)
+            assert (d0 >= eps).any() and (d0 < eps).any()
+            Z = _pin_pairs(p, X, Y, eps)
+            assert np.all(_row_norms(X - Z, p) >= eps)
+            norms = np.sum(np.abs(Z) ** p, axis=1) ** (1.0 / p)
+            assert np.max(np.abs(norms - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("eps", [1e-300, 1e-17])
+    def test_separation_below_rounding_keeps_y_at_x(self, eps):
+        # ‖x - unit(x)‖ already clears eps, so the whole path is feasible
+        # and each y ends at its x, up to the rounding of the sphere map
+        X, Y = _pin_batch(3.0, 3)
+        d = _row_norms(X - _pin_pairs(3.0, X, Y, eps), 3.0)
+        assert np.all(d >= eps) and np.all(d <= 1e-15)
+
+    @pytest.mark.parametrize("p", PIN_P)
+    def test_antipodal_limit(self, p):
+        # at eps = 2 the only feasible partner of x is -x; its computed
+        # distance is 2 up to the rounding of the sphere samples
+        X, Y = _pin_batch(p, 3)
+        Z = _pin_pairs(p, X, Y, 2.0)
+        assert np.array_equal(Z, -X)
+        np.testing.assert_allclose(_row_norms(X - Z, p), 2.0, rtol=4e-16, atol=0.0)
+
+    @pytest.mark.parametrize("p", PIN_P)
+    @pytest.mark.parametrize("n", PIN_N)
+    def test_scores_match_the_bisection_twin(self, p, n):
+        # rows 40-120 start next to x or -x, so their path passes next to the
+        # origin, where one ulp of the path parameter moves ‖x - z‖ by up to
+        # about 3e-9: both searches stop there with ‖x - z‖ - eps up to that
+        # size, and their scores agree only to about 1e-10
+        X, Y = _pin_batch(p, n)
+        X, Y = np.vstack([X[:40], X[120:]]), np.vstack([Y[:40], Y[120:]])
+        for eps in PIN_EPS + [2.0]:
+            got = _scores(p, X, _pin_pairs(p, X, Y, eps))
+            want = _scores(p, X, bisection_pin(p, X, Y, eps))
+            assert np.max(np.abs(got - want)) <= 1e-11
+
+    @pytest.mark.parametrize("p", [1.05, 3.0])
+    def test_rows_do_not_depend_on_their_batch(self, p):
+        X, Y = _pin_batch(p, 3)
+        for eps in PIN_EPS:
+            full = _pin_pairs(p, X, Y, eps)
+            for a, b in [(0, 1), (30, 130), (100, 600), (250, 260)]:
+                assert np.array_equal(_pin_pairs(p, X[a:b], Y[a:b], eps), full[a:b])
 
 
 class TestDistanceBoundCheck:

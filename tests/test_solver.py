@@ -379,6 +379,24 @@ class TestIterationBudget:
         assert full.residual >= -CERT_TOL
         assert full.distance <= capped.distance + 1e-12
 
+    def test_polish_after_a_spent_budget_is_kept_but_not_counted(self, monkeypatch):
+        # the gradient phase hands back a poor point with the budget spent;
+        # the polish that follows improves it and must not push the count
+        # past max_iter
+        import banachproj.solver as solver_mod
+        space = LpSpace(3.0)
+        C = PolytopeH(normals=np.vstack([np.eye(2), -np.eye(2)]), offsets=np.ones(4))
+        x = np.array([3.0, 0.5])
+        monkeypatch.setattr(solver_mod, "_conditional_gradient",
+                            lambda space, C, x, u, box, iterations, max_iter, cert_tol:
+                            (np.zeros(2), max_iter))
+        monkeypatch.setattr(solver_mod, "_coordinate_polish",
+                            lambda C, x, u: np.clip(x, -1.0, 1.0))
+        for max_iter in (5, 50):
+            cert = project_with_certificate(space, C, x, max_iter=max_iter)
+            assert cert.iterations <= max_iter
+            assert np.array_equal(cert.point, [1.0, 0.5])
+
 
 # one 2-d descriptor of every type that pins its dimension
 PINNED_2D = {
