@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Every run reads one JSON config file; `--seed` and `--out` override the
-`seed` and `output_path` keys.  Reports are written with fixed float
-formatting (17 significant digits) and stable key order, so identical
-configs produce byte-identical files.  An `--out` ending in `.csv`
+`seed` and `output_path` keys.  Each config value is read and cast once,
+by `_given` (or `_require` for a required key), so a value of the wrong
+JSON type is a config error.  Reports are written by `reporting` with
+fixed float formatting (17 significant digits) and stable key order, so
+identical configs produce byte-identical files.  An `--out` ending in `.csv`
 selects the tabular form for commands that have one (moduli, rate);
 everything else is JSON.  Without `--out` the report goes to stdout.
 
@@ -19,8 +21,7 @@ Config keys by command (all vectors are plain JSON lists):
   classify    space, set, inputs{x}
   verify      suite, count?, seed?, space?
   moduli      space, moduli{curve,epsilons?,ts?,budget?,rounds?,fit?,threads?}
-  rate        space, set, inputs{x}, rate{directions|count,k_min?,k_max?,
-              quotient_tol?,window?}
+  rate        space, set, inputs{x}, rate{directions|count,k_min?,k_max?}
 """
 from __future__ import annotations
 
@@ -64,21 +65,54 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _require(cfg: dict, key: str):
+def _given(opts: dict, **casts) -> dict:
+    # the options the config sets, each cast; the others keep their defaults.
+    # Every config value is read here, so a wrong-typed one is a config error.
+    given = {}
+    for key, cast in casts.items():
+        if key in opts:
+            try:
+                given[key] = cast(opts[key])
+            except (TypeError, ValueError) as exc:
+                raise _ConfigError(f"option {key!r}: {exc}") from exc
+    return given
+
+
+def _require(cfg: dict, key: str, cast=lambda value: value):
     if key not in cfg:
         raise _ConfigError(f"config key {key!r} is required for this command")
-    return cfg[key]
+    return _given(cfg, **{key: cast})[key]
+
+
+def _of_type(kind: type, name: str):
+    """The cast that accepts one JSON type and refuses the others."""
+    def cast(value):
+        if not isinstance(value, kind):
+            raise TypeError(f"expected {name}, got {type(value).__name__}")
+        return value
+    return cast
+
+
+_string, _object = _of_type(str, "a string"), _of_type(dict, "an object")
+
+
+def _floats(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
+def _section(cfg: dict, key: str) -> dict:
+    return _given(cfg, **{key: _object}).get(key, {})
+
+
+def _rows(vecs: np.ndarray, n: int, label: str) -> np.ndarray:
+    if vecs.ndim != 2 or not len(vecs) or vecs.shape[1] != n:
+        raise _ConfigError(f"{label} must be a nonempty list of vectors of length {n}")
+    return vecs
 
 
 def _get_space(cfg: dict) -> tuple[LpSpace, int]:
-    spc = _require(cfg, "space")
-    if not isinstance(spc, dict) or "p" not in spc or "n" not in spc:
-        raise _ConfigError('"space" must be an object with keys "p" and "n"')
-    try:
-        space = LpSpace(float(spc["p"]))
-        n = int(spc["n"])
-    except (TypeError, ValueError) as exc:
-        raise _ConfigError(f"bad space parameters: {exc}") from exc
+    spc = _require(cfg, "space", _object)
+    space, n = _require(spc, "p", LpSpace), _require(spc, "n", int)
     if n < 1:
         raise _ConfigError("space dimension must be positive")
     return space, n
@@ -97,65 +131,28 @@ def _get_set(cfg: dict, n: int):
     return C
 
 
-def _vector(value, label: str, n: int) -> np.ndarray:
-    try:
-        vec = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise _ConfigError(f"{label} is not a numeric vector: {exc}") from exc
+def _get_vec(cfg: dict, key: str, n: int) -> np.ndarray:
+    vec = _require(_require(cfg, "inputs", _object), key, _floats)
     if vec.shape != (n,):
-        raise _ConfigError(f"{label} must have length {n}")
+        raise _ConfigError(f"inputs[{key!r}] must have length {n}")
     return vec
 
 
-def _get_vec(cfg: dict, key: str, n: int) -> np.ndarray:
-    inputs = _require(cfg, "inputs")
-    if not isinstance(inputs, dict) or key not in inputs:
-        raise _ConfigError(f'config needs "inputs" with a {key!r} vector')
-    return _vector(inputs[key], f"inputs[{key!r}]", n)
-
-
-def _get_points(cfg: dict, n: int) -> list[np.ndarray]:
+def _get_points(cfg: dict, n: int):
     """Query points for point-wise commands.
 
     Accepts either {"x": [..]} for a single point or a bare list of
     points [[..], [..]] for a batch.
     """
-    inputs = _require(cfg, "inputs")
-    if isinstance(inputs, dict):
+    if isinstance(_require(cfg, "inputs"), dict):
         return [_get_vec(cfg, "x", n)]
-    if not isinstance(inputs, list) or not inputs:
-        raise _ConfigError('"inputs" must be {"x": [...]} or a nonempty list of points')
-    return [_vector(entry, f"inputs[{i}]", n) for i, entry in enumerate(inputs)]
-
-
-def _section(cfg: dict, key: str) -> dict:
-    opts = cfg.get(key, {})
-    if not isinstance(opts, dict):
-        raise _ConfigError(f'"{key}" must be an object')
-    return opts
-
-
-def _given(opts: dict, **casts) -> dict:
-    # the options the config sets, each cast; the others keep their defaults.
-    # Every option is cast here, so a wrong-typed value is a config error.
-    given = {}
-    for key, cast in casts.items():
-        if key in opts:
-            try:
-                given[key] = cast(opts[key])
-            except (TypeError, ValueError) as exc:
-                raise _ConfigError(f"option {key!r}: {exc}") from exc
-    return given
-
-
-def _floats(value) -> np.ndarray:
-    return np.asarray(value, dtype=float)
+    return _rows(_require(cfg, "inputs", _floats), n, '"inputs"')
 
 
 def _emit(report, out_path, csv_rows=None) -> None:
     if out_path is None:
         sys.stdout.write(reporting.dumps_stable(report))
-    elif str(out_path).endswith(".csv") and csv_rows is not None:
+    elif out_path.endswith(".csv") and csv_rows is not None:
         reporting.write_csv(out_path, csv_rows)
     else:
         reporting.write_json(out_path, report)
@@ -177,14 +174,11 @@ def _cmd_project(cfg: dict, seed: int, out) -> int:
     points = _get_points(cfg, n)
     kw = _given(_section(cfg, "tolerances"), max_iter=int, cert_tol=float)
     results = [solver.project_with_certificate(space, C, x, **kw) for x in points]
-    report = _set_report("project", space, n, C)
     if len(points) == 1:
-        report["x"] = [float(c) for c in points[0]]
-        report.update(results[0].to_json())
+        report = _set_report("project", space, n, C, x=points[0], **results[0].to_json())
     else:
-        report["results"] = [
-            {"x": [float(c) for c in x], **r.to_json()} for x, r in zip(points, results)
-        ]
+        report = _set_report("project", space, n, C, results=[
+            {"x": x, **r.to_json()} for x, r in zip(points, results)])
     _emit(report, out)
     return 0 if all(r.converged for r in results) else 4
 
@@ -203,8 +197,7 @@ def _cmd_derivative(cfg: dict, seed: int, out) -> int:
     agreement = None
     if est.converged:
         agreement = space.norm(result.value - est.estimate) / max(1.0, space.norm(result.value))
-    report = _set_report("derivative", space, n, C, x=[float(c) for c in x],
-                         v=[float(c) for c in v], analytic=result.to_json(),
+    report = _set_report("derivative", space, n, C, x=x, v=v, analytic=result.to_json(),
                          numeric=est.summary(), agreement=agreement)
     _emit(report, out)
     return 0
@@ -218,14 +211,13 @@ def _cmd_classify(cfg: dict, seed: int, out) -> int:
         pc = classify_point(space, C, x)
     except ValueError as exc:
         raise _ConfigError(str(exc)) from exc
-    report = _set_report("classify", space, n, C, x=[float(c) for c in x], tag=pc.tag,
-                         witness=None if pc.witness is None else [float(c) for c in pc.witness])
+    report = _set_report("classify", space, n, C, x=x, tag=pc.tag, witness=pc.witness)
     _emit(report, out)
     return 0
 
 
 def _cmd_verify(cfg: dict, seed: int, out) -> int:
-    name = _require(cfg, "suite")
+    name = _require(cfg, "suite", _string)
     if name not in SUITES:
         raise _ConfigError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     options = {"seed": seed, **_given(cfg, count=int)}
@@ -242,43 +234,40 @@ def _cmd_verify(cfg: dict, seed: int, out) -> int:
     return 0 if report.passed else 1
 
 
+_CURVES = {"delta": ("epsilons", moduli_mod.estimate_convexity_modulus),
+           "rho": ("ts", moduli_mod.estimate_smoothness_modulus)}
+
+
 def _cmd_moduli(cfg: dict, seed: int, out) -> int:
     space, n = _get_space(cfg)
     opts = _section(cfg, "moduli")
-    curve = opts.get("curve", "both")
+    curve = _given(opts, curve=_string).get("curve", "both")
     if curve not in ("delta", "rho", "both"):
         raise _ConfigError('moduli curve must be "delta", "rho" or "both"')
     kw = _given(opts, budget=int, rounds=int, threads=int)
     est = None
     try:
-        if curve in ("delta", "both"):
-            if opts.get("epsilons") is None:
-                raise _ConfigError('delta estimation needs an "epsilons" grid')
-            est = moduli_mod.estimate_convexity_modulus(
-                space.p, n, _given(opts, epsilons=_floats)["epsilons"], seed=seed, **kw)
-        if curve in ("rho", "both"):
-            if opts.get("ts") is None:
-                raise _ConfigError('rho estimation needs a "ts" grid')
-            rho_est = moduli_mod.estimate_smoothness_modulus(
-                space.p, n, _given(opts, ts=_floats)["ts"], seed=seed, **kw)
-            est = rho_est if est is None else est.merged_with(rho_est)
+        for name in ("delta", "rho") if curve == "both" else (curve,):
+            key, estimate = _CURVES[name]
+            grid = _given(opts, **{key: _floats}).get(key)
+            if grid is None:
+                raise _ConfigError(f"{name} estimation needs a {key!r} grid")
+            part = estimate(space.p, n, grid, seed=seed, **kw)
+            est = part if est is None else est.merged_with(part)
     except ValueError as exc:
         raise _ConfigError(str(exc)) from exc
     report = {"command": "moduli", "space": _space_json(space, n), **est.to_json()}
-    if opts.get("fit", False):
+    if _given(opts, fit=bool).get("fit", False):
         try:
             report["fit"] = moduli_mod.fit_power_type(est).to_json()
         except ValueError as exc:
             raise _ConfigError(str(exc)) from exc
-    if out is None:
-        _emit(report, None)
-    else:
+    if out is not None:
         # a file target gets both renderings: curves as CSV, summary as JSON
-        base = str(out)
-        for suffix in (".csv", ".json"):
-            base = base[: -len(suffix)] if base.endswith(suffix) else base
-        reporting.write_csv(base + ".csv", est.csv_rows())
-        reporting.write_json(base + ".json", report)
+        base = out.removesuffix(".csv").removesuffix(".json")
+        _emit(report, base + ".csv", est.csv_rows())
+        out = base + ".json"
+    _emit(report, out)
     return 0
 
 
@@ -286,29 +275,18 @@ def _cmd_rate(cfg: dict, seed: int, out) -> int:
     space, n = _get_space(cfg)
     C = _get_set(cfg, n)
     x = _get_vec(cfg, "x", n)
-    opts = _section(cfg, "rate")
+    opts = _given(_section(cfg, "rate"), directions=_floats, count=int, k_min=int, k_max=int)
     if "directions" in opts:
-        try:
-            dirs = [space.unit(np.asarray(d, dtype=float)) for d in opts["directions"]]
-        except (TypeError, ValueError) as exc:
-            raise _ConfigError(f"bad rate directions: {exc}") from exc
-        if any(d.shape != (n,) for d in dirs):
-            raise _ConfigError(f"rate directions must have length {n}")
+        dirs = [space.unit(d) for d in _rows(opts["directions"], n, "rate directions")]
     else:
-        count = _given(opts, count=int).get("count", 8)
         rng = np.random.default_rng(seed)
-        dirs = [space.unit(rng.standard_normal(n)) for _ in range(count)]
-    steps = _given(opts, k_min=int, k_max=int)
-    k_min, k_max = steps.get("k_min", 8), steps.get("k_max", 20)
+        dirs = [space.unit(rng.standard_normal(n)) for _ in range(opts.get("count", 8))]
+    k_min, k_max = opts.get("k_min", 8), opts.get("k_max", 20)
     if k_max <= k_min:
         raise _ConfigError("rate schedule needs k_max > k_min")
-    sched = StepSchedule(
-        t_values=tuple(2.0 ** -k for k in range(k_min, k_max + 1)),
-        **_given(opts, quotient_tol=float, window=int),
-    ).truncated(C.solver_tol)
+    sched = StepSchedule(tuple(2.0 ** -k for k in range(k_min, k_max + 1))).truncated(C.solver_tol)
     rep = cauchy_rate_probe(space, lambda z: solver.project(space, C, z), x, dirs, sched)
-    report = _set_report("rate", space, n, C, x=[float(c) for c in x], **rep.summary(),
-                         pairs=[list(row) for row in rep.pairs])
+    report = _set_report("rate", space, n, C, x=x, **rep.summary(), pairs=rep.pairs)
     _emit(report, out, csv_rows=rep.csv_rows())
     return 0
 
@@ -336,8 +314,9 @@ def main(argv=None) -> int:
 
     try:
         cfg = _load_config(args.config)
-        seed = args.seed if args.seed is not None else _given(cfg, seed=int).get("seed", 0)
-        out = args.out if args.out is not None else cfg.get("output_path")
+        given = _given(cfg, seed=int, output_path=_string)
+        seed = args.seed if args.seed is not None else given.get("seed", 0)
+        out = args.out if args.out is not None else given.get("output_path")
         return _COMMANDS[args.command](cfg, seed, out)
     except _ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -26,7 +26,10 @@ the sphere, so the one-sided guarantees do not rest on it).  For δ the
 pair is pinned to ‖x - y‖ = ε by a bracketed secant search (regula
 falsi, Illinois variant) along sphere paths, since the infimum is
 approached on that boundary; the pinned pair stays on the feasible side
-as computed, ‖x - y‖ >= ε.
+as computed, ‖x - y‖ >= ε, for every ε below 2 - 1e-12.  From there on
+the partner is -x, the only one in exact arithmetic, whose computed
+distance is 2 only up to rounding: at ε = 2 it falls an ulp short in a
+quarter to a half of the rows (n = 2, p = 1.05 and 1.5).
 
 `budget` counts candidate pairs examined per grid point (pinning adds
 vectorized norm evaluations on top: two at the path ends, then a median

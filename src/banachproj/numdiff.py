@@ -9,6 +9,7 @@ general only one-sidedly differentiable.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,9 +53,13 @@ class StepSchedule:
 
     def __post_init__(self):
         ts = tuple(float(t) for t in self.t_values)
-        if self.window < 2:
+        try:
+            window = operator.index(self.window)
+        except TypeError:
+            raise ValueError(f"convergence window must be an integer, got {self.window!r}") from None
+        if window < 2:
             raise ValueError("convergence window must span at least 2 quotients")
-        if len(ts) < self.window:
+        if len(ts) < window:
             raise ValueError("schedule shorter than its convergence window")
         if any(not math.isfinite(t) or t <= 0.0 for t in ts):
             raise ValueError("step sizes must be positive and finite")

@@ -3,7 +3,9 @@
 Floats are always written with 17 significant digits, enough to round-trip
 IEEE doubles, so a report never depends on platform repr choices.  CSV
 files use ',' as the separator and '.' as the decimal mark, with a header
-row, always.
+row, always.  A report may hold NumPy arrays and scalars: the writer
+takes each as the Python list or number it holds, so callers convert
+nothing themselves.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["format_float", "to_jsonable", "dumps_stable", "write_json", "write_csv"]
+__all__ = ["format_float", "dumps_stable", "write_json", "write_csv"]
 
 
 def format_float(x: float) -> str:
@@ -26,24 +28,13 @@ def _write_float(out: list, x: float) -> None:
     out.append(format_float(x) if math.isfinite(x) else "null")
 
 
-def to_jsonable(obj):
-    """Recursively convert numpy containers/scalars to plain Python."""
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [to_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+def _plain(obj):
+    # NumPy arrays and scalars as the Python lists and scalars they hold
+    return obj.tolist() if isinstance(obj, (np.ndarray, np.generic)) else obj
 
 
 def _write_value(out: list, obj, indent: int) -> None:
+    obj = _plain(obj)
     pad = "  " * indent
     if obj is None or isinstance(obj, bool):
         out.append(json.dumps(obj))
@@ -67,7 +58,8 @@ def _write_value(out: list, obj, indent: int) -> None:
             out.append(",\n" if i + 1 < len(items) else "\n")
         out.append(pad + "}")
     elif isinstance(obj, (list, tuple)):
-        vals = list(obj)
+        # NumPy scalars first: np.int64 and np.bool_ fail the int/bool test
+        vals = [_plain(v) for v in obj]
         if not vals:
             out.append("[]")
             return
@@ -92,7 +84,7 @@ def _write_value(out: list, obj, indent: int) -> None:
 
 def dumps_stable(obj) -> str:
     out: list[str] = []
-    _write_value(out, to_jsonable(obj), 0)
+    _write_value(out, obj, 0)
     out.append("\n")
     return "".join(out)
 

@@ -23,6 +23,7 @@ converged=False with the best iterate retained — never silently accepted.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,7 +105,8 @@ def _support_gap(space: LpSpace, C, x: np.ndarray, u: np.ndarray, iterations: in
         scale = np.abs(u) + np.abs(z)
         if isinstance(C, sets.Ball):   # u = c + s(x - c) cancels where |u_i| << |c_i|
             scale += np.abs(C.center)
-        cert_tol += 4.0 * u.size * _EPS * float(np.dot(np.abs(j), scale))
+        # scaled before the sum: |j|·scale alone overflows for far points
+        cert_tol += float(np.dot(4.0 * u.size * _EPS * np.abs(j), scale))
     return ProjectionCertificate(u, residual, iterations, distance, residual >= -cert_tol)
 
 
@@ -299,8 +301,17 @@ def project_with_certificate(space: LpSpace, C, x, max_iter: int = MAX_ITER,
 
     Closed-form projections report zero iterations; their residuals are
     still evaluated against the set's support point rather than assumed.
+    `max_iter` must be an integer >= 1 and `cert_tol` finite and >= 0.
     """
     x = sets._point(C, x)
+    try:
+        budget = operator.index(max_iter)
+    except TypeError:
+        budget = 0
+    if budget < 1:
+        raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
+    if not 0.0 <= cert_tol < math.inf:
+        raise ValueError(f"cert_tol must be finite and >= 0, got {cert_tol!r}")
     if C.solver_tol > 0.0:
         return _project_polytope(space, C, x, max_iter, cert_tol)
     return _support_gap(space, C, x, C.project(space, x), 0, cert_tol)

@@ -36,7 +36,7 @@ CONFIGS = {
     "moduli": {"space": {"p": 2, "n": 2},
                "moduli": {"curve": "delta", "epsilons": [0.5, 1.0], "budget": 500, "threads": 1}},
     "rate": {"space": {"p": 2, "n": 2}, "set": {"type": "positive_cone"}, "inputs": {"x": [1, -1]},
-             "rate": {"count": 2, "k_min": 8, "k_max": 12, "window": 3}},
+             "rate": {"count": 2, "k_min": 8, "k_max": 12}},
 }
 WRONG_TYPES = [
     ("moduli", "moduli", "budget", None),
@@ -46,9 +46,17 @@ WRONG_TYPES = [
     ("verify", None, "count", None),
     ("rate", "rate", "count", [3]),
     ("rate", "rate", "k_min", None),
-    ("rate", "rate", "window", []),
     ("project", "tolerances", "max_iter", [1]),
     ("project", "tolerances", "cert_tol", None),
+    ("verify", None, "suite", ["hilbert"]),
+    ("verify", None, "suite", {"name": "hilbert"}),
+    ("verify", None, "output_path", 3),
+    ("project", "space", "p", [3]),
+    ("project", "space", "n", {"n": 2}),
+    ("project", "inputs", "x", {"a": 1}),
+    ("project", None, "tolerances", [1]),
+    ("moduli", "moduli", "curve", ["delta"]),
+    ("rate", "rate", "directions", "north"),
 ]
 
 
@@ -95,6 +103,19 @@ class TestProject:
         assert code == 4
         report = json.loads(out)
         assert report["converged"] is False
+
+    @pytest.mark.parametrize("tolerances", [{"max_iter": 0}, {"max_iter": -3}, {"cert_tol": -1}],
+                             ids=["max_iter-0", "max_iter-negative", "cert_tol-negative"])
+    def test_unusable_tolerances_exit_2(self, tmp_path, tolerances):
+        code, out, err = run_cli(tmp_path, "project", {
+            "space": {"p": 3, "n": 3},
+            "set": {"type": "positive_cone"},
+            "inputs": {"x": [1, -2, 3]},
+            "tolerances": tolerances,
+        })
+        assert code == 2
+        assert "invalid input" in err
+        assert out == ""
 
     def test_output_file(self, tmp_path):
         target = tmp_path / "report.json"
@@ -460,6 +481,17 @@ class TestReporting:
         text = dumps_stable({"a": float("nan"), "b": float("inf"), "c": 1.5})
         parsed = json.loads(text)
         assert parsed == {"a": None, "b": None, "c": 1.5}
+
+    def test_numpy_values_write_as_the_python_values_they_hold(self):
+        # np.int64 and np.bool_ are no int or bool: a list of them must
+        # still print on one line
+        from banachproj.reporting import dumps_stable
+        numpy = {"a": np.arange(3), "b": [np.int64(1), np.bool_(True), np.float64(0.5)],
+                 "c": np.array([[1.0, 2.0], [3.0, 4.0]]), "d": (np.float32(0.25), None)}
+        plain = {"a": [0, 1, 2], "b": [1, True, 0.5], "c": [[1.0, 2.0], [3.0, 4.0]],
+                 "d": [0.25, None]}
+        assert dumps_stable(numpy) == dumps_stable(plain)
+        assert '"b": [1, true, 0.5]' in dumps_stable(numpy)
 
     def test_float_round_trip(self):
         from banachproj.reporting import format_float

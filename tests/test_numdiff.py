@@ -49,6 +49,8 @@ class TestStepSchedule:
             StepSchedule(window=1)
         with pytest.raises(ValueError):
             StepSchedule(t_values=(0.5, 0.25), window=3)
+        with pytest.raises(ValueError):
+            StepSchedule(window=2.5)
 
     def test_rejects_bad_steps(self):
         with pytest.raises(ValueError):

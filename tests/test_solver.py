@@ -159,6 +159,19 @@ class TestSupportGap:
                 uncertified += not project_with_certificate(space, C, x).converged
             assert uncertified == 0, scale
 
+    def test_allowance_stays_finite_next_to_overflow(self):
+        # |j|·(|u| + |z|) overflows at this x, and an infinite allowance
+        # would certify any point; scaled first, it is about 1e293
+        space = LpSpace(3.0)
+        C = Ball(center=np.zeros(2), radius=1.0)
+        x = np.array([1e308, 1e308])
+        with np.errstate(over="raise"):
+            cert = project_with_certificate(space, C, x)
+            wrong = _support_gap(space, C, x, np.array([1.0, 0.0]), 0, CERT_TOL)
+        assert cert.converged
+        assert np.array_equal(cert.point, project(space, C, x))
+        assert not wrong.converged
+
     @pytest.mark.parametrize("shift", [0.0, 5.0])
     def test_center_allowance_still_rejects_the_e1_counterexample(self, shift):
         space = LpSpace(3.0)
@@ -378,6 +391,26 @@ class TestIterationBudget:
         assert full.converged
         assert full.residual >= -CERT_TOL
         assert full.distance <= capped.distance + 1e-12
+
+    @pytest.mark.parametrize("max_iter", [0, -3, 2.5, None])
+    def test_budget_must_be_a_positive_integer(self, max_iter):
+        # 0 and -3 once ran anyway and reported one iteration, converged
+        space = LpSpace(3.0)
+        box = PolytopeH(normals=np.vstack([np.eye(3), -np.eye(3)]), offsets=np.ones(6))
+        hull = PolytopeV(vertices=np.vstack([np.eye(3), -np.eye(3)[:2]]))
+        for C in (box, hull, PositiveCone()):
+            with pytest.raises(ValueError, match="max_iter"):
+                project_with_certificate(space, C, np.array([3.0, -2.0, 0.5]), max_iter=max_iter)
+        assert project_with_certificate(space, box, np.array([3.0, -2.0, 0.5]),
+                                        max_iter=np.int64(50)).converged
+
+    @pytest.mark.parametrize("cert_tol", [-1.0, np.nan, np.inf])
+    def test_tolerance_must_be_finite_and_nonnegative(self, cert_tol):
+        # -1 once reported an exact cone projection as unconverged
+        space = LpSpace(3.0)
+        for C in (PositiveCone(), PolytopeV(vertices=np.eye(3))):
+            with pytest.raises(ValueError, match="cert_tol"):
+                project_with_certificate(space, C, np.array([1.0, -2.0, 3.0]), cert_tol=cert_tol)
 
     def test_polish_after_a_spent_budget_is_kept_but_not_counted(self, monkeypatch):
         # the gradient phase hands back a poor point with the budget spent;
