@@ -10,7 +10,9 @@ selects the tabular form for commands that have one (moduli, rate);
 everything else is JSON.  Without `--out` the report goes to stdout.
 
 Exit codes: 0 success, 1 a verify suite reported failures, 2 malformed
-config (a value of the wrong JSON type too), arguments or input values,
+config (a value of the wrong JSON type too: a count must be a JSON integer,
+a flag a JSON boolean, and a real value or vector holds JSON numbers, not
+strings or booleans), arguments or input values,
 3 infeasible set descriptor, 4 an iterative computation failed to converge
 or a numeric failure (ArithmeticError, e.g. a ray parameter overflow).
 
@@ -84,19 +86,29 @@ def _require(cfg: dict, key: str, cast=lambda value: value):
     return _given(cfg, **{key: cast})[key]
 
 
-def _of_type(kind: type, name: str):
-    """The cast that accepts one JSON type and refuses the others."""
+def _of_type(name: str, *kinds: type):
+    """The cast that accepts these JSON types and refuses the others.  The
+    test is exact, so a boolean is not an integer."""
     def cast(value):
-        if not isinstance(value, kind):
+        if type(value) not in kinds:
             raise TypeError(f"expected {name}, got {type(value).__name__}")
         return value
     return cast
 
 
-_string, _object = _of_type(str, "a string"), _of_type(dict, "an object")
+_string, _object, _flag = (_of_type("a string", str), _of_type("an object", dict),
+                           _of_type("a boolean", bool))
+_integer, _number = _of_type("an integer", int), _of_type("a number", int, float)
+
+
+def _real(value) -> float:
+    return float(_number(value))
 
 
 def _floats(value) -> np.ndarray:
+    # a JSON number or nested lists of numbers
+    for item in np.asarray(value, dtype=object).flat:
+        _number(item)
     return np.asarray(value, dtype=float)
 
 
@@ -112,7 +124,7 @@ def _rows(vecs: np.ndarray, n: int, label: str) -> np.ndarray:
 
 def _get_space(cfg: dict) -> tuple[LpSpace, int]:
     spc = _require(cfg, "space", _object)
-    space, n = _require(spc, "p", LpSpace), _require(spc, "n", int)
+    space, n = _require(spc, "p", lambda p: LpSpace(_real(p))), _require(spc, "n", _integer)
     if n < 1:
         raise _ConfigError("space dimension must be positive")
     return space, n
@@ -172,7 +184,7 @@ def _cmd_project(cfg: dict, seed: int, out) -> int:
     space, n = _get_space(cfg)
     C = _get_set(cfg, n)
     points = _get_points(cfg, n)
-    kw = _given(_section(cfg, "tolerances"), max_iter=int, cert_tol=float)
+    kw = _given(_section(cfg, "tolerances"), max_iter=_integer, cert_tol=_real)
     results = [solver.project_with_certificate(space, C, x, **kw) for x in points]
     if len(points) == 1:
         report = _set_report("project", space, n, C, x=points[0], **results[0].to_json())
@@ -220,7 +232,7 @@ def _cmd_verify(cfg: dict, seed: int, out) -> int:
     name = _require(cfg, "suite", _string)
     if name not in SUITES:
         raise _ConfigError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    options = {"seed": seed, **_given(cfg, count=int)}
+    options = {"seed": seed, **_given(cfg, count=_integer)}
     if "space" in cfg:
         space, n = _get_space(cfg)
         options["p"] = space.p
@@ -244,7 +256,7 @@ def _cmd_moduli(cfg: dict, seed: int, out) -> int:
     curve = _given(opts, curve=_string).get("curve", "both")
     if curve not in ("delta", "rho", "both"):
         raise _ConfigError('moduli curve must be "delta", "rho" or "both"')
-    kw = _given(opts, budget=int, rounds=int, threads=int)
+    kw = _given(opts, budget=_integer, rounds=_integer, threads=_integer)
     est = None
     try:
         for name in ("delta", "rho") if curve == "both" else (curve,):
@@ -257,7 +269,7 @@ def _cmd_moduli(cfg: dict, seed: int, out) -> int:
     except ValueError as exc:
         raise _ConfigError(str(exc)) from exc
     report = {"command": "moduli", "space": _space_json(space, n), **est.to_json()}
-    if _given(opts, fit=bool).get("fit", False):
+    if _given(opts, fit=_flag).get("fit", False):
         try:
             report["fit"] = moduli_mod.fit_power_type(est).to_json()
         except ValueError as exc:
@@ -275,7 +287,8 @@ def _cmd_rate(cfg: dict, seed: int, out) -> int:
     space, n = _get_space(cfg)
     C = _get_set(cfg, n)
     x = _get_vec(cfg, "x", n)
-    opts = _given(_section(cfg, "rate"), directions=_floats, count=int, k_min=int, k_max=int)
+    opts = _given(_section(cfg, "rate"), directions=_floats, count=_integer, k_min=_integer,
+                  k_max=_integer)
     if "directions" in opts:
         dirs = [space.unit(d) for d in _rows(opts["directions"], n, "rate directions")]
     else:
@@ -314,7 +327,7 @@ def main(argv=None) -> int:
 
     try:
         cfg = _load_config(args.config)
-        given = _given(cfg, seed=int, output_path=_string)
+        given = _given(cfg, seed=_integer, output_path=_string)
         seed = args.seed if args.seed is not None else given.get("seed", 0)
         out = args.out if args.out is not None else given.get("output_path")
         return _COMMANDS[args.command](cfg, seed, out)

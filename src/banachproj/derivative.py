@@ -36,11 +36,8 @@ coordinate-subspace clauses
                                 clauses are exact at every base point.
 
 region clauses
-    "interior"               x in the interior of C: the derivative is v.
-    "inverse-image-interior" x interior to the inverse image of a point:
-                             the derivative is 0.
-    "singleton"              constant projections have derivative 0.
-    "numeric"                no closed form: certified quotient estimate.
+    "singleton"   constant projections have derivative 0.
+    "numeric"     no closed form: certified quotient estimate.
 """
 from __future__ import annotations
 
@@ -53,14 +50,7 @@ from . import sets, solver
 from .numdiff import ConvergenceError, NumericDerivative, StepSchedule, numdiff_derivative
 from .space import LpSpace
 
-__all__ = [
-    "BoundaryClass",
-    "DerivativeResult",
-    "TIE_TOL",
-    "classify_sphere_direction",
-    "interior_derivative",
-    "directional_derivative",
-]
+__all__ = ["DerivativeResult", "TIE_TOL", "directional_derivative"]
 
 #: |norm-smoothness| below this goes to the sampling fallback
 TIE_TOL = 1e-9
@@ -69,15 +59,6 @@ TIE_TOL = 1e-9
 SPHERE_BAND = 1e-9
 
 _TINY = float(np.finfo(float).tiny)   # the smallest normal double
-
-
-@dataclass
-class BoundaryClass:
-    """Sphere-direction class: tag "up" (locally non-entering) or "down"
-    (locally entering), with the first-order growth margin that decided it."""
-
-    tag: str
-    margin: float
 
 
 @dataclass
@@ -100,26 +81,6 @@ def _direction(x: np.ndarray, v) -> np.ndarray:
     return v
 
 
-def classify_sphere_direction(space: LpSpace, center, radius: float, x, v) -> BoundaryClass:
-    """Sort a direction at a sphere point into "up" or "down".
-
-    "up" means ‖x + t v - c‖ >= r for all small t > 0, "down" means the
-    point enters the open ball.  The margin is the one-sided derivative g
-    of t ↦ ‖x - c + t v‖ at 0 (up to the positive factor ‖v‖); its sign
-    decides all but ties, |g| <= TIE_TOL.  Ties fall back to sampling the
-    sign of ‖x + t_k v - c‖ - r at t_k = 2^-k, k = 10..24: by convexity
-    that sign is eventually constant, and an exactly tangent direction
-    stays outside, hence "up".
-    """
-    B = sets.Ball(center=center, radius=radius)
-    x = sets._point(B, x)
-    v = _direction(x, v)
-    d = space.norm(x - B.center)
-    if abs(d - B.radius) > SPHERE_BAND * max(1.0, B.radius):
-        raise ValueError("point must lie on the sphere")
-    return _sphere_class(space, B.center, B.radius, x, v, d, space.norm(v))
-
-
 def _slope(space: LpSpace, xc: np.ndarray, d: float, v: np.ndarray, nv: float) -> float:
     # g = ⟨J(xc/d), v/nv⟩, the norm's one-sided slope on the unit sphere.  The
     # two quotients can leave the sphere only if d or nv is 0, subnormal or
@@ -129,21 +90,24 @@ def _slope(space: LpSpace, xc: np.ndarray, d: float, v: np.ndarray, nv: float) -
     return space.pairing(space.duality_map(xc / d), v / nv)
 
 
-def _sphere_class(space: LpSpace, c: np.ndarray, radius: float, x: np.ndarray, v: np.ndarray,
-                  d: float, nv: float) -> BoundaryClass:
-    # x within the band of the sphere at d = ‖x - c‖, and nv = ‖v‖
-    g = _slope(space, x - c, d, v, nv)
-    if g > TIE_TOL:
-        return BoundaryClass("up", g)
-    if g < -TIE_TOL:
-        return BoundaryClass("down", g)
+def _enters(space: LpSpace, c: np.ndarray, radius: float, x: np.ndarray, v: np.ndarray,
+            d: float, g: float) -> bool:
+    """Does v point into the open ball from x, within the sphere band at d = ‖x - c‖?
+
+    The slope g of t ↦ ‖x - c + t v‖ at 0 (up to the positive factor ‖v‖)
+    decides all but ties, |g| <= TIE_TOL.  Ties sample the sign of
+    ‖x + t_k v - c‖ - r at t_k = 2^-k, k = 10..24: by convexity that sign is
+    eventually constant, and an exactly tangent direction stays outside.
+    """
+    if abs(g) > TIE_TOL:
+        return g < 0.0
     scale = max(1.0, radius, d)
     for k in range(10, 25):
         t = 2.0 ** -k
         val = space.norm(x + t * v - c) - radius
         if abs(val) > 64.0 * np.finfo(float).eps * scale:
-            return BoundaryClass("up" if val > 0.0 else "down", g)
-    return BoundaryClass("up", g)
+            return val < 0.0
+    return False
 
 
 def _ball_clause(space: LpSpace, c: np.ndarray, radius: float, x: np.ndarray,
@@ -154,13 +118,12 @@ def _ball_clause(space: LpSpace, c: np.ndarray, radius: float, x: np.ndarray,
     if d < radius - band:
         return DerivativeResult(v.copy(), "ball:interior")
     nv = space.norm(v)
+    g = _slope(space, xc, d, v, nv)
     if d > radius + band:
-        g = _slope(space, xc, d, v, nv)
         return DerivativeResult((radius / d ** 2) * (d * v - g * nv * xc), "ball:exterior")
-    cls = _sphere_class(space, c, radius, x, v, d, nv)
-    if cls.tag == "down":
+    if _enters(space, c, radius, x, v, d, g):
         return DerivativeResult(v.copy(), "ball:sphere-down")
-    return DerivativeResult(v - (nv / radius) * cls.margin * xc, "ball:sphere-up")
+    return DerivativeResult(v - (nv / radius) * g * xc, "ball:sphere-up")
 
 
 def _cone_label(x: np.ndarray, clamped: int) -> str:
@@ -186,41 +149,6 @@ def _subspace_clause(space: LpSpace, mask: np.ndarray, v: np.ndarray) -> Derivat
     if np.all(np.abs(v[~mask]) <= 1e-15 * vscale):
         return DerivativeResult(v.copy(), "subspace:tangent")
     return DerivativeResult(np.where(mask, v, 0.0), "subspace:coordinatewise")
-
-
-def interior_derivative(space: LpSpace, C, x, v) -> DerivativeResult:
-    """Derivative in the two flat regimes: interior of C, or interior of
-    an inverse image.
-
-    Inside the set the projection is locally the identity, so the
-    derivative is v; interior to the inverse image of a point (the whole
-    space for a singleton target, the open negative orthant for the
-    positive cone's vertex) the projection is locally constant, so the
-    derivative is 0.  Points in neither regime are refused.
-    """
-    x = sets._point(C, x)
-    v = _direction(x, v)
-    if isinstance(C, sets.Singleton):
-        return DerivativeResult(np.zeros_like(v), "singleton")
-    if isinstance(C, sets.Ball):
-        if space.norm(x - C.center) < C.radius - SPHERE_BAND * max(1.0, C.radius):
-            return DerivativeResult(v.copy(), "interior")
-        raise ValueError("point is not interior to the ball, and ball inverse "
-                         "images have empty interior")
-    if isinstance(C, sets.PositiveCone):
-        if np.all(x > 0.0):
-            return DerivativeResult(v.copy(), "interior")
-        if np.all(x < 0.0):
-            return DerivativeResult(np.zeros_like(v), "inverse-image-interior")
-        raise ValueError("point is neither interior to the cone nor interior "
-                         "to the inverse image of the vertex")
-    if isinstance(C, sets.PolytopeH):
-        if np.all(C.normals @ x < C.offsets):
-            return DerivativeResult(v.copy(), "interior")
-        raise ValueError("point is not strictly interior to the polytope")
-    if isinstance(C, sets.CoordinateSubspace):
-        raise ValueError("a proper subspace and its inverse images have empty interior")
-    raise ValueError(f"no interior rule for {type(C).__name__}")
 
 
 #: exact clauses by descriptor class; any other class is differenced numerically

@@ -4,13 +4,12 @@ Supported shapes: balls, the positive cone, coordinate subspaces,
 polytopes in half-space or vertex representation, segments, rays, and
 singletons.  Each is a `SetDescriptor` subclass that answers for itself
 (JSON form, dimension, projection, support point, membership, sample
-members, and where they exist the internal/cuticle classification and the
-cone vertex).  A new set type is one such class plus its entry in
-`_TYPES`, and an entry in `derivative._CLOSED_FORMS` if it has an exact
-derivative.  `contains`, `support`, `classify_point`, the inverse-image
-and cone checks and the JSON codecs are entry points that check arguments
-and ask it; each point of C is checked once, by `_point`, and the methods
-trust it.
+members, and where one exists the internal/cuticle classification).  A new
+set type is one such class plus its entry in `_TYPES`, and an entry in
+`derivative._CLOSED_FORMS` if it has an exact derivative.  `contains`,
+`support`, `classify_point` and the JSON codecs are entry points that check
+arguments and ask it; each point of C is checked once, by `_point`, and the
+methods trust it.
 
 Projections have one public way in, `solver.project` (or
 `project_with_certificate`), which checks the point and calls the
@@ -48,9 +47,6 @@ __all__ = [
     "support",
     "classify_point",
     "orthogonal_cone_residual",
-    "inverse_image_ray_check",
-    "cone_translation_check",
-    "dual_cone_residual",
 ]
 
 #: membership tolerance default, scaled by max(1, ||x||) in `_tolerance`
@@ -101,11 +97,11 @@ class SetDescriptor:
     membership, `contains(space, x, eff)` at a resolved tolerance eff >= 0.
     `sample(rng, n)` yields a few members of the set in R^n.
     Types with a closed-form rule override `classify(space, y, eff)` (the
-    internal/cuticle tag of a member y, see `classify_point`) and, for
-    cones, `cone_vertex(n)`; the base versions refuse.  Its JSON form is
-    its fields, unless it overrides `to_json`.  `solver_tol` > 0 marks an
-    iterative projection: the polytope solver certifies it, and difference
-    quotients skip steps with t² < solver_tol.
+    internal/cuticle tag of a member y, see `classify_point`); the base
+    version refuses.  Its JSON form is its fields, unless it overrides
+    `to_json`.  `solver_tol` > 0 marks an iterative projection: the
+    polytope solver certifies it, and difference quotients skip steps with
+    t² < solver_tol.
     """
 
     solver_tol = 0.0
@@ -117,9 +113,6 @@ class SetDescriptor:
         raise ValueError(
             f"no closed-form internal/cuticle classification for {type(self).__name__}"
         )
-
-    def cone_vertex(self, n: int) -> np.ndarray:
-        raise ValueError(f"{type(self).__name__} is not a supported cone descriptor")
 
     def to_json(self) -> dict:
         out = {"type": self.kind}
@@ -201,9 +194,6 @@ class PositiveCone(SetDescriptor):
             return PointClass("internal", None)
         return PointClass("cuticle", _axis(y.size, int(np.argmax(zero)), -1.0))
 
-    def cone_vertex(self, n):
-        return np.zeros(n)
-
 
 @dataclass(frozen=True, eq=False)
 class CoordinateSubspace(SetDescriptor):
@@ -244,9 +234,6 @@ class CoordinateSubspace(SetDescriptor):
     def classify(self, space, y, eff):
         # proper subspace: translating along any masked axis projects back
         return PointClass("cuticle", _axis(y.size, int(np.argmax(~self.free)), 1.0))
-
-    def cone_vertex(self, n):
-        return np.zeros(n)
 
 
 class _Polytope(SetDescriptor):
@@ -414,9 +401,6 @@ class Ray(SetDescriptor):
         for t in (0.0, 0.5, 2.0, 10.0):
             yield self.v + t * self.dir
 
-    def cone_vertex(self, n):
-        return self.v.copy()
-
 
 @dataclass(frozen=True, eq=False)
 class Singleton(SetDescriptor):
@@ -458,21 +442,18 @@ def _descriptor(C) -> SetDescriptor:
     return C
 
 
-def _point(C, x, first: np.ndarray | None = None) -> np.ndarray:
-    """x checked as a point for C: finite, nonempty and 1-d, in C's dimension,
-    and in that of `first`, the call's first checked point, when given."""
+def _point(C, x) -> np.ndarray:
+    """x checked as a point for C: finite, nonempty and 1-d, in C's dimension."""
     x = _vec(x)
     d = _descriptor(C).dim
     if d is not None and x.size != d:
         raise ValueError(f"point has dimension {x.size}, set expects {d}")
-    if first is not None and x.size != first.size:
-        raise ValueError(f"point has dimension {x.size}, first point has {first.size}")
     return x
 
 
-def _tolerance(space: LpSpace, *points: np.ndarray) -> float:
-    # the scale-aware membership default, at the scale of the largest point
-    return MEMBERSHIP_TOL * max(1.0, *(space.norm(z) for z in points))
+def _tolerance(space: LpSpace, x: np.ndarray) -> float:
+    # the scale-aware membership default at x
+    return MEMBERSHIP_TOL * max(1.0, space.norm(x))
 
 
 def descriptor_to_json(C) -> dict:
@@ -602,62 +583,3 @@ def orthogonal_cone_residual(space: LpSpace, free, x) -> float:
         raise ValueError("mask and point must have matching shapes")
     jx = space.duality_map(x)
     return float(np.max(np.abs(jx[mask])))
-
-
-def inverse_image_ray_check(space: LpSpace, center, radius: float, y, t: float) -> bool:
-    """Does y + t(y - center) still project onto the sphere point y?
-
-    For y on the sphere the inverse image of y under the ball projection
-    is the outward ray {y + t (y - center) : t >= 0}; this evaluates the
-    claim at one parameter value.
-    """
-    B = Ball(center=center, radius=radius)
-    y = _point(B, y)
-    if t < 0.0:
-        raise ValueError("ray parameter must be nonnegative")
-    eff = _tolerance(space, y)
-    probe = _vec(y + t * (y - B.center))   # a new point, which can overflow
-    return space.norm(B.project(space, probe) - y) <= eff
-
-
-def cone_translation_check(space: LpSpace, K, y, t: float, x) -> bool:
-    """Translation law along cone cross sections.
-
-    For a cone K with vertex v, a point y in K, and u = v + t (y - v) on
-    the same ray through y (t > 0), membership of x in the inverse image
-    of y is equivalent to membership of x + (u - y) in the inverse image
-    of u.  Returns True when the two projections agree with the law.
-    """
-    y = _point(K, y)
-    x = _point(K, x, y)
-    if t <= 0.0:
-        raise ValueError("the translation parameter must be positive")
-    vertex = K.cone_vertex(y.size)
-    if not K.contains(space, y, _tolerance(space, y)):
-        raise ValueError("base point must belong to the cone")
-    from .solver import project
-
-    u = vertex + t * (y - vertex)
-    eff = _tolerance(space, y, x)
-    lhs = space.norm(K.project(space, x) - y) <= eff
-    rhs = space.norm(project(space, K, x + (u - y)) - u) <= eff
-    return lhs == rhs
-
-
-def dual_cone_residual(space: LpSpace, K, x, probes) -> float:
-    """Variational membership margin of x in the inverse image of the vertex.
-
-    Evaluates min over probe points z in K of ⟨J(x - v), v - z⟩ where v is
-    the cone vertex.  Nonnegative over all of K exactly when x projects to
-    the vertex; a negative value certifies that some probe beats v.
-    """
-    x = _point(K, x)
-    probes = [_point(K, z, x) for z in probes]
-    if not probes:
-        raise ValueError("at least one probe point is required")
-    v = K.cone_vertex(x.size)
-    for z in probes:
-        if not K.contains(space, z, _tolerance(space, z)):
-            raise ValueError("every probe must belong to the cone")
-    j = space.duality_map(x - v)
-    return min(space.pairing(j, v - z) for z in probes)

@@ -9,15 +9,10 @@ and the normalized duality mapping
 is single valued with ⟨Jx, x⟩ = ‖x‖² and ‖Jx‖_* = ‖x‖.  The conjugate
 exponent q = p/(p-1) gives the dual norm and the inverse mapping of the
 same shape.  Everything else in the package is built on these facts, so
-this module also exposes the two directional smoothness functionals used
-by the projection derivatives:
-
-* ``norm_smoothness``   — the one-sided derivative of t ↦ ‖x + t v‖ at 0,
-  evaluated in closed form as ⟨Jx, v⟩ on the unit sphere;
-* ``duality_smoothness`` — the one-sided derivative of t ↦ ⟨J(x + t v), x⟩
-  at 0, evaluated numerically by ``numdiff_derivative`` (the same quotient
-  window and Richardson step as the projection derivatives) on the
-  1-vector map z ↦ [⟨J z, x⟩].
+this module also exposes the directional smoothness functional used by
+the projection derivatives, ``norm_smoothness``: the one-sided derivative
+of t ↦ ‖x + t v‖ at 0, evaluated in closed form as ⟨Jx, v⟩ on the unit
+sphere.
 
 The closed form used by ``norm_smoothness`` is not taken on faith: the
 test suite validates it against the raw difference quotient of the norm
@@ -29,11 +24,9 @@ import math
 
 import numpy as np
 
-from .numdiff import ConvergenceError, StepSchedule, numdiff_derivative
-
 __all__ = ["LpSpace", "SPHERE_TOL"]
 
-# unit-sphere membership tolerance for the smoothness functionals
+# unit-sphere membership tolerance for the smoothness functional
 SPHERE_TOL = 1e-9
 
 
@@ -58,10 +51,6 @@ class LpSpace:
 
     def __repr__(self):
         return f"LpSpace(p={self.p!r})"
-
-    def dual(self) -> "LpSpace":
-        """The dual space ℓ_q with q = p/(p-1)."""
-        return LpSpace(self.q)
 
     # -- norms -----------------------------------------------------------
 
@@ -129,10 +118,10 @@ class LpSpace:
         """
         return self._gradient_like(np.asarray(phi, dtype=float), self.q)
 
-    # -- smoothness functionals -------------------------------------------
+    # -- smoothness functional ---------------------------------------------
 
     def _unit_pair(self, x, v) -> tuple[np.ndarray, np.ndarray]:
-        # the argument check of both smoothness functionals
+        # the argument check of the smoothness functional
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)
         if x.shape != v.shape:
@@ -154,26 +143,3 @@ class LpSpace:
         """
         x, v = self._unit_pair(x, v)
         return self.pairing(self.duality_map(x), v)
-
-    def duality_smoothness(self, x, v, schedule: StepSchedule | None = None) -> float:
-        """One-sided derivative of t ↦ ⟨J(x + t v), x⟩ at t = 0, unit x, v.
-
-        Evaluated numerically by `numdiff_derivative` on the 1-vector map
-        z ↦ [⟨J z, x⟩]: quotients over the schedule, a convergence window,
-        and one Richardson step.  A sequence that never settles
-        raises ConvergenceError — a value is never invented.  On the unit
-        sphere this functional satisfies the split identity
-
-            ‖x + t v‖ derivative  =  (⟨Jx, v⟩ + ⟨J·, x⟩ derivative) / 2,
-
-        which the test suite checks across exponents.
-        """
-        x, v = self._unit_pair(x, v)
-        est = numdiff_derivative(self, lambda z: np.array([self.pairing(self.duality_map(z), x)]),
-                                 x, v, schedule)
-        if not est.converged:
-            raise ConvergenceError(
-                "duality smoothness quotients did not settle within the schedule",
-                trace=[(t, float(q[0])) for t, q in zip(est.ts, est.quotients)],
-            )
-        return float(est.estimate[0])

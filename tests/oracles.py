@@ -4,9 +4,12 @@ Everything here is deliberately computed from first principles with plain
 numpy: raw norms, raw one-sided difference quotients, brute-force grid
 minimization, and the closed Euclidean moduli.  None of it calls into the
 package's analytic formulas, so agreement between the two is evidence,
-not circularity.
+not circularity.  The one exception is `duality_smoothness`, which calls
+the package's duality map and quotient estimator; `xi_quotient` checks it.
 """
 import numpy as np
+
+from banachproj import numdiff_derivative
 
 
 def lp_norm(x, p):
@@ -45,6 +48,17 @@ def xi_quotient(p, x, v, t):
         return float(j @ x)
 
     return (jdot(x + t * v) - jdot(x)) / t
+
+
+def duality_smoothness(space, x, v, schedule=None):
+    """Quotient estimate of the one-sided derivative of t -> <J(x+tv), x> at 0.
+
+    `numdiff_derivative` on the 1-vector map z -> [<J z, x>], J the space's
+    duality map: the quotient window and Richardson step of the projection
+    derivatives.  Returns the estimate with its steps and quotients.
+    """
+    return numdiff_derivative(space, lambda z: np.array([space.pairing(space.duality_map(z), x)]),
+                              x, v, schedule)
 
 
 def probe_gap(p, x, u, probes):

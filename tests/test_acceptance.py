@@ -12,7 +12,6 @@ import pytest
 
 from banachproj import (
     Ball,
-    ConvergenceError,
     CoordinateSubspace,
     LpSpace,
     PolytopeH,
@@ -30,14 +29,10 @@ from banachproj import (
     project,
     project_with_certificate,
 )
-from banachproj.derivative import (
-    classify_sphere_direction,
-    directional_derivative,
-    interior_derivative,
-)
-from banachproj.sets import cone_translation_check, inverse_image_ray_check
+from banachproj import sets
+from banachproj.derivative import directional_derivative
 from banachproj.verify import duality_suite
-from oracles import grid_project, lp_norm
+from oracles import duality_smoothness, grid_project, lp_norm
 
 
 def test_criterion_01_duality_identities():
@@ -69,15 +64,14 @@ def test_criterion_02_smoothness_split_identity():
             x = space.unit(rng.standard_normal(4))
             v = space.unit(rng.standard_normal(4))
             psi = space.norm_smoothness(x, v)
-            try:
-                xi = space.duality_smoothness(x, v)
-            except ConvergenceError:
+            xi = duality_smoothness(space, x, v)
+            if not xi.converged:
                 # a pair whose quotients never settle has no xi to compare;
                 # the convergence floor below keeps this honest
                 continue
             converged += 1
             jxv = space.pairing(space.duality_map(x), v)
-            worst = max(worst, abs(psi - 0.5 * (jxv + xi)))
+            worst = max(worst, abs(psi - 0.5 * (jxv + float(xi.estimate[0]))))
         assert converged >= 950, f"p={p}: only {converged}/1000 pairs settled"
         assert worst <= 1e-5, f"p={p}: worst split-identity gap {worst:.3e}"
         worst_overall = max(worst_overall, worst)
@@ -105,9 +99,6 @@ def test_criterion_03_ball_derivative_oracle_match():
                 x = center + radius * rng.uniform(1.05, 2.5) * space.unit(rng.standard_normal(3))
             else:
                 x = center + radius * space.unit(rng.standard_normal(3))
-                tag = classify_sphere_direction(space, center, radius, x, v).tag
-                if counts[f"ball:sphere-{tag}"] >= per_clause:
-                    continue
             analytic = directional_derivative(space, ball, x, v)
             if counts.get(analytic.case_label, per_clause) >= per_clause:
                 continue
@@ -251,8 +242,8 @@ def test_criterion_07_structural_laws():
     for _ in range(50):
         x = space.unit(rng.standard_normal(3)) * 0.5
         v = rng.standard_normal(3)
-        got = interior_derivative(space, ball, x, v)
-        assert np.array_equal(got.value, v) and got.case_label == "interior"
+        got = directional_derivative(space, ball, x, v)
+        assert np.array_equal(got.value, v) and got.case_label == "ball:interior"
         y = rng.standard_normal(3)
         got = directional_derivative(space, Singleton(y=y), y + rng.standard_normal(3), v)
         assert np.array_equal(got.value, np.zeros(3))
@@ -317,10 +308,13 @@ def test_criterion_09_inverse_image_geometry():
         space = LpSpace(p)
         center = rng.standard_normal(3) * 0.3
         radius = 1.2
+        ball = Ball(center=center, radius=radius)
         for _ in range(100):
+            # the outward ray from a sphere point y projects back onto y
             y = center + radius * space.unit(rng.standard_normal(3))
             for t in (0.0, 0.5, 1.0, 5.0, 50.0):
-                assert inverse_image_ray_check(space, center, radius, y, t)
+                back = project(space, ball, y + t * (y - center))
+                assert space.norm(back - y) <= sets._tolerance(space, y)
 
     space = LpSpace(3.0)
     free = np.array([True, False, True, False])
@@ -338,7 +332,12 @@ def test_criterion_09_inverse_image_geometry():
         y = np.abs(rng.standard_normal(3))
         x = rng.standard_normal(3) * rng.uniform(0.3, 2.0)
         t = float(rng.uniform(0.3, 3.0))
-        assert cone_translation_check(space, K, y, t, x)
+        # P(x) = y exactly when P(x + u - y) = u, for u = t y on the ray from the vertex 0
+        u = t * y
+        eff = max(sets._tolerance(space, y), sets._tolerance(space, x))
+        lhs = space.norm(project(space, K, x) - y) <= eff
+        rhs = space.norm(project(space, K, x + (u - y)) - u) <= eff
+        assert lhs == rhs
         checked += 1
     print(f"PASS criterion 9: ray membership, subspace translation (worst {worst:.1e}), {checked} cone translations")
 

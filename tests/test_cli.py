@@ -34,7 +34,8 @@ CONFIGS = {
                 "inputs": {"x": [2, 0]}, "tolerances": {"max_iter": 10, "cert_tol": 1e-8}},
     "verify": {"suite": "hilbert", "count": 5, "seed": 1},
     "moduli": {"space": {"p": 2, "n": 2},
-               "moduli": {"curve": "delta", "epsilons": [0.5, 1.0], "budget": 500, "threads": 1}},
+               "moduli": {"curve": "delta", "epsilons": [0.25, 0.5, 0.75, 1.0], "budget": 500,
+                          "threads": 1}},
     "rate": {"space": {"p": 2, "n": 2}, "set": {"type": "positive_cone"}, "inputs": {"x": [1, -1]},
              "rate": {"count": 2, "k_min": 8, "k_max": 12}},
 }
@@ -57,6 +58,20 @@ WRONG_TYPES = [
     ("project", None, "tolerances", [1]),
     ("moduli", "moduli", "curve", ["delta"]),
     ("rate", "rate", "directions", "north"),
+    # values a lax int, float or bool cast would take
+    ("rate", "rate", "count", 2.9),
+    ("rate", "rate", "k_min", "8"),
+    ("rate", "rate", "directions", [[1, True]]),
+    ("moduli", "moduli", "budget", "300"),
+    ("moduli", "moduli", "threads", True),
+    ("moduli", "moduli", "fit", "no"),
+    ("moduli", "moduli", "epsilons", ["0.5", "1.0"]),
+    ("project", "tolerances", "max_iter", 2.5),
+    ("project", "tolerances", "cert_tol", "1e-8"),
+    ("project", "space", "n", 2.7),
+    ("project", "space", "p", "3"),
+    ("project", "inputs", "x", ["2", "0"]),
+    ("verify", None, "seed", True),
 ]
 
 
@@ -463,7 +478,7 @@ class TestErrors:
             main(["nonsense", "--config", "whatever.json"])
 
     @pytest.mark.parametrize("command, section, key, value", WRONG_TYPES,
-                             ids=[f"{c}-{k}" for c, _, k, _ in WRONG_TYPES])
+                             ids=[f"{c}-{k}-{type(v).__name__}" for c, _, k, v in WRONG_TYPES])
     def test_wrong_typed_option_is_a_config_error(self, tmp_path, command, section, key, value):
         # each was once a TypeError traceback with exit code 1
         cfg = json.loads(json.dumps(CONFIGS[command]))

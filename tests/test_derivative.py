@@ -16,9 +16,7 @@ from banachproj import (
     Segment,
     Singleton,
     StepSchedule,
-    classify_sphere_direction,
     directional_derivative,
-    interior_derivative,
     numdiff_derivative,
     project,
 )
@@ -32,32 +30,28 @@ CONE = PositiveCone()
 PLANE = CoordinateSubspace(free=[True, True, False])   # the (x, y) plane of R^3
 
 
-class TestClassifySphereDirection:
+class TestSphereClauses:
     def test_outward_radial_is_up(self):
-        space = LpSpace(2.0)
-        cls = classify_sphere_direction(space, [0.0, 0.0], 1.0, [1.0, 0.0], [1.0, 0.0])
-        assert cls.tag == "up"
-        assert cls.margin > 0.0
+        res = directional_derivative(LpSpace(2.0), DISK, [1.0, 0.0], [1.0, 0.0])
+        assert res.case_label == "ball:sphere-up"
+        assert np.array_equal(res.value, [0.0, 0.0])
 
     def test_inward_radial_is_down(self):
-        space = LpSpace(2.0)
-        cls = classify_sphere_direction(space, [0.0, 0.0], 1.0, [1.0, 0.0], [-1.0, 0.0])
-        assert cls.tag == "down"
-        assert cls.margin < 0.0
+        res = directional_derivative(LpSpace(2.0), DISK, [1.0, 0.0], [-1.0, 0.0])
+        assert res.case_label == "ball:sphere-down"
+        assert np.array_equal(res.value, [-1.0, 0.0])
 
     def test_tangent_resolves_up_by_sampling(self):
         # first-order growth is an exact tie; ||(1, t)|| > 1 for t > 0
-        # settles it on the outside
-        space = LpSpace(2.0)
-        cls = classify_sphere_direction(space, [0.0, 0.0], 1.0, [1.0, 0.0], [0.0, 1.0])
-        assert cls.tag == "up"
-        assert cls.margin == 0.0
+        # settles it on the outside, where the zero slope leaves v
+        res = directional_derivative(LpSpace(2.0), DISK, [1.0, 0.0], [0.0, 1.0])
+        assert res.case_label == "ball:sphere-up"
+        assert np.array_equal(res.value, [0.0, 1.0])
 
     def test_tangent_p3(self):
-        space = LpSpace(3.0)
-        cls = classify_sphere_direction(space, [0.0, 0.0, 0.0], 1.0,
-                                        [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
-        assert cls.tag == "up"
+        res = directional_derivative(LpSpace(3.0), BALL3, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+        assert res.case_label == "ball:sphere-up"
+        assert np.array_equal(res.value, [0.0, 1.0, 0.0])
 
     def test_partition_of_directions(self, rng):
         # every nonzero direction lands in exactly one class
@@ -65,24 +59,8 @@ class TestClassifySphereDirection:
         x = np.array([1.0, 0.0, 0.0])
         for _ in range(25):
             v = rng.normal(size=3)
-            cls = classify_sphere_direction(space, np.zeros(3), 1.0, x, v)
-            assert cls.tag in ("up", "down")
-
-    def test_rejects_zero_direction_and_off_sphere_point(self):
-        space = LpSpace(2.0)
-        with pytest.raises(ValueError, match="nonzero"):
-            classify_sphere_direction(space, [0.0, 0.0], 1.0, [1.0, 0.0], [0.0, 0.0])
-        with pytest.raises(ValueError, match="sphere"):
-            classify_sphere_direction(space, [0.0, 0.0], 1.0, [2.0, 0.0], [1.0, 0.0])
-
-    def test_ball_checked_as_a_descriptor(self):
-        # a NaN center once came back as BoundaryClass("up", nan), and a
-        # one-entry center broadcast against the 2-d point
-        space = LpSpace(3.0)
-        with pytest.raises(ValueError, match="coordinates must be finite"):
-            classify_sphere_direction(space, [np.nan, 0.0], 1.0, [1.0, 0.0], [0.0, 1.0])
-        with pytest.raises(ValueError, match="point has dimension 2, set expects 1"):
-            classify_sphere_direction(space, [0.0], 1.0, [1.0, 0.0], [0.0, 1.0])
+            res = directional_derivative(space, BALL3, x, v)
+            assert res.case_label in ("ball:sphere-up", "ball:sphere-down")
 
 
 class TestBallDerivative:
@@ -365,72 +343,37 @@ class TestSubspaceDerivative:
                                    [1.0, 0.0], [1.0, 0.0])
 
 
-class TestInteriorDerivative:
+class TestInteriorRule:
+    # inside C the projection is the identity, inside the inverse image of a
+    # point it is constant
     def test_cone_interior_is_identity(self):
-        space = LpSpace(3.0)
         v = np.array([1.0, -2.0, 0.5])
-        res = interior_derivative(space, PositiveCone(), [1.0, 2.0, 3.0], v)
+        res = directional_derivative(LpSpace(3.0), PositiveCone(), [1.0, 2.0, 3.0], v)
         assert np.array_equal(res.value, v)
-        assert res.case_label == "interior"
+        assert res.case_label == "cone:p3z0n0/clamp0"
 
     def test_cone_inverse_image_interior_is_constant(self):
-        space = LpSpace(3.0)
-        res = interior_derivative(space, PositiveCone(), [-1.0, -2.0, -3.0], [1.0, 1.0, 1.0])
+        res = directional_derivative(LpSpace(3.0), PositiveCone(), [-1.0, -2.0, -3.0], np.ones(3))
         assert np.array_equal(res.value, np.zeros(3))
-        assert res.case_label == "inverse-image-interior"
-
-    def test_cone_boundary_refused(self):
-        space = LpSpace(3.0)
-        with pytest.raises(ValueError, match="neither"):
-            interior_derivative(space, PositiveCone(), [1.0, -1.0, 0.0], [1.0, 0.0, 0.0])
+        assert res.case_label == "cone:p0z0n3/clamp0"
 
     def test_ball_interior_is_identity(self):
-        space = LpSpace(3.0)
         v = np.array([0.1, 0.2, 0.3])
-        res = interior_derivative(space, Ball(center=[0.0, 0.0, 0.0], radius=1.0),
-                                  [0.2, 0.2, 0.2], v)
+        res = directional_derivative(LpSpace(3.0), BALL3, [0.2, 0.2, 0.2], v)
         assert np.array_equal(res.value, v)
-        assert res.case_label == "interior"
-
-    def test_ball_exterior_refused(self):
-        space = LpSpace(3.0)
-        with pytest.raises(ValueError, match="interior"):
-            interior_derivative(space, Ball(center=[0.0, 0.0, 0.0], radius=1.0),
-                                [2.0, 0.0, 0.0], [1.0, 0.0, 0.0])
+        assert res.case_label == "ball:interior"
 
     def test_singleton_constant_everywhere(self):
-        space = LpSpace(2.0)
-        res = interior_derivative(space, Singleton(y=[1.0, 1.0]), [5.0, -3.0], [1.0, 1.0])
+        res = directional_derivative(LpSpace(2.0), Singleton(y=[1.0, 1.0]), [5.0, -3.0], [1.0, 1.0])
         assert np.array_equal(res.value, np.zeros(2))
         assert res.case_label == "singleton"
 
-    def test_polytope_interior_and_boundary(self):
-        space = LpSpace(2.0)
+    def test_polytope_interior(self):
         C = PolytopeH(normals=[[1.0, 0.0], [0.0, 1.0]], offsets=[1.0, 1.0])
         v = np.array([2.0, 3.0])
-        res = interior_derivative(space, C, [0.0, 0.0], v)
+        res = directional_derivative(LpSpace(2.0), C, [0.0, 0.0], v)
         assert np.array_equal(res.value, v)
-        with pytest.raises(ValueError, match="interior"):
-            interior_derivative(space, C, [1.0, 0.0], v)
-
-    def test_subspace_has_no_interior(self):
-        space = LpSpace(2.0)
-        with pytest.raises(ValueError, match="empty interior"):
-            interior_derivative(space, CoordinateSubspace(free=[True, False]),
-                                [1.0, 0.0], [1.0, 0.0])
-
-    @pytest.mark.parametrize("C, x, v", [
-        (Singleton(y=[1.0, 2.0, 3.0]), [1.0], [1.0]),
-        (Ball(center=[0.0], radius=1.0), [0.1, 0.1], [1.0, 0.0]),
-        (Ball(center=[0.0, 0.0, 0.0], radius=1.0), [0.1, 0.1], [1.0, 0.0]),
-    ])
-    def test_point_in_the_wrong_dimension_refused(self, C, x, v):
-        with pytest.raises(ValueError, match=f"dimension {len(x)}, set expects {C.dim}"):
-            interior_derivative(LpSpace(3.0), C, x, v)
-
-    def test_non_descriptor_refused(self):
-        with pytest.raises(TypeError, match="unknown set descriptor"):
-            interior_derivative(LpSpace(3.0), "ball", [0.1, 0.1], [1.0, 0.0])
+        assert res.case_label == "numeric"
 
 
 class TestDirectionalDerivativeDispatch:
@@ -519,9 +462,6 @@ ALL_3D = {
 # every derivative entry point, called with (space, x, v)
 DERIVATIVE_ENTRY_POINTS = {
     "directional_derivative": lambda space, x, v: directional_derivative(space, ALL_3D["ball"], x, v),
-    "classify_sphere_direction": lambda space, x, v: classify_sphere_direction(
-        space, np.zeros(3), 1.0, x, v),
-    "interior_derivative": lambda space, x, v: interior_derivative(space, PositiveCone(), x, v),
 }
 
 
@@ -543,27 +483,22 @@ class TestEntryValidation:
 
     @pytest.mark.parametrize("entry", sorted(DERIVATIVE_ENTRY_POINTS))
     def test_every_entry_point_rejects_a_zero_direction(self, entry):
-        # (1, 0, 0) lies on the unit sphere of every ℓ_p and in the subspace;
-        # the interior rule needs a point inside the cone
-        x = [1.0, 2.0, 3.0] if entry == "interior_derivative" else [1.0, 0.0, 0.0]
+        # (1, 0, 0) lies on the unit sphere of every ℓ_p
+        x = [1.0, 0.0, 0.0]
         DERIVATIVE_ENTRY_POINTS[entry](LpSpace(3.0), x, [1.0, 0.0, 0.0])   # accepted
         with pytest.raises(ValueError, match="direction must be nonzero"):
             DERIVATIVE_ENTRY_POINTS[entry](LpSpace(3.0), x, np.zeros(3))
 
-    @pytest.mark.parametrize("entry", ["directional_derivative", "classify_sphere_direction"])
-    def test_ball_clauses_refuse_where_the_unit_quotients_leave_the_sphere(self, entry):
+    def test_ball_clauses_refuse_where_the_unit_quotients_leave_the_sphere(self):
         # an overflowing norm, and the center of a ball thinner than the
         # sphere band, leave no unit vector to take the slope at
         space, c = LpSpace(3.0), np.zeros(3)
-        fn = classify_sphere_direction
-        if entry == "directional_derivative":
-            def fn(space, c, r, x, v):
-                return directional_derivative(space, Ball(center=c, radius=r), x, v)
         with np.errstate(over="ignore"), \
                 pytest.raises(ValueError, match="direction must lie on the unit sphere"):
-            fn(space, c, 1.0, [1.0, 0.0, 0.0], np.full(3, 1.7e308))   # ‖v‖ overflows
+            # ‖v‖ overflows
+            directional_derivative(space, BALL3, [1.0, 0.0, 0.0], np.full(3, 1.7e308))
         with pytest.raises(ValueError, match="cannot normalize the zero vector"):
-            fn(space, c, 1e-12, c, [1.0, 0.0, 0.0])
+            directional_derivative(space, Ball(center=c, radius=1e-12), c, [1.0, 0.0, 0.0])
 
     @pytest.mark.parametrize("entry", sorted(DERIVATIVE_ENTRY_POINTS))
     def test_every_entry_point_rejects_a_nan_base_point(self, entry):

@@ -28,11 +28,8 @@ def test_package_exports_are_the_submodule_lists():
 
 # Every keyword with a default on the public surface, as (callable, parameter).
 # A setting that only one value is used for belongs in a constant; add one
-# here only when a caller outside the tests sets it.  The exception:
-# LpSpace.duality_smoothness(schedule), which tests need to reach its
-# ConvergenceError path.
+# here only when a caller outside the tests sets it.
 SETTINGS = [
-    ("LpSpace.duality_smoothness", "schedule"),
     ("contains", "tol"),
     ("project_with_certificate", "max_iter"),
     ("project_with_certificate", "cert_tol"),
@@ -75,4 +72,4 @@ def test_settable_keywords_are_the_pinned_list():
     for suite in SUITES.values():
         found += _settings(suite.__name__, suite)
     assert sorted(found) == sorted(SETTINGS)
-    assert len(SETTINGS) == 42
+    assert len(SETTINGS) == 41

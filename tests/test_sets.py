@@ -17,18 +17,15 @@ from banachproj import (
     Segment,
     Singleton,
     classify_point,
-    cone_translation_check,
     contains,
     descriptor_from_json,
     descriptor_to_json,
-    dual_cone_residual,
-    inverse_image_ray_check,
     orthogonal_cone_residual,
     project,
 )
-from banachproj.sets import _TYPES
+from banachproj.sets import _TYPES, _tolerance
 from banachproj.verify import _random_sets
-from oracles import grid_project, lp_norm, param_grid_min
+from oracles import grid_project, lp_norm, param_grid_min, probe_gap
 
 
 class TestDescriptorValidation:
@@ -406,26 +403,6 @@ class TestDescriptorMethods:
         with pytest.raises(ValueError, match=f"no closed-form internal/cuticle classification for {name}"):
             classify_point(space, C, y)
 
-    @pytest.mark.parametrize("kind", ["ball", "polytope_h", "polytope_v", "segment", "singleton"])
-    def test_cone_checks_refuse_non_cones(self, kind, rng):
-        space = LpSpace(3.0)
-        K = next(D for D in _random_sets(rng, 3) if D.kind == kind)
-        y = next(K.sample(rng, 3))
-        match = f"{type(K).__name__} is not a supported cone descriptor"
-        with pytest.raises(ValueError, match=match):
-            cone_translation_check(space, K, y, 2.0, y + 1.0)
-        with pytest.raises(ValueError, match=match):
-            dual_cone_residual(space, K, y + 1.0, [y])
-
-    def test_cone_vertices(self):
-        assert np.array_equal(PositiveCone().cone_vertex(3), np.zeros(3))
-        assert np.array_equal(CoordinateSubspace(free=[True, False]).cone_vertex(2), np.zeros(2))
-        R = Ray(v=[1.0, -2.0], dir=[0.0, 1.0])
-        vertex = R.cone_vertex(2)
-        assert np.array_equal(vertex, [1.0, -2.0])
-        vertex[0] = 5.0
-        assert R.v[0] == 1.0
-
     def test_cone_witness_has_no_negative_zeros(self):
         res = classify_point(LpSpace(3.0), PositiveCone(), [1.0, 0.0, 3.0])
         assert np.signbit(res.witness).tolist() == [False, True, False]
@@ -449,87 +426,53 @@ class TestOrthogonalConeResidual:
 
 
 class TestInverseImageRay:
+    # the inverse image of a sphere point y is the outward ray {y + t y : t >= 0}
+    BALL = Ball(center=np.zeros(3), radius=1.0)
+
     def test_outward_ray_projects_back(self):
         space = LpSpace(3.0)
         y = np.array([1.0, 0.0, 0.0])
         for t in (0.0, 5.0):
-            assert inverse_image_ray_check(space, np.zeros(3), 1.0, y, t)
+            assert space.norm(project(space, self.BALL, y + t * y) - y) <= _tolerance(space, y)
 
     def test_perturbed_point_fails(self):
         space = LpSpace(3.0)
         y = np.array([1.0, 0.1, 0.0])
-        assert not inverse_image_ray_check(space, np.zeros(3), 1.0, y, 5.0)
-
-    def test_negative_parameter_rejected(self):
-        space = LpSpace(2.0)
-        with pytest.raises(ValueError):
-            inverse_image_ray_check(space, np.zeros(2), 1.0, [1.0, 0.0], -0.5)
-
-    def test_point_checked_against_the_ball(self):
-        # it once failed inside NumPy broadcasting
-        space = LpSpace(3.0)
-        with pytest.raises(ValueError, match="point has dimension 3, set expects 2"):
-            inverse_image_ray_check(space, [0.0, 0.0], 1.0, [1.0, 0.0, 0.0], 1.0)
+        assert space.norm(project(space, self.BALL, y + 5.0 * y) - y) > _tolerance(space, y)
 
 
 class TestConeTranslation:
-    def test_member_of_inverse_image(self):
-        space = LpSpace(3.0)
-        assert cone_translation_check(space, PositiveCone(), [1.0, 1.0, 0.0], 2.0, [1.0, 1.0, -4.0])
-
-    def test_base_point_itself(self):
-        space = LpSpace(3.0)
-        assert cone_translation_check(space, PositiveCone(), [1.0, 1.0, 0.0], 2.0, [1.0, 1.0, 0.0])
-
-    def test_nonmember_equivalence(self):
-        # both memberships are false, so the equivalence still holds
-        space = LpSpace(3.0)
-        assert cone_translation_check(space, PositiveCone(), [1.0, 1.0, 0.0], 2.0, [0.0, 1.0, -4.0])
-
-    def test_parameter_and_base_validation(self):
-        space = LpSpace(3.0)
-        with pytest.raises(ValueError):
-            cone_translation_check(space, PositiveCone(), [1.0, 1.0, 0.0], 0.0, [1.0, 1.0, -4.0])
-        with pytest.raises(ValueError):
-            cone_translation_check(space, PositiveCone(), [-1.0, 1.0, 0.0], 2.0, [1.0, 1.0, -4.0])
-        with pytest.raises(ValueError):
-            cone_translation_check(space, Ball(center=[0.0] * 3, radius=1.0), [1.0, 0.0, 0.0], 2.0, np.zeros(3))
-
-    def test_point_held_to_the_base_point_dimension(self):
-        # the cone pins no dimension, so x answers to y's
-        with pytest.raises(ValueError, match="dimension 3, first point has 1"):
-            cone_translation_check(LpSpace(3.0), PositiveCone(), [1.0], 2.0, [1.0, 1.0, -4.0])
+    # P(x) = y exactly when P(x + u - y) = u, for u = t y on the ray from the vertex 0
+    @pytest.mark.parametrize("x, member", [
+        ([1.0, 1.0, -4.0], True), ([1.0, 1.0, 0.0], True), ([0.0, 1.0, -4.0], False),
+    ], ids=["member_of_inverse_image", "base_point_itself", "nonmember_equivalence"])
+    def test_translation_law(self, x, member):
+        space, y, x = LpSpace(3.0), np.array([1.0, 1.0, 0.0]), np.array(x)
+        u = 2.0 * y
+        eff = max(_tolerance(space, y), _tolerance(space, x))
+        assert (space.norm(project(space, PositiveCone(), x) - y) <= eff) == member
+        assert (space.norm(project(space, PositiveCone(), x + (u - y)) - u) <= eff) == member
 
 
 class TestDualConeResidual:
+    # x projects to the cone's vertex 0 exactly when <J x, 0 - z> >= 0 for all z in the cone
     def test_all_negative_point_has_nonnegative_margin(self):
-        space = LpSpace(3.0)
         probes = [np.eye(3)[i] for i in range(3)]
-        res = dual_cone_residual(space, PositiveCone(), [-1.0, -1.0, -1.0], probes)
+        x = np.array([-1.0, -1.0, -1.0])
+        assert np.array_equal(project(LpSpace(3.0), PositiveCone(), x), np.zeros(3))
+        res = probe_gap(3.0, x, np.zeros(3), probes)
         assert res >= 0.0
         assert res == pytest.approx(3.0 ** (-1.0 / 3.0), rel=1e-14)
 
     def test_vertex_itself(self):
         space = LpSpace(3.0)
-        assert dual_cone_residual(space, PositiveCone(), np.zeros(3), [np.eye(3)[0]]) == 0.0
+        assert np.array_equal(project(space, PositiveCone(), np.zeros(3)), np.zeros(3))
+        assert np.array_equal(space.duality_map(np.zeros(3)), np.zeros(3))   # a zero margin
 
     def test_positive_point_fails_margin(self):
-        space = LpSpace(3.0)
-        res = dual_cone_residual(space, PositiveCone(), [1.0, 0.0, 0.0], [np.eye(3)[0]])
-        assert res == pytest.approx(-1.0, rel=1e-14)
-
-    def test_probe_validation(self):
-        space = LpSpace(3.0)
-        with pytest.raises(ValueError):
-            dual_cone_residual(space, PositiveCone(), np.zeros(3), [])
-        with pytest.raises(ValueError):
-            dual_cone_residual(space, PositiveCone(), np.zeros(3), [[-1.0, 0.0, 0.0]])
-
-    @pytest.mark.parametrize("probe", [[1.0], [1.0, 0.0]])
-    def test_probes_held_to_the_point_dimension(self, probe):
-        # the cone pins no dimension, so every probe answers to x's
-        with pytest.raises(ValueError, match=f"dimension {len(probe)}, first point has 3"):
-            dual_cone_residual(LpSpace(3.0), PositiveCone(), [-1.0, -1.0, -1.0], [probe])
+        x = np.array([1.0, 0.0, 0.0])
+        assert np.array_equal(project(LpSpace(3.0), PositiveCone(), x), x)
+        assert probe_gap(3.0, x, np.zeros(3), [np.eye(3)[0]]) == pytest.approx(-1.0, rel=1e-14)
 
 
 class TestProjectionMonotonicity:

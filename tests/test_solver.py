@@ -15,11 +15,9 @@ from banachproj import (
     Segment,
     Singleton,
     classify_point,
-    cone_translation_check,
     contains,
     descriptor_to_json,
     directional_derivative,
-    dual_cone_residual,
     project,
     project_with_certificate,
     support,
@@ -452,9 +450,6 @@ POINT_ENTRY_POINTS = {
     "directional_derivative": directional_derivative,
     "contains": lambda space, C, x, v: contains(space, C, x),
     "classify_point": lambda space, C, x, v: classify_point(space, C, x),
-    # the cone checks test their points before asking C for a cone vertex
-    "cone_translation_check": lambda space, C, x, v: cone_translation_check(space, C, x, 2.0, x),
-    "dual_cone_residual": lambda space, C, x, v: dual_cone_residual(space, C, x, [x]),
 }
 
 # every entry point that takes a descriptor, called with (space, C)

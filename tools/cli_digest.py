@@ -12,9 +12,11 @@ a `derivative` along a zero direction and a `project` of non-finite
 points), and last the ball `derivative` at a sphere point along an
 outward and an inward direction and at an exterior point (the
 `ball:sphere-up`, `ball:sphere-down` and `ball:exterior` clauses),
-then a refused `classify` on a V-polytope (exit 2).  Each config runs through `banachproj.cli.main`
-in-process, inside a temporary directory, and the script prints one line
-per config:
+then a refused `classify` on a V-polytope (exit 2), and last three options
+of the wrong JSON type that must exit with code 2 (a fractional `rate`
+count, a string `moduli` fit flag and a string exponent for `project`).
+Each config runs through `banachproj.cli.main` in-process, inside a
+temporary directory, and the script prints one line per config:
 
     <name> <exit code> <sha256 of stdout>
 
@@ -150,6 +152,17 @@ def corpus() -> list[tuple[str, str, dict]]:
     vpoly = sets3["polytope_v"]
     out.append(("classify_polytope_v", "classify", {
         "space": space, "set": vpoly, "inputs": {"x": _lst(np.mean(vpoly["vertices"], axis=0))},
+    }))
+    out.append(("rate_fractional_count", "rate", {
+        "space": space, "set": segment, "inputs": {"x": [1.0, 2.0, 3.0]}, "rate": {"count": 2.9},
+    }))
+    out.append(("moduli_string_fit", "moduli", {
+        "space": {"p": 3.0, "n": 2},
+        "moduli": {"curve": "delta", "epsilons": [0.25, 0.5, 0.75, 1.0], "budget": 500,
+                   "fit": "no", "threads": 1},
+    }))
+    out.append(("project_string_exponent", "project", {
+        "space": {"p": "3", "n": 3}, "set": sets3["ball"], "inputs": {"x": [1.0, 2.0, 3.0]},
     }))
     return out
 
