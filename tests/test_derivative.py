@@ -48,8 +48,9 @@ class TestSphereClauses:
         assert res.case_label == "ball:sphere-up"
         assert np.array_equal(res.value, [0.0, 1.0])
 
-    def test_tangent_p3(self):
-        res = directional_derivative(LpSpace(3.0), BALL3, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
+    def test_tangent_is_up(self, p):
+        res = directional_derivative(LpSpace(p), BALL3, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
         assert res.case_label == "ball:sphere-up"
         assert np.array_equal(res.value, [0.0, 1.0, 0.0])
 
@@ -374,6 +375,32 @@ class TestInteriorRule:
         res = directional_derivative(LpSpace(2.0), C, [0.0, 0.0], v)
         assert np.array_equal(res.value, v)
         assert res.case_label == "numeric"
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
+    @pytest.mark.parametrize("kind, x, label", [
+        ("ball", [0.2, -0.2, 0.2], "ball:interior"),
+        ("cone", [1.0, 2.0, 3.0], "cone:p3z0n0/clamp0"),
+        ("polytope_h", [0.1, -0.2, 0.3], "numeric"),
+        ("polytope_v", [0.2, 0.2, 0.2], "numeric"),
+    ], ids=["ball", "cone", "polytope_h", "polytope_v"])
+    def test_identity_inside_every_solid_set(self, kind, x, label, p):
+        v = np.array([1.0, -2.0, 0.5])
+        res = directional_derivative(LpSpace(p), ALL_3D[kind], x, v)
+        assert np.array_equal(res.value, v)
+        assert res.case_label == label
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
+    @pytest.mark.parametrize("kind, x, label", [
+        ("cone", [-1.0, -2.0, -3.0], "cone:p0z0n3/clamp0"),
+        ("segment", [-1.0, 0.5, 0.2], "numeric"),
+        ("ray", [-1.0, -2.0, 0.5], "numeric"),
+        ("singleton", [5.0, -3.0, 0.0], "singleton"),
+    ], ids=["cone", "segment", "ray", "singleton"])
+    def test_constant_inside_an_inverse_image(self, kind, x, label, p):
+        # each x lies inside the inverse image of one point of C
+        res = directional_derivative(LpSpace(p), ALL_3D[kind], x, [1.0, -2.0, 0.5])
+        assert np.array_equal(res.value, np.zeros(3))
+        assert res.case_label == label
 
 
 class TestDirectionalDerivativeDispatch:

@@ -440,6 +440,20 @@ class TestInverseImageRay:
         y = np.array([1.0, 0.1, 0.0])
         assert space.norm(project(space, self.BALL, y + 5.0 * y) - y) > _tolerance(space, y)
 
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
+    @pytest.mark.parametrize("kind", sorted(k for k, D in _TYPES.items() if D.solver_tol == 0.0))
+    def test_ray_law_on_every_closed_form_set(self, kind, p, rng):
+        # Px = y exactly when <J(x - y), c - y> <= 0 on C; J is positively
+        # homogeneous, so every y + t (x - y) with t >= 0 projects to y too
+        space = LpSpace(p)
+        C = next(D for D in _random_sets(rng, 3) if D.kind == kind)
+        for _ in range(3):
+            x = 3.0 * rng.standard_normal(3)
+            y = project(space, C, x)
+            for t in (0.0, 0.5, 4.0):
+                z = y + t * (x - y)
+                assert space.norm(project(space, C, z) - y) <= _tolerance(space, z)
+
 
 class TestConeTranslation:
     # P(x) = y exactly when P(x + u - y) = u, for u = t y on the ray from the vertex 0
@@ -452,6 +466,21 @@ class TestConeTranslation:
         eff = max(_tolerance(space, y), _tolerance(space, x))
         assert (space.norm(project(space, PositiveCone(), x) - y) <= eff) == member
         assert (space.norm(project(space, PositiveCone(), x + (u - y)) - u) <= eff) == member
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
+    @pytest.mark.parametrize("kind", ["coordinate_subspace", "positive_cone", "ray"])
+    def test_translation_law_on_every_cone(self, kind, p, rng):
+        # the same law for each cone, with u = v + t (y - v) on the ray from its vertex v
+        space = LpSpace(p)
+        K = next(D for D in _random_sets(rng, 3) if D.kind == kind)
+        vertex = K.v if kind == "ray" else np.zeros(3)
+        for _ in range(3):
+            x = 3.0 * rng.standard_normal(3)
+            y = project(space, K, x)
+            for t in (0.5, 2.0):
+                u = vertex + t * (y - vertex)
+                z = x + (u - y)
+                assert space.norm(project(space, K, z) - u) <= _tolerance(space, z)
 
 
 class TestDualConeResidual:
