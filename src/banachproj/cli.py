@@ -12,7 +12,8 @@ everything else is JSON.  Without `--out` the report goes to stdout.
 Exit codes: 0 success, 1 a verify suite reported failures, 2 malformed
 config (a value of the wrong JSON type too: a count must be a JSON integer,
 a flag a JSON boolean, and a real value or vector holds JSON numbers, not
-strings or booleans), arguments or input values,
+strings or booleans, in a set descriptor as well, where a subspace mask
+holds JSON booleans), arguments or input values,
 3 infeasible set descriptor, 4 an iterative computation failed to converge
 or a numeric failure (ArithmeticError, e.g. a ray parameter overflow).
 

@@ -61,7 +61,7 @@ def _vec(x) -> np.ndarray:
     a = np.asarray(x, dtype=float)
     if a.ndim != 1 or a.size == 0:
         raise ValueError("expected a nonempty 1-d coordinate array")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("coordinates must be finite")
     return a
 
@@ -99,12 +99,15 @@ class SetDescriptor:
     Types with a closed-form rule override `classify(space, y, eff)` (the
     internal/cuticle tag of a member y, see `classify_point`); the base
     version refuses.  Its JSON form is its fields, unless it overrides
-    `to_json`.  `solver_tol` > 0 marks an iterative projection: the
-    polytope solver certifies it, and difference quotients skip steps with
-    t² < solver_tol.
+    `to_json`, and `descriptor_from_json` takes only entries of the types
+    in `_entry_types` there (JSON numbers, or booleans for a mask).
+    `solver_tol` > 0 marks an iterative projection: the polytope solver
+    certifies it, and difference quotients skip steps with t² < solver_tol.
+    `_gap_scale` gives the magnitudes behind the rounding of a certificate.
     """
 
     solver_tol = 0.0
+    _entry_types = (int, float)
 
     def contains(self, space: LpSpace, x: np.ndarray, eff: float) -> bool:
         return space.norm(x - self.project(space, x)) <= eff
@@ -113,6 +116,11 @@ class SetDescriptor:
         raise ValueError(
             f"no closed-form internal/cuticle classification for {type(self).__name__}"
         )
+
+    def _gap_scale(self, space: LpSpace, u: np.ndarray, z: np.ndarray) -> np.ndarray:
+        # coordinate magnitudes behind the rounding of the support gap
+        # ⟨j, u - z⟩ at a candidate u and support point z (see solver)
+        return np.abs(u) + np.abs(z)
 
     def to_json(self) -> dict:
         out = {"type": self.kind}
@@ -140,20 +148,27 @@ class Ball(SetDescriptor):
 
     def project(self, space, x):
         # identity inside, radial pullback outside
-        d = space.norm(x - self.center)
+        xc = x - self.center
+        d = space._power_norm(np.abs(xc), space.p)
         if d <= self.radius:
             return x.copy()
-        return self.center + (self.radius / d) * (x - self.center)
+        return self.center + (self.radius / d) * xc
 
     def support(self, space, j, x, box):
         # c + (r/‖j‖_q) J⁻¹(j), written out so that ‖j‖_q is taken once
-        nj = space.dual_norm(j)
+        nj, t = space._norm_and_power(j, space.q)
         if nj == 0.0:
             return self.center.copy()
-        return self.center + self.radius * space._signed_power(j, space.q - 1.0, nj)
+        return self.center + self.radius * t
 
     def contains(self, space, x, eff):
         return space.norm(x - self.center) <= self.radius + eff
+
+    def _gap_scale(self, space, u, z):
+        # u = c + s(x - c) and z = c + r|j/‖j‖_q|^(q-1) sign j round at the
+        # scale of c, and the power q - 1 multiplies the rounding of z - c
+        c = self.center
+        return np.abs(u) + np.abs(z) + np.abs(c) + (space.q - 1.0) * np.abs(z - c)
 
     def sample(self, rng, n):
         for _ in range(4):
@@ -206,6 +221,7 @@ class CoordinateSubspace(SetDescriptor):
 
     free: np.ndarray
     kind = "coordinate_subspace"
+    _entry_types = (bool,)
     dim = property(lambda self: self.free.size)
 
     def __post_init__(self):
@@ -460,6 +476,16 @@ def descriptor_to_json(C) -> dict:
     return _descriptor(C).to_json()
 
 
+def _json_field(name: str, value, types: tuple[type, ...]):
+    # a JSON field as given: a scalar or nested lists whose every entry has
+    # one of these exact types, so a string or a boolean is not a number
+    for item in np.asarray(value, dtype=object).flat:
+        if type(item) not in types:
+            want = "booleans" if types == (bool,) else "numbers"
+            raise ValueError(f"field {name!r} must hold JSON {want}, got {type(item).__name__}")
+    return value
+
+
 def descriptor_from_json(data: dict) -> SetDescriptor:
     if not isinstance(data, dict) or "type" not in data:
         raise ValueError("set descriptor must be an object with a 'type' field")
@@ -470,10 +496,13 @@ def descriptor_from_json(data: dict) -> SetDescriptor:
     try:
         if cls is PolytopeH:
             rows = data["rows"]
-            return cls(normals=[r["normal"] for r in rows], offsets=[r["offset"] for r in rows])
-        return cls(**{f.name: data[f.name] for f in fields(cls)})
+            given = {"normals": [r["normal"] for r in rows], "offsets": [r["offset"] for r in rows]}
+        else:
+            given = {f.name: data[f.name] for f in fields(cls)}
     except KeyError as exc:
         raise ValueError(f"set descriptor of type {kind!r} is missing field {exc}") from exc
+    return cls(**{name: _json_field(name, value, cls._entry_types)
+                  for name, value in given.items()})
 
 
 def contains(space: LpSpace, C, x, tol: float | None = None) -> bool:

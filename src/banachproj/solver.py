@@ -43,6 +43,7 @@ __all__ = [
 CERT_TOL = 1e-8
 MAX_ITER = 100_000
 _EPS = float(np.finfo(float).eps)
+_MAX = float(np.finfo(float).max)
 
 
 @dataclass
@@ -51,13 +52,16 @@ class ProjectionCertificate:
 
     `residual` is ⟨j, u - z⟩ for j = J(x - u) and z the support point
     (-inf when the support LP fails).  converged implies membership of
-    `point` in the set and residual >= -(cert_tol + 4·n·ε·Σ|j_i|(|u_i| + |z_i| + |c_i|)),
-    with c the center for a ball and 0 for every other set.  That is a
-    forward rounding bound of the pairing and, through |c_i|, of the
-    ball's u = c + s(x - c), whose coordinates cancel to |u_i| << |c_i|
-    for far points.  It keeps exact projections of far points certified
-    and is below 1e-13 at unit scale.  `distance` is the ℓ_p distance
-    from x to `point`.
+    `point` in the set and residual >= -(cert_tol + 4·n·ε·Σ|j_i| w_i), with
+    w = |u| + |z| for most sets (a forward rounding bound of the pairing).
+    A ball adds |c| + (q - 1)|z - c| to w: its u = c + s(x - c) and its
+    support point z = c + r|j/‖j‖_q|^(q-1) sign j both round at the scale
+    of the center c, which cancels to |u_i| << |c_i| for far points, and
+    the power q - 1 multiplies the rounding of z - c (by 20 at p = 1.05).
+    The allowance keeps exact projections of far points certified, is
+    below 1e-13 at unit scale, and is capped at the largest double, so a
+    residual that overflows to -inf is never certified.  `distance` is
+    the ℓ_p distance from x to `point`.
     """
 
     point: np.ndarray
@@ -93,20 +97,18 @@ def _support_gap(space: LpSpace, C, x: np.ndarray, u: np.ndarray, iterations: in
                  cert_tol: float, box: float | None = None) -> ProjectionCertificate:
     """Certify u by the support gap at j = J(x - u); box defaults to 2‖x - u‖ + 1."""
     r = x - u
-    j = space.duality_map(r)
-    distance = space.norm(r)
+    distance, j = space._norm_and_map(r, space.p)
     if box is None:
         box = 2.0 * distance + 1.0
     z = sets.support(space, C, j, x, box)
     if z is None:
         return ProjectionCertificate(u, -math.inf, iterations, distance, False)
-    residual = space.pairing(j, u - z)
-    if residual < -cert_tol:   # allow the rounding of the pairing, and of u itself
-        scale = np.abs(u) + np.abs(z)
-        if isinstance(C, sets.Ball):   # u = c + s(x - c) cancels where |u_i| << |c_i|
-            scale += np.abs(C.center)
-        # scaled before the sum: |j|·scale alone overflows for far points
-        cert_tol += float(np.dot(4.0 * u.size * _EPS * np.abs(j), scale))
+    residual = float(np.dot(j, u - z))
+    if residual < -cert_tol:   # allow the rounding of the pairing, and of u and z themselves
+        # scaled before the sum: |j|·scale alone overflows for far points;
+        # capped at the largest double, so an overflowed -inf never passes
+        allowance = float(np.dot(4.0 * u.size * _EPS * np.abs(j), C._gap_scale(space, u, z)))
+        cert_tol += min(allowance, _MAX)
     return ProjectionCertificate(u, residual, iterations, distance, residual >= -cert_tol)
 
 

@@ -17,6 +17,19 @@ sphere.
 The closed form used by ``norm_smoothness`` is not taken on faith: the
 test suite validates it against the raw difference quotient of the norm
 before anything downstream relies on it.
+
+One kernel serves every single point: ``_power_norm`` (the max-scaled
+power sum) and ``_norm_and_power``, which gives a norm and the power map
+|x/n|^(e-1) sign(x) from one |x|, so a certificate takes ‖x - u‖ and
+J(x - u) from one power sum.  On 3- to 8-vectors NumPy's function
+wrappers (``np.max``, ``np.sum``) cost more than the arithmetic, so the
+kernel calls the array methods and works in place; the results are the
+bits the function form gave.  The powers and the sum stay NumPy ufuncs:
+a scalar ``math.pow`` is 1 ulp off the array power on a few percent of
+inputs, and ``math.fsum`` (from n = 3) and Python's ``sum`` (from n = 8,
+NumPy's pairwise block) round differently from NumPy's sum.  The sign
+stays ``np.sign``, which maps -0.0 to +0.0, where ``np.copysign`` would
+keep -0.0 and move report bytes.
 """
 from __future__ import annotations
 
@@ -55,20 +68,23 @@ class LpSpace:
     # -- norms -----------------------------------------------------------
 
     @staticmethod
-    def _power_norm(x: np.ndarray, expo: float) -> float:
-        # scale by the max entry so |x_i/m| <= 1 before exponentiation
-        m = float(np.max(np.abs(x))) if x.size else 0.0
+    def _power_norm(a: np.ndarray, expo: float) -> float:
+        # ‖x‖_expo from a = |x|, which is left as it is; scaled by the max
+        # entry so a_i/m <= 1 before exponentiation
+        m = float(a.max()) if a.size else 0.0
         if m == 0.0 or not math.isfinite(m):
             return m
-        return float(m * np.sum(np.abs(x / m) ** expo) ** (1.0 / expo))
+        s = a / m
+        s **= expo
+        return m * float(s.sum()) ** (1.0 / expo)
 
     def norm(self, x) -> float:
         """ℓ_p norm of a primal vector."""
-        return self._power_norm(np.asarray(x, dtype=float), self.p)
+        return self._power_norm(np.abs(np.asarray(x, dtype=float)), self.p)
 
     def dual_norm(self, phi) -> float:
         """ℓ_q norm of a dual vector (q conjugate to p)."""
-        return self._power_norm(np.asarray(phi, dtype=float), self.q)
+        return self._power_norm(np.abs(np.asarray(phi, dtype=float)), self.q)
 
     def unit(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -90,18 +106,30 @@ class LpSpace:
         return float(np.dot(phi, x))
 
     @staticmethod
-    def _signed_power(x: np.ndarray, e: float, scale: float | None = None) -> np.ndarray:
-        # the ℓ_p power map |x / scale|^e sign(x), scale > 0; the sign is x's
-        # own, so a coordinate whose quotient underflows keeps its signed zero
-        a = np.abs(x) if scale is None else np.abs(x) / scale
-        return a ** e * np.sign(x)
+    def _signed_power(x: np.ndarray, e: float) -> np.ndarray:
+        # the ℓ_p power map |x|^e sign(x)
+        return np.abs(x) ** e * np.sign(x)
 
-    def _gradient_like(self, x: np.ndarray, expo: float) -> np.ndarray:
-        # common body of J and its inverse:  n * |x/n|^(e-1) * sign(x)
-        nx = self._power_norm(x, expo)
+    @staticmethod
+    def _norm_and_power(x: np.ndarray, expo: float) -> tuple[float, np.ndarray]:
+        # n = ‖x‖_expo and |x/n|^(expo-1) sign(x), from one |x| and one power
+        # sum; n times the second is J(x) for expo = p and J⁻¹(x) for q
+        a = np.abs(x)
+        nx = LpSpace._power_norm(a, expo)
         if nx == 0.0:
-            return np.zeros_like(x)
-        return nx * self._signed_power(x, expo - 1.0, nx)
+            return nx, np.zeros_like(x)
+        a /= nx
+        a **= expo - 1.0
+        a *= np.sign(x)
+        return nx, a
+
+    @staticmethod
+    def _norm_and_map(x: np.ndarray, expo: float) -> tuple[float, np.ndarray]:
+        # n = ‖x‖_expo and n * |x/n|^(expo-1) sign(x): (‖x‖, Jx) for expo = p,
+        # (‖x‖_*, J⁻¹x) for q
+        nx, t = LpSpace._norm_and_power(x, expo)
+        t *= nx
+        return nx, t
 
     def duality_map(self, x) -> np.ndarray:
         """Normalized duality mapping J: ⟨Jx, x⟩ = ‖x‖², ‖Jx‖_* = ‖x‖.
@@ -109,14 +137,14 @@ class LpSpace:
         J(θ) is the zero functional, the only choice consistent with the
         two identities above.
         """
-        return self._gradient_like(np.asarray(x, dtype=float), self.p)
+        return self._norm_and_map(np.asarray(x, dtype=float), self.p)[1]
 
     def inverse_duality_map(self, phi) -> np.ndarray:
         """Inverse mapping J* from the dual space back to the primal one.
 
         Same formula with q in place of p; J*(Jx) = x for every x.
         """
-        return self._gradient_like(np.asarray(phi, dtype=float), self.q)
+        return self._norm_and_map(np.asarray(phi, dtype=float), self.q)[1]
 
     # -- smoothness functional ---------------------------------------------
 

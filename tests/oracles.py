@@ -6,6 +6,8 @@ minimization, and the closed Euclidean moduli.  None of it calls into the
 package's analytic formulas, so agreement between the two is evidence,
 not circularity.  The one exception is `duality_smoothness`, which calls
 the package's duality map and quotient estimator; `xi_quotient` checks it.
+`wrapped_power_norm` and `wrapped_duality_map` are the kernel's earlier
+NumPy form, kept to pin its bits rather than its accuracy.
 """
 import numpy as np
 
@@ -14,6 +16,27 @@ from banachproj import numdiff_derivative
 
 def lp_norm(x, p):
     return float(np.sum(np.abs(np.asarray(x, dtype=float)) ** p) ** (1.0 / p))
+
+
+def wrapped_power_norm(x, expo):
+    """The max-scaled ℓ_expo norm written with NumPy's function wrappers
+    (np.max, np.sum, out-of-place arithmetic), as the package computed it
+    before its kernel moved to array methods; the kernel must match it
+    bit for bit."""
+    x = np.asarray(x, dtype=float)
+    m = float(np.max(np.abs(x))) if x.size else 0.0
+    if m == 0.0 or not np.isfinite(m):
+        return m
+    return float(m * np.sum(np.abs(x / m) ** expo) ** (1.0 / expo))
+
+
+def wrapped_duality_map(x, p):
+    """n * (|x/n|^(p-1) * sign(x)) with n = `wrapped_power_norm(x, p)`."""
+    x = np.asarray(x, dtype=float)
+    nx = wrapped_power_norm(x, p)
+    if nx == 0.0:
+        return np.zeros_like(x)
+    return nx * ((np.abs(x) / nx) ** (p - 1.0) * np.sign(x))
 
 
 def norm_quotient(p, x, v, t):

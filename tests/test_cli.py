@@ -428,6 +428,29 @@ class TestErrors:
         assert code == 2
         assert "mystery" in err
 
+    @pytest.mark.parametrize("descriptor", [
+        {"type": "ball", "center": ["0", "0"], "radius": "1"},
+        {"type": "ball", "center": [0, 0], "radius": "1"},
+        {"type": "ball", "center": [0, 0], "radius": True},
+        {"type": "ball", "center": [0, False], "radius": 1},
+        {"type": "coordinate_subspace", "free": ["no", ""]},
+        {"type": "coordinate_subspace", "free": [1, 0]},
+        {"type": "segment", "u": [0, 0], "w": [None, 1]},
+        {"type": "polytope_h", "rows": [{"normal": [1, 0], "offset": "1"}]},
+        {"type": "polytope_v", "vertices": [[0, 0], [1, "0"]]},
+    ], ids=["ball-strings", "ball-string-radius", "ball-boolean-radius", "ball-boolean-center",
+            "subspace-string-mask", "subspace-number-mask", "segment-null", "polytope-h-string",
+            "polytope-v-string"])
+    def test_wrong_typed_set_entries_exit_2(self, tmp_path, descriptor):
+        # each once projected with exit 0: float() and np.asarray took them
+        code, out, err = run_cli(tmp_path, "project", {
+            "space": {"p": 2, "n": 2}, "set": descriptor, "inputs": {"x": [2, 0]},
+        })
+        assert code == 2
+        assert "bad set descriptor" in err
+        assert "must hold JSON" in err
+        assert out == ""
+
     def test_infeasible_set_exit_3(self, tmp_path):
         code, _, err = run_cli(tmp_path, "project", {
             "space": {"p": 2, "n": 2},

@@ -181,6 +181,73 @@ class TestSupportGap:
         assert not cert.converged
         assert cert.residual < -0.1
 
+    def test_exact_ball_projection_near_p1_stays_certified(self):
+        # the support point c + r|j/‖j‖_q|^(q-1) sign j rounds q - 1 = 20
+        # times worse than j at p = 1.05; an allowance without that term
+        # had 2.485e-6 here against a residual of -2.607e-6
+        space = LpSpace(1.05)
+        C = Ball(center=[260.5919116373595, 666.3605925310518], radius=1000.0)
+        x = np.array([-414366.29568610346, -891835.0956013884])
+        cert = project_with_certificate(space, C, x)
+        assert cert.residual < -CERT_TOL
+        assert cert.converged
+
+    def test_exact_far_ball_projections_near_p1_stay_certified(self):
+        # 4 of 4000 of these were uncertified, and the CLI exited 4 on them
+        rng = np.random.default_rng(1)
+        space = LpSpace(1.05)
+        uncertified = 0
+        for _ in range(4000):
+            n = int(rng.integers(2, 6))
+            C = Ball(center=1e3 * rng.standard_normal(n), radius=1000.0)
+            x = C.center + 1e6 * rng.standard_normal(n)
+            uncertified += not project_with_certificate(space, C, x).converged
+        assert uncertified == 0
+
+    def test_overflowed_gap_never_certifies_a_wrong_point(self):
+        # |j|·|c| overflows the allowance at this center, and an infinite
+        # allowance certified a wrong point whose gap overflowed to -inf
+        space = LpSpace(3.0)
+        c = np.array([1e170, 1e170])
+        C = Ball(center=c, radius=1e170)
+        x = c + np.array([1e172, 0.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            wrong = _support_gap(space, C, x, c + np.array([0.0, 1e170]), 0, CERT_TOL)
+        assert wrong.residual == -np.inf
+        assert not wrong.converged
+
+
+class TestKernelIdentity:
+    """The certificate's distance and J are the public norm and J, bit for bit."""
+
+    @pytest.mark.parametrize("descriptor", [
+        Ball(center=[0.3, -0.2, 0.1], radius=0.8),
+        PositiveCone(),
+        CoordinateSubspace(free=[True, False, True]),
+        Segment(u=[0.0, 0.0, 0.0], w=[1.0, -1.0, 0.5]),
+        Ray(v=[0.0, 1.0, 0.0], dir=[1.0, 0.0, -1.0]),
+        Singleton(y=[1.0, 1.0, -1.0]),
+    ], ids=lambda C: C.kind)
+    def test_certificate_uses_the_public_norm_and_duality_map(self, descriptor, rng, monkeypatch):
+        import banachproj.sets as sets_mod
+
+        seen = []
+        entry = sets_mod.support
+
+        def spy(space, C, j, x, box):
+            seen.append(j)
+            return entry(space, C, j, x, box)
+
+        monkeypatch.setattr(sets_mod, "support", spy)
+        for p in (1.5, 2.0, 3.0):
+            space = LpSpace(p)
+            for x in 2.0 * rng.standard_normal((10, 3)):
+                x[int(rng.integers(3))] *= -0.0 if rng.uniform() < 0.3 else 1.0
+                cert = project_with_certificate(space, descriptor, x)
+                r = x - cert.point
+                assert np.float64(cert.distance).tobytes() == np.float64(space.norm(r)).tobytes()
+                assert seen.pop().tobytes() == space.duality_map(r).tobytes()
+
 
 class TestVertexRepresentation:
     def test_euclidean_simplex_nearest_vertex(self):

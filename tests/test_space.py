@@ -14,7 +14,14 @@ from numpy.testing import assert_allclose
 
 from banachproj import LpSpace, StepSchedule
 from conftest import random_unit
-from oracles import duality_smoothness, lp_norm, psi_oracle, xi_quotient
+from oracles import (
+    duality_smoothness,
+    lp_norm,
+    psi_oracle,
+    wrapped_duality_map,
+    wrapped_power_norm,
+    xi_quotient,
+)
 
 P_GRID = [1.5, 2.0, 2.5, 3.0, 4.0]
 
@@ -65,6 +72,63 @@ class TestNorm:
         dual = LpSpace(space.q)
         assert_allclose(dual.p, 1.5, rtol=1e-15)
         assert_allclose(LpSpace(dual.q).p, space.p, rtol=1e-12)
+
+
+def _bits(value) -> bytes:
+    return np.asarray(value, dtype=float).tobytes()
+
+
+# entries that take the kernel's edge branches: signed zeros, a subnormal,
+# the smallest normal, infinities, NaN, and far-apart scales
+SPECIAL = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, math.inf, -math.inf, math.nan,
+           1e-200, -1e200, 1.0]
+
+
+class TestKernelBits:
+    """The array-method kernel gives the bits of its NumPy-function form.
+
+    n runs to 10 so the power sum crosses NumPy's 8-wide pairwise block;
+    Python's sum, math.fsum and a scalar pow all differ from it there.
+    """
+
+    @staticmethod
+    def _vectors(rng):
+        for n in range(1, 11):
+            for _ in range(40):
+                x = rng.standard_normal(n) * 10.0 ** rng.choice([-200, -5, 0, 5, 200])
+                for i in range(n):
+                    if rng.uniform() < 0.2:
+                        x[i] = SPECIAL[rng.integers(len(SPECIAL))]
+                yield x
+
+    @pytest.mark.parametrize("p", [1.05, 1.5, 2.0, 3.0, 8.0])
+    def test_norms_match_the_function_form(self, p, rng):
+        space = LpSpace(p)
+        with np.errstate(invalid="ignore"):
+            for x in self._vectors(rng):
+                assert _bits(space.norm(x)) == _bits(wrapped_power_norm(x, p)), x
+                assert _bits(space.dual_norm(x)) == _bits(wrapped_power_norm(x, space.q)), x
+
+    @pytest.mark.parametrize("p", [1.05, 1.5, 2.0, 3.0, 8.0])
+    def test_duality_maps_match_the_function_form(self, p, rng):
+        space = LpSpace(p)
+        with np.errstate(invalid="ignore"):
+            for x in self._vectors(rng):
+                assert _bits(space.duality_map(x)) == _bits(wrapped_duality_map(x, p)), x
+                assert (_bits(space.inverse_duality_map(x))
+                        == _bits(wrapped_duality_map(x, space.q))), x
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_negative_zero_entry_maps_to_positive_zero(self, p):
+        # np.sign(-0.0) is +0.0; a copysign form would give -0.0 here and
+        # move report bytes
+        for x in ([-0.0, 1.0, -2.0], [3.0, -0.0]):
+            j = LpSpace(p).duality_map(x)
+            assert j[x.index(-0.0)] == 0.0
+            assert not np.signbit(j[x.index(-0.0)])
+
+    def test_empty_vector_has_norm_zero(self):
+        assert LpSpace(3.0).norm(np.zeros(0)) == 0.0
 
 
 class TestPairing:

@@ -12,11 +12,15 @@ a `derivative` along a zero direction and a `project` of non-finite
 points), and last the ball `derivative` at a sphere point along an
 outward and an inward direction and at an exterior point (the
 `ball:sphere-up`, `ball:sphere-down` and `ball:exterior` clauses),
-then a refused `classify` on a V-polytope (exit 2), and last three options
-of the wrong JSON type that must exit with code 2 (a fractional `rate`
-count, a string `moduli` fit flag and a string exponent for `project`).
-Each config runs through `banachproj.cli.main` in-process, inside a
-temporary directory, and the script prints one line per config:
+then a refused `classify` on a V-polytope (exit 2), three options of the
+wrong JSON type that must exit with code 2 (a fractional `rate` count, a
+string `moduli` fit flag and a string exponent for `project`), and last
+four set descriptors with wrong-typed entries that must exit with code 2
+(a ball with string center and radius, a ball with a boolean radius, and
+a coordinate subspace whose mask holds strings, then one that holds
+numbers).  Each config runs through `banachproj.cli.main` in-process,
+inside a temporary directory, and the script prints a header of `#`
+lines (the NumPy and SciPy versions) and then one line per config:
 
     <name> <exit code> <sha256 of stdout>
 
@@ -27,6 +31,14 @@ of this script can digest any checkout:
     PYTHONPATH=src python3 tools/cli_digest.py > new.txt
     PYTHONPATH=../parent/src python3 tools/cli_digest.py > old.txt
     diff old.txt new.txt
+
+`tools/cli_digest.txt` is the committed output, and the test suite checks
+the package against it whenever the installed versions match its header.
+After a change that moves report bytes on purpose, regenerate it with
+
+    PYTHONPATH=src python3 tools/cli_digest.py > tools/cli_digest.txt
+
+and explain every changed line.
 """
 from __future__ import annotations
 
@@ -38,6 +50,7 @@ import os
 import tempfile
 
 import numpy as np
+import scipy
 
 from banachproj import SUITES, cli
 
@@ -164,10 +177,26 @@ def corpus() -> list[tuple[str, str, dict]]:
     out.append(("project_string_exponent", "project", {
         "space": {"p": "3", "n": 3}, "set": sets3["ball"], "inputs": {"x": [1.0, 2.0, 3.0]},
     }))
+    bad_sets = {
+        "ball_strings": {"type": "ball", "center": ["0", "0", "0"], "radius": "1"},
+        "ball_boolean_radius": {"type": "ball", "center": [0.0, 0.0, 0.0], "radius": True},
+        "subspace_string_mask": {"type": "coordinate_subspace", "free": ["no", "", "yes"]},
+        "subspace_number_mask": {"type": "coordinate_subspace", "free": [1, 0, 1]},
+    }
+    for case, C in bad_sets.items():
+        out.append((f"project_{case}", "project", {
+            "space": space, "set": C, "inputs": {"x": [1.0, 2.0, 3.0]},
+        }))
     return out
 
 
-def main() -> None:
+def header() -> list[str]:
+    """The versions the digest depends on, as `#` lines."""
+    return [f"# numpy {np.__version__}", f"# scipy {scipy.__version__}"]
+
+
+def digest_lines():
+    """One `<name> <exit code> <sha256 of stdout>` line per corpus config."""
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
@@ -179,9 +208,16 @@ def main() -> None:
                 with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
                     code = cli.main([command, "--config", "config.json"])
                 digest = hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
-                print(name, code, digest, flush=True)
+                yield f"{name} {code} {digest}"
         finally:
             os.chdir(cwd)
+
+
+def main() -> None:
+    for line in header():
+        print(line)
+    for line in digest_lines():
+        print(line, flush=True)
 
 
 if __name__ == "__main__":
