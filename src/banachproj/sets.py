@@ -543,31 +543,67 @@ def _param_distance_slope(space: LpSpace, base: np.ndarray, d: np.ndarray, t: fl
     return float(-p * np.dot(space._signed_power(r, p - 1.0), d))
 
 
+#: a ray's largest parameter: where the slope at 2^59 is still <= 0 the
+#: doubling search's next end, 2^60, would pass 1e18, and the ray is refused
+_RAY_CAP = 2.0 ** 59
+
+
+def _line_end(hi: float | None, t: float) -> float:
+    # the upper end t is the answer, unless t is a ray's cap
+    if hi is None and t >= _RAY_CAP:
+        raise ArithmeticError("ray projection parameter overflow")
+    return t
+
+
 def _project_line_param(space: LpSpace, origin: np.ndarray, d: np.ndarray, x: np.ndarray,
                         lo: float, hi: float | None, xtol: float = 1e-14) -> float:
     """Parameter of the nearest point on {origin + t d : t in [lo, hi]}.
+
+    hi=None is a ray.  Where d_i != 0, x - origin - t d has coordinates
+    d_i (c_i - t) with c_i = (x - origin)_i / d_i, so the slope is
+    -p Σ |d_i|^p |c_i - t|^(p-1) sign(c_i - t): each term changes sign at
+    its breakpoint c_i, and the root lies in [min c, max c].  Brent starts
+    on that bracket clamped to [lo, hi].  A bracket outside [lo, hi] gives
+    lo or hi with no slope evaluated, and min c == max c (x on the line,
+    where the root is flat to order p - 1) gives that parameter itself.
+    Both ends of the clamped bracket are still tested, since rounding can
+    put the computed slope on the wrong side of a breakpoint.  Only a ray
+    whose breakpoints overflow (a tiny or subnormal d_i) searches by
+    doubling from t = 1.  A ray whose slope at 2^59 is <= 0 is refused
+    with ArithmeticError either way.
 
     `xtol` is Brent's absolute tolerance: segments and rays keep 1e-14,
     the polytope solver's Frank–Wolfe steps ask for 1e-15.
     """
     base = x - origin
+    end = hi
+    live = d != 0.0
+    with np.errstate(over="ignore"):
+        c = base[live] / d[live]
+    if np.isfinite(c).all():
+        first, last = float(c.min()), float(c.max())
+        top = _RAY_CAP if hi is None else hi
+        if last <= lo:
+            return lo
+        if first >= top:
+            return _line_end(hi, top)
+        if first == last:
+            return first
+        lo, end = max(lo, first), min(last, top)
     if _param_distance_slope(space, base, d, lo) >= 0.0:
         return lo
-    if hi is not None and _param_distance_slope(space, base, d, hi) <= 0.0:
-        return hi
-    if hi is None:
-        hi = max(1.0, lo + 1.0)
-        while _param_distance_slope(space, base, d, hi) <= 0.0:
-            hi *= 2.0
-            if hi > 1e18:
-                raise ArithmeticError("ray projection parameter overflow")
-    # the slope root degenerates (flat to order p-1) when x lies on the
-    # line itself; Brent's worst case is quadratic in the bisection depth,
-    # so the iteration cap must cover (log2(range/xtol))^2, not the
-    # default 100
+    if end is None:   # a ray whose breakpoints overflow: double until the slope turns
+        end = max(1.0, lo + 1.0)
+        while _param_distance_slope(space, base, d, end) <= 0.0:
+            end = 2.0 * _line_end(hi, end)
+    elif _param_distance_slope(space, base, d, end) <= 0.0:
+        return _line_end(hi, end)
+    # next to the line the root is still nearly flat; Brent's worst case is
+    # quadratic in the bisection depth log2(bracket / xtol), so the
+    # iteration cap must cover its square, not the default 100
     sol = optimize.brentq(
         lambda t: _param_distance_slope(space, base, d, t),
-        lo, hi, xtol=xtol, rtol=1e-12, maxiter=2000,
+        lo, end, xtol=xtol, rtol=1e-12, maxiter=2000,
     )
     return float(sol)
 

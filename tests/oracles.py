@@ -2,9 +2,9 @@
 
 Everything here is deliberately computed from first principles with plain
 numpy: raw norms, raw one-sided difference quotients, brute-force grid
-minimization, and the closed Euclidean moduli.  None of it calls into the
-package's analytic formulas, so agreement between the two is evidence,
-not circularity.  The one exception is `duality_smoothness`, which calls
+minimization, bisection, and the closed Euclidean moduli.  None of it
+calls into the package's analytic formulas, so agreement between the two
+is evidence, not circularity.  The one exception is `duality_smoothness`, which calls
 the package's duality map and quotient estimator; `xi_quotient` checks it.
 `wrapped_power_norm` and `wrapped_duality_map` are the kernel's earlier
 NumPy form, kept to pin its bits rather than its accuracy.
@@ -152,6 +152,49 @@ def param_grid_min(fn, t_lo, t_hi, final_step=1e-6, pts=200):
             return best_t, best_val
         lo = max(t_lo, best_t - 1.5 * step)
         hi = min(t_hi, best_t + 1.5 * step)
+
+
+def line_param_bisect(p, origin, d, x, hi=None):
+    """Bisection twin of the segment and ray line search.
+
+    The t in [0, hi] (hi=None: t >= 0) minimizing Σ|x - origin - t d|^p:
+    the slope's sign change is bracketed (a ray's by doubling from 1) and
+    halved until no double lies strictly inside, and the end with the
+    smaller objective is returned.
+    """
+    base = np.asarray(x, dtype=float) - np.asarray(origin, dtype=float)
+    d = np.asarray(d, dtype=float)
+
+    def slope(t):
+        r = base - t * d
+        return -float(np.sum(np.abs(r) ** (p - 1.0) * np.sign(r) * d))
+
+    lo = 0.0
+    if slope(lo) >= 0.0:
+        return lo
+    if hi is None:
+        hi = 1.0
+        while slope(hi) < 0.0:
+            hi *= 2.0
+    elif slope(hi) <= 0.0:
+        return hi
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if slope(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    f = lambda t: float(np.sum(np.abs(base - t * d) ** p))
+    return lo if f(lo) <= f(hi) else hi
+
+
+def line_derivative(p, d, r, v):
+    """P'(x; v) for a segment or ray with direction d where P(x) is inside
+    it and r = x - P(x) has no zero coordinate: (dᵀHv / dᵀHd)·d with
+    H = diag |r_i|^(p-2), from differentiating Σ|r_i|^(p-1) sign(r_i) d_i = 0."""
+    h = np.abs(np.asarray(r, dtype=float)) ** (p - 2.0)
+    d = np.asarray(d, dtype=float)
+    return float(d @ (h * np.asarray(v, dtype=float))) / float(d @ (h * d)) * d
 
 
 def cone_table_3d(x, v):

@@ -22,7 +22,7 @@ from banachproj import (
 )
 from banachproj.derivative import _cone_coordinatewise
 from banachproj.numdiff import ConvergenceError
-from oracles import cone_table_3d, lp_norm
+from oracles import cone_table_3d, line_derivative, lp_norm
 
 DISK = Ball(center=[0.0, 0.0], radius=1.0)
 BALL3 = Ball(center=np.zeros(3), radius=1.0)
@@ -459,14 +459,27 @@ class TestDirectionalDerivativeDispatch:
         assert_allclose(res.value, [0.0, 0.0], atol=1e-8)
 
     def test_non_convergence_raises_with_trace(self):
-        # a ray at p = 1.5 whose quotients do not settle on the default schedule
-        C = Ray(v=[-1.7071722930695223, 0.1279844920146543, 0.178204753456251],
-                dir=[2.18312868735204, -0.17866300936309754, 1.021424079171613])
-        x = [2.390407444638451, -0.12213351078248753, 0.15360200687515327]
-        v = [-0.4298437372777596, 1.7751592107843002, -1.5084321712555864]
+        # a ray at p = 1.5 whose quotients do not settle on the default
+        # schedule: x - P(x) = (0.0086, 0.686, -4.154) has a small coordinate
+        C = Ray(v=[-1.746, -0.979, 1.582], dir=[0.368, 1.204, 0.506])
+        x = [-1.612, 0.117, -2.400]
+        v = [-1.614, 0.772, -0.353]
         with pytest.raises(ConvergenceError) as exc:
             directional_derivative(LpSpace(1.5), C, x, v)
         assert len(exc.value.trace) == len(StepSchedule().t_values) == 23
+
+    def test_ray_quotients_settle_on_the_exact_value(self):
+        # once a non-convergence instance: its quotients settle since the
+        # line search brackets its root by the breakpoints
+        C = Ray(v=[-1.7071722930695223, 0.1279844920146543, 0.178204753456251],
+                dir=[2.18312868735204, -0.17866300936309754, 1.021424079171613])
+        x = np.array([2.390407444638451, -0.12213351078248753, 0.15360200687515327])
+        v = np.array([-0.4298437372777596, 1.7751592107843002, -1.5084321712555864])
+        space = LpSpace(1.5)
+        res = directional_derivative(space, C, x, v)
+        assert res.case_label == "numeric"
+        want = line_derivative(1.5, C.dir, x - project(space, C, x), v)
+        assert_allclose(res.value, want, rtol=0.0, atol=1e-6)
 
     def test_unknown_descriptor(self):
         space = LpSpace(2.0)

@@ -23,9 +23,10 @@ from banachproj import (
     orthogonal_cone_residual,
     project,
 )
+from banachproj import sets
 from banachproj.sets import _TYPES, _tolerance
 from banachproj.verify import _random_sets
-from oracles import grid_project, lp_norm, param_grid_min, probe_gap
+from oracles import grid_project, line_param_bisect, lp_norm, param_grid_min, probe_gap
 
 
 class TestDescriptorValidation:
@@ -314,6 +315,39 @@ class TestProjectSegmentAndRay:
         P = project(space, Ray(v=[0.0, 0.0], dir=[1.0, 0.0]), [1e6, 1.0])
         assert_allclose(P, [1e6, 0.0], rtol=1e-12)
 
+    def test_ray_parameter_cap(self):
+        space = LpSpace(2.0)
+        with pytest.raises(ArithmeticError, match="overflow"):
+            project(space, Ray(v=[0.0, 0.0], dir=[1e-20, 0.0]), [1e3, 0.0])
+        # t = 1e17 lies below the cap
+        P = project(space, Ray(v=[0.0, 0.0], dir=[1e-15, 0.0]), [1e2, 0.0])
+        assert_allclose(P, [1e2, 0.0], rtol=1e-15)
+
+    @pytest.mark.parametrize("tiny", [0.0, 5e-324])
+    @pytest.mark.parametrize("t, refused", [(2.0 ** 59 - 64.0, False), (2.0 ** 59, True)])
+    def test_ray_refused_exactly_when_slope_at_cap_is_not_positive(self, tiny, t, refused):
+        # a subnormal direction entry overflows its breakpoint, so the
+        # doubling search decides; otherwise the breakpoint bracket does
+        space = LpSpace(2.0)
+        R = Ray(v=[0.0, 0.0], dir=[1.0, tiny])
+        if refused:
+            with pytest.raises(ArithmeticError, match="overflow"):
+                project(space, R, [t, 1.0])
+        else:
+            assert_allclose(project(space, R, [t, 1.0]), [t, t * tiny], rtol=1e-15, atol=0.0)
+
+    def test_no_slope_evaluated_outside_or_on_the_line(self, monkeypatch):
+        calls = []
+        slope = sets._param_distance_slope
+        monkeypatch.setattr(sets, "_param_distance_slope", lambda *a: calls.append(a) or slope(*a))
+        space = LpSpace(3.0)
+        S = Segment(u=[0.0, 0.0], w=[1.0, 2.0])
+        R = Ray(v=[0.0, 0.0], dir=[1.0, 2.0])
+        assert_allclose(project(space, S, [2.0, 3.0]), [1.0, 2.0])     # past w
+        assert_allclose(project(space, R, [-1.0, -3.0]), [0.0, 0.0])   # behind v
+        assert_allclose(project(space, R, [1.5, 3.0]), [1.5, 3.0])     # on the ray
+        assert calls == []
+
     def test_segment_idempotent(self, rng):
         space = LpSpace(3.0)
         u = np.array([-1.0, 0.0, 2.0])
@@ -322,6 +356,51 @@ class TestProjectSegmentAndRay:
             x = rng.normal(size=3) * 3.0
             P = project(space, Segment(u=u, w=w), x)
             assert space.norm(project(space, Segment(u=u, w=w), P) - P) < 1e-9
+
+
+class TestLineSearchProperties:
+    """The segment and ray parameter search against the bisection twin, on
+    points exactly on the line, 1e-9 off it and far from it, with zero and
+    subnormal direction entries (a subnormal one sends a ray off the line
+    to the doubling search)."""
+
+    @staticmethod
+    def _points(rng, origin, d, span):
+        n = d.size
+        on = origin + rng.uniform(-0.5, span, (3, 1)) * d
+        off = on + 1e-9 * rng.standard_normal((3, n))
+        far = origin + 1e3 * rng.standard_normal((2, n))
+        near = origin + 2.0 * rng.standard_normal((2, n))
+        return np.vstack([on, off, far, near])
+
+    @pytest.mark.parametrize("kind", ["segment", "ray"])
+    @pytest.mark.parametrize("p", [1.05, 1.5, 2.0, 3.0, 8.0])
+    def test_against_bisection_and_idempotent(self, p, kind):
+        space = LpSpace(p)
+        hi = 1.0 if kind == "segment" else None
+        rng = np.random.default_rng([int(100 * p), hi is None])
+        eps = np.finfo(float).eps
+        for n in range(1, 9):
+            for entry in (None, 0.0, 5e-324 * 37) if n > 1 else (None,):
+                origin = rng.standard_normal(n)
+                d = rng.standard_normal(n)
+                if entry is not None:
+                    k = rng.integers(n)
+                    origin[k], d[k] = 0.0, entry   # so w - u has the entry exactly
+                C = Segment(u=origin, w=origin + d) if hi else Ray(v=origin, dir=d)
+                for x in self._points(rng, origin, d, 1.5 if hi else 4.0):
+                    t = sets._project_line_param(space, origin, d, x, 0.0, hi)
+                    t_ref = line_param_bisect(p, origin, d, x, hi)
+                    assert 0.0 <= t <= (hi or np.inf)
+                    # rounding of the distance, plus Brent's stopping
+                    # tolerance moved along d (the twin bisects to the last bit)
+                    dist = lambda s: lp_norm(x - origin - s * d, p)
+                    slack = (4 * n * eps * (lp_norm(x - origin, p) + t_ref * lp_norm(d, p))
+                             + (1e-14 + 1e-12 * t_ref) * lp_norm(d, p))
+                    assert dist(t) <= dist(t_ref) + slack, (n, entry, x)
+                    P = project(space, C, x)
+                    ulp = np.spacing(max(np.max(np.abs(P)), np.max(np.abs(origin))))
+                    assert np.max(np.abs(project(space, C, P) - P)) <= 8 * ulp, (n, entry, x)
 
 
 class TestClassifyPoint:
