@@ -543,9 +543,14 @@ def _param_distance_slope(space: LpSpace, base: np.ndarray, d: np.ndarray, t: fl
     return float(-p * np.dot(space._signed_power(r, p - 1.0), d))
 
 
-#: a ray's largest parameter: where the slope at 2^59 is still <= 0 the
-#: doubling search's next end, 2^60, would pass 1e18, and the ray is refused
+#: a ray's largest parameter: a ray whose slope at 2^59 is still <= 0 is
+#: refused, since its nearest point lies at or past 2^59 · dir
 _RAY_CAP = 2.0 ** 59
+
+#: Brent's least relative tolerance, and an absolute one below every
+#: normal parameter
+_RTOL = 4.0 * np.finfo(float).eps
+_TINY = float(np.finfo(float).tiny)
 
 
 def _line_end(hi: float | None, t: float) -> float:
@@ -556,54 +561,53 @@ def _line_end(hi: float | None, t: float) -> float:
 
 
 def _project_line_param(space: LpSpace, origin: np.ndarray, d: np.ndarray, x: np.ndarray,
-                        lo: float, hi: float | None, xtol: float = 1e-14) -> float:
+                        lo: float, hi: float | None, xtol: float = _TINY) -> float:
     """Parameter of the nearest point on {origin + t d : t in [lo, hi]}.
 
-    hi=None is a ray.  Where d_i != 0, x - origin - t d has coordinates
-    d_i (c_i - t) with c_i = (x - origin)_i / d_i, so the slope is
+    hi=None is a ray, searched on [lo, 2^59].  Where d_i != 0,
+    x - origin - t d has coordinates d_i (c_i - t) with
+    c_i = (x - origin)_i / d_i, so the slope is
     -p Σ |d_i|^p |c_i - t|^(p-1) sign(c_i - t): each term changes sign at
     its breakpoint c_i, and the root lies in [min c, max c].  Brent starts
     on that bracket clamped to [lo, hi].  A bracket outside [lo, hi] gives
     lo or hi with no slope evaluated, and min c == max c (x on the line,
     where the root is flat to order p - 1) gives that parameter itself.
     Both ends of the clamped bracket are still tested, since rounding can
-    put the computed slope on the wrong side of a breakpoint.  Only a ray
-    whose breakpoints overflow (a tiny or subnormal d_i) searches by
-    doubling from t = 1.  A ray whose slope at 2^59 is <= 0 is refused
-    with ArithmeticError either way.
+    put the computed slope on the wrong side of a breakpoint.  A breakpoint
+    that overflows (a tiny or subnormal d_i) is ±inf and clamps to lo or
+    to hi.  A ray whose slope at 2^59 is <= 0 is refused with
+    ArithmeticError.
 
-    `xtol` is Brent's absolute tolerance: segments and rays keep 1e-14,
-    the polytope solver's Frank–Wolfe steps ask for 1e-15.
+    Brent stops at its least relative tolerance, 4 ulp of t, or at the
+    absolute tolerance `xtol`.  Segments and rays keep the least normal
+    double, so their answer is a fixed point of the search to a few ulp.
+    The polytope solver's Frank–Wolfe steps ask for 1e-15: their roots
+    lie near t = 0, where full precision costs about five times the slope
+    evaluations.
     """
     base = x - origin
-    end = hi
     live = d != 0.0
     with np.errstate(over="ignore"):
         c = base[live] / d[live]
-    if np.isfinite(c).all():
-        first, last = float(c.min()), float(c.max())
-        top = _RAY_CAP if hi is None else hi
-        if last <= lo:
-            return lo
-        if first >= top:
-            return _line_end(hi, top)
-        if first == last:
-            return first
-        lo, end = max(lo, first), min(last, top)
+    first, last = float(c.min()), float(c.max())
+    top = _RAY_CAP if hi is None else hi
+    if last <= lo:
+        return lo
+    if first >= top:
+        return _line_end(hi, top)
+    if first == last:
+        return first
+    lo, end = max(lo, first), min(last, top)
     if _param_distance_slope(space, base, d, lo) >= 0.0:
         return lo
-    if end is None:   # a ray whose breakpoints overflow: double until the slope turns
-        end = max(1.0, lo + 1.0)
-        while _param_distance_slope(space, base, d, end) <= 0.0:
-            end = 2.0 * _line_end(hi, end)
-    elif _param_distance_slope(space, base, d, end) <= 0.0:
+    if _param_distance_slope(space, base, d, end) <= 0.0:
         return _line_end(hi, end)
-    # next to the line the root is still nearly flat; Brent's worst case is
-    # quadratic in the bisection depth log2(bracket / xtol), so the
-    # iteration cap must cover its square, not the default 100
+    # next to the line the root is still nearly flat, and Brent's worst case
+    # grows with the square of the bisection depth log2(bracket / tol), so
+    # the iteration cap is well above the default 100
     sol = optimize.brentq(
         lambda t: _param_distance_slope(space, base, d, t),
-        lo, end, xtol=xtol, rtol=1e-12, maxiter=2000,
+        lo, end, xtol=xtol, rtol=_RTOL, maxiter=2000,
     )
     return float(sol)
 

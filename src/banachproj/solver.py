@@ -16,11 +16,12 @@ certifies its own answer: SLSQP on Σ|x_i - z_i|^p (C¹ for p > 1, no second
 derivatives needed) first, then conditional-gradient steps toward the
 support point until the gap clears the tolerance; `max_iter` caps both
 together.  Each step's exact line search is the segment projector's
-parameter search, `sets._project_line_param`, at a tighter Brent
-tolerance: Brent's method on the bracket of the breakpoints where
+parameter search, `sets._project_line_param`, at a looser absolute
+Brent tolerance: Brent's method on the bracket of the breakpoints where
 coordinates of x - u - t(z - u) change sign, clamped to [0, 1], so a step
-whose bracket lies outside [0, 1] costs no slope evaluation.  A failed certificate or support LP is reported as
-converged=False with the best iterate retained — never silently accepted.
+whose bracket lies outside [0, 1] costs no slope evaluation.  A failed
+certificate or support LP is reported as converged=False with the best
+iterate retained — never silently accepted.
 """
 from __future__ import annotations
 
