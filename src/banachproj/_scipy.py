@@ -1,12 +1,13 @@
 """SciPy submodules that are imported on first use.
 
 Importing `scipy.optimize` takes about 0.6 s and `scipy.stats` about as
-long again, while balls, cones, subspaces and their derivatives need
-neither.  `sets` and `solver` bind `optimize`, and `moduli` binds `stats`,
+long again, while balls, cones, subspaces, segments, rays and their
+derivatives need neither.  `sets` and `solver` bind `optimize`, and `moduli` binds `stats`,
 to the stand-ins below: the first read of an attribute (`optimize.linprog`,
 `stats.gamma`) imports the real module and keeps the attribute on the
-stand-in for later reads.  So only polytopes, segments and rays load
-`scipy.optimize`, and only the moduli sampler loads `scipy.stats`.
+stand-in for later reads.  So only polytopes load `scipy.optimize` (the
+segment and ray line search is the NumPy-only Brent in `sets`), and only
+the moduli sampler loads `scipy.stats`.
 """
 from __future__ import annotations
 

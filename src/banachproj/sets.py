@@ -16,8 +16,9 @@ Projections have one public way in, `solver.project` (or
 descriptor's `project`.  Balls, the cone, and coordinate subspaces project
 in closed form (independent of p for the cone and subspace: Σ|x_i - z_i|^p
 separates, so each coordinate is clipped or zeroed on its own); segments
-and rays reduce to root finding on a monotone derivative; polytopes are
-handed to the iterative solver.
+and rays reduce to root finding on a monotone derivative, solved by a
+port of SciPy's Brent (`_brent_root`) that needs only NumPy; polytopes
+are handed to the iterative solver, and they alone load `scipy.optimize`.
 """
 from __future__ import annotations
 
@@ -376,7 +377,7 @@ class Segment(SetDescriptor):
         return _line_point(space, self.u, self.w - self.u, x, 1.0)
 
     def support(self, space, j, x, box):
-        u_wins = space.pairing(j, self.u) >= space.pairing(j, self.w)
+        u_wins = j.dot(self.u) >= j.dot(self.w)
         return (self.u if u_wins else self.w).copy()
 
     def sample(self, rng, n):
@@ -408,7 +409,7 @@ class Ray(SetDescriptor):
 
     def support(self, space, j, x, box):
         # the far end of a piece of the ray that covers the box
-        if space.pairing(j, self.dir) <= 0.0:
+        if j.dot(self.dir) <= 0.0:
             return self.v.copy()
         far = (np.max(np.abs(x - self.v)) + box) / np.max(np.abs(self.dir))
         return self.v + far * self.dir
@@ -538,9 +539,8 @@ def support(space: LpSpace, C, j, x, box: float) -> np.ndarray | None:
 
 def _param_distance_slope(space: LpSpace, base: np.ndarray, d: np.ndarray, t: float) -> float:
     # derivative of t |-> sum |base - t d|^p  (monotone increasing in t)
-    r = base - t * d
     p = space.p
-    return float(-p * np.dot(space._signed_power(r, p - 1.0), d))
+    return -p * float(space._signed_power(base - t * d, p - 1.0).dot(d))
 
 
 #: a ray's largest parameter: a ray whose slope at 2^59 is still <= 0 is
@@ -549,8 +549,62 @@ _RAY_CAP = 2.0 ** 59
 
 #: Brent's least relative tolerance, and an absolute one below every
 #: normal parameter
-_RTOL = 4.0 * np.finfo(float).eps
+_RTOL = float(4.0 * np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
+
+#: Brent's iteration cap: next to the line the root is still nearly flat,
+#: and Brent's worst case grows with the square of the bisection depth
+#: log2(bracket / tol), so the cap is well above SciPy's default 100
+_MAXITER = 2000
+
+
+def _brent_root(f, xpre: float, fpre: float, xcur: float, fcur: float, xtol: float) -> float:
+    """Root of f between xpre and xcur, given f(xpre) = fpre and f(xcur) = fcur
+    of opposite signs.
+
+    Brent's method (Brent 1973, ch. 4) as SciPy's `brentq.c` writes it,
+    line by line, so it takes SciPy's iterates and returns its bits; it
+    starts from the two end values it is given instead of evaluating them
+    again.  It stops when f is 0 or the bracket is narrower than
+    xtol + 4ε|x|.  A zero denominator in the interpolation bisects, as
+    the C code does on the inf or NaN step it gets.  A NaN value, given
+    or computed, and the iteration cap raise ArithmeticError.
+    """
+    if fpre != fpre or fcur != fcur:
+        raise ArithmeticError("line search slope is NaN")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf   # no interpolation step: bisect
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:   # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:              # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                pass
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry   # a good short step
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+        if fcur != fcur:
+            raise ArithmeticError("line search slope is NaN")
+    raise ArithmeticError(f"line search did not converge in {_MAXITER} steps")
 
 
 def _line_end(hi: float | None, t: float) -> float:
@@ -568,15 +622,17 @@ def _project_line_param(space: LpSpace, origin: np.ndarray, d: np.ndarray, x: np
     x - origin - t d has coordinates d_i (c_i - t) with
     c_i = (x - origin)_i / d_i, so the slope is
     -p Σ |d_i|^p |c_i - t|^(p-1) sign(c_i - t): each term changes sign at
-    its breakpoint c_i, and the root lies in [min c, max c].  Brent starts
-    on that bracket clamped to [lo, hi].  A bracket outside [lo, hi] gives
-    lo or hi with no slope evaluated, and min c == max c (x on the line,
-    where the root is flat to order p - 1) gives that parameter itself.
-    Both ends of the clamped bracket are still tested, since rounding can
-    put the computed slope on the wrong side of a breakpoint.  A breakpoint
-    that overflows (a tiny or subnormal d_i) is ±inf and clamps to lo or
-    to hi.  A ray whose slope at 2^59 is <= 0 is refused with
-    ArithmeticError.
+    its breakpoint c_i, and the root lies in [min c, max c].  The search
+    starts on that bracket clamped to [lo, hi].  A bracket outside
+    [lo, hi] gives lo or hi with no slope evaluated, and min c == max c
+    (x on the line, where the root is flat to order p - 1) gives that
+    parameter itself.  Both ends of the clamped bracket are still tested,
+    since rounding can put the computed slope on the wrong side of a
+    breakpoint, and `_brent_root` starts from the two slopes so tested.
+    A breakpoint that overflows (a tiny or subnormal d_i) is ±inf and
+    clamps to lo or to hi.  A ray whose slope at 2^59 is <= 0 is refused
+    with ArithmeticError, and so is a NaN slope that Brent would need
+    (|r_i|^(p-1) overflowing to inf on both sides of the sum).
 
     Brent stops at its least relative tolerance, 4 ulp of t, or at the
     absolute tolerance `xtol`.  Segments and rays keep the least normal
@@ -586,10 +642,14 @@ def _project_line_param(space: LpSpace, origin: np.ndarray, d: np.ndarray, x: np
     evaluations.
     """
     base = x - origin
-    live = d != 0.0
-    with np.errstate(over="ignore"):
-        c = base[live] / d[live]
-    first, last = float(c.min()), float(c.max())
+    first, last = math.inf, -math.inf
+    for b_i, d_i in zip(base.tolist(), d.tolist()):
+        if d_i:
+            c_i = b_i / d_i   # a float quotient: overflow gives ±inf, no warning
+            if c_i < first:
+                first = c_i
+            if c_i > last:
+                last = c_i
     top = _RAY_CAP if hi is None else hi
     if last <= lo:
         return lo
@@ -598,18 +658,14 @@ def _project_line_param(space: LpSpace, origin: np.ndarray, d: np.ndarray, x: np
     if first == last:
         return first
     lo, end = max(lo, first), min(last, top)
-    if _param_distance_slope(space, base, d, lo) >= 0.0:
+    f_lo = _param_distance_slope(space, base, d, lo)
+    if f_lo >= 0.0:
         return lo
-    if _param_distance_slope(space, base, d, end) <= 0.0:
+    f_end = _param_distance_slope(space, base, d, end)
+    if f_end <= 0.0:
         return _line_end(hi, end)
-    # next to the line the root is still nearly flat, and Brent's worst case
-    # grows with the square of the bisection depth log2(bracket / tol), so
-    # the iteration cap is well above the default 100
-    sol = optimize.brentq(
-        lambda t: _param_distance_slope(space, base, d, t),
-        lo, end, xtol=xtol, rtol=_RTOL, maxiter=2000,
-    )
-    return float(sol)
+    return _brent_root(lambda t: _param_distance_slope(space, base, d, t),
+                       lo, f_lo, end, f_end, xtol)
 
 
 def _line_point(space: LpSpace, origin: np.ndarray, d: np.ndarray, x: np.ndarray,

@@ -19,7 +19,9 @@ together.  Each step's exact line search is the segment projector's
 parameter search, `sets._project_line_param`, at a looser absolute
 Brent tolerance: Brent's method on the bracket of the breakpoints where
 coordinates of x - u - t(z - u) change sign, clamped to [0, 1], so a step
-whose bracket lies outside [0, 1] costs no slope evaluation.  A failed
+whose bracket lies outside [0, 1] costs no slope evaluation.  The Brent
+is `sets._brent_root`, which starts from the slopes at both ends of the
+bracket and takes SciPy brentq's iterates bit for bit.  A failed
 certificate or support LP is reported as converged=False with the best
 iterate retained — never silently accepted.
 """

@@ -107,8 +107,11 @@ class LpSpace:
 
     @staticmethod
     def _signed_power(x: np.ndarray, e: float) -> np.ndarray:
-        # the ℓ_p power map |x|^e sign(x)
-        return np.abs(x) ** e * np.sign(x)
+        # the ℓ_p power map |x|^e sign(x), in place on a fresh |x|
+        a = np.abs(x)
+        a **= e
+        a *= np.sign(x)
+        return a
 
     @staticmethod
     def _norm_and_power(x: np.ndarray, expo: float) -> tuple[float, np.ndarray]:

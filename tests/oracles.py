@@ -7,9 +7,11 @@ calls into the package's analytic formulas, so agreement between the two
 is evidence, not circularity.  The one exception is `duality_smoothness`, which calls
 the package's duality map and quotient estimator; `xi_quotient` checks it.
 `wrapped_power_norm` and `wrapped_duality_map` are the kernel's earlier
-NumPy form, kept to pin its bits rather than its accuracy.
+NumPy form, and `line_param_brentq` is the line search's earlier SciPy
+form, kept to pin their bits rather than their accuracy.
 """
 import numpy as np
+from scipy import optimize
 
 from banachproj import numdiff_derivative
 
@@ -186,6 +188,46 @@ def line_param_bisect(p, origin, d, x, hi=None):
             hi = mid
     f = lambda t: float(np.sum(np.abs(base - t * d) ** p))
     return lo if f(lo) <= f(hi) else hi
+
+
+def line_param_brentq(p, origin, d, x, hi=None, xtol=np.finfo(float).tiny):
+    """The segment and ray line search as the package wrote it on SciPy's
+    `brentq`: the breakpoint bracket [min c, max c] of c_i = base_i / d_i
+    (d_i != 0) clamped to [0, hi] (a ray's hi is 2^59), both ends tested,
+    then brentq at rtol 4ε, which evaluates both ends again.  A ray whose
+    slope at 2^59 is <= 0 raises ArithmeticError, and a NaN slope inside
+    brentq raises ValueError."""
+    base = np.asarray(x, dtype=float) - np.asarray(origin, dtype=float)
+    d = np.asarray(d, dtype=float)
+    live = d != 0.0
+    with np.errstate(over="ignore"):
+        c = base[live] / d[live]
+    first, last = float(c.min()), float(c.max())
+    cap = 2.0 ** 59
+    top = cap if hi is None else hi
+
+    def slope(t):
+        r = base - t * d
+        return float(-p * np.dot(np.abs(r) ** (p - 1.0) * np.sign(r), d))
+
+    def upper(t):
+        if hi is None and t >= cap:
+            raise ArithmeticError("ray projection parameter overflow")
+        return t
+
+    if last <= 0.0:
+        return 0.0
+    if first >= top:
+        return upper(top)
+    if first == last:
+        return first
+    lo, end = max(0.0, first), min(last, top)
+    if slope(lo) >= 0.0:
+        return lo
+    if slope(end) <= 0.0:
+        return upper(end)
+    return float(optimize.brentq(slope, lo, end, xtol=xtol,
+                                 rtol=4.0 * np.finfo(float).eps, maxiter=2000))
 
 
 def line_derivative(p, d, r, v):

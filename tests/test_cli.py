@@ -496,6 +496,17 @@ class TestErrors:
         assert code == 4
         assert "overflow" in err
 
+    def test_nan_line_search_slope_exit_4(self, tmp_path):
+        # |r_i|^19 overflows on both sides of the slope's sum: a numeric
+        # failure, not invalid input and not a wrong point
+        code, out, err = run_cli(tmp_path, "project", {
+            "space": {"p": 20, "n": 2},
+            "set": {"type": "segment", "u": [0, 0], "w": [1e20, 1e20]},
+            "inputs": {"x": [1e20, 0]},
+        })
+        assert (code, out) == (4, "")
+        assert err.startswith("numeric failure") and "NaN" in err
+
     def test_unknown_command_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["nonsense", "--config", "whatever.json"])
@@ -568,20 +579,29 @@ class TestConsoleScript:
 
 
 SEGMENT = ([0.5, -1.0, 2.0], [1.5, 0.25, -0.5], [1.2, -0.3, 1.1])   # u, w, x: interior foot
+POLYTOPE = ([[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]], [1, 1, 1, 1], [2.0, 1.5, -0.5])
 MODULI_ARGS = (3.0, 2, [0.2, 0.5, 1.0])
 MODULI_KW = {"budget": 500, "seed": 7, "threads": 2}
 
 LAZY_PROBE = """
 import contextlib, io, json, sys
 import banachproj, banachproj.cli
-from banachproj import LpSpace, Segment, project
-with contextlib.redirect_stdout(io.StringIO()):
-    code = banachproj.cli.main(["project", "--config", sys.argv[1]])
+codes = []
+for command, path in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(banachproj.cli.main([command, "--config", path]))
 loaded = [m for m in ("scipy.optimize", "scipy.stats") if m in sys.modules]
-u, w, x = json.loads(sys.argv[2])
-point = project(LpSpace(3.0), Segment(u=u, w=w), x)
-print(json.dumps({"code": code, "loaded": loaded, "point": [repr(c) for c in point],
-                  "optimize_after": "scipy.optimize" in sys.modules}))
+print(json.dumps({"codes": codes, "loaded": loaded}))
+"""
+
+POLYTOPE_PROBE = """
+import json, sys
+from banachproj import LpSpace, PolytopeH, project
+normals, offsets, x = json.loads(sys.argv[1])
+before = "scipy.optimize" in sys.modules
+point = project(LpSpace(3.0), PolytopeH(normals=normals, offsets=offsets), x)
+print(json.dumps({"before": before, "after": "scipy.optimize" in sys.modules,
+                  "point": [repr(c) for c in point]}))
 """
 
 MODULI_PROBE = """
@@ -614,24 +634,32 @@ class TestStartup:
         assert proc.returncode == 0, proc.stderr
         return json.loads(proc.stdout)
 
-    def test_ball_command_loads_neither_optimize_nor_stats(self, tmp_path):
-        import scipy.optimize  # noqa: F401  (the reference answer runs with it loaded)
-        from banachproj import LpSpace, Segment, project
-
-        path = tmp_path / "ball.json"
-        path.write_text(json.dumps({
-            "space": {"p": 3, "n": 3},
-            "set": {"type": "ball", "center": [0, 0, 0], "radius": 1},
-            "inputs": [[2, 2, 2], [0.1, 0.2, 0.3]],
-        }))
-        out = self.run_fresh(LAZY_PROBE, str(path), json.dumps(SEGMENT))
-        assert out["code"] == 0
-        assert out["loaded"] == []
-        # the segment's root finder imports scipy.optimize on first use and
-        # gives the answer of an interpreter that had it loaded all along
-        assert out["optimize_after"]
+    def test_closed_form_commands_load_neither_optimize_nor_stats(self, tmp_path):
+        # balls, segments and rays: project and rate need only NumPy
         u, w, x = SEGMENT
-        eager = project(LpSpace(3.0), Segment(u=u, w=w), x)
+        sets = {"ball": {"type": "ball", "center": [0, 0, 0], "radius": 1},
+                "segment": {"type": "segment", "u": u, "w": w},
+                "ray": {"type": "ray", "v": u, "dir": w}}
+        runs = [("project", "ball", {"inputs": [[2, 2, 2], [0.1, 0.2, 0.3]]})]
+        for kind in ("segment", "ray"):
+            runs.append(("project", kind, {"inputs": {"x": x}}))
+            runs.append(("rate", kind, {"inputs": {"x": x}, "rate": {"count": 2}}))
+        commands = []
+        for i, (command, kind, extra) in enumerate(runs):
+            path = tmp_path / f"{i}_{command}_{kind}.json"
+            path.write_text(json.dumps({"space": {"p": 3, "n": 3}, "set": sets[kind], **extra}))
+            commands.append((command, str(path)))
+        out = self.run_fresh(LAZY_PROBE, json.dumps(commands))
+        assert out == {"codes": [0] * len(runs), "loaded": []}
+
+    def test_first_polytope_projection_loads_optimize_and_matches_a_warm_one(self):
+        import scipy.optimize  # noqa: F401  (the reference answer runs with it loaded)
+        from banachproj import LpSpace, PolytopeH, project
+
+        out = self.run_fresh(POLYTOPE_PROBE, json.dumps(POLYTOPE))
+        assert (out["before"], out["after"]) == (False, True)
+        normals, offsets, x = POLYTOPE
+        eager = project(LpSpace(3.0), PolytopeH(normals=normals, offsets=offsets), x)
         assert out["point"] == [repr(c) for c in eager]
 
     def test_classify_refuses_a_polytope_before_its_membership_lp(self):

@@ -26,7 +26,14 @@ from banachproj import (
 from banachproj import sets
 from banachproj.sets import _TYPES, _tolerance
 from banachproj.verify import _random_sets
-from oracles import grid_project, line_param_bisect, lp_norm, param_grid_min, probe_gap
+from oracles import (
+    grid_project,
+    line_param_bisect,
+    line_param_brentq,
+    lp_norm,
+    param_grid_min,
+    probe_gap,
+)
 
 
 class TestDescriptorValidation:
@@ -399,6 +406,95 @@ class TestLineSearchProperties:
                     P = project(space, C, x)
                     ulp = np.spacing(max(np.max(np.abs(P)), np.max(np.abs(origin))))
                     assert np.max(np.abs(project(space, C, P) - P)) <= 4 * ulp, (n, entry, x)
+
+
+def _search_outcome(search):
+    # the returned parameter's exact bits, or the refusal's type
+    try:
+        return repr(search())
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc).__name__
+
+
+class TestLineSearchBits:
+    """The in-house Brent against SciPy's brentq (the twin in oracles):
+    the same t, bit for bit, on segments, rays and Frank–Wolfe steps
+    (xtol 1e-15), with each slope evaluated once per parameter."""
+
+    KINDS = {"segment": (1.0, sets._TINY), "ray": (None, sets._TINY),
+             "frank_wolfe": (1.0, 1e-15)}
+
+    @staticmethod
+    def _corpus(rng):
+        # (origin, d, x): zero, -0.0 and subnormal d entries, ±0.0 in the
+        # point, and points on the line, 1e-9 off it, near it and far from it
+        for n in range(1, 9):
+            for entry in (None, 0.0, -0.0, 5e-324 * 37, 1e-310) if n > 1 else (None,):
+                for scale in (1e-3, 1.0, 1e3):
+                    origin = scale * rng.standard_normal(n)
+                    d = scale * rng.standard_normal(n)
+                    if entry is not None:
+                        k = rng.integers(n)
+                        origin[k], d[k] = 0.0, entry
+                    on = origin + rng.uniform(-0.5, 2.0, (2, 1)) * d
+                    off = on + 1e-9 * scale * rng.standard_normal((2, n))
+                    far = origin + 1e3 * scale * rng.standard_normal((1, n))
+                    near = origin + scale * rng.standard_normal((2, n))
+                    signed_zero = near[:1].copy()
+                    signed_zero[0, rng.integers(n)] = -0.0
+                    for x in np.vstack([on, off, far, near, signed_zero]):
+                        yield origin, d, x
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    @pytest.mark.parametrize("p", [1.05, 1.5, 2.0, 3.0, 8.0, 20.0])
+    def test_same_bits_as_the_brentq_twin(self, p, kind):
+        hi, xtol = self.KINDS[kind]
+        space = LpSpace(p)
+        rng = np.random.default_rng([int(100 * p), sorted(self.KINDS).index(kind)])
+        for origin, d, x in self._corpus(rng):
+            with np.errstate(over="ignore"):   # slopes at p = 20 may overflow to ±inf
+                ours = _search_outcome(
+                    lambda: sets._project_line_param(space, origin, d, x, 0.0, hi, xtol))
+                twin = _search_outcome(lambda: line_param_brentq(p, origin, d, x, hi, xtol))
+            assert ours == twin, (origin, d, x)
+
+    def test_each_slope_evaluated_once_per_parameter(self, monkeypatch):
+        calls = []
+        slope = sets._param_distance_slope
+        monkeypatch.setattr(sets, "_param_distance_slope",
+                            lambda space, base, d, t: calls.append(t) or slope(space, base, d, t))
+        rng = np.random.default_rng(19)
+        searched = 0
+        for p in (1.05, 2.0, 3.0, 8.0):
+            space = LpSpace(p)
+            for hi, xtol in self.KINDS.values():
+                for origin, d, x in self._corpus(rng):
+                    calls.clear()
+                    sets._project_line_param(space, origin, d, x, 0.0, hi, xtol)
+                    assert len(set(calls)) == len(calls), calls
+                    searched += len(calls) > 2
+        assert searched > 1000   # the corpus reaches Brent's iterates
+
+    def test_nan_slope_is_a_numeric_failure(self):
+        # |r_i|^19 overflows on both sides of the sum at t = 0.5; without
+        # the check Brent steps on NaN comparisons and returns t ≈ 1.7e-4
+        # (the answer is t = 0.5)
+        with pytest.raises(ArithmeticError, match="NaN"), np.errstate(over="ignore", invalid="ignore"):
+            project(LpSpace(20.0), Segment(u=[0.0, 0.0], w=[1e20, 1e20]), [1e20, 0.0])
+
+    @pytest.mark.parametrize("ends", [(np.nan, 1.0), (-1.0, np.nan)])
+    def test_nan_end_slope_is_refused(self, ends):
+        with pytest.raises(ArithmeticError, match="NaN"):
+            sets._brent_root(lambda t: t - 0.25, 0.0, ends[0], 1.0, ends[1], 1e-15)
+
+    def test_nan_iterate_is_refused(self):
+        with pytest.raises(ArithmeticError, match="NaN"):
+            sets._brent_root(lambda t: np.nan, 0.0, -1.0, 1.0, 1.0, 1e-15)
+
+    def test_iteration_cap_is_a_numeric_failure(self, monkeypatch):
+        monkeypatch.setattr(sets, "_MAXITER", 1)
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            project(LpSpace(3.0), Segment(u=[0.0, 0.0], w=[1.0, 1.0]), [0.9, 0.0])
 
 
 class TestClassifyPoint:

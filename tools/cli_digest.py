@@ -14,13 +14,15 @@ outward and an inward direction and at an exterior point (the
 `ball:sphere-up`, `ball:sphere-down` and `ball:exterior` clauses),
 then a refused `classify` on a V-polytope (exit 2), three options of the
 wrong JSON type that must exit with code 2 (a fractional `rate` count, a
-string `moduli` fit flag and a string exponent for `project`), and last
+string `moduli` fit flag and a string exponent for `project`), then
 four set descriptors with wrong-typed entries that must exit with code 2
 (a ball with string center and radius, a ball with a boolean radius, and
 a coordinate subspace whose mask holds strings, then one that holds
-numbers).  Each config runs through `banachproj.cli.main` in-process,
-inside a temporary directory, and the script prints a header of `#`
-lines (the NumPy and SciPy versions) and then one line per config:
+numbers), and last a segment projection at p = 20 whose line-search slope
+overflows to NaN, which must exit with code 4.  Each config runs through
+`banachproj.cli.main` in-process, inside a temporary directory, and the
+script prints a header of `#` lines (the NumPy and SciPy versions) and
+then one line per config:
 
     <name> <exit code> <sha256 of stdout>
 
@@ -187,6 +189,10 @@ def corpus() -> list[tuple[str, str, dict]]:
         out.append((f"project_{case}", "project", {
             "space": space, "set": C, "inputs": {"x": [1.0, 2.0, 3.0]},
         }))
+    out.append(("project_segment_p20_overflow", "project", {
+        "space": {"p": 20.0, "n": 2}, "set": {"type": "segment", "u": [0.0, 0.0], "w": [1e20, 1e20]},
+        "inputs": {"x": [1e20, 0.0]},
+    }))
     return out
 
 
