@@ -1,13 +1,16 @@
 """SciPy submodules that are imported on first use.
 
-Importing `scipy.optimize` takes about 0.6 s and `scipy.stats` about as
-long again, while balls, cones, subspaces, segments, rays and their
-derivatives need neither.  `sets` and `solver` bind `optimize`, and `moduli` binds `stats`,
-to the stand-ins below: the first read of an attribute (`optimize.linprog`,
-`stats.gamma`) imports the real module and keeps the attribute on the
-stand-in for later reads.  So only polytopes load `scipy.optimize` (the
-segment and ray line search is the NumPy-only Brent in `sets`), and only
-the moduli sampler loads `scipy.stats`.
+Importing `scipy.optimize` takes about 0.6 s, while balls, cones,
+subspaces, segments, rays and their derivatives need no SciPy at all.
+`sets` and `solver` bind `optimize`, and `moduli` binds `special`, to the
+stand-ins below: the first read of an attribute (`optimize.linprog`,
+`special.gammaincinv`) imports the real module and keeps the attribute on
+the stand-in for later reads.  So only polytopes load `scipy.optimize`
+(the segment and ray line search is the NumPy-only Brent in `sets`), and
+the moduli sampler loads `scipy.special` only (its Sobol points are drawn
+in NumPy).  `stats` is read by nothing in the package: it remains for the
+span tracer of the benchmark, which hooks `moduli.stats.gamma.ppf`, so
+only traced runs import `scipy.stats`.
 """
 from __future__ import annotations
 
@@ -31,4 +34,5 @@ class _Deferred:
 
 
 optimize = _Deferred("scipy.optimize")
+special = _Deferred("scipy.special")
 stats = _Deferred("scipy.stats")

@@ -331,7 +331,9 @@ def main(argv=None) -> int:
         given = _given(cfg, seed=_integer, output_path=_string)
         seed = args.seed if args.seed is not None else given.get("seed", 0)
         out = args.out if args.out is not None else given.get("output_path")
-        return _COMMANDS[args.command](cfg, seed, out)
+        # an overflow that matters ends in a refusal below, not in a warning
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return _COMMANDS[args.command](cfg, seed, out)
     except _ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -14,11 +14,13 @@ pairs of unit vectors: 1 - ‖(x + y)/2‖ for δ, and
 point gets a quasi-random batch of sphere pairs — Sobol points pushed
 through the Γ(1/p) transform, which makes them uniform on the ℓ_p
 sphere — plus structured axis/diagonal seeds, followed by rounds of
-coordinate-descent refinement around the incumbent.  The Sobol engine
-and the Γ quantile come from `scipy.stats`, which is imported on the
-first estimate (on the calling thread, before any worker starts), not
-with the package: nothing else needs it.  The quantile is not evaluated
-per coordinate: each p gets one table of log Q(u), Q(u) =
+coordinate-descent refinement around the incumbent.  The Sobol points
+are SciPy's scrambled Sobol sequence, drawn bit for bit in NumPy from
+the direction numbers SciPy ships (`_sobol_block`), so `scipy.stats` is
+not imported.  The Γ quantile is `scipy.special.gammaincinv`, imported
+on the first estimate (on the calling thread, before any worker
+starts), not with the package: nothing else needs it.  The quantile is
+not evaluated per coordinate: each p gets one table of log Q(u), Q(u) =
 gammaincinv(1/p, u)^{1/p}, at 8192 knots evenly spaced in log(u/(1-u)),
 built on the calling thread by the first estimate and interpolated
 linearly (relative error below 1e-5; every sample is renormalized onto
@@ -52,6 +54,7 @@ envelope and ρ raised, so sampling bias cannot manufacture violations.
 from __future__ import annotations
 
 import functools
+import importlib.resources
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -60,7 +63,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import solver
-from ._scipy import stats
+from ._scipy import special
+from ._scipy import stats  # noqa: F401  (never read here; the span tracer hooks it)
 from .space import LpSpace
 
 __all__ = [
@@ -195,7 +199,7 @@ def _magnitude_table(p: float) -> tuple[np.ndarray, np.ndarray]:
     """
     u = 1.0 / (1.0 + np.exp(-np.linspace(-_LOGIT_END, _LOGIT_END, _KNOTS)))
     s = np.log(u / (1.0 - u))
-    x = stats.gamma.ppf(u, a=1.0 / p)
+    x = special.gammaincinv(1.0 / p, u)
     tiny = np.finfo(float).tiny
     log_q = np.where(x >= tiny, np.log(np.maximum(x, tiny)) / p,
                      np.log(u) + math.lgamma(1.0 + 1.0 / p))
@@ -233,10 +237,75 @@ def _sphere_from_uniforms(U: np.ndarray, p: float) -> np.ndarray:
     return _unit_rows(np.sign(S) * _gamma_magnitudes(mag_u, p), p)
 
 
+_SOBOL_BITS = 30
+# bit B-1-k of an integer sits at column k: the bit order of SciPy's scramble
+_HIGH_FIRST = np.arange(_SOBOL_BITS - 1, -1, -1, dtype=np.uint32)
+
+
+@functools.lru_cache(maxsize=8)
+def _direction_matrix(dim: int) -> np.ndarray:
+    """Sobol direction numbers v[d, j] of the first `dim` coordinates.
+
+    Joe & Kuo's primitive polynomials and initial numbers, read from the
+    file SciPy ships with its Sobol engine, extended by the recurrence of
+    Bratley & Fox (1988, Algorithm 659) and shifted to 30 bits, as SciPy's
+    `_initialize_v` does.  Read-only: shared by every caller and thread.
+    The file's path and the scramble's draw order in `_sobol_block` are
+    SciPy's private details, checked against SciPy 1.17.1; the twin tests
+    in `tests/test_moduli.py` fail if a SciPy release changes either.
+    """
+    npz = importlib.resources.files("scipy") / "stats" / "_sobol_direction_numbers.npz"
+    with npz.open("rb") as fh, np.load(fh) as table:
+        poly, vinit = table["poly"], table["vinit"]
+    if dim > len(poly):
+        raise ValueError(f"Sobol points support dimension <= {len(poly)}, got {dim}")
+    poly, vinit = poly[:dim].tolist(), vinit[:dim].tolist()
+    v = np.ones((dim, _SOBOL_BITS), dtype=np.uint32)
+    for d in range(1, dim):
+        p = poly[d]
+        m = p.bit_length() - 1
+        row = vinit[d][:m]
+        for j in range(m, _SOBOL_BITS):
+            new = row[j - m]
+            for k in range(m):
+                if (p >> (m - 1 - k)) & 1:
+                    new ^= row[j - k - 1] << (k + 1)
+            row.append(new)
+        v[d] = row
+    v <<= _HIGH_FIRST
+    v.flags.writeable = False
+    return v
+
+
 def _sobol_block(dim: int, count: int, seed) -> np.ndarray:
-    eng = stats.qmc.Sobol(d=dim, scramble=True, seed=seed)
-    m = max(3, math.ceil(math.log2(max(count, 2))))
-    return eng.random_base2(m)[:count]
+    """The first `count` points of SciPy's `Sobol(dim, scramble=True, seed=seed)`.
+
+    Bit for bit: the direction numbers get the same left linear matrix
+    scramble and digital shift (Owen 1998) from the same draws of
+    `default_rng(seed)`, the shift first, and the points follow in
+    Gray-code order, each the previous one xor one direction number.
+    """
+    rng = np.random.default_rng(seed)
+    shift = rng.integers(2, size=(dim, _SOBOL_BITS), dtype=np.uint32)
+    shift <<= np.arange(_SOBOL_BITS, dtype=np.uint32)
+    lower = np.tril(rng.integers(2, size=(dim, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32))
+    diag = np.arange(_SOBOL_BITS)
+    lower[:, diag, diag] = 1
+    # bit B-1-p of a scrambled number is the parity of row p of the lower
+    # matrix against the bits of the number, B-1-k at column k
+    bits = (_direction_matrix(dim)[:, :, None] >> _HIGH_FIRST) & 1
+    bits = np.matmul(bits, lower.transpose(0, 2, 1))
+    bits &= 1
+    bits <<= _HIGH_FIRST
+    directions = bits.sum(axis=2, dtype=np.uint32).T
+    # point i + 1 flips the direction number of the lowest zero bit of i
+    i = np.arange(count - 1, dtype=np.uint32)
+    flip = np.frexp((i ^ (i + 1)).astype(float))[1] - 1   # exact below 2**32
+    q = np.empty((count, dim), dtype=np.uint32)
+    q[0] = shift.sum(axis=1, dtype=np.uint32)
+    np.take(directions, flip, axis=0, out=q[1:])
+    np.bitwise_xor.accumulate(q, axis=0, out=q)
+    return q * 2.0 ** -_SOBOL_BITS
 
 
 #: step cap of the pinning search; a row still open there keeps its good end
@@ -469,8 +538,10 @@ def _sample_curve(point, p: float, n: int, grid, upper: float, name: str, skip: 
     g = _validate_grid(grid, upper, name)
     seeds = np.random.SeedSequence(seed).spawn(g.size + skip)[skip:]
     work = [(p, n, float(a), int(budget), int(rounds), s) for a, s in zip(g, seeds)]
-    stats.load()   # first import on this thread, never racing inside the pool
-    _magnitude_table(p)   # built here once, not raced for by the workers
+    # the tables (and with them the scipy.special import) are built here
+    # once, on this thread, not raced for by the workers
+    _magnitude_table(p)
+    _direction_matrix(2 * n)
     results = _grid_map(point, work, thread_count(threads))
     return g, np.array([r[0] for r in results]), int(sum(r[1] for r in results))
 

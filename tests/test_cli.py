@@ -306,6 +306,15 @@ class TestModuli:
         assert code == 2
         assert "increasing" in err
 
+    def test_dimension_past_the_sobol_table_is_config_error(self, tmp_path):
+        # 2n = 21202 Sobol coordinates, one more than the direction numbers
+        code, out, err = run_cli(tmp_path, "moduli", {
+            "space": {"p": 3, "n": 10601},
+            "moduli": {"curve": "delta", "epsilons": [0.5], "budget": 10, "threads": 1},
+        })
+        assert (code, out) == (2, "")
+        assert "dimension <= 21201" in err
+
 
 class TestRate:
     def test_json_report(self, tmp_path):
@@ -507,6 +516,22 @@ class TestErrors:
         assert (code, out) == (4, "")
         assert err.startswith("numeric failure") and "NaN" in err
 
+    def test_overflow_leaves_one_line_on_stderr(self, tmp_path):
+        # a fresh interpreter, where NumPy's overflow warnings would reach
+        # stderr with their source lines ahead of the refusal
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "space": {"p": 20, "n": 2},
+            "set": {"type": "segment", "u": [0, 0], "w": [1e20, 1e20]},
+            "inputs": {"x": [1e20, 0]},
+        }))
+        proc = subprocess.run([sys.executable, "-m", "banachproj.cli", "project",
+                               "--config", str(path)],
+                              capture_output=True, text=True, timeout=60, env=child_env())
+        assert (proc.returncode, proc.stdout) == (4, "")
+        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith("numeric failure: ")
+
     def test_unknown_command_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["nonsense", "--config", "whatever.json"])
@@ -626,7 +651,8 @@ print(json.dumps({"message": message, "optimize": "scipy.optimize" in sys.module
 
 
 class TestStartup:
-    """Closed forms load no SciPy solver or sampler; first use loads them."""
+    """Closed forms load no SciPy solver, and moduli only scipy.special;
+    first use loads them."""
 
     def run_fresh(self, code, *args):
         proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
@@ -652,6 +678,18 @@ class TestStartup:
         out = self.run_fresh(LAZY_PROBE, json.dumps(commands))
         assert out == {"codes": [0] * len(runs), "loaded": []}
 
+    def test_moduli_command_loads_neither_optimize_nor_stats(self, tmp_path):
+        # the Sobol points are drawn in NumPy and the Γ quantile comes
+        # from scipy.special
+        path = tmp_path / "moduli.json"
+        path.write_text(json.dumps({
+            "space": {"p": 3, "n": 2}, "seed": 5,
+            "moduli": {"curve": "both", "epsilons": [0.1, 0.2, 0.4, 0.8, 1.6],
+                       "ts": [0.05, 0.1, 0.2, 0.4, 0.8], "budget": 200, "threads": 2},
+        }))
+        out = self.run_fresh(LAZY_PROBE, json.dumps([("moduli", str(path))]))
+        assert out == {"codes": [0], "loaded": []}
+
     def test_first_polytope_projection_loads_optimize_and_matches_a_warm_one(self):
         import scipy.optimize  # noqa: F401  (the reference answer runs with it loaded)
         from banachproj import LpSpace, PolytopeH, project
@@ -668,7 +706,7 @@ class TestStartup:
                        "optimize": False}
 
     def test_first_moduli_estimate_on_a_pool_matches_a_warm_one(self):
-        import scipy.stats  # noqa: F401  (the reference estimate runs with it loaded)
+        import scipy.special  # noqa: F401  (the reference estimate runs with it loaded)
         from banachproj import estimate_convexity_modulus
 
         warm = estimate_convexity_modulus(*MODULI_ARGS, **MODULI_KW)

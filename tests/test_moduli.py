@@ -18,14 +18,26 @@ from banachproj import (
     moduli,
 )
 from banachproj.moduli import (
+    _KNOTS,
+    _LOGIT_END,
     _gamma_magnitudes,
     _magnitude_table,
     _pin_pairs,
     _row_norms,
+    _sobol_block,
     _sphere_from_uniforms,
     thread_count,
 )
-from oracles import bisection_pin, exact_delta, exact_rho, hilbert_delta, hilbert_rho, lp_norm
+from oracles import (
+    bisection_pin,
+    exact_delta,
+    exact_rho,
+    hilbert_delta,
+    hilbert_rho,
+    lp_norm,
+    magnitude_table,
+    sobol_block,
+)
 
 # Small budgets keep the suite fast.  The classical extremal families are
 # planted as search seeds, so the p = 2 values are machine-exact even here;
@@ -249,6 +261,30 @@ class TestPowerFit:
         d = estimate_convexity_modulus(2.0, 2, FIT_GRID, budget=1500, seed=0, rounds=1)
         js = fit_power_type(d).to_json()
         assert set(js) == {"a", "p_fit", "b", "q_fit", "rms_delta", "rms_rho"}
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestScipyTwins:
+    """The sampler's NumPy Sobol points and special.gammaincinv table give
+    the bits of the scipy.stats calls they replace."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2 ** 31 - 1])
+    @pytest.mark.parametrize("count", [1, 2, 5, 64, 1200, 60_000])
+    @pytest.mark.parametrize("dim", [2, 4, 6, 10, 40])
+    def test_sobol_block_matches_scipy_engine(self, dim, count, seed):
+        assert same_bits(_sobol_block(dim, count, seed), sobol_block(dim, count, seed))
+
+    @pytest.mark.parametrize("p", [1.05, 1.5, 3.0, 20.0, 200.0])
+    def test_magnitude_table_matches_gamma_ppf_build(self, p):
+        got, want = _magnitude_table(p), magnitude_table(p, _LOGIT_END, _KNOTS)
+        assert all(same_bits(g, w) for g, w in zip(got, want))
+
+    def test_sobol_block_refuses_a_dimension_past_the_direction_numbers(self):
+        with pytest.raises(ValueError, match="dimension <= 21201"):
+            _sobol_block(21202, 1, 0)
 
 
 class TestSphereMap:
