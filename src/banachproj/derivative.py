@@ -101,7 +101,7 @@ def _enters(space: LpSpace, c: np.ndarray, radius: float, x: np.ndarray, v: np.n
     """
     if abs(g) > TIE_TOL:
         return g < 0.0
-    scale = max(1.0, radius, d)
+    scale = max(radius, d)
     for k in range(10, 25):
         t = 2.0 ** -k
         val = space.norm(x + t * v - c) - radius
@@ -114,7 +114,7 @@ def _ball_clause(space: LpSpace, c: np.ndarray, radius: float, x: np.ndarray,
                  v: np.ndarray) -> DerivativeResult:
     xc = x - c
     d = space.norm(xc)
-    band = SPHERE_BAND * max(1.0, radius)
+    band = SPHERE_BAND * radius
     if d < radius - band:
         return DerivativeResult(v.copy(), "ball:interior")
     nv = space.norm(v)

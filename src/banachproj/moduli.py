@@ -11,27 +11,20 @@ true modulus) and ρ by incomplete maximization (a lower bound).  Both go
 through one search driver, `_search_point`, that minimizes a score over
 pairs of unit vectors: 1 - ‖(x + y)/2‖ for δ, and
 1 - (‖x + ty‖ + ‖x - ty‖)/2 for ρ, whose infimum is -ρ(t).  Each grid
-point gets a quasi-random batch of sphere pairs — Sobol points pushed
-through the Γ(1/p) transform, which makes them uniform on the ℓ_p
-sphere — plus structured axis/diagonal seeds, followed by rounds of
-coordinate-descent refinement around the incumbent.  The Sobol points
-are SciPy's scrambled Sobol sequence, drawn bit for bit in NumPy from
-the direction numbers SciPy ships (`_sobol_block`), so `scipy.stats` is
-not imported.  The Γ quantile is `scipy.special.gammaincinv`, imported
-on the first estimate (on the calling thread, before any worker
-starts), not with the package: nothing else needs it.  The quantile is
-not evaluated per coordinate: each p gets one table of log Q(u), Q(u) =
-gammaincinv(1/p, u)^{1/p}, at 8192 knots evenly spaced in log(u/(1-u)),
-built on the calling thread by the first estimate and interpolated
-linearly (relative error below 1e-5; every sample is renormalized onto
-the sphere, so the one-sided guarantees do not rest on it).  For δ the
-pair is pinned to ‖x - y‖ = ε by a bracketed secant search (regula
-falsi, Illinois variant) along sphere paths, since the infimum is
-approached on that boundary; the pinned pair stays on the feasible side
-as computed, ‖x - y‖ >= ε, for every ε below 2 - 1e-12.  From there on
-the partner is -x, the only one in exact arithmetic, whose computed
-distance is 2 only up to rounding: at ε = 2 it falls an ulp short in a
-quarter to a half of the rows (n = 2, p = 1.05 and 1.5).
+point gets a random batch of sphere pairs — Gaussian rows scaled onto the
+ℓ_p sphere, which gives every direction a positive density — plus
+structured axis/diagonal seeds, followed by rounds of coordinate-descent
+refinement around the incumbent.  The one-sided guarantees rest on the
+pinning, the refinement and the envelopes, not on how the batch is
+spread, so the batch needs no particular law on the sphere and the
+sampler needs no SciPy.  For δ the pair is pinned to ‖x - y‖ = ε by a
+bracketed secant search (regula falsi, Illinois variant) along sphere
+paths, since the infimum is approached on that boundary; the pinned pair
+stays on the feasible side as computed, ‖x - y‖ >= ε, for every ε below
+2 - 1e-12.  From there on the partner is -x, the only one in exact
+arithmetic, whose computed distance is 2 only up to rounding: at ε = 2
+it falls an ulp short in a quarter to a half of the rows (n = 2,
+p = 1.05 and 1.5).
 
 `budget` counts candidate pairs examined per grid point (pinning adds
 vectorized norm evaluations on top: two at the path ends, then a median
@@ -53,8 +46,6 @@ envelope and ρ raised, so sampling bias cannot manufacture violations.
 """
 from __future__ import annotations
 
-import functools
-import importlib.resources
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -63,7 +54,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import solver
-from ._scipy import special
 from ._scipy import stats  # noqa: F401  (never read here; the span tracer hooks it)
 from .space import LpSpace
 
@@ -180,134 +170,6 @@ def _unit_rows(M: np.ndarray, p: float) -> np.ndarray:
     return M / nr[:, None]
 
 
-# uniforms are clipped to [_CLIP, 1 - _CLIP]; their logits span ±_LOGIT_END
-_CLIP = 1e-12
-_LOGIT_END = math.log((1.0 - _CLIP) / _CLIP)
-_KNOTS = 8192
-
-
-@functools.lru_cache(maxsize=8)
-def _magnitude_table(p: float) -> tuple[np.ndarray, np.ndarray]:
-    """Slope and intercept of log Q on each interval between knots.
-
-    Q(u) = gammaincinv(1/p, u)^{1/p} is tabulated against s = log(u/(1-u))
-    at knots evenly spaced over the clip range; each knot keeps the s of
-    its rounded u, so the table is exact there.  Where the quantile
-    underflows (large p, small u) the knot takes the exact small-u
-    asymptote log Q = log u + lgamma(1 + 1/p).  Read-only: the arrays are
-    shared by every caller and thread.
-    """
-    u = 1.0 / (1.0 + np.exp(-np.linspace(-_LOGIT_END, _LOGIT_END, _KNOTS)))
-    s = np.log(u / (1.0 - u))
-    x = special.gammaincinv(1.0 / p, u)
-    tiny = np.finfo(float).tiny
-    log_q = np.where(x >= tiny, np.log(np.maximum(x, tiny)) / p,
-                     np.log(u) + math.lgamma(1.0 + 1.0 / p))
-    slope = np.diff(log_q) / np.diff(s)
-    intercept = log_q[:-1] - slope * s[:-1]
-    slope.flags.writeable = intercept.flags.writeable = False
-    return slope, intercept
-
-
-def _gamma_magnitudes(u: np.ndarray, p: float) -> np.ndarray:
-    """Q(u) = gammaincinv(1/p, u)^{1/p} for u in [_CLIP, 1 - _CLIP], from the table."""
-    slope, intercept = _magnitude_table(p)
-    s = 1.0 - u
-    np.divide(u, s, out=s)
-    np.log(s, out=s)
-    k = ((s + _LOGIT_END) * ((_KNOTS - 1) / (2.0 * _LOGIT_END))).astype(np.intp)
-    np.clip(k, 0, _KNOTS - 2, out=k)
-    out = slope[k]
-    out *= s
-    out += intercept[k]
-    return np.exp(out, out=out)
-
-
-def _sphere_from_uniforms(U: np.ndarray, p: float) -> np.ndarray:
-    """Map uniforms in (0,1)^n to the unit ℓ_p sphere.
-
-    Coordinates |c_i|^p ~ Γ(1/p) with random signs make c/‖c‖_p uniform
-    on the sphere; the sign and the magnitude share one uniform each.
-    The magnitude Γ(1/p) quantile comes from `_magnitude_table` by linear
-    interpolation, to a relative error below 1e-5 (about 1.5e-6 measured
-    for p from 1.05 to 200); the rows are renormalized exactly after.
-    """
-    S = 2.0 * U - 1.0
-    mag_u = np.clip(np.abs(S), _CLIP, 1.0 - _CLIP)
-    return _unit_rows(np.sign(S) * _gamma_magnitudes(mag_u, p), p)
-
-
-_SOBOL_BITS = 30
-# bit B-1-k of an integer sits at column k: the bit order of SciPy's scramble
-_HIGH_FIRST = np.arange(_SOBOL_BITS - 1, -1, -1, dtype=np.uint32)
-
-
-@functools.lru_cache(maxsize=8)
-def _direction_matrix(dim: int) -> np.ndarray:
-    """Sobol direction numbers v[d, j] of the first `dim` coordinates.
-
-    Joe & Kuo's primitive polynomials and initial numbers, read from the
-    file SciPy ships with its Sobol engine, extended by the recurrence of
-    Bratley & Fox (1988, Algorithm 659) and shifted to 30 bits, as SciPy's
-    `_initialize_v` does.  Read-only: shared by every caller and thread.
-    The file's path and the scramble's draw order in `_sobol_block` are
-    SciPy's private details, checked against SciPy 1.17.1; the twin tests
-    in `tests/test_moduli.py` fail if a SciPy release changes either.
-    """
-    npz = importlib.resources.files("scipy") / "stats" / "_sobol_direction_numbers.npz"
-    with npz.open("rb") as fh, np.load(fh) as table:
-        poly, vinit = table["poly"], table["vinit"]
-    if dim > len(poly):
-        raise ValueError(f"Sobol points support dimension <= {len(poly)}, got {dim}")
-    poly, vinit = poly[:dim].tolist(), vinit[:dim].tolist()
-    v = np.ones((dim, _SOBOL_BITS), dtype=np.uint32)
-    for d in range(1, dim):
-        p = poly[d]
-        m = p.bit_length() - 1
-        row = vinit[d][:m]
-        for j in range(m, _SOBOL_BITS):
-            new = row[j - m]
-            for k in range(m):
-                if (p >> (m - 1 - k)) & 1:
-                    new ^= row[j - k - 1] << (k + 1)
-            row.append(new)
-        v[d] = row
-    v <<= _HIGH_FIRST
-    v.flags.writeable = False
-    return v
-
-
-def _sobol_block(dim: int, count: int, seed) -> np.ndarray:
-    """The first `count` points of SciPy's `Sobol(dim, scramble=True, seed=seed)`.
-
-    Bit for bit: the direction numbers get the same left linear matrix
-    scramble and digital shift (Owen 1998) from the same draws of
-    `default_rng(seed)`, the shift first, and the points follow in
-    Gray-code order, each the previous one xor one direction number.
-    """
-    rng = np.random.default_rng(seed)
-    shift = rng.integers(2, size=(dim, _SOBOL_BITS), dtype=np.uint32)
-    shift <<= np.arange(_SOBOL_BITS, dtype=np.uint32)
-    lower = np.tril(rng.integers(2, size=(dim, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32))
-    diag = np.arange(_SOBOL_BITS)
-    lower[:, diag, diag] = 1
-    # bit B-1-p of a scrambled number is the parity of row p of the lower
-    # matrix against the bits of the number, B-1-k at column k
-    bits = (_direction_matrix(dim)[:, :, None] >> _HIGH_FIRST) & 1
-    bits = np.matmul(bits, lower.transpose(0, 2, 1))
-    bits &= 1
-    bits <<= _HIGH_FIRST
-    directions = bits.sum(axis=2, dtype=np.uint32).T
-    # point i + 1 flips the direction number of the lowest zero bit of i
-    i = np.arange(count - 1, dtype=np.uint32)
-    flip = np.frexp((i ^ (i + 1)).astype(float))[1] - 1   # exact below 2**32
-    q = np.empty((count, dim), dtype=np.uint32)
-    q[0] = shift.sum(axis=1, dtype=np.uint32)
-    np.take(directions, flip, axis=0, out=q[1:])
-    np.bitwise_xor.accumulate(q, axis=0, out=q)
-    return q * 2.0 ** -_SOBOL_BITS
-
-
 #: step cap of the pinning search; a row still open there keeps its good end
 _PIN_STEPS = 100
 
@@ -414,6 +276,22 @@ def _pin_pairs(p: float, X: np.ndarray, Y: np.ndarray, eps: float) -> np.ndarray
     return path(X, Y, s, u)
 
 
+def _gaussian_rows(rng, m: int, n: int, p: float) -> np.ndarray:
+    G = rng.standard_normal((m, n))
+    with np.errstate(over="ignore"):
+        nr = _row_norms(G, p)
+    # where Σ|g|^p overflows or leaves the normal range (every |g| < 0.03
+    # at p = 200), the row is divided by its largest entry first; the
+    # other rows get the bits of _unit_rows
+    odd = ~((nr >= 2.0 ** (-1022.0 / p)) & (nr < np.inf))
+    if odd.any():
+        B = G[odd]
+        B /= np.max(np.abs(B), axis=1, keepdims=True)
+        G[odd] = B
+        nr[odd] = _row_norms(B, p)
+    return G / nr[:, None]
+
+
 def _axis_seed_pairs(p: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic axis/diagonal sphere pairs that cover the classical
     extremal families for every exponent regime."""
@@ -449,18 +327,16 @@ def _coordinate_cands(base: np.ndarray, h: float) -> np.ndarray:
 def _search_point(p: float, n: int, score, pin, budget: int, rounds: int, seed_seq) -> tuple[float, int]:
     """Smallest score(X, Y) found over sphere pairs, and the pairs examined.
 
-    A Sobol batch plus the axis seeds, then `rounds` of coordinate and
+    A Gaussian batch plus the axis seeds, then `rounds` of coordinate and
     random-cloud refinement around the incumbent at three step sizes;
     `pin` maps each candidate pair's Y back onto the constraint set.
     """
     rng = np.random.default_rng(seed_seq)
-    sobol_seed = int(rng.integers(0, 2 ** 31))
     evals = 0
 
     init = max(64, int(budget * 0.6))
-    U = _sobol_block(2 * n, init, sobol_seed)
-    X = _sphere_from_uniforms(U[:, :n], p)
-    Y = _sphere_from_uniforms(U[:, n:], p)
+    X = _gaussian_rows(rng, init, n, p)
+    Y = _gaussian_rows(rng, init, n, p)
     Xs, Ys = _axis_seed_pairs(p, n)
     X = np.vstack([X, Xs])
     Y = np.vstack([Y, Ys])
@@ -535,13 +411,13 @@ def _sample_curve(point, p: float, n: int, grid, upper: float, name: str, skip: 
     LpSpace(p)
     if n < 2:
         raise ValueError("the moduli need dimension >= 2")
+    if n > 10_600:
+        # each refinement step builds (2n, n) candidate blocks in
+        # _coordinate_cands, about 1.8 GB each at this n
+        raise ValueError(f"the moduli support dimension <= 10600, got {n}")
     g = _validate_grid(grid, upper, name)
     seeds = np.random.SeedSequence(seed).spawn(g.size + skip)[skip:]
     work = [(p, n, float(a), int(budget), int(rounds), s) for a, s in zip(g, seeds)]
-    # the tables (and with them the scipy.special import) are built here
-    # once, on this thread, not raced for by the workers
-    _magnitude_table(p)
-    _direction_matrix(2 * n)
     results = _grid_map(point, work, thread_count(threads))
     return g, np.array([r[0] for r in results]), int(sum(r[1] for r in results))
 

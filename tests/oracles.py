@@ -7,15 +7,11 @@ calls into the package's analytic formulas, so agreement between the two
 is evidence, not circularity.  The one exception is `duality_smoothness`, which calls
 the package's duality map and quotient estimator; `xi_quotient` checks it.
 `wrapped_power_norm` and `wrapped_duality_map` are the kernel's earlier
-NumPy form, and `line_param_brentq`, `sobol_block` and `magnitude_table`
-are the earlier SciPy forms of the line search and of the moduli
-sampler's Sobol points and Γ quantile table, kept to pin their bits
-rather than their accuracy.
+NumPy form, and `line_param_brentq` is the line search's earlier SciPy
+form, kept to pin their bits rather than their accuracy.
 """
-import math
-
 import numpy as np
-from scipy import optimize, stats
+from scipy import optimize
 
 from banachproj import numdiff_derivative
 
@@ -411,23 +407,3 @@ def bisection_pin(p, X, Y, eps):
     tau = np.where(toward_x, lo, hi)
     return unit((1.0 - tau)[:, None] * Y + tau[:, None] * E)
 
-
-def sobol_block(dim, count, seed):
-    """The first `count` points of SciPy's scrambled Sobol engine, drawn
-    as the moduli sampler drew them before its NumPy port."""
-    eng = stats.qmc.Sobol(d=dim, scramble=True, seed=seed)
-    m = max(3, math.ceil(math.log2(max(count, 2))))
-    return eng.random_base2(m)[:count]
-
-
-def magnitude_table(p, logit_end, knots):
-    """The moduli sampler's log-quantile table built from `stats.gamma.ppf`,
-    as it was before the quantile came from `special.gammaincinv`."""
-    u = 1.0 / (1.0 + np.exp(-np.linspace(-logit_end, logit_end, knots)))
-    s = np.log(u / (1.0 - u))
-    x = stats.gamma.ppf(u, a=1.0 / p)
-    tiny = np.finfo(float).tiny
-    log_q = np.where(x >= tiny, np.log(np.maximum(x, tiny)) / p,
-                     np.log(u) + math.lgamma(1.0 + 1.0 / p))
-    slope = np.diff(log_q) / np.diff(s)
-    return slope, log_q[:-1] - slope * s[:-1]

@@ -306,14 +306,15 @@ class TestModuli:
         assert code == 2
         assert "increasing" in err
 
-    def test_dimension_past_the_sobol_table_is_config_error(self, tmp_path):
-        # 2n = 21202 Sobol coordinates, one more than the direction numbers
+    def test_dimension_past_the_refinement_limit_is_config_error(self, tmp_path):
+        # refused before any sampling: one refinement block at this n
+        # would take about 1.8 GB
         code, out, err = run_cli(tmp_path, "moduli", {
             "space": {"p": 3, "n": 10601},
             "moduli": {"curve": "delta", "epsilons": [0.5], "budget": 10, "threads": 1},
         })
         assert (code, out) == (2, "")
-        assert "dimension <= 21201" in err
+        assert "dimension <= 10600" in err
 
 
 class TestRate:
@@ -615,7 +616,7 @@ codes = []
 for command, path in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(banachproj.cli.main([command, "--config", path]))
-loaded = [m for m in ("scipy.optimize", "scipy.stats") if m in sys.modules]
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 print(json.dumps({"codes": codes, "loaded": loaded}))
 """
 
@@ -651,8 +652,8 @@ print(json.dumps({"message": message, "optimize": "scipy.optimize" in sys.module
 
 
 class TestStartup:
-    """Closed forms load no SciPy solver, and moduli only scipy.special;
-    first use loads them."""
+    """Closed forms and moduli load no SciPy module; the first polytope
+    loads scipy.optimize."""
 
     def run_fresh(self, code, *args):
         proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
@@ -660,27 +661,34 @@ class TestStartup:
         assert proc.returncode == 0, proc.stderr
         return json.loads(proc.stdout)
 
-    def test_closed_form_commands_load_neither_optimize_nor_stats(self, tmp_path):
-        # balls, segments and rays: project and rate need only NumPy
+    def test_closed_form_commands_load_no_scipy(self, tmp_path):
+        # balls, segments and rays: project, derivative, classify and rate
+        # need only NumPy, and so does every verify suite but properties4
         u, w, x = SEGMENT
         sets = {"ball": {"type": "ball", "center": [0, 0, 0], "radius": 1},
                 "segment": {"type": "segment", "u": u, "w": w},
                 "ray": {"type": "ray", "v": u, "dir": w}}
-        runs = [("project", "ball", {"inputs": [[2, 2, 2], [0.1, 0.2, 0.3]]})]
+        runs = [("project", "ball", {"inputs": [[2, 2, 2], [0.1, 0.2, 0.3]]}),
+                ("derivative", "ball", {"inputs": {"x": [2, 2, 2], "v": [1, 0, 0]}}),
+                ("classify", "ball", {"inputs": {"x": [1, 0, 0]}})]
         for kind in ("segment", "ray"):
             runs.append(("project", kind, {"inputs": {"x": x}}))
+            runs.append(("derivative", kind, {"inputs": {"x": x, "v": [1, 0, 0]}}))
             runs.append(("rate", kind, {"inputs": {"x": x}, "rate": {"count": 2}}))
+        configs = [(command, {"space": {"p": 3, "n": 3}, "set": sets[kind], **extra})
+                   for command, kind, extra in runs]
+        configs += [("verify", {"suite": suite, "count": 2})
+                    for suite in ("duality", "ball", "cone", "subspace", "hilbert")]
         commands = []
-        for i, (command, kind, extra) in enumerate(runs):
-            path = tmp_path / f"{i}_{command}_{kind}.json"
-            path.write_text(json.dumps({"space": {"p": 3, "n": 3}, "set": sets[kind], **extra}))
+        for i, (command, config) in enumerate(configs):
+            path = tmp_path / f"{i}_{command}.json"
+            path.write_text(json.dumps(config))
             commands.append((command, str(path)))
         out = self.run_fresh(LAZY_PROBE, json.dumps(commands))
-        assert out == {"codes": [0] * len(runs), "loaded": []}
+        assert out == {"codes": [0] * len(configs), "loaded": []}
 
-    def test_moduli_command_loads_neither_optimize_nor_stats(self, tmp_path):
-        # the Sobol points are drawn in NumPy and the Γ quantile comes
-        # from scipy.special
+    def test_moduli_command_loads_no_scipy(self, tmp_path):
+        # the sampler draws Gaussian rows in NumPy
         path = tmp_path / "moduli.json"
         path.write_text(json.dumps({
             "space": {"p": 3, "n": 2}, "seed": 5,
@@ -706,7 +714,6 @@ class TestStartup:
                        "optimize": False}
 
     def test_first_moduli_estimate_on_a_pool_matches_a_warm_one(self):
-        import scipy.special  # noqa: F401  (the reference estimate runs with it loaded)
         from banachproj import estimate_convexity_modulus
 
         warm = estimate_convexity_modulus(*MODULI_ARGS, **MODULI_KW)

@@ -71,6 +71,16 @@ class TestBallDerivative:
         assert_allclose(res.value, [0.0, 0.5], atol=1e-14)
         assert res.case_label == "ball:exterior"
 
+    @pytest.mark.parametrize("k", [-60, -40, -20, 0, 20])
+    def test_exterior_clause_holds_at_every_radius(self, k):
+        # the sphere band is relative to the radius, so (2r, 0) lies outside
+        # it at every scale, and the value is the same bits at every scale
+        r = 2.0 ** k
+        res = directional_derivative(LpSpace(3.0), Ball(center=[0.0, 0.0], radius=r),
+                                     [2.0 * r, 0.0], [0.0, 1.0])
+        assert res.case_label == "ball:exterior"
+        assert np.array_equal(res.value, [0.0, 0.5])
+
     def test_euclidean_exterior_radial_vanishes(self):
         space = LpSpace(2.0)
         res = directional_derivative(space, DISK, [2.0, 0.0], [2.0, 0.0])
@@ -530,15 +540,17 @@ class TestEntryValidation:
             DERIVATIVE_ENTRY_POINTS[entry](LpSpace(3.0), x, np.zeros(3))
 
     def test_ball_clauses_refuse_where_the_unit_quotients_leave_the_sphere(self):
-        # an overflowing norm, and the center of a ball thinner than the
-        # sphere band, leave no unit vector to take the slope at
+        # an overflowing norm leaves no unit vector to take the slope at
         space, c = LpSpace(3.0), np.zeros(3)
         with np.errstate(over="ignore"), \
                 pytest.raises(ValueError, match="direction must lie on the unit sphere"):
             # ‖v‖ overflows
             directional_derivative(space, BALL3, [1.0, 0.0, 0.0], np.full(3, 1.7e308))
-        with pytest.raises(ValueError, match="cannot normalize the zero vector"):
-            directional_derivative(space, Ball(center=c, radius=1e-12), c, [1.0, 0.0, 0.0])
+        # the sphere band scales with the radius, so the center of even a
+        # thin ball is interior, where the derivative is v itself
+        res = directional_derivative(space, Ball(center=c, radius=1e-12), c, [1.0, 0.0, 0.0])
+        assert res.case_label == "ball:interior"
+        assert np.array_equal(res.value, [1.0, 0.0, 0.0])
 
     @pytest.mark.parametrize("entry", sorted(DERIVATIVE_ENTRY_POINTS))
     def test_every_entry_point_rejects_a_nan_base_point(self, entry):
