@@ -26,9 +26,25 @@ arithmetic, whose computed distance is 2 only up to rounding: at ε = 2
 it falls an ulp short in a quarter to a half of the rows (n = 2,
 p = 1.05 and 1.5).
 
-`budget` counts candidate pairs examined per grid point (pinning adds
-vectorized norm evaluations on top: two at the path ends, then a median
-of 9 secant steps per pair, 99% of pairs within 20, and at most 100).
+The search reads only the best pinned pair of each batch, so a pair
+stops pinning as soon as it cannot win.  In a normed plane ‖x - z‖ grows
+as z runs along the unit circle from x to -x (the monotonicity lemma of
+Minkowski geometry; Martini, Swanepoel & Weiß, Expo. Math. 19, 2001), and
+so does the score 1 - ‖(x + z)/2‖.  Each pinning path runs along the
+unit circle of span{x, y}, so the scores at the two ends of a pair's
+bracket bound its final score from both sides.  A pair whose lower bound
+exceeds the least upper bound seen (the incumbent's score in refinement
+rounds) by 1e-12 is dropped.  Both bounds carry the pair's rounding
+allowance: about 1e-14, as scores are O(1) and round near 1e-16, but
+wider where a path passes next to the origin and growing with n.  So the
+result is the one that pinning every pair gives, bit for bit.
+
+`budget` counts candidate pairs examined per grid point.  Pinning adds
+vectorized norm evaluations on top: two at the path ends, then secant
+steps until the pair is dropped or pinned, at most 100.  On batches of
+60,000 pairs (p = 3, n = 2 and p = 1.5, n = 3) that is a mean of 1.4 to
+2.4 steps per pair for ε up to 0.92 and 4.6 to 5.6 at ε = 1.9, against
+9.6 for pinning every pair to the end.
 
 Power-type fits a·ε^p and b·t^q are least squares in log-log space over
 the small-argument tail.  The classical constraints a >= 1, b >= 1 with
@@ -70,9 +86,12 @@ __all__ = [
 
 
 def thread_count(requested: int | None = None) -> int:
-    """Worker cap: the explicit argument, else all cores."""
+    """Worker cap: the explicit argument, else all cores this process may
+    run on (its affinity mask, where the platform has one)."""
     if requested is not None:
         return max(1, int(requested))
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, len(os.sched_getaffinity(0)))
     return max(1, os.cpu_count() or 1)
 
 
@@ -154,28 +173,92 @@ class PowerFit:
 
 # -- sampling machinery ------------------------------------------------------
 
-def _row_norms(M: np.ndarray, p: float) -> np.ndarray:
-    # summed column by column: rows of a few entries make np.sum(axis=1)
-    # slow, and for n <= 7 NumPy adds in this same order, bit for bit
-    A = np.abs(M) ** p
-    total = A[:, 0].copy()
-    for k in range(1, A.shape[1]):
-        total += A[:, k]
-    return total ** (1.0 / p)
+#: least normal double
+_NORMAL = 2.0 ** -1022
+
+
+def _norms(M: np.ndarray, p: float) -> np.ndarray:
+    # the ℓ_p norms of the columns of M, summed row by row in order: for a
+    # few rows that is NumPy's own order, bit for bit.  Short wide blocks
+    # add row by row; tall ones use accumulate, the same sums in one call
+    with np.errstate(over="ignore"):
+        A = np.abs(M) ** p
+    if A.shape[0] > A.shape[1]:
+        total = np.add.accumulate(A, axis=0)[-1]
+    else:
+        total = A[0].copy()
+        for k in range(1, A.shape[0]):
+            total += A[k]
+    nr = total ** (1.0 / p)
+    # where Σ|m|^p overflows or leaves the normal range (every |m| < 0.03
+    # at p = 200), the column is divided by its largest entry first; the
+    # other columns keep their bits
+    if total.size and not (total.min() >= _NORMAL and total.max() < np.inf):
+        odd = ~((total >= _NORMAL) & (total < np.inf))
+        B = np.abs(M[:, odd])
+        top = B.max(axis=0)
+        np.copyto(top, 1.0, where=top == 0.0)
+        B /= top
+        B **= p
+        nr[odd] = top * B.sum(axis=0) ** (1.0 / p)
+    return nr
+
+
+def _unit(M: np.ndarray, p: float) -> np.ndarray:
+    # scales the columns of M onto the sphere in place; a zero column stays
+    nr = _norms(M, p)
+    M /= np.where(nr < 1e-300, 1.0, nr)
+    return M
 
 
 def _unit_rows(M: np.ndarray, p: float) -> np.ndarray:
-    nr = _row_norms(M, p)
-    nr = np.where(nr < 1e-300, 1.0, nr)
-    return M / nr[:, None]
+    """Scale the rows of M onto the unit sphere, in place, and return M."""
+    _unit(M.T, p)
+    return M
 
 
 #: step cap of the pinning search; a row still open there keeps its good end
 _PIN_STEPS = 100
+#: entries per coordinate-major block of a batch (16k pairs at n = 2)
+_BLOCK = 1 << 15
+#: a row whose least reachable score exceeds the bound by this, beyond the
+#: rounding allowances, is dropped; scores are O(1) and round near 1e-16
+_MARGIN = 1e-12
 
 
-def _pin_pairs(p: float, X: np.ndarray, Y: np.ndarray, eps: float) -> np.ndarray:
-    """Slide each y along a sphere path until ‖x - y‖_p = eps (feasible side).
+def _blocks(X: np.ndarray, Y: np.ndarray):
+    # the pairs as coordinate-major blocks (n, c) of about _BLOCK entries:
+    # ufunc inner loops then run along the pairs, and temporaries stay small
+    c = max(1, _BLOCK // X.shape[1])
+    for a in range(0, len(X), c):
+        yield a, X[a:a + c].T.copy(), Y[a:a + c].T.copy()
+
+
+def _pinned_best(p: float, X: np.ndarray, Y: np.ndarray, eps: float,
+                 bound: float) -> tuple[int, np.ndarray | None, float]:
+    """Pin each y to ‖x - y‖_p = eps (feasible side); return the index, the
+    pinned partner and the score 1 - ‖(x + z)/2‖ of the best row.
+
+    Rows that cannot score below `bound` may be left out; if no row can,
+    the score comes back as inf.  The batch runs in coordinate-major
+    blocks of `_BLOCK` entries, the bound carried from block to block, and
+    the lowest index wins a tie, as np.argmin over the whole batch would.
+    For eps within 1e-12 of 2 the partner is -x, the only one in exact
+    arithmetic (its computed distance is 2 up to rounding), and every row
+    scores 1.
+    """
+    if eps >= 2.0 - 1e-12:
+        return 0, -X[0], 1.0
+    k, z, best = -1, None, math.inf
+    for a, Xb, Yb in _blocks(X, Y):
+        kb, zb, vb, bound = _pin_block(p, Xb, Yb, eps, bound)
+        if vb < best:
+            k, z, best = a + kb, zb, vb
+    return k, z, best
+
+
+def _pin_block(p: float, X: np.ndarray, Y: np.ndarray, eps: float, bound: float):
+    """`_pinned_best` on one block of columns: (index, partner, score, bound).
 
     The path z(τ) = unit((1 - τ)·y + τ·s·x), τ in [0, 1], runs toward x
     (s = 1, y too far) or toward -x (s = -1, too close).  Each row solves
@@ -187,73 +270,114 @@ def _pin_pairs(p: float, X: np.ndarray, Y: np.ndarray, eps: float) -> np.ndarray
     whose f is negligible next to the other's (eps below 1e-15).  The
     good end always has a computed f >= 0.  A row stops when its bracket
     is 4e-16 wide or f at the good end is exactly 0, and its τ is frozen
-    from then on, so no row depends on the rest of its batch.  The whole
-    batch steps until at most 1/8 of the rows are open, and those are
-    then carried on alone.  The returned point is the good end, recomputed
-    by the same expression, so feasibility survives rounding.  For eps
-    within 1e-12 of 2 the partner is -x, the only one in exact
-    arithmetic; its computed distance is 2 up to rounding.
+    from then on, so no row depends on the rest of its batch.  Its pinned
+    partner is the good end, by the same expression, so feasibility
+    survives rounding.
+
+    Each evaluation also scores its point.  By the monotonicity lemma
+    (module docstring; ‖x + z‖ is the distance of z from -x), the score
+    at a row's good end bounds its final score from above and the score
+    at its bad end from below, each up to the row's rounding allowance.
+    The bound is the least good-end score seen plus its allowance; an
+    open row whose bad-end score less its allowance exceeds the bound by
+    `_MARGIN` cannot win, and stops.  The working set is compacted
+    whenever at most half of it is open.
     """
-    if eps >= 2.0 - 1e-12:
-        return -X
-    coincident = _row_norms(X - Y, p) < 1e-9
+    coincident = _norms(X - Y, p) < 1e-9
     if coincident.any():
-        Y = Y.copy()
-        Y[coincident] = _unit_rows(np.roll(X[coincident], 1, axis=1), p)
+        Y[:, coincident] = _unit(np.roll(X[:, coincident], 1, axis=0), p)
 
     # the search runs in u = s·τ: the coefficient of x is u and 1 - τ is
     # 1 - s·u, both bit for bit ((-τ)·x is τ·(-x)), and the good end lies
     # below the bad end on both paths
     def path(X, Y, s, u):
-        W = (1.0 - s * u)[:, None] * Y
-        W += u[:, None] * X
-        return _unit_rows(W, p)
+        W = (1.0 - s * u) * Y
+        W += u * X
+        return _unit(W, p)
 
-    def gap(X, Y, s, u):
-        return _row_norms(X - path(X, Y, s, u), p) - eps
+    def probe(X, Z, T):
+        # f and the score at the path point Z into T[1] and T[2], from one
+        # norm call over x - z and (x + z)/2 side by side
+        n, w = Z.shape
+        S = np.empty((n, 2, w))
+        np.subtract(X, Z, out=S[:, 0])
+        np.add(X, Z, out=S[:, 1])
+        S[:, 1] *= 0.5
+        nr = _norms(S.reshape(n, 2 * w), p)
+        np.subtract(nr[:w], eps, out=T[1])
+        np.subtract(1.0, nr[w:], out=T[2])
 
-    def secant(good, bad, fg, fb, push):
-        # the regula falsi point, at least push (at most half the bracket)
-        # inside the bracket; its temporaries die here, not in the loop
-        t = fg * (bad - good)
-        t /= fg - fb
-        t += good
-        d = np.minimum(push, 0.5 * (bad - good))
-        np.fmax(t, good + d, out=t)
-        return np.fmin(t, bad - d, out=t)
-
-    m = len(X)
-    f0 = gap(X, Y, np.ones(m), np.zeros(m))
-    toward_x = f0 >= 0.0
+    c = X.shape[1]
+    # the path ends: 1·y + 0·x and 0·y ± x are y and ±x up to the signs of
+    # zeros, which no norm sees; the partner itself comes from `path`
+    end0, end1 = np.empty((3, c)), np.empty((3, c))
+    probe(X, _unit(Y.copy(), p), end0)
+    toward_x = end0[1] >= 0.0
     s = np.where(toward_x, 1.0, -1.0)
-    f1 = gap(X, Y, s, s)
-    good = np.where(toward_x, 0.0, -1.0)
-    bad = good + 1.0
-    fg = np.where(toward_x, f0, f1)
-    fb = np.where(toward_x, f1, f0)
-    del f0, f1   # each array held across the steps adds to peak memory
+    probe(X, _unit(s * X, p), end1)
+    # the chord from y to s·x keeps L = 1 - ‖y - s·x‖/2 from the origin
+    # (1 - ‖(x + y)/2‖ when s = -1), so a computed point's score strays at
+    # most (4/L + 4n + 16)·2^-53 from the exact, monotone one; err covers
+    # two points, the end seen now and the end the row stops at
+    L = np.where(toward_x, 1.0 - 0.5 * (end0[1] + eps), end0[2]) - 1e-9
+    err = (8.0 / np.maximum(L, 1e-300) + 8.0 * X.shape[0] + 32.0) * 2.0 ** -53
+    del L
+    # the good end (u, f, score) in rows 0-2 of E and the bad end in rows
+    # 3-5, so that a step moves either end with one copyto
+    E = np.empty((6, c))
+    end0[0] = 0.0
+    end1[0] = s
+    np.copyto(E[:3], end0, where=toward_x)
+    np.copyto(E[:3], end1, where=~toward_x)
+    np.copyto(E[3:], end1, where=toward_x)
+    np.copyto(E[3:], end0, where=~toward_x)
+    del end0, end1
     # eps below the rounding of ‖x - x‖: the whole path is feasible
-    whole = fb >= 0.0
-    np.copyto(good, bad, where=whole)
-    live = ~whole & (fg > 0.0)
-    kept_bad = kept_good = np.zeros(m, dtype=bool)   # the end the last step kept
-    push = np.full(m, 2e-16)   # least distance of the next step from either end
-    rows = None
+    whole = E[4] >= 0.0
+    np.copyto(E[:3], E[3:], where=whole)
+    live = ~whole & (E[1] > 0.0)
+    kept_bad = kept_good = np.zeros(c, dtype=bool)   # the end the last step kept
+    push = np.full(c, 2e-16)   # least distance of the next step from either end
+    # u_all and v_all take each row's good end and its score (inf once
+    # dropped) as the row leaves the working set `rows`
+    rows = u_all = v_all = None
     Xw, Yw, sw = X, Y, s
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(_PIN_STEPS):
+            good, fg, vg, bad, fb, vb = E
+            bound = min(bound, float((vg + err).min()))
+            drop = vb - err > bound + _MARGIN
+            drop &= live
+            np.copyto(vg, np.inf, where=drop)
+            live ^= drop
             open_rows = np.count_nonzero(live)
             if open_rows == 0:
                 break
-            if rows is None and open_rows <= m // 8:
-                u, rows = good, np.flatnonzero(live)
-                Xw, Yw, sw = X[rows], Y[rows], s[rows]
-                good, bad, fg, fb, kept_bad, kept_good, push = (
-                    a[rows] for a in (good, bad, fg, fb, kept_bad, kept_good, push))
-                live = np.ones(rows.size, dtype=bool)
-            t = secant(good, bad, fg, fb, push)
-            ft = gap(Xw, Yw, sw, t)
-            up = ft >= 0.0
+            if 2 * open_rows <= live.size:
+                if rows is None:
+                    u_all, v_all, rows = good, vg, np.arange(c)
+                else:
+                    u_all[rows] = good
+                    v_all[rows] = vg
+                keep = np.flatnonzero(live)
+                rows, Xw, Yw, E = rows[keep], Xw[:, keep], Yw[:, keep], E[:, keep]
+                sw, err, push = sw[keep], err[keep], push[keep]
+                kept_bad, kept_good = kept_bad[keep], kept_good[keep]
+                good, fg, vg, bad, fb, vb = E
+                live = np.ones(keep.size, dtype=bool)
+            # the regula falsi point, at least push (at most half the
+            # bracket) inside the bracket
+            T = np.empty((3, live.size))
+            t = T[0]
+            width = bad - good
+            np.multiply(fg, width, out=t)
+            t /= fg - fb
+            t += good
+            d = np.minimum(push, 0.5 * width)
+            np.fmax(t, good + d, out=t)
+            np.fmin(t, bad - d, out=t)
+            probe(Xw, path(Xw, Yw, sw, t), T)
+            up = T[1] >= 0.0
             up &= live
             down = live > up
             bad_again = up & kept_bad
@@ -261,35 +385,23 @@ def _pin_pairs(p: float, X: np.ndarray, Y: np.ndarray, eps: float) -> np.ndarray
             np.multiply(fb, 0.5, out=fb, where=bad_again)
             np.multiply(fg, 0.5, out=fg, where=good_again)
             push = np.where(bad_again | good_again, 2.0 * push, 2e-16)
-            np.copyto(fg, ft, where=up)
-            np.copyto(good, t, where=up)
-            np.copyto(fb, ft, where=down)
-            np.copyto(bad, t, where=down)
+            np.copyto(E[:3], T, where=up)
+            np.copyto(E[3:], T, where=down)
             kept_bad, kept_good = up, down
-            live &= ft != 0.0
+            live &= T[1] != 0.0
             live &= bad - good > 4e-16
-            del t, ft   # not held through the next step's norms
+            del T, t, d, width   # not held through the next step's norms
+    good, vg = E[0], E[2]
     if rows is None:
-        u = good
+        u_all, v_all = good, vg
     else:
-        u[rows] = good
-    return path(X, Y, s, u)
-
-
-def _gaussian_rows(rng, m: int, n: int, p: float) -> np.ndarray:
-    G = rng.standard_normal((m, n))
-    with np.errstate(over="ignore"):
-        nr = _row_norms(G, p)
-    # where Σ|g|^p overflows or leaves the normal range (every |g| < 0.03
-    # at p = 200), the row is divided by its largest entry first; the
-    # other rows get the bits of _unit_rows
-    odd = ~((nr >= 2.0 ** (-1022.0 / p)) & (nr < np.inf))
-    if odd.any():
-        B = G[odd]
-        B /= np.max(np.abs(B), axis=1, keepdims=True)
-        G[odd] = B
-        nr[odd] = _row_norms(B, p)
-    return G / nr[:, None]
+        u_all[rows] = good
+        v_all[rows] = vg
+    k = int(np.argmin(v_all))
+    if v_all[k] == np.inf:
+        return k, None, math.inf, bound
+    z = path(X[:, k:k + 1], Y[:, k:k + 1], s[k:k + 1], u_all[k:k + 1])
+    return k, z[:, 0], float(v_all[k]), bound
 
 
 def _axis_seed_pairs(p: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -318,70 +430,79 @@ def _axis_seed_pairs(p: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return X, Y
 
 
-def _coordinate_cands(base: np.ndarray, h: float) -> np.ndarray:
-    n = base.size
-    steps = np.vstack([h * np.eye(n), -h * np.eye(n)])
-    return base[None, :] + steps
+def _search_point(p: float, n: int, best_of, budget: int, rounds: int, seed_seq) -> tuple[float, int]:
+    """Smallest score found over sphere pairs, and the pairs examined.
 
-
-def _search_point(p: float, n: int, score, pin, budget: int, rounds: int, seed_seq) -> tuple[float, int]:
-    """Smallest score(X, Y) found over sphere pairs, and the pairs examined.
-
-    A Gaussian batch plus the axis seeds, then `rounds` of coordinate and
-    random-cloud refinement around the incumbent at three step sizes;
-    `pin` maps each candidate pair's Y back onto the constraint set.
+    A Gaussian batch, the axis seeds, then `rounds` of coordinate and
+    random-cloud refinement around the incumbent at three step sizes.
+    `best_of(X, Y, bound)` returns the index, the partner and the score of
+    a batch's best pair; a score of `bound` or more leaves the incumbent
+    in place, so `best_of` may skip the rows that cannot beat it.
     """
     rng = np.random.default_rng(seed_seq)
-    evals = 0
-
     init = max(64, int(budget * 0.6))
-    X = _gaussian_rows(rng, init, n, p)
-    Y = _gaussian_rows(rng, init, n, p)
-    Xs, Ys = _axis_seed_pairs(p, n)
-    X = np.vstack([X, Xs])
-    Y = np.vstack([Y, Ys])
-    Y = pin(X, Y)
-    vals = score(X, Y)
-    evals += len(X)
-    k = int(np.argmin(vals))
-    best_x, best_y, best = X[k], Y[k], float(vals[k])
+    X = _unit_rows(rng.standard_normal((init, n)), p)
+    Y = _unit_rows(rng.standard_normal((init, n)), p)
+    best, best_x, best_y, evals = math.inf, None, None, 0
+    for Xc, Yc in ((X, Y), _axis_seed_pairs(p, n)):
+        k, z, v = best_of(Xc, Yc, best)
+        evals += len(Xc)
+        if v < best:
+            best, best_x, best_y = v, Xc[k].copy(), z
+    del X, Y
 
     remaining = max(0, budget - evals)
     cloud = max(16, remaining // max(rounds, 1) // 4) if rounds else 0
     h = 0.3
+    # the candidates: x moved along ±e_i with y kept, x kept with y moved,
+    # then a random cloud around both; each block written in place
+    m = 4 * n
     for _ in range(rounds):
         for hh in (h, h / 4.0, h / 16.0):
-            Xc = [_coordinate_cands(best_x, hh)]
-            Yc = [np.repeat(best_y[None, :], 2 * n, axis=0)]
-            Xc.append(np.repeat(best_x[None, :], 2 * n, axis=0))
-            Yc.append(_coordinate_cands(best_y, hh))
-            Xc.append(best_x[None, :] + hh * rng.standard_normal((cloud, n)))
-            Yc.append(best_y[None, :] + hh * rng.standard_normal((cloud, n)))
-            Xc = _unit_rows(np.vstack(Xc), p)
-            Yc = _unit_rows(np.vstack(Yc), p)
-            Yc = pin(Xc, Yc)
-            v = score(Xc, Yc)
+            Xc = np.empty((m + cloud, n))
+            Yc = np.empty((m + cloud, n))
+            step = np.eye(n)
+            step *= hh
+            np.add(best_x, step, out=Xc[:n])
+            np.subtract(best_x, step, out=Xc[n:2 * n])
+            Xc[2 * n:m] = best_x
+            Yc[:2 * n] = best_y
+            np.add(best_y, step, out=Yc[2 * n:3 * n])
+            np.subtract(best_y, step, out=Yc[3 * n:m])
+            del step
+            for C, base in ((Xc, best_x), (Yc, best_y)):
+                rng.standard_normal(out=C[m:])
+                C[m:] *= hh
+                C[m:] += base
+            _unit_rows(Xc, p)
+            _unit_rows(Yc, p)
+            k, z, v = best_of(Xc, Yc, best)
             evals += len(Xc)
-            kk = int(np.argmin(v))
-            if v[kk] < best:
-                best = float(v[kk])
-                best_x, best_y = Xc[kk], Yc[kk]
+            if v < best:
+                best, best_x, best_y = v, Xc[k].copy(), z
+            del Xc, Yc
         h /= 4.0
     return best, evals
 
 
 def _delta_point(p: float, n: int, eps: float, budget: int, rounds: int, seed_seq) -> tuple[float, int]:
     best, evals = _search_point(
-        p, n, lambda X, Y: 1.0 - _row_norms(0.5 * (X + Y), p),
-        lambda X, Y: _pin_pairs(p, X, Y, eps), budget, rounds, seed_seq)
+        p, n, lambda X, Y, bound: _pinned_best(p, X, Y, eps, bound),
+        budget, rounds, seed_seq)
     return max(best, 0.0), evals
 
 
 def _rho_point(p: float, n: int, t: float, budget: int, rounds: int, seed_seq) -> tuple[float, int]:
     # minimizing 1 - s maximizes s - 1 bit for bit: fl(1 - s) = -fl(s - 1)
-    best, evals = _search_point(
-        p, n, lambda X, Y: 1.0 - 0.5 * (_row_norms(X + t * Y, p) + _row_norms(X - t * Y, p)),
-        lambda X, Y: Y, budget, rounds, seed_seq)
+    def best_of(X, Y, bound):
+        v = np.empty(len(X))
+        for a, Xb, Yb in _blocks(X, Y):
+            Yb *= t
+            v[a:a + Yb.shape[1]] = 1.0 - 0.5 * (_norms(Xb + Yb, p) + _norms(Xb - Yb, p))
+        k = int(np.argmin(v))
+        return k, Y[k].copy(), float(v[k])
+
+    best, evals = _search_point(p, n, best_of, budget, rounds, seed_seq)
     return float(np.clip(-best, 0.0, t)), evals
 
 

@@ -18,19 +18,22 @@ from banachproj import (
 )
 from banachproj.moduli import (
     _axis_seed_pairs,
-    _pin_pairs,
-    _row_norms,
+    _pinned_best,
     _search_point,
     _unit_rows,
     thread_count,
 )
 from oracles import (
     bisection_pin,
+    convexity_twin,
     exact_delta,
     exact_rho,
     hilbert_delta,
     hilbert_rho,
     lp_norm,
+    pin_pairs,
+    pinned_scores,
+    row_norms,
 )
 
 # Small budgets keep the suite fast.  The classical extremal families are
@@ -69,6 +72,17 @@ class TestThreadCount:
 
     def test_default_positive(self):
         assert thread_count() >= 1
+
+    def test_default_follows_the_affinity_mask(self, monkeypatch):
+        # a process pinned to one core by taskset or a cpuset gets one worker
+        monkeypatch.setattr(moduli.os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        monkeypatch.setattr(moduli.os, "cpu_count", lambda: 64)
+        assert thread_count() == 1
+
+    def test_default_without_affinity_counts_cores(self, monkeypatch):
+        monkeypatch.delattr(moduli.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(moduli.os, "cpu_count", lambda: 3)
+        assert thread_count() == 3
 
 
 class TestConvexityEstimate:
@@ -326,25 +340,29 @@ class TestSphereMap:
             M = rng.standard_normal((500, n)) * 10.0 ** rng.integers(-3, 4, size=(500, 1))
             ref = np.sum(np.abs(M) ** p, axis=1) ** (1.0 / p)
             if n <= 7:   # NumPy adds rows this short in order
-                assert np.array_equal(_row_norms(M, p), ref)
+                assert np.array_equal(row_norms(M, p), ref)
             else:
-                np.testing.assert_allclose(_row_norms(M, p), ref, rtol=1e-15, atol=0.0)
+                np.testing.assert_allclose(row_norms(M, p), ref, rtol=1e-15, atol=0.0)
 
 
 def _first_batch(p, n, budget, seed):
     """The pairs `_search_point` scores before any refinement (rounds = 0,
-    pin left out), its best score and its count of examined pairs."""
+    the batch unpinned), stacked in the order it scores them, its best
+    score and its count of examined pairs."""
     seen = []
 
-    def score(X, Y):
+    def best_of(X, Y, bound):
         # the ℓ_∞ distance: |x - y|^p itself would overflow at p = 1e4
         seen.append((X, Y))
-        return np.max(np.abs(X - Y), axis=1)
+        v = np.max(np.abs(X - Y), axis=1)
+        k = int(np.argmin(v))
+        return k, Y[k], float(v[k])
 
-    best, evals = _search_point(p, n, score, lambda X, Y: Y, budget, 0,
-                                np.random.SeedSequence(seed))
-    assert len(seen) == 1
-    return seen[0][0], seen[0][1], best, evals
+    best, evals = _search_point(p, n, best_of, budget, 0, np.random.SeedSequence(seed))
+    # the Gaussian batch, then the axis seeds as a batch of their own
+    assert len(seen) == 2
+    return (np.vstack([seen[0][0], seen[1][0]]), np.vstack([seen[0][1], seen[1][1]]),
+            best, evals)
 
 
 class TestFirstBatch:
@@ -387,7 +405,7 @@ class TestPinPairs:
         X /= np.array([lp_norm(x, p) for x in X])[:, None]
         Y = rng.normal(size=(30, 3))
         Y /= np.array([lp_norm(y, p) for y in Y])[:, None]
-        pinned = _pin_pairs(p, X, Y, 0.7)
+        pinned = pin_pairs(p, X, Y, 0.7)
         dists = np.array([lp_norm(x - y, p) for x, y in zip(X, pinned)])
         norms = np.array([lp_norm(y, p) for y in pinned])
         np.testing.assert_allclose(dists, 0.7, atol=1e-9)
@@ -397,6 +415,7 @@ class TestPinPairs:
 PIN_P = [1.05, 1.5, 3.0, 8.0]
 PIN_N = [2, 3, 5]
 PIN_EPS = [1e-3, 0.05, 0.5, 1.9, 1.999]
+SPLITS = [(0, 1), (30, 130), (100, 600), (250, 260)]
 
 
 def _pin_batch(p, n):
@@ -418,16 +437,18 @@ def _scores(p, X, Z):
 
 class TestPinFeasibleSide:
     # δ is reported as an upper bound because every pinned pair is feasible
-    # as computed: ‖x - y‖ >= eps holds bit for bit, not within a tolerance
+    # as computed: ‖x - y‖ >= eps holds bit for bit, not within a tolerance.
+    # These run on the unpruned twin, row by row; TestPinnedBest holds the
+    # δ search's own pinning to the twin's bits
     @pytest.mark.parametrize("p", PIN_P)
     @pytest.mark.parametrize("n", PIN_N)
     def test_every_row_is_feasible_and_on_the_sphere(self, p, n):
         X, Y = _pin_batch(p, n)
         for eps in PIN_EPS:
-            d0 = _row_norms(X - Y, p)
+            d0 = row_norms(X - Y, p)
             assert (d0 >= eps).any() and (d0 < eps).any()
-            Z = _pin_pairs(p, X, Y, eps)
-            assert np.all(_row_norms(X - Z, p) >= eps)
+            Z = pin_pairs(p, X, Y, eps)
+            assert np.all(row_norms(X - Z, p) >= eps)
             norms = np.sum(np.abs(Z) ** p, axis=1) ** (1.0 / p)
             assert np.max(np.abs(norms - 1.0)) <= 1e-12
 
@@ -436,7 +457,7 @@ class TestPinFeasibleSide:
         # ‖x - unit(x)‖ already clears eps, so the whole path is feasible
         # and each y ends at its x, up to the rounding of the sphere map
         X, Y = _pin_batch(3.0, 3)
-        d = _row_norms(X - _pin_pairs(3.0, X, Y, eps), 3.0)
+        d = row_norms(X - pin_pairs(3.0, X, Y, eps), 3.0)
         assert np.all(d >= eps) and np.all(d <= 1e-15)
 
     @pytest.mark.parametrize("p", PIN_P)
@@ -444,9 +465,9 @@ class TestPinFeasibleSide:
         # at eps = 2 the only feasible partner of x is -x; its computed
         # distance is 2 up to the rounding of the sphere samples
         X, Y = _pin_batch(p, 3)
-        Z = _pin_pairs(p, X, Y, 2.0)
+        Z = pin_pairs(p, X, Y, 2.0)
         assert np.array_equal(Z, -X)
-        np.testing.assert_allclose(_row_norms(X - Z, p), 2.0, rtol=4e-16, atol=0.0)
+        np.testing.assert_allclose(row_norms(X - Z, p), 2.0, rtol=4e-16, atol=0.0)
 
     @pytest.mark.parametrize("p", PIN_P)
     @pytest.mark.parametrize("n", PIN_N)
@@ -458,7 +479,7 @@ class TestPinFeasibleSide:
         X, Y = _pin_batch(p, n)
         X, Y = np.vstack([X[:40], X[120:]]), np.vstack([Y[:40], Y[120:]])
         for eps in PIN_EPS + [2.0]:
-            got = _scores(p, X, _pin_pairs(p, X, Y, eps))
+            got = _scores(p, X, pin_pairs(p, X, Y, eps))
             want = _scores(p, X, bisection_pin(p, X, Y, eps))
             assert np.max(np.abs(got - want)) <= 1e-11
 
@@ -466,9 +487,112 @@ class TestPinFeasibleSide:
     def test_rows_do_not_depend_on_their_batch(self, p):
         X, Y = _pin_batch(p, 3)
         for eps in PIN_EPS:
-            full = _pin_pairs(p, X, Y, eps)
-            for a, b in [(0, 1), (30, 130), (100, 600), (250, 260)]:
-                assert np.array_equal(_pin_pairs(p, X[a:b], Y[a:b], eps), full[a:b])
+            full = pin_pairs(p, X, Y, eps)
+            for a, b in SPLITS:
+                assert np.array_equal(pin_pairs(p, X[a:b], Y[a:b], eps), full[a:b])
+
+
+def _same_bits(a, b):
+    return np.array_equal(np.asarray(a, dtype=float).view(np.int64),
+                          np.asarray(b, dtype=float).view(np.int64))
+
+
+class TestPinnedBest:
+    # the pruned search returns what pinning every row and taking the argmin
+    # returns: the index, and the partner and the score bit for bit
+    @staticmethod
+    def _twin_best(p, X, Y, eps):
+        Z = pin_pairs(p, X, Y, eps)
+        vals = pinned_scores(p, X, Z)
+        k = int(np.argmin(vals))
+        return k, Z[k], vals[k], vals
+
+    @pytest.mark.parametrize("p", PIN_P)
+    @pytest.mark.parametrize("n", PIN_N)
+    def test_best_row_matches_the_twin(self, p, n):
+        self._check_twin(p, n)
+
+    @pytest.mark.parametrize("p", [1.05, 8.0])
+    @pytest.mark.parametrize("n", PIN_N)
+    def test_bound_carries_across_blocks(self, p, n, monkeypatch):
+        # 300, 200 and 120 pairs a block instead of one block for all 600
+        monkeypatch.setattr(moduli, "_BLOCK", 600)
+        self._check_twin(p, n)
+
+    def _check_twin(self, p, n):
+        X, Y = _pin_batch(p, n)
+        for eps in PIN_EPS + [2.0]:
+            k, z, v, vals = self._twin_best(p, X, Y, eps)
+            # no incumbent, then an incumbent that nine rows beat
+            for bound in (math.inf, float(np.partition(vals, 9)[9])):
+                kb, zb, vb = _pinned_best(p, X, Y, eps, bound)
+                assert kb == k and _same_bits(zb, z) and _same_bits(vb, v)
+
+    @pytest.mark.parametrize("p", PIN_P)
+    @pytest.mark.parametrize("n", PIN_N)
+    def test_best_row_is_feasible_and_on_the_sphere(self, p, n):
+        X, Y = _pin_batch(p, n)
+        for eps in PIN_EPS:
+            k, z, _ = _pinned_best(p, X, Y, eps, math.inf)
+            assert row_norms(X[k:k + 1] - z, p)[0] >= eps
+            assert abs(lp_norm(z, p) - 1.0) <= 1e-12
+
+    def test_incumbent_that_no_row_beats(self):
+        # nothing below the bound comes back; the random rows all stop early,
+        # while a row whose path passes next to the origin (rows 40-120) has
+        # a wide rounding allowance and may run to its end
+        X, Y = _pin_batch(3.0, 3)
+        _, _, v, _ = self._twin_best(3.0, X, Y, 0.5)
+        bound = float(v) - 1e-3
+        assert _pinned_best(3.0, X, Y, 0.5, bound)[2] >= bound
+        assert _pinned_best(3.0, X[120:], Y[120:], 0.5, bound)[2] == math.inf
+
+    @pytest.mark.parametrize("p", [1.05, 3.0])
+    def test_best_row_does_not_depend_on_its_batch(self, p):
+        X, Y = _pin_batch(p, 3)
+        for eps in PIN_EPS:
+            full = pin_pairs(p, X, Y, eps)
+            for a, b in SPLITS:
+                vals = pinned_scores(p, X[a:b], full[a:b])
+                k = int(np.argmin(vals))
+                kb, zb, vb = _pinned_best(p, X[a:b], Y[a:b], eps, math.inf)
+                assert kb == k and _same_bits(zb, full[a + k]) and _same_bits(vb, vals[k])
+
+
+class TestUnprunedTwin:
+    # the whole δ estimate, refinement included, against the search that
+    # pins every pair (`oracles.delta_search`), bit for bit
+    @pytest.mark.parametrize("p", [1.05, 1.5, 3.0, 7.5, 1e4])
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_convexity_estimate_matches_the_unpruned_search(self, p, n):
+        grid = [1e-3, 0.6, 1.999, 2.0]
+        est = estimate_convexity_modulus(p, n, grid, budget=400, seed=n, rounds=1, threads=1)
+        vals, count = convexity_twin(p, n, grid, 400, n, 1)
+        assert _same_bits(est.delta_values, vals) and est.sample_count == count
+
+
+class TestVeryLargeExponents:
+    # Σ|x|^p overflows a double at p = 1e4 for entries above 1.08; the row
+    # norms then scale by the largest entry, and both estimates stay on
+    # their safe side (before, ρ(t) came back as t)
+    @pytest.mark.parametrize("p", [1000.0, 1e4])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_estimates_are_one_sided_against_exact_curves(self, p, n):
+        eps = np.array([0.1, 1.0, 1.99, 1.999])
+        ts = np.array([0.05, 0.5, 1.0])
+        d = estimate_convexity_modulus(p, n, eps, budget=600, seed=7, rounds=1)
+        r = estimate_smoothness_modulus(p, n, ts, budget=600, seed=7, rounds=1)
+        delta, rho = exact_delta(p, eps), exact_rho(p, ts)
+        assert np.all(d.delta_values >= delta * (1.0 - 1e-9) - 1e-15)
+        assert np.all(r.rho_values <= rho * (1.0 + 1e-9) + 1e-15)
+        # ρ's extremal pairs are axis seeds, so it is also close
+        assert np.all(r.rho_values >= rho * (1.0 - 1e-9))
+
+    def test_row_norms_scale_only_out_of_range_rows(self):
+        # 2^1e4 overflows and 2e-3^1e4 underflows: those rows are divided by
+        # their largest entry first; a zero row stays 0
+        M = np.array([[2.0, 1.0], [1.0, -0.5], [0.0, 0.0], [1e-3, 2e-3]])
+        assert np.array_equal(row_norms(M, 1e4), [2.0, 1.0, 0.0, 2e-3])
 
 
 class TestDistanceBoundCheck:
