@@ -37,14 +37,20 @@ exceeds the least upper bound seen (the incumbent's score in refinement
 rounds) by 1e-12 is dropped.  Both bounds carry the pair's rounding
 allowance: about 1e-14, as scores are O(1) and round near 1e-16, but
 wider where a path passes next to the origin and growing with n.  So the
-result is the one that pinning every pair gives, bit for bit.
+result is the one that pinning every pair along the same paths gives,
+bit for bit.
 
 `budget` counts candidate pairs examined per grid point.  Pinning adds
-vectorized norm evaluations on top: two at the path ends, then secant
-steps until the pair is dropped or pinned, at most 100.  On batches of
-60,000 pairs (p = 3, n = 2 and p = 1.5, n = 3) that is a mean of 1.4 to
-2.4 steps per pair for ε up to 0.92 and 4.6 to 5.6 at ε = 1.9, against
-9.6 for pinning every pair to the end.
+vectorized norm evaluations on top.  A path runs from y to s·x (s = ±1),
+and its ends are taken as they are: y costs one norm call over 2 columns
+per pair, x - y and (x + y)/2, while s·x costs none, as its distance
+from x (0 or 2) and its score (0 or 1) are exact.  So the bad end's gap
+is always below 0, and no path is feasible end to end.  Each secant step
+then costs 3 columns, the path point's sphere map and its probe, until
+the pair is dropped or pinned, at most 100 steps.  On batches of 60,000
+pairs (p = 3, n = 2 and p = 1.5, n = 3) that is a mean of 1.4 to 2.4
+steps per pair for ε up to 0.92 and 4.6 to 5.6 at ε = 1.9, against 9.6
+for pinning every pair to the end.
 
 Power-type fits a·ε^p and b·t^q are least squares in log-log space over
 the small-argument tail.  The classical constraints a >= 1, b >= 1 with
@@ -239,10 +245,13 @@ def _pinned_best(p: float, X: np.ndarray, Y: np.ndarray, eps: float,
     """Pin each y to ‖x - y‖_p = eps (feasible side); return the index, the
     pinned partner and the score 1 - ‖(x + z)/2‖ of the best row.
 
-    Rows that cannot score below `bound` may be left out; if no row can,
-    the score comes back as inf.  The batch runs in coordinate-major
-    blocks of `_BLOCK` entries, the bound carried from block to block, and
-    the lowest index wins a tie, as np.argmin over the whole batch would.
+    X and Y hold unit rows, as `_unit_rows` leaves them: y is a path end
+    as it stands, so a y off the sphere would score outside the rounding
+    allowance.  Rows that cannot score below `bound` may be left out; if
+    no row can, the score comes back as inf.  The batch runs in
+    coordinate-major blocks of `_BLOCK` entries, the bound carried from
+    block to block, and the lowest index wins a tie, as np.argmin over the
+    whole batch would.
     For eps within 1e-12 of 2 the partner is -x, the only one in exact
     arithmetic (its computed distance is 2 up to rounding), and every row
     scores 1.
@@ -261,18 +270,27 @@ def _pin_block(p: float, X: np.ndarray, Y: np.ndarray, eps: float, bound: float)
     """`_pinned_best` on one block of columns: (index, partner, score, bound).
 
     The path z(τ) = unit((1 - τ)·y + τ·s·x), τ in [0, 1], runs toward x
-    (s = 1, y too far) or toward -x (s = -1, too close).  Each row solves
-    f(τ) = ‖x - z(τ)‖ - eps = 0 by regula falsi, Illinois variant (Dowell &
-    Jarratt 1971): the weight of a bracket end kept twice in a row is
-    halved.  Every step lands at least 2e-16 inside the bracket, twice as
-    far for each further step that keeps the same end: that closes the
-    bracket once one end is at the root, and gets the search off an end
-    whose f is negligible next to the other's (eps below 1e-15).  The
-    good end always has a computed f >= 0.  A row stops when its bracket
-    is 4e-16 wide or f at the good end is exactly 0, and its τ is frozen
-    from then on, so no row depends on the rest of its batch.  Its pinned
-    partner is the good end, by the same expression, so feasibility
-    survives rounding.
+    (s = 1, y too far) or toward -x (s = -1, too close).  Its ends are
+    taken as y and s·x themselves: y is probed, and s·x needs no norm, as
+    ‖x - x‖ = 0 with score 0 toward x and ‖x - (-x)‖ = 2 with score 1
+    toward -x.  So the bad end's gap is below 0 on both paths (-eps at x,
+    y's own toward -x), and no path is feasible end to end.  Each row
+    solves f(τ) = ‖x - z(τ)‖ - eps = 0 by regula falsi, Illinois variant
+    (Dowell & Jarratt 1971): the weight of a bracket end kept twice in a
+    row is halved.  Every step lands at least 2e-16 inside the bracket,
+    twice as far for each further step that keeps the same end: that
+    closes the bracket once one end is at the root, and gets the search
+    off an end whose f is negligible next to the other's (eps below
+    1e-15).  The good end always has a computed f >= 0.  A row stops when
+    its bracket is 4e-16 wide or f at the good end is exactly 0, and its
+    τ is frozen from then on, so no row depends on the rest of its batch.
+    Its pinned partner is the good end: y itself, whose f was computed;
+    -x itself, whose f is written as 2 - eps (computed ‖2x‖ is 2 up to
+    rounding, above any eps below 2 - 1e-12); or the path point by the
+    expression its f was computed at.  So feasibility survives rounding.
+    The norm work per pair is one call over 2 columns (x - y and
+    (x + y)/2) before the first step, then 3 columns per step (the path's
+    sphere map and the probe).
 
     Each evaluation also scores its point.  By the monotonicity lemma
     (module docstring; ‖x + z‖ is the distance of z from -x), the score
@@ -283,9 +301,14 @@ def _pin_block(p: float, X: np.ndarray, Y: np.ndarray, eps: float, bound: float)
     `_MARGIN` cannot win, and stops.  The working set is compacted
     whenever at most half of it is open.
     """
-    coincident = _norms(X - Y, p) < 1e-9
-    if coincident.any():
-        Y[:, coincident] = _unit(np.roll(X[:, coincident], 1, axis=0), p)
+    # the coincidence test ‖x - y‖ < 1e-9 can flag only rows whose largest
+    # entry is below 1e-9 (‖v‖_p >= max|v_i|); the screen sits at 2e-9,
+    # as the rounded exponent 1/p can move a tiny norm by about 1e-14
+    near = np.flatnonzero(np.abs(X - Y).max(axis=0) < 2e-9)
+    if near.size:
+        coincident = near[_norms(X[:, near] - Y[:, near], p) < 1e-9]
+        if coincident.size:
+            Y[:, coincident] = _unit(np.roll(X[:, coincident], 1, axis=0), p)
 
     # the search runs in u = s·τ: the coefficient of x is u and 1 - τ is
     # 1 - s·u, both bit for bit ((-τ)·x is τ·(-x)), and the good end lies
@@ -308,34 +331,32 @@ def _pin_block(p: float, X: np.ndarray, Y: np.ndarray, eps: float, bound: float)
         np.subtract(1.0, nr[w:], out=T[2])
 
     c = X.shape[1]
-    # the path ends: 1·y + 0·x and 0·y ± x are y and ±x up to the signs of
-    # zeros, which no norm sees; the partner itself comes from `path`
-    end0, end1 = np.empty((3, c)), np.empty((3, c))
-    probe(X, _unit(Y.copy(), p), end0)
-    toward_x = end0[1] >= 0.0
+    # (u, f, score) at the end y, probed, and at the end s·x, exact
+    end_y, end_x = np.empty((3, c)), np.empty((3, c))
+    probe(X, Y, end_y)
+    end_y[0] = 0.0
+    toward_x = end_y[1] >= 0.0
     s = np.where(toward_x, 1.0, -1.0)
-    probe(X, _unit(s * X, p), end1)
+    end_x[0] = s
+    end_x[1] = np.where(toward_x, -eps, 2.0 - eps)
+    end_x[2] = np.where(toward_x, 0.0, 1.0)
     # the chord from y to s·x keeps L = 1 - ‖y - s·x‖/2 from the origin
-    # (1 - ‖(x + y)/2‖ when s = -1), so a computed point's score strays at
-    # most (4/L + 4n + 16)·2^-53 from the exact, monotone one; err covers
-    # two points, the end seen now and the end the row stops at
-    L = np.where(toward_x, 1.0 - 0.5 * (end0[1] + eps), end0[2]) - 1e-9
+    # (1 - ‖(x + y)/2‖ when s = -1), so a computed path point's score
+    # strays at most (4/L + 4n + 16)·2^-53 from the exact, monotone one.
+    # y, a unit row as `_unit_rows` leaves it, strays no further (no chord
+    # point was rounded to reach it), and the scores written at ±x are
+    # exact.  err covers two points, the end seen now and the end the row
+    # stops at
+    L = np.where(toward_x, 1.0 - 0.5 * (end_y[1] + eps), end_y[2]) - 1e-9
     err = (8.0 / np.maximum(L, 1e-300) + 8.0 * X.shape[0] + 32.0) * 2.0 ** -53
     del L
     # the good end (u, f, score) in rows 0-2 of E and the bad end in rows
     # 3-5, so that a step moves either end with one copyto
     E = np.empty((6, c))
-    end0[0] = 0.0
-    end1[0] = s
-    np.copyto(E[:3], end0, where=toward_x)
-    np.copyto(E[:3], end1, where=~toward_x)
-    np.copyto(E[3:], end1, where=toward_x)
-    np.copyto(E[3:], end0, where=~toward_x)
-    del end0, end1
-    # eps below the rounding of ‖x - x‖: the whole path is feasible
-    whole = E[4] >= 0.0
-    np.copyto(E[:3], E[3:], where=whole)
-    live = ~whole & (E[1] > 0.0)
+    E[:3] = np.where(toward_x, end_y, end_x)
+    E[3:] = np.where(toward_x, end_x, end_y)
+    del end_y, end_x
+    live = E[1] > 0.0
     kept_bad = kept_good = np.zeros(c, dtype=bool)   # the end the last step kept
     push = np.full(c, 2e-16)   # least distance of the next step from either end
     # u_all and v_all take each row's good end and its score (inf once
@@ -400,8 +421,13 @@ def _pin_block(p: float, X: np.ndarray, Y: np.ndarray, eps: float, bound: float)
     k = int(np.argmin(v_all))
     if v_all[k] == np.inf:
         return k, None, math.inf, bound
-    z = path(X[:, k:k + 1], Y[:, k:k + 1], s[k:k + 1], u_all[k:k + 1])
-    return k, z[:, 0], float(v_all[k]), bound
+    if u_all[k] == 0.0:
+        z = Y[:, k].copy()
+    elif u_all[k] == s[k]:
+        z = s[k] * X[:, k]
+    else:
+        z = path(X[:, k:k + 1], Y[:, k:k + 1], s[k:k + 1], u_all[k:k + 1])[:, 0]
+    return k, z, float(v_all[k]), bound
 
 
 def _axis_seed_pairs(p: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -533,8 +559,9 @@ def _sample_curve(point, p: float, n: int, grid, upper: float, name: str, skip: 
     if n < 2:
         raise ValueError("the moduli need dimension >= 2")
     if n > 10_600:
-        # each refinement step builds (2n, n) candidate blocks in
-        # _coordinate_cands, about 1.8 GB each at this n
+        # each refinement batch allocates two (4n + cloud, n) candidate
+        # arrays and an (n, n) step matrix: about 8.7 GB at this n and
+        # budget 1e5 (computed from the shapes, not measured)
         raise ValueError(f"the moduli support dimension <= 10600, got {n}")
     g = _validate_grid(grid, upper, name)
     seeds = np.random.SeedSequence(seed).spawn(g.size + skip)[skip:]

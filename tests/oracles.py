@@ -9,9 +9,10 @@ the package's duality map and quotient estimator; `xi_quotient` checks it.
 `wrapped_power_norm` and `wrapped_duality_map` are the kernel's earlier
 NumPy form, and `line_param_brentq` is the line search's earlier SciPy
 form, kept to pin their bits rather than their accuracy.  Likewise
-`pin_pairs` and `delta_search` are the δ search before it stopped pinning
-the pairs that cannot win: they run on the package's own row norms and
-sphere map (`row_norms`, `_unit_rows`) and pin every pair to the end.
+`pin_pairs` and `delta_search` are the δ search without the pruning of
+the pairs that cannot win: the same paths and path ends, on the package's
+own row norms and sphere map (`row_norms`, `_unit_rows`), with every pair
+pinned to the end.
 """
 import numpy as np
 from scipy import optimize
@@ -429,13 +430,14 @@ def row_norms(M, p):
 def pin_pairs(p, X, Y, eps):
     """Pin each y to ‖x - y‖_p = eps (feasible side) by regula falsi.
 
-    The δ search's earlier pinning, row by row to the end of every search,
-    kept to pin the bits of `moduli._pinned_best`, which stops the rows
-    that cannot win: the path z(τ) = unit((1 - τ)·y + τ·s·x) toward x
-    (s = 1) or -x (s = -1), the Illinois variant, a step at least 2e-16
-    inside the bracket (doubled while the same end is kept), a stop at a
-    4e-16 bracket or f = 0 at the good end, the good end returned.  For
-    eps within 1e-12 of 2 the partner is -x.
+    `moduli._pinned_best`'s pinning without its pruning, row by row to the
+    end of every search, kept to pin its bits: the path
+    z(τ) = unit((1 - τ)·y + τ·s·x) toward x (s = 1) or -x (s = -1), its
+    ends y and s·x themselves (f = -eps at x and 2 - eps at -x), the
+    Illinois variant, a step at least 2e-16 inside the bracket (doubled
+    while the same end is kept), a stop at a 4e-16 bracket or f = 0 at the
+    good end, the good end returned (y at u = 0, s·x at u = s).  For eps
+    within 1e-12 of 2 the partner is -x.
     """
     from banachproj.moduli import _PIN_STEPS, _unit_rows
 
@@ -464,17 +466,15 @@ def pin_pairs(p, X, Y, eps):
         return np.fmin(t, bad - d, out=t)
 
     m = len(X)
-    f0 = gap(X, Y, np.ones(m), np.zeros(m))
+    f0 = row_norms(X - Y, p) - eps
     toward_x = f0 >= 0.0
     s = np.where(toward_x, 1.0, -1.0)
-    f1 = gap(X, Y, s, s)
+    f1 = np.where(toward_x, -eps, 2.0 - eps)
     good = np.where(toward_x, 0.0, -1.0)
     bad = good + 1.0
     fg = np.where(toward_x, f0, f1)
     fb = np.where(toward_x, f1, f0)
-    whole = fb >= 0.0
-    np.copyto(good, bad, where=whole)
-    live = ~whole & (fg > 0.0)
+    live = fg > 0.0
     kept_bad = kept_good = np.zeros(m, dtype=bool)
     push = np.full(m, 2e-16)
     rows = None
@@ -511,7 +511,11 @@ def pin_pairs(p, X, Y, eps):
         u = good
     else:
         u[rows] = good
-    return path(X, Y, s, u)
+    Z = path(X, Y, s, u)
+    at_y, at_x = u == 0.0, u == s
+    Z[at_y] = Y[at_y]
+    Z[at_x] = s[at_x, None] * X[at_x]
+    return Z
 
 
 def pinned_scores(p, X, Z):

@@ -18,6 +18,7 @@ from banachproj import (
 )
 from banachproj.moduli import (
     _axis_seed_pairs,
+    _norms,
     _pinned_best,
     _search_point,
     _unit_rows,
@@ -454,8 +455,9 @@ class TestPinFeasibleSide:
 
     @pytest.mark.parametrize("eps", [1e-300, 1e-17])
     def test_separation_below_rounding_keeps_y_at_x(self, eps):
-        # ‖x - unit(x)‖ already clears eps, so the whole path is feasible
-        # and each y ends at its x, up to the rounding of the sphere map
+        # the far end x itself falls short of eps by eps alone, so each
+        # bracket closes next to x and each y ends at its x, up to the
+        # rounding of the sphere map
         X, Y = _pin_batch(3.0, 3)
         d = row_norms(X - pin_pairs(3.0, X, Y, eps), 3.0)
         assert np.all(d >= eps) and np.all(d <= 1e-15)
@@ -510,18 +512,42 @@ class TestPinnedBest:
     @pytest.mark.parametrize("p", PIN_P)
     @pytest.mark.parametrize("n", PIN_N)
     def test_best_row_matches_the_twin(self, p, n):
-        self._check_twin(p, n)
+        self._check_twin(p, *_pin_batch(p, n))
 
     @pytest.mark.parametrize("p", [1.05, 8.0])
     @pytest.mark.parametrize("n", PIN_N)
     def test_bound_carries_across_blocks(self, p, n, monkeypatch):
         # 300, 200 and 120 pairs a block instead of one block for all 600
         monkeypatch.setattr(moduli, "_BLOCK", 600)
-        self._check_twin(p, n)
+        self._check_twin(p, *_pin_batch(p, n))
 
-    def _check_twin(self, p, n):
-        X, Y = _pin_batch(p, n)
-        for eps in PIN_EPS + [2.0]:
+    @pytest.mark.parametrize("p", PIN_P)
+    @pytest.mark.parametrize("n", PIN_N)
+    def test_extreme_separations_match_the_twin(self, p, n):
+        # below the rounding of ‖x - z‖ next to x, and just inside the
+        # antipodal limit
+        self._check_twin(p, *_pin_batch(p, n), [1e-300, 1e-17, 2.0 - 2e-12])
+
+    @pytest.mark.parametrize("p", [1.05, 8.0])
+    def test_rows_through_the_coincidence_screen_match_the_twin(self, p):
+        # y is x moved along the sphere's tangent plane, its largest entry
+        # 7e-10, then scaled onto the sphere.  So every |x_i - y_i| is below
+        # 1e-9 and every row reaches the p-norm coincidence test; ‖x - y‖
+        # clears 1e-9 at p = 1.05 and not at p = 8, so the rows are kept at
+        # one exponent and replaced at the other
+        X, Y = _pin_batch(p, 5)
+        x = X[120:240]
+        v = np.random.default_rng(7).standard_normal(x.shape)
+        d = v - np.sum(np.sign(x) * np.abs(x) ** (p - 1) * v, axis=1)[:, None] * x
+        d *= 7e-10 / np.abs(d).max(axis=1)[:, None]
+        Y[120:240] = _unit_rows(x + d, p)
+        assert np.abs(x - Y[120:240]).max() < 1e-9
+        dist = row_norms(x - Y[120:240], p)
+        assert np.all(dist > 1e-9) if p < 2 else np.all(dist < 1e-9)
+        self._check_twin(p, X, Y, PIN_EPS + [1e-17])
+
+    def _check_twin(self, p, X, Y, epsilons=PIN_EPS + [2.0]):
+        for eps in epsilons:
             k, z, v, vals = self._twin_best(p, X, Y, eps)
             # no incumbent, then an incumbent that nine rows beat
             for bound in (math.inf, float(np.partition(vals, 9)[9])):
@@ -536,6 +562,37 @@ class TestPinnedBest:
             k, z, _ = _pinned_best(p, X, Y, eps, math.inf)
             assert row_norms(X[k:k + 1] - z, p)[0] >= eps
             assert abs(lp_norm(z, p) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("k", range(200, 260))
+    def test_separation_equal_to_eps_keeps_y(self, k):
+        # f at y is exactly 0, so y itself is the pinned partner, bit for bit
+        X, Y = _pin_batch(3.0, 3)
+        eps = row_norms(X[k:k + 1] - Y[k:k + 1], 3.0)[0]
+        kb, z, v = _pinned_best(3.0, X[k:k + 1], Y[k:k + 1], eps, math.inf)
+        assert kb == 0 and _same_bits(z, Y[k])
+        assert _same_bits(v, pinned_scores(3.0, X[k:k + 1], Y[k:k + 1])[0])
+        assert _same_bits(pin_pairs(3.0, X[k:k + 1], Y[k:k + 1], eps), Y[k:k + 1])
+
+    @pytest.mark.parametrize("n", PIN_N)
+    def test_one_norm_call_before_the_first_step(self, n, monkeypatch):
+        # the path ends cost one norm call over x - y and (x + y)/2 for
+        # the c pairs of a block; the coincidence test and the sphere map
+        # of the replaced partners run only on the rows through the screen
+        calls = []
+
+        def norms(M, p):
+            calls.append(M.shape[1])
+            return _norms(M, p)
+
+        X, Y = _pin_batch(1.5, n)
+        monkeypatch.setattr(moduli, "_norms", norms)
+        monkeypatch.setattr(moduli, "_PIN_STEPS", 0)
+        _pinned_best(1.5, X[120:], Y[120:], 0.5, math.inf)
+        assert calls == [2 * 480]
+        calls.clear()
+        _pinned_best(1.5, X, Y, 0.5, math.inf)
+        # rows 0-40 coincide, and no other row comes within 2e-9 of its x
+        assert calls == [40, 40, 2 * 600]
 
     def test_incumbent_that_no_row_beats(self):
         # nothing below the bound comes back; the random rows all stop early,
