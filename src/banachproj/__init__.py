@@ -2,7 +2,7 @@
 
 The package computes projections with variational certificates, their
 one-sided directional derivatives (closed forms where available, audited
-numerics elsewhere), empirical moduli of convexity and smoothness, and
+numerics elsewhere), the exact moduli of convexity and smoothness, and
 Cauchy-rate diagnostics for quotient limits.  `banachproj` on the command
 line exposes the same operations behind JSON configs.
 

@@ -1,8 +1,8 @@
 """SciPy submodules that are imported on first use.
 
 Importing `scipy.optimize` takes about 0.6 s, while balls, cones,
-subspaces, segments, rays, their derivatives and the moduli sampler need
-no SciPy at all.  `sets` and `solver` bind `optimize` to the stand-in
+subspaces, segments, rays, their derivatives and the moduli need no SciPy
+at all.  `sets` and `solver` bind `optimize` to the stand-in
 below: the first read of an attribute (`optimize.linprog`) imports the
 real module and keeps the attribute on the stand-in for later reads.  So
 only polytopes load `scipy.optimize` (the segment and ray line search is

@@ -23,7 +23,7 @@ Config keys by command (all vectors are plain JSON lists):
   derivative  space, set, inputs{x,v}
   classify    space, set, inputs{x}
   verify      suite, count?, seed?, space?
-  moduli      space, moduli{curve,epsilons?,ts?,budget?,rounds?,fit?,threads?}
+  moduli      space, moduli{curve,epsilons?,ts?,budget?,fit?,threads?}
   rate        space, set, inputs{x}, rate{directions|count,k_min?,k_max?}
 """
 from __future__ import annotations
@@ -257,7 +257,7 @@ def _cmd_moduli(cfg: dict, seed: int, out) -> int:
     curve = _given(opts, curve=_string).get("curve", "both")
     if curve not in ("delta", "rho", "both"):
         raise _ConfigError('moduli curve must be "delta", "rho" or "both"')
-    kw = _given(opts, budget=_integer, rounds=_integer, threads=_integer)
+    kw = _given(opts, budget=_integer, threads=_integer)
     est = None
     try:
         for name in ("delta", "rho") if curve == "both" else (curve,):

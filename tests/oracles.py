@@ -8,11 +8,7 @@ is evidence, not circularity.  The one exception is `duality_smoothness`, which 
 the package's duality map and quotient estimator; `xi_quotient` checks it.
 `wrapped_power_norm` and `wrapped_duality_map` are the kernel's earlier
 NumPy form, and `line_param_brentq` is the line search's earlier SciPy
-form, kept to pin their bits rather than their accuracy.  Likewise
-`pin_pairs` and `delta_search` are the δ search without the pruning of
-the pairs that cannot win: the same paths and path ends, on the package's
-own row norms and sphere map (`row_norms`, `_unit_rows`), with every pair
-pinned to the end.
+form, kept to pin their bits rather than their accuracy.
 """
 import numpy as np
 from scipy import optimize
@@ -333,15 +329,18 @@ def cone_table_3d(x, v):
 
 
 def hilbert_delta(eps):
-    """Exact Euclidean modulus of convexity."""
+    """Exact Euclidean modulus of convexity, 1 - sqrt(1 - ε²/4), written
+    as (ε²/4)/(1 + sqrt(1 - ε²/4)) so that it does not cancel at small ε."""
     eps = np.asarray(eps, dtype=float)
-    return 1.0 - np.sqrt(np.maximum(0.0, 1.0 - eps ** 2 / 4.0))
+    s = eps ** 2 / 4.0
+    return s / (1.0 + np.sqrt(np.maximum(0.0, 1.0 - s)))
 
 
 def hilbert_rho(t):
-    """Exact Euclidean modulus of smoothness."""
+    """Exact Euclidean modulus of smoothness, sqrt(1 + t²) - 1, written as
+    t²/(1 + sqrt(1 + t²)) so that it does not cancel at small t."""
     t = np.asarray(t, dtype=float)
-    return np.sqrt(1.0 + t ** 2) - 1.0
+    return t ** 2 / (1.0 + np.sqrt(1.0 + t ** 2))
 
 
 def exact_delta(p, eps):
@@ -382,198 +381,3 @@ def exact_rho(p, t):
     r = np.abs(1.0 - t) / (1.0 + t)
     return np.where(np.isfinite(plain), plain,
                     (1.0 + t) * ((1.0 + r ** p) / 2.0) ** (1.0 / p) - 1.0)
-
-
-def bisection_pin(p, X, Y, eps):
-    """Pin each y to ‖x - y‖_p = eps on the feasible side, by bisection.
-
-    The twin of `moduli._pin_pairs`: the same sphere path from y toward x
-    (too far) or -x (too close), cut by 52 bisection steps, ending on the
-    bracket end with ‖x - y‖ >= eps.  Rows are summed in order, which is
-    NumPy's own order for the few columns used here.
-    """
-    def norms(M):
-        return np.sum(np.abs(M) ** p, axis=1) ** (1.0 / p)
-
-    def unit(M):
-        nr = norms(M)
-        return M / np.where(nr < 1e-300, 1.0, nr)[:, None]
-
-    X = np.asarray(X, dtype=float)
-    Y = np.array(Y, dtype=float)
-    if eps >= 2.0 - 1e-12:
-        return -X
-    coincident = norms(X - Y) < 1e-9
-    Y[coincident] = unit(np.roll(X[coincident], 1, axis=1))
-    toward_x = norms(X - Y) >= eps
-    E = np.where(toward_x[:, None], X, -X)
-    lo = np.zeros(len(X))
-    hi = np.ones(len(X))
-    for _ in range(52):
-        mid = 0.5 * (lo + hi)
-        move_lo = (norms(X - unit((1.0 - mid)[:, None] * Y + mid[:, None] * E)) >= eps) == toward_x
-        lo = np.where(move_lo, mid, lo)
-        hi = np.where(move_lo, hi, mid)
-    tau = np.where(toward_x, lo, hi)
-    return unit((1.0 - tau)[:, None] * Y + tau[:, None] * E)
-
-
-
-def row_norms(M, p):
-    """The package's ℓ_p norms of the rows of M (`moduli._norms` on M.T),
-    as the row-major searches below and the tests compute them."""
-    from banachproj.moduli import _norms
-
-    return _norms(np.asarray(M, dtype=float).T, p)
-
-
-def pin_pairs(p, X, Y, eps):
-    """Pin each y to ‖x - y‖_p = eps (feasible side) by regula falsi.
-
-    `moduli._pinned_best`'s pinning without its pruning, row by row to the
-    end of every search, kept to pin its bits: the path
-    z(τ) = unit((1 - τ)·y + τ·s·x) toward x (s = 1) or -x (s = -1), its
-    ends y and s·x themselves (f = -eps at x and 2 - eps at -x), the
-    Illinois variant, a step at least 2e-16 inside the bracket (doubled
-    while the same end is kept), a stop at a 4e-16 bracket or f = 0 at the
-    good end, the good end returned (y at u = 0, s·x at u = s).  For eps
-    within 1e-12 of 2 the partner is -x.
-    """
-    from banachproj.moduli import _PIN_STEPS, _unit_rows
-
-
-    if eps >= 2.0 - 1e-12:
-        return -X
-    coincident = row_norms(X - Y, p) < 1e-9
-    if coincident.any():
-        Y = Y.copy()
-        Y[coincident] = _unit_rows(np.roll(X[coincident], 1, axis=1), p)
-
-    def path(X, Y, s, u):
-        W = (1.0 - s * u)[:, None] * Y
-        W += u[:, None] * X
-        return _unit_rows(W, p)
-
-    def gap(X, Y, s, u):
-        return row_norms(X - path(X, Y, s, u), p) - eps
-
-    def secant(good, bad, fg, fb, push):
-        t = fg * (bad - good)
-        t /= fg - fb
-        t += good
-        d = np.minimum(push, 0.5 * (bad - good))
-        np.fmax(t, good + d, out=t)
-        return np.fmin(t, bad - d, out=t)
-
-    m = len(X)
-    f0 = row_norms(X - Y, p) - eps
-    toward_x = f0 >= 0.0
-    s = np.where(toward_x, 1.0, -1.0)
-    f1 = np.where(toward_x, -eps, 2.0 - eps)
-    good = np.where(toward_x, 0.0, -1.0)
-    bad = good + 1.0
-    fg = np.where(toward_x, f0, f1)
-    fb = np.where(toward_x, f1, f0)
-    live = fg > 0.0
-    kept_bad = kept_good = np.zeros(m, dtype=bool)
-    push = np.full(m, 2e-16)
-    rows = None
-    Xw, Yw, sw = X, Y, s
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(_PIN_STEPS):
-            open_rows = np.count_nonzero(live)
-            if open_rows == 0:
-                break
-            if rows is None and open_rows <= m // 8:
-                u, rows = good, np.flatnonzero(live)
-                Xw, Yw, sw = X[rows], Y[rows], s[rows]
-                good, bad, fg, fb, kept_bad, kept_good, push = (
-                    a[rows] for a in (good, bad, fg, fb, kept_bad, kept_good, push))
-                live = np.ones(rows.size, dtype=bool)
-            t = secant(good, bad, fg, fb, push)
-            ft = gap(Xw, Yw, sw, t)
-            up = ft >= 0.0
-            up &= live
-            down = live > up
-            bad_again = up & kept_bad
-            good_again = down & kept_good
-            np.multiply(fb, 0.5, out=fb, where=bad_again)
-            np.multiply(fg, 0.5, out=fg, where=good_again)
-            push = np.where(bad_again | good_again, 2.0 * push, 2e-16)
-            np.copyto(fg, ft, where=up)
-            np.copyto(good, t, where=up)
-            np.copyto(fb, ft, where=down)
-            np.copyto(bad, t, where=down)
-            kept_bad, kept_good = up, down
-            live &= ft != 0.0
-            live &= bad - good > 4e-16
-    if rows is None:
-        u = good
-    else:
-        u[rows] = good
-    Z = path(X, Y, s, u)
-    at_y, at_x = u == 0.0, u == s
-    Z[at_y] = Y[at_y]
-    Z[at_x] = s[at_x, None] * X[at_x]
-    return Z
-
-
-def pinned_scores(p, X, Z):
-    """The δ search's score 1 - ‖(x + z)/2‖ of each row, as the package
-    computes it."""
-    return 1.0 - row_norms(0.5 * (X + Z), p)
-
-
-def delta_search(p, n, eps, budget, rounds, seed_seq):
-    """The δ search's earlier form, one grid point: the whole batch pinned
-    by `pin_pairs`, scored, and its argmin taken, the axis seeds stacked
-    under the Gaussian batch, and the refinement candidates stacked with
-    np.repeat and np.vstack.  Returns max(best, 0) and the pairs examined.
-    """
-    from banachproj.moduli import _axis_seed_pairs, _unit_rows
-
-    def cands(base, h):
-        return base[None, :] + np.vstack([h * np.eye(n), -h * np.eye(n)])
-
-    def best_of(X, Y):
-        Y = pin_pairs(p, X, Y, eps)
-        vals = pinned_scores(p, X, Y)
-        k = int(np.argmin(vals))
-        return X[k], Y[k], vals[k]
-
-    rng = np.random.default_rng(seed_seq)
-    init = max(64, int(budget * 0.6))
-    X = _unit_rows(rng.standard_normal((init, n)), p)
-    Y = _unit_rows(rng.standard_normal((init, n)), p)
-    Xs, Ys = _axis_seed_pairs(p, n)
-    X, Y = np.vstack([X, Xs]), np.vstack([Y, Ys])
-    best_x, best_y, best = best_of(X, Y)
-    best = float(best)
-    evals = len(X)
-    remaining = max(0, budget - evals)
-    cloud = max(16, remaining // max(rounds, 1) // 4) if rounds else 0
-    h = 0.3
-    for _ in range(rounds):
-        for hh in (h, h / 4.0, h / 16.0):
-            Xc = [cands(best_x, hh), np.repeat(best_x[None, :], 2 * n, axis=0)]
-            Yc = [np.repeat(best_y[None, :], 2 * n, axis=0), cands(best_y, hh)]
-            Xc.append(best_x[None, :] + hh * rng.standard_normal((cloud, n)))
-            Yc.append(best_y[None, :] + hh * rng.standard_normal((cloud, n)))
-            Xc = _unit_rows(np.vstack(Xc), p)
-            Yc = _unit_rows(np.vstack(Yc), p)
-            x, y, v = best_of(Xc, Yc)
-            evals += len(Xc)
-            if v < best:
-                best, best_x, best_y = float(v), x, y
-        h /= 4.0
-    return max(best, 0.0), evals
-
-
-def convexity_twin(p, n, eps_grid, budget, seed, rounds):
-    """`estimate_convexity_modulus` on `delta_search`, single-threaded: the
-    δ values (as the running-maximum envelope of δ/ε) and the sample count."""
-    eps = np.asarray(eps_grid, dtype=float)
-    seeds = np.random.SeedSequence(seed).spawn(eps.size)
-    out = [delta_search(p, n, float(e), budget, rounds, s) for e, s in zip(eps, seeds)]
-    vals = np.array([o[0] for o in out])
-    return eps * np.maximum.accumulate(vals / eps), sum(o[1] for o in out)

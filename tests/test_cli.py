@@ -265,7 +265,7 @@ class TestModuli:
         code, _, _ = run_cli(tmp_path, "moduli", {
             "space": {"p": 2, "n": 2},
             "moduli": {"curve": "both", "epsilons": [0.5, 1.0], "ts": [0.5, 1.0],
-                       "budget": 800, "rounds": 1},
+                       "budget": 800},
         }, "--out", str(target))
         assert code == 0
         assert (tmp_path / "curves.csv").exists()
@@ -282,7 +282,7 @@ class TestModuli:
             "space": {"p": 2, "n": 2},
             "moduli": {"curve": "delta",
                        "epsilons": list(np.geomspace(0.05, 0.8, 6)),
-                       "budget": 1500, "rounds": 1, "fit": True},
+                       "budget": 1500, "fit": True},
         })
         assert code == 0
         fit = json.loads(out)["fit"]
@@ -306,9 +306,8 @@ class TestModuli:
         assert code == 2
         assert "increasing" in err
 
-    def test_dimension_past_the_refinement_limit_is_config_error(self, tmp_path):
-        # refused before any sampling: one refinement block at this n
-        # would take about 1.8 GB
+    def test_dimension_past_the_supported_limit_is_config_error(self, tmp_path):
+        # refused before any pair is drawn
         code, out, err = run_cli(tmp_path, "moduli", {
             "space": {"p": 3, "n": 10601},
             "moduli": {"curve": "delta", "epsilons": [0.5], "budget": 10, "threads": 1},
@@ -688,7 +687,7 @@ class TestStartup:
         assert out == {"codes": [0] * len(configs), "loaded": []}
 
     def test_moduli_command_loads_no_scipy(self, tmp_path):
-        # the sampler draws Gaussian rows in NumPy
+        # the closed forms and the check's Gaussian rows need only NumPy
         path = tmp_path / "moduli.json"
         path.write_text(json.dumps({
             "space": {"p": 3, "n": 2}, "seed": 5,

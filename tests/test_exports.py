@@ -40,7 +40,7 @@ SETTINGS = [
     ("cauchy_rate_probe", "schedule"),
     ("thread_count", "requested"),
     *[(f"estimate_{curve}_modulus", key) for curve in ("convexity", "smoothness")
-      for key in ("budget", "seed", "rounds", "threads")],
+      for key in ("budget", "seed", "threads")],
     ("distance_bound_check", "fit"),
     *[(f"{suite}_suite", key) for suite in ("duality", "ball", "cone", "subspace", "properties4")
       for key in ("p", "n", "count", "seed")],
@@ -72,4 +72,4 @@ def test_settable_keywords_are_the_pinned_list():
     for suite in SUITES.values():
         found += _settings(suite.__name__, suite)
     assert sorted(found) == sorted(SETTINGS)
-    assert len(SETTINGS) == 41
+    assert len(SETTINGS) == 39
