@@ -17,20 +17,15 @@ holds JSON booleans), arguments or input values,
 3 infeasible set descriptor, 4 an iterative computation failed to converge
 or a numeric failure (ArithmeticError, e.g. a ray parameter overflow).
 
-Config keys by command (all vectors are plain JSON lists):
-
-  project     space{p,n}, set, inputs{x}, tolerances{cert_tol,max_iter}?
-  derivative  space, set, inputs{x,v}
-  classify    space, set, inputs{x}
-  verify      suite, count?, seed?, space?
-  moduli      space, moduli{curve,epsilons?,ts?,budget?,fit?,threads?}
-  rate        space, set, inputs{x}, rate{directions|count,k_min?,k_max?}
+Config keys by command are listed in `_KEYS` below; any other key is a
+config error, so a misspelt option cannot silently keep its default.
 """
 from __future__ import annotations
 
 import argparse
 import inspect
 import json
+import re
 import sys
 
 import numpy as np
@@ -53,6 +48,28 @@ __all__ = ["main"]
 
 class _ConfigError(Exception):
     pass
+
+
+#: config keys by command (all vectors are plain JSON lists): a section's keys
+#: follow its name in braces, ? marks an optional key, and every command also
+#: takes seed? and output_path?
+_KEYS = {
+    "project": "space{p,n} set inputs{x} tolerances{cert_tol?,max_iter?}?",
+    "derivative": "space{p,n} set inputs{x,v}",
+    "classify": "space{p,n} set inputs{x}",
+    "verify": "suite count? space{p,n}?",
+    "moduli": "space{p,n} moduli{curve?,epsilons?,ts?,budget?,fit?,threads?}",
+    "rate": "space{p,n} set inputs{x} rate{directions|count,k_min?,k_max?}",
+}
+
+
+def _check_keys(cfg: dict, command: str) -> None:
+    known = dict(re.findall(r"(\w+)\??(?:\{(.*?)\})?", f"seed output_path {_KEYS[command]}"))
+    for section, keys in [("", " ".join(known)), *known.items()]:
+        opts = cfg.get(section) if section else cfg
+        for key in opts if keys and isinstance(opts, dict) else ():
+            if key not in re.findall(r"\w+", keys):
+                raise _ConfigError(f"unknown config key {key!r}" + (f" in {section!r}" if section else ""))
 
 
 def _load_config(path: str) -> dict:
@@ -328,6 +345,7 @@ def main(argv=None) -> int:
 
     try:
         cfg = _load_config(args.config)
+        _check_keys(cfg, args.command)
         given = _given(cfg, seed=_integer, output_path=_string)
         seed = args.seed if args.seed is not None else given.get("seed", 0)
         out = args.out if args.out is not None else given.get("output_path")

@@ -12,15 +12,17 @@ keeps it finite on unbounded sets holds every point of C closer to x
 than u, so it stays sound.
 
 Polytopes (C.solver_tol > 0) project through `_project_polytope`, which
-certifies its own answer: SLSQP on Σ|x_i - z_i|^p (C¹ for p > 1, no second
-derivatives needed) first, then conditional-gradient steps toward the
-support point until the gap clears the tolerance; `max_iter` caps both
-together.  Each step's exact line search is the segment projector's
-parameter search, `sets._project_line_param`, at a looser absolute
-Brent tolerance: Brent's method on the bracket of the breakpoints where
-coordinates of x - u - t(z - u) change sign, clamped to [0, 1], so a step
-whose bracket lies outside [0, 1] costs no slope evaluation.  The Brent
-is `sets._brent_root`, which starts from the slopes at both ends of the
+certifies its own answer; `max_iter` caps all of its steps together.  An
+H-polytope runs projected Newton on its separable dual (`_project_hrep`),
+a V-polytope SLSQP on its hull weights (C¹ for p > 1, no second
+derivatives needed); while uncertified, either finishes with Frank–Wolfe
+steps toward the support point until the gap clears the tolerance.  Each
+step's exact line search is the segment projector's parameter search,
+`sets._project_line_param`, at a looser absolute Brent tolerance:
+Brent's method on the bracket of the breakpoints where coordinates of
+x - u - t(z - u) change sign, clamped to [0, 1], so a step whose bracket
+lies outside [0, 1] costs no slope evaluation.  The Brent is
+`sets._brent_root`, which starts from the slopes at both ends of the
 bracket and takes SciPy brentq's iterates bit for bit.  A failed
 certificate or support LP is reported as converged=False with the best
 iterate retained — never silently accepted.
@@ -184,36 +186,6 @@ def _project_vrep(space: LpSpace, C: sets.PolytopeV, x: np.ndarray,
     return _support_gap(space, C, x, u, iterations, cert_tol, box)
 
 
-def _coordinate_polish(C: sets.PolytopeH, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """One Gauss-Seidel sweep of exact coordinatewise minimization.
-
-    Given the other coordinates, coordinate i is feasible on an interval
-    [lb, ub] and |x_i - z_i|^p is monotone away from x_i, so its exact
-    optimum is clip(x_i, lb, ub).  Each move improves the objective (or
-    repairs an epsilon infeasibility), and for separable row structures
-    one sweep lands the true optimum exactly.  Gradient-driven steps
-    cannot do this when the optimum matches x_i or sits on a bound near
-    zero: for p != 2 those coordinates are flat to order p in the
-    objective and order p-1 in the certificate residual.
-    """
-    A, b = C.normals, C.offsets
-    z = u.copy()
-    for i in range(z.size):
-        col = A[:, i]
-        rest = A @ z - col * z[i]
-        lb, ub = -np.inf, np.inf
-        pos = col > 0.0
-        neg = col < 0.0
-        if pos.any():
-            ub = float(np.min((b[pos] - rest[pos]) / col[pos]))
-        if neg.any():
-            lb = float(np.max((b[neg] - rest[neg]) / col[neg]))
-        if lb > ub:
-            continue
-        z[i] = min(max(float(x[i]), lb), ub)
-    return z
-
-
 def _feasible(C: sets.PolytopeH, z: np.ndarray) -> bool:
     """Do all rows hold at membership scale?"""
     slack = 1e-9 * max(1.0, float(np.abs(C.offsets).max()))
@@ -242,47 +214,74 @@ def _pull_feasible(C: sets.PolytopeH, z: np.ndarray, anchor: np.ndarray) -> np.n
 
 def _project_hrep(space: LpSpace, C: sets.PolytopeH, x: np.ndarray,
                   max_iter: int, cert_tol: float) -> ProjectionCertificate:
-    f, grad = _objective(space, x)
-    z0 = C.feasible_point()
-    constraints = [{"type": "ineq",
-                    "fun": lambda z: C.offsets - C.normals @ z,
-                    "jac": lambda z: -C.normals}]
-    iterations = 0
-    u = None
-    start = z0
-    for attempt in range(2):
-        res = optimize.minimize(
-            f, start, jac=grad, method="SLSQP", constraints=constraints,
-            options={"maxiter": max(1, min(400, max_iter - iterations)), "ftol": 1e-16},
-        )
-        cand = _coordinate_polish(C, x, _pull_feasible(C, np.asarray(res.x, dtype=float), z0))
-        if u is None or f(cand) <= f(u):
-            u = cand
-        iterations += int(res.nit)
-        box = 2.0 * space.norm(x - u) + 1.0
-        while iterations < max_iter:
-            u, iterations = _conditional_gradient(space, C, x, u, box, iterations, max_iter, cert_tol)
-            # coordinatewise finisher between gradient phases, never inside
-            # one: interleaving it with the steps stalls the iteration on
-            # coupled rows, where clipping and the gradient direction fight.
-            # At an exact optimum it is a no-op, so accepting it is always
-            # safe; re-enter the gradient phase only on a material decrease,
-            # and only while the budget has a step left to count it.
-            polished = _coordinate_polish(C, x, u)
-            f_cur = f(u)
-            f_pol = f(polished)
-            if f_pol <= f_cur:
-                u = polished
-                if f_cur - f_pol > 1e-15 * max(1.0, f_cur) and iterations < max_iter:
-                    iterations += 1
-                    continue
-            break
+    """Projected Newton (Bertsekas 1982) on the dual of min (1/p)Σ|x_i - z_i|^p
+    over Az <= b (Rockafellar, Convex Analysis §31): z(λ) = x - spow(Aᵀλ,
+    q - 1), spow(a, e) = |a|^e sign a, minimises the Lagrangian at λ >= 0,
+    so the dual -(1/q)Σ|Aᵀλ|^q + λᵀ(Ax - b) is smooth and concave, with
+    gradient g = Az(λ) - b and Hessian -A diag((q - 1)|Aᵀλ|^(q-2)) Aᵀ.  Each
+    step is an exact line search on g(λ + t d)·d up to the first λ_i = 0:
+    Armijo on dual values stalls below the dual's rounding, and unit Newton
+    steps cycle where z_i = x_i (a cube-root map at p = 4).  Newton ends when
+    the natural residual |λ - max(λ + g, 0)| is at the rounding of Az - b,
+    has not halved in 30 steps (it plateaus while rows enter and leave; 5
+    gives up on points that 30 certify), or a step fails (an overflow at
+    large p or q, a NaN slope, a singular system).  Its least-residual point
+    is pulled onto the rows, certified and, while uncertified, finished by
+    Frank–Wolfe.
+    """
+    A, b, q = C.normals, C.offsets, space.q
+    c = A @ x - b
+    lam, u, iterations, best, since, least = np.zeros_like(b), x, 0, math.inf, 0, math.inf
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            while True:
+                s = A.T @ lam
+                y = LpSpace._signed_power(s, q - 1.0)
+                g = c - A @ y
+                gap = np.abs(np.minimum(lam, -g))   # |λ - max(λ + g, 0)|, without its rounding
+                if gap.max() < least:   # near rounding level the residual cycles
+                    least, u = gap.max(), x - y
+                if gap.max() <= 0.5 * best:
+                    best, since = gap.max(), iterations
+                if (iterations >= max_iter or iterations - since >= 30
+                        or np.all(gap <= 4.0 * _EPS * (np.abs(A) @ (np.abs(x) + np.abs(y)) + np.abs(b)))):
+                    break
+                if lam.any():
+                    # Newton on the rows that can move; floors and ridge keep it regular
+                    # where Aᵀλ has zeros or opposite rows ±a are both positive
+                    free = (lam > 0.0) | (g > 0.0)
+                    w = (q - 1.0) * np.maximum(np.abs(s), 1e-12 * np.abs(s).max()) ** (q - 2.0)
+                    w = np.maximum(w, 1e-12 * w.max())
+                    H = (A[free] * w) @ A[free].T
+                    H[np.diag_indices_from(H)] += 1e-13 * np.trace(H)
+                    d = np.zeros_like(lam)
+                    d[free] = np.linalg.solve(H, g[free])
+                    d[(lam == 0.0) & (d < 0.0)] = 0.0
+                else:   # every weight is 0 or inf: ascend along the violated rows
+                    d = np.maximum(g, 0.0)
+                e = A.T @ d
+                slope = lambda t: float(c @ d - LpSpace._signed_power(s + t * e, q - 1.0) @ e)
+                if (f_lo := slope(0.0)) <= 0.0:
+                    break
+                ratio = np.where(d < 0.0, lam / np.where(d < 0.0, -d, 1.0), math.inf)
+                top = float(ratio.min())
+                lo, t = 0.0, min(1.0, top)
+                while (f_t := slope(t)) > 0.0 and t < top:
+                    lo, f_lo, t = t, f_t, min(2.0 * t, top)
+                if f_t < 0.0:
+                    t = sets._brent_root(slope, lo, f_lo, t, f_t, sets._TINY)
+                lam = np.maximum(lam + t * d, 0.0)
+                if t == top:
+                    lam[ratio.argmin()] = 0.0
+                iterations += 1
+    except (ArithmeticError, np.linalg.LinAlgError):
+        pass   # the pull and Frank–Wolfe finish from the least-residual point
+    u = _pull_feasible(C, u, C.feasible_point())
+    box = 2.0 * space.norm(x - u) + 1.0
+    cert = _support_gap(space, C, x, u, iterations, cert_tol, box)
+    if not cert.converged and iterations < max_iter:
+        u, iterations = _conditional_gradient(space, C, x, u, box, iterations, max_iter, cert_tol)
         cert = _support_gap(space, C, x, u, iterations, cert_tol, box)
-        if cert.converged or iterations >= max_iter:
-            break
-        # failed certificate with budget left: restart the smooth solver
-        # from the current iterate, a start the first run never saw
-        start = u
     cert.converged = cert.converged and _feasible(C, u)
     return cert
 

@@ -486,10 +486,11 @@ class TestErrors:
     def test_non_finite_singleton_input_exit_2(self, tmp_path, command, bad):
         # a singleton's projection is constant, yet it refuses a non-finite
         # point like every other set type
+        inputs = {"x": [bad, 0], "v": [1, 0]} if command == "derivative" else {"x": [bad, 0]}
         code, out, err = run_cli(tmp_path, command, {
             "space": {"p": 2, "n": 2},
             "set": {"type": "singleton", "y": [1, 2]},
-            "inputs": {"x": [bad, 0], "v": [1, 0]},
+            "inputs": inputs,
         })
         assert code == 2
         assert "coordinates must be finite" in err
@@ -547,6 +548,20 @@ class TestErrors:
         assert f"config error: option {key!r}" in err
         assert "Traceback" not in err
         assert out == ""
+
+    @pytest.mark.parametrize("command, section, key", [
+        ("moduli", "moduli", "budgte"),       # misspelt: once ran the default 100,000 pairs
+        ("moduli", "moduli", "rounds"),       # an option the moduli command no longer has
+        ("project", None, "tolerance"),
+        ("project", "inputs", "v"),           # read by derivative, not by project
+        ("verify", None, "set"),
+    ])
+    def test_unknown_key_is_a_config_error(self, tmp_path, command, section, key):
+        cfg = json.loads(json.dumps(CONFIGS[command]))
+        (cfg[section] if section else cfg)[key] = 10
+        code, out, err = run_cli(tmp_path, command, cfg)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"config error: unknown config key {key!r}")
 
 
 class TestReporting:

@@ -1,4 +1,7 @@
 """Certified polytope projection: frozen instances, grid cross-checks, budgets."""
+import math
+import time
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -26,6 +29,44 @@ from banachproj.solver import _support_gap
 from oracles import grid_argmin, grid_project, lp_norm, probe_gap
 
 SIMPLEX = PolytopeV(vertices=np.eye(3))
+
+# a box with three oblique cuts at p = 4 on which the SLSQP solver once
+# spent its whole 100,000-iteration budget (264 s) and stayed uncertified
+CUT_BOX_R = np.array([
+    [0.005421595461809626, 0.1472338363440977, 0.06657167416449997,
+     -0.044913226513263474, -0.12869032588269513, -0.9773856035594946],
+    [0.568161636159734, -0.05959233129643916, 0.41221087612029444,
+     -0.546969565445949, 0.1801418041409418, -0.4148451852580735],
+    [-0.517856697448416, 0.09711081529999846, 0.3986863364416245,
+     0.5316903867615347, 0.5171939449423807, -0.11514726021340078],
+])
+CUT_BOX = PolytopeH(normals=np.vstack([np.eye(6), -np.eye(6), CUT_BOX_R]), offsets=[
+    0.6873118512044054, 0.44715073223626667, 1.076024965284543, 0.5541085989392737,
+    1.257843706518815, 0.9643193019952385, 0.9600840916999706, 0.4636155944773426,
+    1.4730090684407784, 0.5804104376808388, 1.1385779482571063, 0.5218553641704176,
+    0.22172917519762203, 0.6919148542472096, 0.7617921827335532])
+CUT_BOX_X = np.array([0.5572889494886955, -0.3445596738419935, 2.066836084627908,
+                      -4.618991052248645, 2.7838787469832997, -1.4996233235552492])
+
+
+def cut_corpus():
+    """240 seeded H projections: p in {1.5, 2, 3, 4}, n = 2..6, six sets per
+    (p, n) of 1-3 unit cuts with offsets in [0.2, 0.8], 30% of them cuts
+    alone (unbounded) and the rest under an axis box, two points x = 2 N(0, I)
+    each."""
+    rng = np.random.default_rng(2024)
+    for p in (1.5, 2.0, 3.0, 4.0):
+        for n in range(2, 7):
+            for _ in range(6):
+                R = rng.normal(size=(int(rng.integers(1, 4)), n))
+                R /= np.linalg.norm(R, axis=1, keepdims=True)
+                A, b = R, rng.uniform(0.2, 0.8, size=len(R))
+                if rng.random() >= 0.3:
+                    lo, hi = rng.uniform(-1.5, -0.3, size=n), rng.uniform(0.3, 1.5, size=n)
+                    A, b = np.vstack([np.eye(n), -np.eye(n), R]), np.concatenate([hi, -lo, b])
+                C = PolytopeH(normals=A, offsets=b)
+                for _ in range(2):
+                    yield p, C, 2.0 * rng.normal(size=n)
 
 
 def lp_dist(p, a, b):
@@ -421,9 +462,28 @@ class TestHalfspaceRepresentation:
                 assert cert.residual >= -CERT_TOL
                 assert np.all(A @ cert.point <= b + 1e-9)
 
+    def test_regression_cut_box_certifies_fast(self):
+        start = time.perf_counter()
+        cert = project_with_certificate(LpSpace(4.0), CUT_BOX, CUT_BOX_X)
+        assert time.perf_counter() - start < 1.0
+        assert cert.converged
+        active = CUT_BOX.normals @ cert.point >= CUT_BOX.offsets - 1e-9
+        assert np.flatnonzero(active).tolist() == [4, 7, 9, 13, 14]
+
+    def test_seeded_cut_corpus_certifies(self):
+        # the SLSQP solver certified these too, but its worst residual was
+        # -4.9e-9; the dual's is -8.1e-15
+        worst = math.inf
+        for p, C, x in cut_corpus():
+            cert = project_with_certificate(LpSpace(p), C, x)
+            assert cert.converged
+            assert np.all(C.normals @ cert.point <= C.offsets + 1e-9)
+            worst = min(worst, cert.residual)
+        assert worst >= -1e-13
+
 
 class TestIterationBudget:
-    # frozen oblique instance on which the smooth phase alone leaves a
+    # frozen oblique instance on which a few dual steps still leave a
     # certificate gap of about -0.09, so a unit iteration budget must be
     # reported as a failure while the best iterate stays available
     A = np.array([
@@ -477,23 +537,24 @@ class TestIterationBudget:
             with pytest.raises(ValueError, match="cert_tol"):
                 project_with_certificate(space, C, np.array([1.0, -2.0, 3.0]), cert_tol=cert_tol)
 
-    def test_polish_after_a_spent_budget_is_kept_but_not_counted(self, monkeypatch):
-        # the gradient phase hands back a poor point with the budget spent;
-        # the polish that follows improves it and must not push the count
-        # past max_iter
-        import banachproj.solver as solver_mod
-        space = LpSpace(3.0)
-        C = PolytopeH(normals=np.vstack([np.eye(2), -np.eye(2)]), offsets=np.ones(4))
-        x = np.array([3.0, 0.5])
-        monkeypatch.setattr(solver_mod, "_conditional_gradient",
-                            lambda space, C, x, u, box, iterations, max_iter, cert_tol:
-                            (np.zeros(2), max_iter))
-        monkeypatch.setattr(solver_mod, "_coordinate_polish",
-                            lambda C, x, u: np.clip(x, -1.0, 1.0))
-        for max_iter in (5, 50):
-            cert = project_with_certificate(space, C, x, max_iter=max_iter)
-            assert cert.iterations <= max_iter
-            assert np.array_equal(cert.point, [1.0, 0.5])
+    def test_every_small_budget_is_kept_and_feasible(self):
+        # Newton and Frank–Wolfe steps share max_iter; a cut-short run still
+        # returns a point on the rows at membership scale (1e-9 max(1, |b|)),
+        # and a budget of at least the unbounded run's step count gives that
+        # run's certified point
+        cases = [(LpSpace(3.0), PolytopeH(normals=self.A, offsets=self.b), self.x),
+                 (LpSpace(4.0), CUT_BOX, CUT_BOX_X)]
+        for space, C, x in cases:
+            full = project_with_certificate(space, C, x)
+            assert full.converged
+            slack = 1e-9 * max(1.0, np.abs(C.offsets).max())
+            for max_iter in range(1, 41):
+                cert = project_with_certificate(space, C, x, max_iter=max_iter)
+                assert cert.iterations <= max_iter
+                assert np.all(C.normals @ cert.point <= C.offsets + slack)
+                if max_iter >= full.iterations:
+                    assert cert.converged
+                    assert np.array_equal(cert.point, full.point)
 
 
 # one 2-d descriptor of every type that pins its dimension
