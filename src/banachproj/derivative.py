@@ -151,6 +151,13 @@ def _subspace_clause(space: LpSpace, mask: np.ndarray, v: np.ndarray) -> Derivat
     return DerivativeResult(np.where(mask, v, 0.0), "subspace:coordinatewise")
 
 
+def _certified(space: LpSpace, C, z: np.ndarray) -> np.ndarray:
+    cert = solver.project_with_certificate(space, C, z)
+    if not cert.converged:
+        raise ConvergenceError(f"a quotient's projection is uncertified (residual {cert.residual:.3e})")
+    return cert.point
+
+
 #: exact clauses by descriptor class; any other class is differenced numerically
 _CLOSED_FORMS = {
     sets.Ball: lambda space, C, x, v: _ball_clause(space, C.center, C.radius, x, v),
@@ -169,7 +176,8 @@ def directional_derivative(space: LpSpace, C, x, v) -> DerivativeResult:
     point.  The others (segments, rays, polytopes) are differenced
     numerically on the default `StepSchedule` and labeled "numeric" (for an
     iterative C.solver_tol > 0, at a 1e-4 window and without steps below the
-    solver's noise).  Non-convergence raises ConvergenceError.
+    solver's noise) from certified projections; non-convergence, or an
+    uncertified projection, raises ConvergenceError.
     """
     x = sets._point(C, x)
     v = _direction(x, v)
@@ -178,7 +186,7 @@ def directional_derivative(space: LpSpace, C, x, v) -> DerivativeResult:
         return closed_form(space, C, x, v)
     schedule = (StepSchedule(quotient_tol=1e-4).truncated(C.solver_tol)
                 if C.solver_tol > 0.0 else None)
-    est = numdiff_derivative(space, lambda z: solver.project(space, C, z), x, v, schedule)
+    est = numdiff_derivative(space, lambda z: _certified(space, C, z), x, v, schedule)
     if not est.converged:
         raise ConvergenceError(
             "projection quotients did not settle within the schedule",

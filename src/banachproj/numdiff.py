@@ -9,7 +9,6 @@ general only one-sidedly differentiable.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,11 +36,14 @@ class ConvergenceError(RuntimeError):
         self.trace = list(trace) if trace is not None else []
 
 
+_WINDOW = 3
+
+
 @dataclass(frozen=True)
 class StepSchedule:
-    """Strictly decreasing step sizes with a convergence window.
+    """Strictly decreasing step sizes, at least three of them.
 
-    A quotient sequence counts as converged once `window` consecutive
+    A quotient sequence counts as converged once `_WINDOW` = 3 consecutive
     entries agree pairwise within `quotient_tol`.  The default steps are
     t_k = 2^-k for k = 8..30; halving steps keep the one-step Richardson
     update well conditioned.
@@ -49,17 +51,10 @@ class StepSchedule:
 
     t_values: tuple = tuple(2.0 ** -k for k in range(8, 31))
     quotient_tol: float = 1e-7
-    window: int = 3
 
     def __post_init__(self):
         ts = tuple(float(t) for t in self.t_values)
-        try:
-            window = operator.index(self.window)
-        except TypeError:
-            raise ValueError(f"convergence window must be an integer, got {self.window!r}") from None
-        if window < 2:
-            raise ValueError("convergence window must span at least 2 quotients")
-        if len(ts) < window:
+        if len(ts) < _WINDOW:
             raise ValueError("schedule shorter than its convergence window")
         if any(not math.isfinite(t) or t <= 0.0 for t in ts):
             raise ValueError("step sizes must be positive and finite")
@@ -80,9 +75,9 @@ class StepSchedule:
             return self
         t_min = math.sqrt(solver_tol)
         kept = tuple(t for t in self.t_values if t >= t_min)
-        if len(kept) < self.window:
+        if len(kept) < _WINDOW:
             raise ValueError("noise truncation exhausted the schedule")
-        return StepSchedule(kept, self.quotient_tol, self.window)
+        return StepSchedule(kept, self.quotient_tol)
 
 
 @dataclass
@@ -156,8 +151,8 @@ def numdiff_derivative(space, projector, x, v, schedule: StepSchedule | None = N
         q = (np.asarray(projector(x + t * v), dtype=float) - base) / t
         ts.append(t)
         quotients.append(q)
-        if len(quotients) >= sched.window:
-            if _window_spread(space, quotients, sched.window) < sched.quotient_tol:
+        if len(quotients) >= _WINDOW:
+            if _window_spread(space, quotients, _WINDOW) < sched.quotient_tol:
                 hit = True
                 break
 

@@ -11,21 +11,14 @@ closed form or iterative, is this one formula; the box 2‖x - u‖ + 1 that
 keeps it finite on unbounded sets holds every point of C closer to x
 than u, so it stays sound.
 
-Polytopes (C.solver_tol > 0) project through `_project_polytope`, which
-certifies its own answer; `max_iter` caps all of its steps together.  An
-H-polytope runs projected Newton on its separable dual (`_project_hrep`),
-a V-polytope SLSQP on its hull weights (C¹ for p > 1, no second
-derivatives needed); while uncertified, either finishes with Frank–Wolfe
-steps toward the support point until the gap clears the tolerance.  Each
-step's exact line search is the segment projector's parameter search,
-`sets._project_line_param`, at a looser absolute Brent tolerance:
-Brent's method on the bracket of the breakpoints where coordinates of
-x - u - t(z - u) change sign, clamped to [0, 1], so a step whose bracket
-lies outside [0, 1] costs no slope evaluation.  The Brent is
-`sets._brent_root`, which starts from the slopes at both ends of the
-bracket and takes SciPy brentq's iterates bit for bit.  A failed
-certificate or support LP is reported as converged=False with the best
-iterate retained — never silently accepted.
+Polytopes (C.solver_tol > 0) project through `_project_polytope`: active-set
+Newton (`_newton`) on an H-polytope's separable dual or on a V-polytope's
+hull weights, finished while uncertified by Frank–Wolfe steps toward the
+support point; `max_iter` caps all of their steps together.  V and
+Frank–Wolfe steps search their line exactly with the segment projector's
+`sets._project_line_param`.  A failed certificate or support LP is
+reported as converged=False with the best iterate retained — never
+silently accepted.
 """
 from __future__ import annotations
 
@@ -36,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sets
-from ._scipy import optimize
+from ._scipy import optimize  # noqa: F401  (perfbench/spans.py traces SciPy through this name)
 from .space import LpSpace
 
 __all__ = [
@@ -87,19 +80,6 @@ class ProjectionCertificate:
         }
 
 
-def _objective(space: LpSpace, x: np.ndarray):
-    p = space.p
-
-    def f(z):
-        return float(np.sum(np.abs(x - z) ** p))
-
-    def grad(z):
-        r = x - z
-        return -p * space._signed_power(r, p - 1.0)
-
-    return f, grad
-
-
 def _support_gap(space: LpSpace, C, x: np.ndarray, u: np.ndarray, iterations: int,
                  cert_tol: float, box: float | None = None) -> ProjectionCertificate:
     """Certify u by the support gap at j = J(x - u); box defaults to 2‖x - u‖ + 1."""
@@ -128,7 +108,7 @@ def _conditional_gradient(space: LpSpace, C, x: np.ndarray, u: np.ndarray, box: 
     coordinates 1e-5 off, while a couple more exact line minimizations
     reach the flat optimum nearly exactly.  Returns (u, iterations).
     """
-    f, _ = _objective(space, x)
+    f = lambda z: float(np.sum(np.abs(x - z) ** space.p))
     polish_tol = min(cert_tol, 1e-12)
     f_prev = f(u)
     while iterations < max_iter:
@@ -149,41 +129,6 @@ def _conditional_gradient(space: LpSpace, C, x: np.ndarray, u: np.ndarray, box: 
             break
         f_prev = f_cur
     return u, iterations
-
-
-def _project_vrep(space: LpSpace, C: sets.PolytopeV, x: np.ndarray,
-                  max_iter: int, cert_tol: float) -> ProjectionCertificate:
-    V = C.vertices
-    m = V.shape[0]
-    if m == 1:
-        u = V[0].copy()
-        return ProjectionCertificate(u, 0.0, 0, space.norm(x - u), True)
-
-    f, grad = _objective(space, x)
-
-    def f_lam(lam):
-        return f(lam @ V)
-
-    def grad_lam(lam):
-        return V @ grad(lam @ V)
-
-    lam0 = np.full(m, 1.0 / m)
-    res = optimize.minimize(
-        f_lam,
-        lam0,
-        jac=grad_lam,
-        method="SLSQP",
-        bounds=[(0.0, 1.0)] * m,
-        constraints=[{"type": "eq", "fun": lambda lam: np.sum(lam) - 1.0,
-                      "jac": lambda lam: np.ones_like(lam)}],
-        options={"maxiter": max(1, min(400, max_iter)), "ftol": 1e-16},
-    )
-    lam = np.clip(res.x, 0.0, None)
-    lam = lam / lam.sum()
-    u = lam @ V
-    box = 2.0 * space.norm(x - u) + 1.0
-    u, iterations = _conditional_gradient(space, C, x, u, box, int(res.nit), max_iter, cert_tol)
-    return _support_gap(space, C, x, u, iterations, cert_tol, box)
 
 
 def _feasible(C: sets.PolytopeH, z: np.ndarray) -> bool:
@@ -212,87 +157,156 @@ def _pull_feasible(C: sets.PolytopeH, z: np.ndarray, anchor: np.ndarray) -> np.n
     return z + hi * (anchor - z)
 
 
-def _project_hrep(space: LpSpace, C: sets.PolytopeH, x: np.ndarray,
-                  max_iter: int, cert_tol: float) -> ProjectionCertificate:
-    """Projected Newton (Bertsekas 1982) on the dual of min (1/p)Σ|x_i - z_i|^p
-    over Az <= b (Rockafellar, Convex Analysis §31): z(λ) = x - spow(Aᵀλ,
-    q - 1), spow(a, e) = |a|^e sign a, minimises the Lagrangian at λ >= 0,
-    so the dual -(1/q)Σ|Aᵀλ|^q + λᵀ(Ax - b) is smooth and concave, with
-    gradient g = Az(λ) - b and Hessian -A diag((q - 1)|Aᵀλ|^(q-2)) Aᵀ.  Each
-    step is an exact line search on g(λ + t d)·d up to the first λ_i = 0:
-    Armijo on dual values stalls below the dual's rounding, and unit Newton
-    steps cycle where z_i = x_i (a cube-root map at p = 4).  Newton ends when
-    the natural residual |λ - max(λ + g, 0)| is at the rounding of Az - b,
-    has not halved in 30 steps (it plateaus while rows enter and leave; 5
-    gives up on points that 30 certify), or a step fails (an overflow at
-    large p or q, a NaN slope, a singular system).  Its least-residual point
-    is pulled onto the rows, certified and, while uncertified, finished by
-    Frank–Wolfe.
+def _newton_direction(M: np.ndarray, s: np.ndarray, e: float, g: np.ndarray) -> np.ndarray:
+    """Solve (M diag(w) Mᵀ + ridge) d = g, w = (e - 1)|s|^(e-2) floored where s
+    or w is tiny; the 1e-13·trace ridge keeps it regular where rows of M are
+    dependent (opposite box rows ±a, more vertices on a face than dimensions)."""
+    a = np.abs(s)
+    w = (e - 1.0) * np.maximum(a, 1e-12 * a.max()) ** (e - 2.0)
+    w = np.maximum(w, 1e-12 * w.max())
+    H = (M * w) @ M.T
+    H[np.diag_indices_from(H)] += 1e-13 * np.trace(H)
+    return np.linalg.solve(H, g)
+
+
+def _newton(evaluate, lam: np.ndarray, u: np.ndarray, max_iter: int):
+    """The active-set loop of both polytope solvers; returns (point, iterations).
+
+    evaluate(lam) gives the residual of the weights lam >= 0, their point,
+    whether the residual is at rounding level, and a function giving the
+    step d with its line search t = search(top) in [0, top], lam + top·d
+    being where a weight first reaches 0 (or None when no step descends).
+    The loop keeps the least-residual point (residuals cycle near rounding
+    level) and stops at rounding level, at `max_iter`, after 30 steps that
+    do not halve the residual (5 gave up on points that 30 certify), or
+    when a step fails (an overflow at large p or q, a NaN slope, a
+    singular system).
     """
-    A, b, q = C.normals, C.offsets, space.q
-    c = A @ x - b
-    lam, u, iterations, best, since, least = np.zeros_like(b), x, 0, math.inf, 0, math.inf
+    iterations, best, since, least = 0, math.inf, 0, math.inf
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             while True:
-                s = A.T @ lam
-                y = LpSpace._signed_power(s, q - 1.0)
-                g = c - A @ y
-                gap = np.abs(np.minimum(lam, -g))   # |λ - max(λ + g, 0)|, without its rounding
-                if gap.max() < least:   # near rounding level the residual cycles
-                    least, u = gap.max(), x - y
-                if gap.max() <= 0.5 * best:
-                    best, since = gap.max(), iterations
-                if (iterations >= max_iter or iterations - since >= 30
-                        or np.all(gap <= 4.0 * _EPS * (np.abs(A) @ (np.abs(x) + np.abs(y)) + np.abs(b)))):
+                residual, point, done, step = evaluate(lam)
+                if residual < least:
+                    least, u = residual, point
+                if residual <= 0.5 * best:
+                    best, since = residual, iterations
+                if done or iterations >= max_iter or iterations - since >= 30 or not (move := step()):
                     break
-                if lam.any():
-                    # Newton on the rows that can move; floors and ridge keep it regular
-                    # where Aᵀλ has zeros or opposite rows ±a are both positive
-                    free = (lam > 0.0) | (g > 0.0)
-                    w = (q - 1.0) * np.maximum(np.abs(s), 1e-12 * np.abs(s).max()) ** (q - 2.0)
-                    w = np.maximum(w, 1e-12 * w.max())
-                    H = (A[free] * w) @ A[free].T
-                    H[np.diag_indices_from(H)] += 1e-13 * np.trace(H)
-                    d = np.zeros_like(lam)
-                    d[free] = np.linalg.solve(H, g[free])
-                    d[(lam == 0.0) & (d < 0.0)] = 0.0
-                else:   # every weight is 0 or inf: ascend along the violated rows
-                    d = np.maximum(g, 0.0)
-                e = A.T @ d
-                slope = lambda t: float(c @ d - LpSpace._signed_power(s + t * e, q - 1.0) @ e)
-                if (f_lo := slope(0.0)) <= 0.0:
-                    break
+                d, search = move
                 ratio = np.where(d < 0.0, lam / np.where(d < 0.0, -d, 1.0), math.inf)
-                top = float(ratio.min())
-                lo, t = 0.0, min(1.0, top)
-                while (f_t := slope(t)) > 0.0 and t < top:
-                    lo, f_lo, t = t, f_t, min(2.0 * t, top)
-                if f_t < 0.0:
-                    t = sets._brent_root(slope, lo, f_lo, t, f_t, sets._TINY)
+                if (t := search(float(ratio.min()))) <= 0.0:
+                    break
                 lam = np.maximum(lam + t * d, 0.0)
-                if t == top:
+                if t == ratio.min():   # exactly 0, not a rounding residue
                     lam[ratio.argmin()] = 0.0
                 iterations += 1
     except (ArithmeticError, np.linalg.LinAlgError):
-        pass   # the pull and Frank–Wolfe finish from the least-residual point
-    u = _pull_feasible(C, u, C.feasible_point())
+        pass
+    return u, iterations
+
+
+def _project_vrep(space: LpSpace, C: sets.PolytopeV, x: np.ndarray, max_iter: int):
+    """Newton on the hull weights λ of min (1/p)Σ|x_i - u_i|^p, u = Vᵀλ, over
+    the simplex, from the nearest vertex.  g = V spow(x - u, p - 1), with
+    spow(a, e) = |a|^e sign a, is -∇, and the gap max g - λ·g is ‖x - u‖^(p-2)
+    times the support gap.  Newton works on the face S = {λ > 0}, in the
+    weights relative to its last vertex (so Σd = 0 by construction, and the
+    level of g drops out); once g is level on S, its spread there below the
+    lead of the best vertex, a Frank–Wolfe step brings that vertex in
+    (Lacoste-Julien & Jaggi 2015).  Each step searches u + t Vᵀd by
+    `sets._project_line_param`.
+    """
+    V, p = C.vertices, space.p
+
+    def evaluate(lam):
+        u = lam @ V
+        r = x - u
+        y = LpSpace._signed_power(r, p - 1.0)
+        g = V @ y
+        gap = float(g.max() - lam @ g)
+        # the rounding of g: of its sums, and of y through that of r
+        dy = (np.abs(r) + 4.0 * _EPS * (np.abs(x) + np.abs(u))) ** (p - 1.0) - np.abs(y)
+        done = gap <= float((np.abs(V) @ (4.0 * _EPS * np.abs(y) + dy)).max())
+        return gap, u, done, lambda: step(lam, u, r, g)
+
+    def step(lam, u, r, g):
+        S, k = np.flatnonzero(lam), int(g.argmax())
+        if g[k] - g[S].max() > np.ptp(g[S]):   # level on S: toward vertex k
+            d = -lam
+            d[k] += 1.0
+        else:   # Newton on S
+            c = _newton_direction(V[S[:-1]] - V[S[-1]], r, p, g[S[:-1]] - g[S[-1]])
+            d = np.zeros_like(lam)
+            d[S[:-1]], d[S[-1]] = c, -c.sum()
+        return d, lambda top: sets._project_line_param(space, u, d @ V, x, 0.0, top)
+
+    start = min(range(len(V)), key=lambda k: space.norm(x - V[k]))
+    return _newton(evaluate, np.eye(1, len(V), start)[0], V[start], max_iter)
+
+
+def _project_hrep(space: LpSpace, C: sets.PolytopeH, x: np.ndarray, max_iter: int):
+    """Projected Newton (Bertsekas 1982) on the dual of min (1/p)Σ|x_i - z_i|^p
+    over Az <= b (Rockafellar, Convex Analysis §31): z(λ) = x - spow(Aᵀλ,
+    q - 1) minimises the Lagrangian at λ >= 0, so the dual -(1/q)Σ|Aᵀλ|^q +
+    λᵀ(Ax - b) is smooth and concave, with gradient g = Az(λ) - b and Hessian
+    -A diag((q - 1)|Aᵀλ|^(q-2)) Aᵀ, here on the rows with λ_i > 0 or g_i > 0.
+    The line search is the root of g(λ + t d)·d: Armijo on dual values stalls
+    below the dual's rounding, and unit Newton steps cycle where z_i = x_i (a
+    cube-root map at p = 4).  The residual is |λ - max(λ + g, 0)|.
+    """
+    A, b, q = C.normals, C.offsets, space.q
+    c = A @ x - b
+
+    def evaluate(lam):
+        s = A.T @ lam
+        y = LpSpace._signed_power(s, q - 1.0)
+        g = c - A @ y
+        gap = np.abs(np.minimum(lam, -g))   # |λ - max(λ + g, 0)|, without its rounding
+        done = np.all(gap <= 4.0 * _EPS * (np.abs(A) @ (np.abs(x) + np.abs(y)) + np.abs(b)))
+        return gap.max(), x - y, done, lambda: step(lam, s, g)
+
+    def step(lam, s, g):
+        if lam.any():   # Newton on the rows that can move
+            free = (lam > 0.0) | (g > 0.0)
+            d = np.zeros_like(lam)
+            d[free] = _newton_direction(A[free], s, q, g[free])
+            d[(lam == 0.0) & (d < 0.0)] = 0.0
+        else:   # every weight is 0 or inf: ascend along the violated rows
+            d = np.maximum(g, 0.0)
+        e = A.T @ d
+        slope = lambda t: float(c @ d - LpSpace._signed_power(s + t * e, q - 1.0) @ e)
+        if (f_0 := slope(0.0)) <= 0.0:
+            return None
+
+        def search(top):   # doubling from t = 1 to a sign change, then Brent
+            lo, f_lo, t = 0.0, f_0, min(1.0, top)
+            while (f_t := slope(t)) > 0.0 and t < top:
+                lo, f_lo, t = t, f_t, min(2.0 * t, top)
+            return sets._brent_root(slope, lo, f_lo, t, f_t, sets._TINY) if f_t < 0.0 else t
+
+        return d, search
+
+    u, iterations = _newton(evaluate, np.zeros_like(b), x, max_iter)
+    return _pull_feasible(C, u, C.feasible_point()), iterations   # the dual's point onto the rows
+
+
+def _project_polytope(space: LpSpace, C, x: np.ndarray, max_iter: int = MAX_ITER,
+                      cert_tol: float = CERT_TOL) -> ProjectionCertificate:
+    """Certified ℓ_p projection of a checked x onto a polytope (either
+    representation): Newton's point (an H one pulled onto the rows),
+    finished by Frank–Wolfe while uncertified; both share `max_iter`."""
+    if C.contains(space, x, 0.0):
+        return ProjectionCertificate(x.copy(), 0.0, 0, 0.0, True)
+    vrep = isinstance(C, sets.PolytopeV)
+    u, iterations = (_project_vrep if vrep else _project_hrep)(space, C, x, max_iter)
     box = 2.0 * space.norm(x - u) + 1.0
     cert = _support_gap(space, C, x, u, iterations, cert_tol, box)
     if not cert.converged and iterations < max_iter:
         u, iterations = _conditional_gradient(space, C, x, u, box, iterations, max_iter, cert_tol)
         cert = _support_gap(space, C, x, u, iterations, cert_tol, box)
-    cert.converged = cert.converged and _feasible(C, u)
+    cert.converged = cert.converged and (vrep or _feasible(C, u))
     return cert
-
-
-def _project_polytope(space: LpSpace, C, x: np.ndarray, max_iter: int = MAX_ITER,
-                      cert_tol: float = CERT_TOL) -> ProjectionCertificate:
-    """Certified ℓ_p projection of a checked x onto a polytope (either representation)."""
-    if C.contains(space, x, 0.0):
-        return ProjectionCertificate(x.copy(), 0.0, 0, 0.0, True)
-    solve = _project_vrep if isinstance(C, sets.PolytopeV) else _project_hrep
-    return solve(space, C, x, max_iter, cert_tol)
 
 
 def project(space: LpSpace, C, x) -> np.ndarray:

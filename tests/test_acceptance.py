@@ -385,8 +385,7 @@ def test_criterion_10_moduli_exponents_and_bound():
 
 def test_criterion_11_rate_probes():
     rng = np.random.default_rng(1100)
-    schedule = StepSchedule(t_values=tuple(2.0 ** -k for k in range(8, 21)),
-                            quotient_tol=1e-7, window=3)
+    schedule = StepSchedule(t_values=tuple(2.0 ** -k for k in range(8, 21)), quotient_tol=1e-7)
     instances = []
     for p in (1.5, 3.0):
         space = LpSpace(p)

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from banachproj import solver
 from banachproj.cli import main
 from banachproj.verify import CheckResult, SuiteReport
 
@@ -494,6 +495,26 @@ class TestErrors:
         })
         assert code == 2
         assert "coordinates must be finite" in err
+        assert out == ""
+
+    def test_uncertified_quotient_projection_exit_4(self, tmp_path, monkeypatch):
+        # a derivative's quotients rest on certified projections only, and
+        # the ConvergenceError it raises otherwise is exit 4
+        certified = solver.project_with_certificate
+
+        def uncertified(space, C, x, *args):
+            cert = certified(space, C, x, *args)
+            cert.converged = False
+            return cert
+
+        monkeypatch.setattr(solver, "project_with_certificate", uncertified)
+        code, out, err = run_cli(tmp_path, "derivative", {
+            "space": {"p": 3, "n": 2},
+            "set": {"type": "segment", "u": [0, 0], "w": [1, 0]},
+            "inputs": {"x": [0.5, 1], "v": [1, 0]},
+        })
+        assert code == 4
+        assert "non-convergence" in err and "uncertified" in err
         assert out == ""
 
     def test_numeric_failure_exit_4(self, tmp_path):

@@ -19,6 +19,7 @@ from banachproj import (
     directional_derivative,
     numdiff_derivative,
     project,
+    solver,
 )
 from banachproj.derivative import _cone_coordinatewise
 from banachproj.numdiff import ConvergenceError
@@ -453,6 +454,22 @@ class TestDirectionalDerivativeDispatch:
                                      np.array([0.5, 1.0]), np.array([1.0, 0.0]))
         assert res.case_label == "numeric"
         assert_allclose(res.value, [1.0, 0.0], atol=1e-8)
+
+    def test_uncertified_projection_raises_while_project_still_answers(self, monkeypatch):
+        # the quotients are differenced from certified points only; the
+        # plain projection keeps returning its point without a verdict
+        certified = solver.project_with_certificate
+
+        def uncertified(space, C, x, *args):
+            cert = certified(space, C, x, *args)
+            cert.converged = False
+            return cert
+
+        monkeypatch.setattr(solver, "project_with_certificate", uncertified)
+        space, C, x = LpSpace(2.0), Segment(u=[0.0, 0.0], w=[1.0, 0.0]), np.array([0.5, 1.0])
+        with pytest.raises(ConvergenceError, match="uncertified"):
+            directional_derivative(space, C, x, np.array([1.0, 0.0]))
+        assert_allclose(project(space, C, x), [0.5, 0.0])
 
     def test_ray_quotients(self):
         space = LpSpace(2.0)

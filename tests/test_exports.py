@@ -35,7 +35,6 @@ SETTINGS = [
     ("project_with_certificate", "cert_tol"),
     ("StepSchedule", "t_values"),
     ("StepSchedule", "quotient_tol"),
-    ("StepSchedule", "window"),
     ("numdiff_derivative", "schedule"),
     ("cauchy_rate_probe", "schedule"),
     ("thread_count", "requested"),
@@ -72,4 +71,4 @@ def test_settable_keywords_are_the_pinned_list():
     for suite in SUITES.values():
         found += _settings(suite.__name__, suite)
     assert sorted(found) == sorted(SETTINGS)
-    assert len(SETTINGS) == 39
+    assert len(SETTINGS) == 38

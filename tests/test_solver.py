@@ -69,6 +69,19 @@ def cut_corpus():
                     yield p, C, 2.0 * rng.normal(size=n)
 
 
+def vertex_corpus():
+    """216 seeded V projections: for each seed 0-7 of default_rng([seed, 77]),
+    p in {1.5, 3, 4} and n in {2, 3, 4}, the hull of n + 3 Gaussian vertices
+    and three points x = 2 N(0, I) (203 of them outside the hull)."""
+    for seed in range(8):
+        rng = np.random.default_rng([seed, 77])
+        for p in (1.5, 3.0, 4.0):
+            for n in (2, 3, 4):
+                C = PolytopeV(vertices=rng.normal(size=(n + 3, n)))
+                for _ in range(3):
+                    yield p, C, 2.0 * rng.normal(size=n)
+
+
 def lp_dist(p, a, b):
     return lp_norm(np.asarray(a, dtype=float) - np.asarray(b, dtype=float), p)
 
@@ -365,6 +378,18 @@ class TestVertexRepresentation:
         assert again.distance == 0.0
         assert again.iterations == 0
 
+    def test_seeded_vertex_corpus_certifies(self):
+        # SLSQP left 10 of the 203 outside points uncertified (worst residual
+        # -6.3e-8); Newton on the hull weights certifies every one, with a
+        # worst residual of -1.1e-14, in at most 12 steps
+        worst = math.inf
+        for p, C, x in vertex_corpus():
+            cert = project_with_certificate(LpSpace(p), C, x)
+            assert cert.converged
+            assert cert.iterations <= 20
+            worst = min(worst, cert.residual)
+        assert worst >= -1e-13
+
 
 class TestHalfspaceRepresentation:
     def test_single_halfspace_clips_one_coordinate(self):
@@ -539,19 +564,23 @@ class TestIterationBudget:
 
     def test_every_small_budget_is_kept_and_feasible(self):
         # Newton and Frank–Wolfe steps share max_iter; a cut-short run still
-        # returns a point on the rows at membership scale (1e-9 max(1, |b|)),
-        # and a budget of at least the unbounded run's step count gives that
-        # run's certified point
+        # returns a point of the set (on the rows at membership scale
+        # 1e-9 max(1, |b|), or in the hull), and a budget of at least the
+        # unbounded run's step count gives that run's certified point
+        p, hull, hull_x = list(vertex_corpus())[141]   # the corpus' slowest: 12 steps
         cases = [(LpSpace(3.0), PolytopeH(normals=self.A, offsets=self.b), self.x),
-                 (LpSpace(4.0), CUT_BOX, CUT_BOX_X)]
+                 (LpSpace(4.0), CUT_BOX, CUT_BOX_X), (LpSpace(p), hull, hull_x)]
         for space, C, x in cases:
             full = project_with_certificate(space, C, x)
             assert full.converged
-            slack = 1e-9 * max(1.0, np.abs(C.offsets).max())
             for max_iter in range(1, 41):
                 cert = project_with_certificate(space, C, x, max_iter=max_iter)
                 assert cert.iterations <= max_iter
-                assert np.all(C.normals @ cert.point <= C.offsets + slack)
+                if C is hull:
+                    assert contains(space, C, cert.point)
+                else:
+                    slack = 1e-9 * max(1.0, np.abs(C.offsets).max())
+                    assert np.all(C.normals @ cert.point <= C.offsets + slack)
                 if max_iter >= full.iterations:
                     assert cert.converged
                     assert np.array_equal(cert.point, full.point)

@@ -19,6 +19,13 @@ class TestSuitesPass:
         assert run_suite("duality", p=p, n=n, count=200).passed
         assert run_suite("cone", p=p, n=n, count=30).passed
 
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_properties4_at_the_seeds_hulls_once_failed(self, seed):
+        # their V-polytope residuals were -7.9e-8 and -3.2e-8 under SLSQP;
+        # the suite's least residual is now -2.6e-15 and -1.4e-14
+        report = run_suite("properties4", seed=seed)
+        assert report.passed, report.summary()
+
     def test_same_seed_reports_identically(self):
         a = run_suite("ball", count=20, seed=3).to_json()
         b = run_suite("ball", count=20, seed=3).to_json()
