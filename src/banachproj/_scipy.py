@@ -1,12 +1,12 @@
 """SciPy submodules that are imported on first use.
 
 Importing `scipy.optimize` takes about 0.6 s, while balls, cones,
-subspaces, segments, rays, their derivatives and the moduli need no SciPy
-at all.  `sets` and `solver` bind `optimize` to the stand-in
-below: the first read of an attribute (`optimize.linprog`) imports the
-real module and keeps the attribute on the stand-in for later reads.  So
-only polytopes load `scipy.optimize` (the segment and ray line search is
-the NumPy-only Brent in `sets`).  `stats` is read by nothing in the
+subspaces, segments, rays, V-polytopes, their derivatives and the moduli
+need no SciPy at all.  `sets` and `solver` bind `optimize` to the
+stand-in below: the first read of an attribute imports the real module
+and keeps the attribute on the stand-in for later reads.  So only
+H-polytopes load `scipy.optimize`, for the linear programs of their
+feasibility probe and support point.  `stats` is read by nothing in the
 package: it remains for the span tracer of the benchmark, which hooks
 `moduli.stats.gamma.ppf`, so only traced runs import `scipy.stats`.
 """

@@ -315,7 +315,7 @@ def _cmd_rate(cfg: dict, seed: int, out) -> int:
     k_min, k_max = opts.get("k_min", 8), opts.get("k_max", 20)
     if k_max <= k_min:
         raise _ConfigError("rate schedule needs k_max > k_min")
-    sched = StepSchedule(tuple(2.0 ** -k for k in range(k_min, k_max + 1))).truncated(C.solver_tol)
+    sched = StepSchedule(tuple(2.0 ** -k for k in range(k_min, k_max + 1)))
     rep = cauchy_rate_probe(space, lambda z: solver.project(space, C, z), x, dirs, sched)
     report = _set_report("rate", space, n, C, x=x, **rep.summary(), pairs=rep.pairs)
     _emit(report, out, csv_rows=rep.csv_rows())

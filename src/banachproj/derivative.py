@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sets, solver
-from .numdiff import ConvergenceError, NumericDerivative, StepSchedule, numdiff_derivative
+from .numdiff import ConvergenceError, NumericDerivative, numdiff_derivative
 from .space import LpSpace
 
 __all__ = ["DerivativeResult", "TIE_TOL", "directional_derivative"]
@@ -174,19 +174,16 @@ def directional_derivative(space: LpSpace, C, x, v) -> DerivativeResult:
     whose class has an entry in `_CLOSED_FORMS` (balls, the positive cone,
     coordinate subspaces, singletons) gets its exact clause at every base
     point.  The others (segments, rays, polytopes) are differenced
-    numerically on the default `StepSchedule` and labeled "numeric" (for an
-    iterative C.solver_tol > 0, at a 1e-4 window and without steps below the
-    solver's noise) from certified projections; non-convergence, or an
-    uncertified projection, raises ConvergenceError.
+    numerically on the default `StepSchedule`, from certified projections,
+    and labeled "numeric"; non-convergence, or an uncertified projection,
+    raises ConvergenceError.
     """
     x = sets._point(C, x)
     v = _direction(x, v)
     closed_form = _CLOSED_FORMS.get(type(C))
     if closed_form is not None:
         return closed_form(space, C, x, v)
-    schedule = (StepSchedule(quotient_tol=1e-4).truncated(C.solver_tol)
-                if C.solver_tol > 0.0 else None)
-    est = numdiff_derivative(space, lambda z: _certified(space, C, z), x, v, schedule)
+    est = numdiff_derivative(space, lambda z: _certified(space, C, z), x, v)
     if not est.converged:
         raise ConvergenceError(
             "projection quotients did not settle within the schedule",

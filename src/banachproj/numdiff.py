@@ -37,6 +37,7 @@ class ConvergenceError(RuntimeError):
 
 
 _WINDOW = 3
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -63,21 +64,6 @@ class StepSchedule:
         if not (0.0 < self.quotient_tol < 1.0):
             raise ValueError("quotient_tol must lie in (0, 1)")
         object.__setattr__(self, "t_values", ts)
-
-    def truncated(self, solver_tol: float) -> "StepSchedule":
-        """Drop steps too small to difference against solver noise.
-
-        A step t is kept only while solver_tol <= t**2: below that, the
-        quotient (P(x+tv) - P(x))/t amplifies solver error past the
-        convergence tolerance instead of revealing the derivative.
-        """
-        if solver_tol <= 0:
-            return self
-        t_min = math.sqrt(solver_tol)
-        kept = tuple(t for t in self.t_values if t >= t_min)
-        if len(kept) < _WINDOW:
-            raise ValueError("noise truncation exhausted the schedule")
-        return StepSchedule(kept, self.quotient_tol)
 
 
 @dataclass
@@ -226,9 +212,11 @@ def cauchy_rate_probe(space, projector, x, directions, schedule: StepSchedule | 
     pairs = []
     sup_curve = np.zeros(n_pairs)
     k_terms = [1.0]
+    size = float(np.abs(np.append(x, base)).max())
     for dir_id, v in enumerate(dirs):
         points = [x + t * v for t in ts]
         projs = [np.asarray(projector(pt), dtype=float) for pt in points]
+        size = max(size, float(np.abs(projs).max()))
         quotients = [(pj - base) / t for pj, t in zip(projs, ts)]
         for k in range(n_pairs):
             dev = space.norm(quotients[k] - quotients[k + 1])
@@ -243,19 +231,18 @@ def cauchy_rate_probe(space, projector, x, directions, schedule: StepSchedule | 
             k_terms.append(space.norm(projs[i] - x))
             k_terms.append(space.norm(points[i] - base))
 
-    # deviations below this are rounding noise at unit direction scale,
-    # not a measurable convergence rate
-    noise_floor = 1e-10
+    # a deviation below 1e-10, or below the rounding of the projections
+    # (ε·max|x|, ε·max|P|) over s, is noise, not a measurable convergence rate
     tail_lo = len(ts) // 2
     fit_t, fit_d = [], []
-    tail_max = 0.0
+    settled = True
     for dir_id, t, s, dev in pairs:
         if t <= ts[tail_lo]:
-            tail_max = max(tail_max, dev)
+            settled = settled and dev <= max(1e-10, 32.0 * _EPS * size / s)
             if dev > 0.0:
                 fit_t.append(t)
                 fit_d.append(dev)
-    if tail_max <= noise_floor:
+    if settled:
         # quotients settled (projection locally affine along every
         # sampled direction): no rate left to fit, report order 0
         fitted_order = 0.0

@@ -18,7 +18,8 @@ in closed form (independent of p for the cone and subspace: Σ|x_i - z_i|^p
 separates, so each coordinate is clipped or zeroed on its own); segments
 and rays reduce to root finding on a monotone derivative, solved by a
 port of SciPy's Brent (`_brent_root`) that needs only NumPy; polytopes
-are handed to the iterative solver, and they alone load `scipy.optimize`.
+are handed to the iterative solver, and H-polytopes alone load
+`scipy.optimize` (their feasibility probe and support point are LPs).
 """
 from __future__ import annotations
 
@@ -102,12 +103,9 @@ class SetDescriptor:
     version refuses.  Its JSON form is its fields, unless it overrides
     `to_json`, and `descriptor_from_json` takes only entries of the types
     in `_entry_types` there (JSON numbers, or booleans for a mask).
-    `solver_tol` > 0 marks an iterative projection: the polytope solver
-    certifies it, and difference quotients skip steps with t² < solver_tol.
     `_gap_scale` gives the magnitudes behind the rounding of a certificate.
     """
 
-    solver_tol = 0.0
     _entry_types = (int, float)
 
     def contains(self, space: LpSpace, x: np.ndarray, eff: float) -> bool:
@@ -256,8 +254,6 @@ class CoordinateSubspace(SetDescriptor):
 class _Polytope(SetDescriptor):
     """Projected and certified by the iterative polytope solver."""
 
-    solver_tol = 1e-8
-
     def project(self, space, x):
         from .solver import _project_polytope  # local import: solver builds on this module
 
@@ -345,13 +341,6 @@ class PolytopeV(_Polytope):
         m = len(self.vertices)
         for _ in range(4):
             yield rng.dirichlet(np.ones(m)) @ self.vertices
-
-    def contains(self, space, x, eff):
-        # exact hull membership is a linear feasibility problem
-        m = self.vertices.shape[0]
-        res = optimize.linprog(c=np.zeros(m), A_eq=np.vstack([self.vertices.T, np.ones((1, m))]),
-                               b_eq=np.append(x, 1.0), bounds=[(0, None)] * m, method="highs")
-        return res.status == 0 or (eff > 0.0 and super().contains(space, x, eff))
 
 
 @dataclass(frozen=True, eq=False)
@@ -511,8 +500,9 @@ def contains(space: LpSpace, C, x, tol: float | None = None) -> bool:
 
     With tol=None a scale-aware default 1e-9 * max(1, ‖x‖) applies; an
     explicit tol (0 included) is used as given.  Each set type decides by
-    exact arithmetic or its own projection; polytopes fall back to the
-    solver only when their exact test is inconclusive and tol > 0.
+    exact arithmetic or by the distance to its projection, which is 0 at
+    a V-polytope's members; an H-polytope takes that distance only when
+    its rows fail and tol > 0.
     """
     x = _point(C, x)
     eff = _tolerance(space, x) if tol is None else float(tol)

@@ -687,8 +687,8 @@ print(json.dumps({"message": message, "optimize": "scipy.optimize" in sys.module
 
 
 class TestStartup:
-    """Closed forms and moduli load no SciPy module; the first polytope
-    loads scipy.optimize."""
+    """Closed forms, V-polytopes and moduli load no SciPy module; the first
+    H-polytope loads scipy.optimize."""
 
     def run_fresh(self, code, *args):
         proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
@@ -697,16 +697,19 @@ class TestStartup:
         return json.loads(proc.stdout)
 
     def test_closed_form_commands_load_no_scipy(self, tmp_path):
-        # balls, segments and rays: project, derivative, classify and rate
-        # need only NumPy, and so does every verify suite but properties4
+        # balls, segments, rays and V-polytopes: project, derivative,
+        # classify and rate need only NumPy, and so does every verify suite
+        # but properties4
         u, w, x = SEGMENT
         sets = {"ball": {"type": "ball", "center": [0, 0, 0], "radius": 1},
                 "segment": {"type": "segment", "u": u, "w": w},
-                "ray": {"type": "ray", "v": u, "dir": w}}
+                "ray": {"type": "ray", "v": u, "dir": w},
+                "polytope_v": {"type": "polytope_v",
+                               "vertices": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]]}}
         runs = [("project", "ball", {"inputs": [[2, 2, 2], [0.1, 0.2, 0.3]]}),
                 ("derivative", "ball", {"inputs": {"x": [2, 2, 2], "v": [1, 0, 0]}}),
                 ("classify", "ball", {"inputs": {"x": [1, 0, 0]}})]
-        for kind in ("segment", "ray"):
+        for kind in ("segment", "ray", "polytope_v"):
             runs.append(("project", kind, {"inputs": {"x": x}}))
             runs.append(("derivative", kind, {"inputs": {"x": x, "v": [1, 0, 0]}}))
             runs.append(("rate", kind, {"inputs": {"x": x}, "rate": {"count": 2}}))

@@ -414,6 +414,34 @@ class TestInteriorRule:
         assert res.case_label == label
 
 
+# the `cli` benchmark's derivative_vpoly configs at seeds 5 and 9 (p = 3,
+# n = 3): vertices, x and v
+VPOLY_SLOW_QUOTIENTS = [
+    ([[-0.3310916468929106, 0.22712351303583383, 0.5825027480429197],
+      [-0.311681337715842, -0.4434138017062611, 0.056796183442501334],
+      [0.42529892024371735, 1.0980525684298288, 0.39385518829721944],
+      [-1.381859529542985, 0.34099941301684084, -1.5879197643094438],
+      [-1.8789473897865427, 0.0936598390600402, 0.7927839578542527],
+      [0.049566967166567194, 0.6310271193625365, 2.097119804439586],
+      [0.469934885966224, 0.9090893851607912, -0.8334183144766817],
+      [0.18908762354789907, -0.4106785528469963, 0.17435107049853205],
+      [-0.43939334140383773, 1.652126760108447, -0.3273294457131742]],
+     [-0.48742918289965975, -0.7251312195917625, -0.1772904494255858],
+     [0.20493756634624816, 1.1034069545901093, -0.8920450974735719]),
+    ([[0.3404379319939563, 0.6315172006993587, -0.0759925408170195],
+      [1.1862990792946886, -0.8494650622910581, 0.9983054776388802],
+      [0.4524824547926865, 0.7950307360243918, -0.23415834912605787],
+      [-0.5352617114045555, -0.09569884719239859, 0.6374331475522533],
+      [1.2218556782572807, -0.22214559312470566, 0.30110096841439077],
+      [0.20503710742395345, -0.6566739692055231, 1.8106009770223823],
+      [0.00036145248929929206, -0.40751171930272756, -0.9489164783698165],
+      [-1.142278346125907, 0.06512734824914965, -1.7263058883776419],
+      [0.1990041156135396, 0.37306149864940447, 0.6083918486981099]],
+     [2.6173489842830753, -0.29895689615093557, 0.8471317866421242],
+     [0.9555906882274241, -1.1159950778480618, 0.5526405956996042]),
+]
+
+
 class TestDirectionalDerivativeDispatch:
     def test_ball_route(self):
         space = LpSpace(2.0)
@@ -478,12 +506,26 @@ class TestDirectionalDerivativeDispatch:
         assert res.case_label == "numeric"
         assert_allclose(res.value, [1.0, 0.0], atol=1e-8)
 
-    def test_polytope_quotients_with_truncated_schedule(self):
+    def test_h_polytope_quotients_on_the_default_schedule(self):
         space = LpSpace(2.0)
         C = PolytopeH(normals=[[1.0, 0.0]], offsets=[0.0])
         res = directional_derivative(space, C, np.array([1.0, 1.0]), np.array([1.0, 0.0]))
         assert res.case_label == "numeric"
         assert_allclose(res.value, [0.0, 0.0], atol=1e-8)
+
+    @pytest.mark.parametrize("vertices, x, v", VPOLY_SLOW_QUOTIENTS, ids=["seed5", "seed9"])
+    def test_v_polytope_quotients_settle_on_a_certified_secant(self, vertices, x, v):
+        # quotients that move at first order in t: a schedule stopped at
+        # t = 1e-4 left them 1.7e-4 apart; the default one settles them in
+        # 17 and 18 steps, on the secant at h = 2^-24 to 2.7e-8
+        space, C = LpSpace(3.0), PolytopeV(vertices=vertices)
+        res = directional_derivative(space, C, x, v)
+        assert res.case_label == "numeric"
+        base = solver.project_with_certificate(space, C, x)
+        h = 2.0 ** -24
+        moved = solver.project_with_certificate(space, C, np.add(x, np.multiply(h, v)))
+        assert base.converged and moved.converged
+        assert_allclose((moved.point - base.point) / h, res.value, rtol=0.0, atol=1e-7)
 
     def test_non_convergence_raises_with_trace(self):
         # a ray at p = 1.5 whose quotients do not settle on the default

@@ -15,6 +15,7 @@ from banachproj import (
     ConvergenceError,
     LpSpace,
     NumericDerivative,
+    PolytopeH,
     PositiveCone,
     StepSchedule,
     cauchy_rate_probe,
@@ -63,22 +64,6 @@ class TestStepSchedule:
         for tol in (0.0, -1e-3, 1.0, 2.0):
             with pytest.raises(ValueError):
                 StepSchedule(quotient_tol=tol)
-
-    def test_truncation_keeps_steps_above_noise_floor(self):
-        # solver tol 1e-8 -> steps below sqrt(1e-8) = 1e-4 are dropped
-        sched = StepSchedule().truncated(1e-8)
-        assert min(sched.t_values) >= 1e-4
-        assert sched.t_values == tuple(2.0 ** -k for k in range(8, 14))
-        assert sched.quotient_tol == StepSchedule().quotient_tol
-
-    def test_truncation_noop_for_nonpositive_tol(self):
-        sched = StepSchedule()
-        assert sched.truncated(0.0) is sched
-        assert sched.truncated(-1.0) is sched
-
-    def test_truncation_exhaustion(self):
-        with pytest.raises(ValueError, match="exhausted"):
-            StepSchedule().truncated(1.0)
 
 
 class TestDiffQuotient:
@@ -335,6 +320,28 @@ class TestCauchyRateProbe:
             [np.array([0.0, 0.0, -1.0])],
         )
         assert probe.uniform_sup == 0.0
+        assert probe.fitted_order == 0.0
+
+    def test_locally_constant_polytope_projection_settles(self):
+        # x projects to a vertex of this H-polytope along every direction
+        # probed: the quotients are constant, and their deviations, 6e-13 at
+        # t = 2^-8 rising to 1.4e-9 at 2^-20, are the projection's rounding
+        # (~ε·max|x|) over s.  An absolute 1e-10 floor fitted them as order -1.1
+        space = LpSpace(3.0)
+        C = PolytopeH(
+            normals=np.vstack([np.eye(3), -np.eye(3),
+                               [[0.80909230430480894, 1.4961428495353297, 0.24057814029007343],
+                                [0.46387692021317872, -0.033643255754479198, -0.076175878235733893]]]),
+            offsets=np.array([1.4757142289031848, 0.87060207042214188, 1.0435152367968668,
+                              0.57212168371875982, 1.3749130322425764, 0.69623255777291937,
+                              0.6, 0.6]),
+        )
+        x = np.array([-4.8301754727538677, 3.2491086732543293, 1.0999852696148271])
+        rng = np.random.default_rng(1)
+        dirs = [space.unit(rng.standard_normal(3)) for _ in range(3)]
+        sched = StepSchedule(tuple(2.0 ** -k for k in range(8, 21)))
+        probe = cauchy_rate_probe(space, lambda y: project(space, C, y), x, dirs, sched)
+        assert 1e-10 < probe.uniform_sup < 1e-8
         assert probe.fitted_order == 0.0
 
     def test_requires_unit_directions(self):

@@ -312,15 +312,30 @@ class TestVertexRepresentation:
         assert cert.residual >= -CERT_TOL
         assert_allclose(cert.distance, 1.0, rtol=1e-12)
 
-    def test_query_in_hull_returned_exactly(self):
-        space = LpSpace(2.0)
-        x = np.array([0.3, 0.3, 0.4])
-        cert = project_with_certificate(space, SIMPLEX, x)
-        assert np.array_equal(cert.point, x)
-        assert cert.residual == 0.0
-        assert cert.iterations == 0
-        assert cert.distance == 0.0
-        assert cert.converged
+    @pytest.mark.parametrize("scale", [1e-100, 1.0, 1e100])
+    def test_query_in_hull_returned_exactly(self, scale):
+        # no membership LP runs first: the ℓ_2 Newton pass reaches an in-hull
+        # x to rounding and returns x itself.  Without it, p = 1.05 stalled
+        # for 100,000 steps and the 1e100 scale left most queries uncertified;
+        # measured over these 600 queries: all exact, at most 11 steps
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            n, p = int(rng.integers(2, 5)), float(rng.choice([1.05, 1.2, 1.5, 2.0, 3.0, 4.0]))
+            V = scale * rng.standard_normal((n + 3, n))
+            x = rng.dirichlet(np.ones(n + 3)) @ V
+            cert = project_with_certificate(LpSpace(p), PolytopeV(vertices=V), x)
+            assert cert.converged
+            assert np.array_equal(cert.point, x)
+            assert cert.residual == 0.0 and cert.distance == 0.0
+            assert cert.iterations <= 20
+
+    def test_member_at_zero_tolerance(self):
+        # ℓ_2 Newton lands 2.8e-17 from this point; it is still its own
+        # projection, so membership holds at tol = 0
+        x = np.array([0.1, 0.2, 0.7])
+        for p in (1.05, 2.0, 3.0):
+            assert np.array_equal(project(LpSpace(p), SIMPLEX, x), x)
+            assert contains(LpSpace(p), SIMPLEX, x, tol=0.0)
 
     def test_single_vertex_hull(self):
         space = LpSpace(3.0)
@@ -373,7 +388,7 @@ class TestVertexRepresentation:
         assert_allclose(cert.point, [1.0, 1.0, 0.0], atol=1e-6)
         f = lambda z: np.sum(np.abs(x - z) ** 4.0)
         assert f(cert.point) <= min(f(v) for v in V) + 1e-10
-        # reprojecting the answer hits the membership shortcut
+        # reprojecting the answer, a vertex, stops at the nearest-vertex start
         again = project_with_certificate(space, C, cert.point)
         assert again.distance == 0.0
         assert again.iterations == 0
@@ -389,6 +404,33 @@ class TestVertexRepresentation:
             assert cert.iterations <= 20
             worst = min(worst, cert.residual)
         assert worst >= -1e-13
+
+    def test_near_boundary_points_are_projected_not_returned(self):
+        # y = u + ε·unit(x - u) lies ε outside the hull, along the ray that
+        # projects to u.  A hull-membership LP accepted most of these points
+        # (all 198 at ε = 1e-9, 88 at 1e-7) and returned y as its own
+        # projection; Newton brings every one back to u, certified
+        rng = np.random.default_rng(3)
+        outside = 0
+        for _ in range(200):
+            n, p = int(rng.integers(2, 5)), float(rng.choice([1.5, 3.0, 4.0]))
+            space = LpSpace(p)
+            C = PolytopeV(vertices=rng.standard_normal((n + 3, n)))
+            x = 3.0 * rng.standard_normal(n)
+            u = project_with_certificate(space, C, x)
+            assert u.converged
+            if u.distance < 1e-12:   # x in the hull
+                continue
+            outside += 1
+            e = space.unit(x - u.point)
+            for eps in (1e-9, 1e-8, 1e-7):
+                y = u.point + eps * e
+                cert = project_with_certificate(space, C, y)
+                assert cert.converged
+                assert not np.array_equal(cert.point, y)
+                assert_allclose(cert.point, u.point, rtol=0, atol=1e-13)
+            assert not contains(space, C, u.point + 1e-7 * e)
+        assert outside == 198
 
 
 class TestHalfspaceRepresentation:
