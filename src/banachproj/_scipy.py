@@ -1,12 +1,15 @@
 """SciPy submodules that are imported on first use.
 
-Importing `scipy.optimize` takes about 0.6 s, while balls, cones,
-subspaces, segments, rays, V-polytopes, their derivatives and the moduli
-need no SciPy at all.  `sets` and `solver` bind `optimize` to the
-stand-in below: the first read of an attribute imports the real module
-and keeps the attribute on the stand-in for later reads.  So only
-H-polytopes load `scipy.optimize`, for the linear programs of their
-feasibility probe and support point.  `stats` is read by nothing in the
+Importing `scipy.optimize` takes about 0.25-0.6 s, while every set
+type, its derivatives and the moduli need no SciPy in the common case.
+`sets` and `solver` bind `optimize` to the stand-in below: the first
+read of an attribute imports the real module and keeps the attribute on
+the stand-in for later reads.  So `scipy.optimize` is loaded only by an
+H-polytope projection that the weak-duality bound from Newton's weights
+leaves uncertified: its support point is then a boxed linear program
+(`PolytopeH.support`), for the support-gap certificate and the
+Frank–Wolfe finish.  `solver` binds `optimize` only so that the span
+tracer of the benchmark can hook it.  `stats` is read by nothing in the
 package: it remains for the span tracer of the benchmark, which hooks
 `moduli.stats.gamma.ppf`, so only traced runs import `scipy.stats`.
 """

@@ -18,8 +18,11 @@ in closed form (independent of p for the cone and subspace: Σ|x_i - z_i|^p
 separates, so each coordinate is clipped or zeroed on its own); segments
 and rays reduce to root finding on a monotone derivative, solved by a
 port of SciPy's Brent (`_brent_root`) that needs only NumPy; polytopes
-are handed to the iterative solver, and H-polytopes alone load
-`scipy.optimize` (their feasibility probe and support point are LPs).
+are handed to the iterative solver.  An H-polytope finds its feasible
+point by non-negative least squares (`_nnls`), and the solver certifies
+its projections from the dual weights, a weak-duality lower bound on the
+support gap; only a point that bound leaves uncertified asks
+`PolytopeH.support` for a boxed LP, which loads `scipy.optimize`.
 """
 from __future__ import annotations
 
@@ -28,7 +31,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ._scipy import optimize
+from ._scipy import optimize  # the boxed support LP, imported on first use
 from .space import LpSpace
 
 __all__ = [
@@ -53,6 +56,7 @@ __all__ = [
 
 #: membership tolerance default, scaled by max(1, ||x||) in `_tolerance`
 MEMBERSHIP_TOL = 1e-9
+_EPS = float(np.finfo(float).eps)
 
 
 class InfeasibleSetError(ValueError):
@@ -264,7 +268,7 @@ class _Polytope(SetDescriptor):
 class PolytopeH(_Polytope):
     """Intersection of half-spaces { z : ⟨normal_k, z⟩ <= offset_k }.
 
-    Feasibility is probed at construction with a linear program; an empty
+    Feasibility is probed at construction (`_feasible_point`); an empty
     intersection raises InfeasibleSetError immediately rather than at the
     first projection attempt.  Its JSON form lists {normal, offset} rows.
     """
@@ -287,13 +291,7 @@ class PolytopeH(_Polytope):
             raise InfeasibleSetError("row with zero normal and negative offset")
         object.__setattr__(self, "normals", A)
         object.__setattr__(self, "offsets", b)
-        res = optimize.linprog(c=np.zeros(A.shape[1]), A_ub=A, b_ub=b,
-                               bounds=[(None, None)] * A.shape[1], method="highs")
-        if res.status == 2:
-            raise InfeasibleSetError("half-space system has no solution")
-        if res.status != 0:
-            raise ValueError(f"feasibility probe failed: {res.message}")
-        object.__setattr__(self, "_feasible_point", np.asarray(res.x, dtype=float))
+        object.__setattr__(self, "_feasible_point", _feasible_point(A, b))
 
     def feasible_point(self) -> np.ndarray:
         return self._feasible_point.copy()
@@ -316,6 +314,108 @@ class PolytopeH(_Polytope):
         rows = [{"normal": n.tolist(), "offset": float(b)}
                 for n, b in zip(self.normals, self.offsets)]
         return {"type": self.kind, "rows": rows}
+
+
+def _nnls(M: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """argmin ‖Mψ - e‖ over ψ >= 0, for M with unit columns (Lawson &
+    Hanson, *Solving Least Squares Problems*, 1974, ch. 23).
+
+    Each step frees the column of largest gradient Mᵀ(e - Mψ) and solves
+    the normal equations on the free set, stepping back to the first
+    weight that reaches 0 while that solution is not positive; a freed
+    column whose own weight comes out <= 0 (by rounding) is held back
+    until ψ next moves.  The steps stop once no gradient exceeds the
+    rounding of Mψ, M.size·ε·(1 + Σψ), or after 3m of them.  The normal
+    equations square the condition of M, so a last least-squares solve on
+    the free set replaces ψ when its residual is smaller (on the 1000
+    seeded infeasible systems of the tests, the worst Farkas residue
+    max|Aᵀψ|/max(|A|ᵀψ) falls from 9.1e-11 to 6.6e-15); a Gram system that
+    is exactly singular is solved by least squares too.
+    """
+    m = M.shape[1]
+    G, h = M.T @ M, M.T @ e
+    psi = np.zeros(m)
+    free = np.zeros(m, dtype=bool)
+    held = np.zeros(m, dtype=bool)
+    for _ in range(3 * m):
+        g = M.T @ (e - M @ psi)
+        g[free | held] = -math.inf
+        t = int(g.argmax())
+        if g[t] <= M.size * _EPS * (1.0 + psi.sum()):
+            break
+        free[t] = True
+        fresh = True
+        while True:
+            P = np.flatnonzero(free)
+            try:
+                s = np.linalg.solve(G[np.ix_(P, P)], h[P])
+            except np.linalg.LinAlgError:
+                s = np.linalg.lstsq(M[:, P], e, rcond=None)[0]
+            if fresh and s[np.searchsorted(P, t)] <= 0.0:
+                free[t], held[t] = False, True
+                break
+            fresh = False
+            held[:] = False
+            if s.min() > 0.0:
+                psi[P] = s
+                break
+            neg = np.flatnonzero(s <= 0.0)
+            ratio = psi[P[neg]] / (psi[P[neg]] - s[neg])
+            k = int(ratio.argmin())
+            psi[P] += ratio[k] * (s - psi[P])
+            psi[P[neg[k]]] = 0.0
+            out = P[psi[P] <= 0.0]
+            free[out], psi[out] = False, 0.0
+    if free.any():
+        P = np.flatnonzero(free)
+        polished = psi.copy()
+        polished[P] = np.maximum(np.linalg.lstsq(M[:, P], e, rcond=None)[0], 0.0)
+        if np.linalg.norm(M @ polished - e) < np.linalg.norm(M @ psi - e):
+            psi = polished
+    return psi
+
+
+def _feasible_point(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A point of {Az <= b}, at or near its least-norm point, or
+    InfeasibleSetError.
+
+    Lawson & Hanson's least-distance program (1974, ch. 23), from z = 0:
+    with unit row normals a_i, the offsets r = b - Az relative to z scaled
+    by max|r|, M's columns (a_i, r_i) normalised and e = (0, …, 0, -1),
+    the rows with ψ_i > 0, ψ = `_nnls`(M, e), are those tight at the
+    least-distance point z + dz, and dz is the least-norm solution of
+    them taken as equations.  (The textbook dz = w_z/(-w_t), w = e - Mψ,
+    amplifies the rounding of w by 1 + ‖dz‖²: a seeded tight system
+    missed its rows by 2.8e-7 that way.)  The scaling and the passes from
+    z + dz keep sets far from the origin decidable: with one unscaled pass
+    boxes 1e3 away in R^12 went undecided.  A z that passes every row at
+    membership slack 1e-9·max(1, max|b|) is returned, after at most four
+    passes.  Otherwise ψ is read as a Farkas ray: ψ >= 0, rᵀψ < 0 and
+    max|Aᵀψ| within 1e-9 of max(|A|ᵀψ) (a rounding residue, 6.6e-15 at
+    worst on the tests' seeded systems; taken coordinate by coordinate it
+    refused rays whose small coordinates sum few weights) prove the rows
+    infeasible.  A system that neither decides raises ValueError.
+    """
+    norms = np.linalg.norm(A, axis=1)
+    live = norms > 0.0   # a zero row holds: one with a negative offset was refused
+    A_, b_ = A[live] / norms[live, None], b[live] / norms[live]
+    slack = MEMBERSHIP_TOL * max(1.0, float(np.abs(b).max()))
+    n = A.shape[1]
+    z = np.zeros(n)
+    for _ in range(4):
+        if np.all(A @ z <= b + slack):
+            return z
+        r = b_ - A_ @ z
+        M = np.vstack([A_.T, r / np.abs(r).max()])
+        cols = np.linalg.norm(M, axis=0)
+        psi = _nnls(M / cols, -np.eye(1, n + 1, n)[0]) / cols
+        if r @ psi < 0.0 and np.abs(A_.T @ psi).max() <= MEMBERSHIP_TOL * (np.abs(A_).T @ psi).max():
+            raise InfeasibleSetError("half-space system has no solution")
+        tight = psi > 0.0
+        z = z + np.linalg.lstsq(A_[tight], r[tight], rcond=None)[0]
+    if np.all(A @ z <= b + slack):
+        return z
+    raise ValueError("feasibility probe failed: the rows decide neither way")
 
 
 @dataclass(frozen=True, eq=False)
@@ -519,7 +619,9 @@ def support(space: LpSpace, C, j, x, box: float) -> np.ndarray | None:
     far end of a piece of it that covers the box, and the H-polytope the
     boxed LP solution, or None when the LP fails.  The box must reach C;
     once box > ‖x - u‖ it holds every point of C closer to x than u, so
-    ⟨J(x - u), u - z⟩ is a sound optimality gap for u (see solver).
+    ⟨J(x - u), u - z⟩ is a sound optimality gap for u (see solver).  The
+    solver asks an H-polytope for this LP only when the weak-duality lower
+    bound on that gap, from its Newton weights, does not certify u.
     """
     return _descriptor(C).support(space, np.asarray(j, dtype=float),
                                   np.asarray(x, dtype=float), box)

@@ -15,11 +15,14 @@ Polytopes (`sets._Polytope`) project through `_project_polytope`: active-set
 Newton (`_newton`) on an H-polytope's separable dual or on a V-polytope's
 hull weights, finished while uncertified by Frank–Wolfe steps toward the
 support point; `max_iter` caps all of their steps together.  Only an
-H-polytope tests x for membership first (by its rows).  V and
-Frank–Wolfe steps search their line exactly with the segment projector's
-`sets._project_line_param`.  A failed certificate or support LP is
-reported as converged=False with the best iterate retained — never
-silently accepted.
+H-polytope tests x for membership first (by its rows).  An H point is
+certified first from its dual weights λ (`_dual_gap`): weak duality gives
+a lower bound on the support gap over the same box with no LP, so only a
+point that this bound leaves uncertified asks for the support LP and
+Frank–Wolfe.  V and Frank–Wolfe steps search their line exactly with the
+segment projector's `sets._project_line_param`.  A failed certificate or
+support LP is reported as converged=False with the best iterate retained
+— never silently accepted.
 """
 from __future__ import annotations
 
@@ -52,7 +55,10 @@ class ProjectionCertificate:
     """A candidate projection with its support-gap residual.
 
     `residual` is ⟨j, u - z⟩ for j = J(x - u) and z the support point
-    (-inf when the support LP fails).  converged implies membership of
+    (-inf when the support LP fails).  An H-polytope point certified from
+    its dual weights reports instead a weak-duality lower bound on that
+    gap over the box (see `_dual_gap`), with its own rounding allowance;
+    either way converged keeps its meaning.  converged implies membership of
     `point` in the set and residual >= -(cert_tol + 4·n·ε·Σ|j_i| w_i), with
     w = |u| + |z| for most sets (a forward rounding bound of the pairing).
     A ball adds |c| + (q - 1)|z - c| to w: its u = c + s(x - c) and its
@@ -171,7 +177,8 @@ def _newton_direction(M: np.ndarray, s: np.ndarray, e: float, g: np.ndarray) -> 
 
 
 def _newton(evaluate, lam: np.ndarray, u: np.ndarray, max_iter: int):
-    """The active-set loop of both polytope solvers; returns (point, iterations).
+    """The active-set loop of both polytope solvers; returns (point, weights,
+    iterations), the weights being those of the point kept.
 
     evaluate(lam) gives the residual of the weights lam >= 0, their point,
     whether the residual is at rounding level, and a function giving the
@@ -183,13 +190,13 @@ def _newton(evaluate, lam: np.ndarray, u: np.ndarray, max_iter: int):
     when a step fails (an overflow at large p or q, a NaN slope, a
     singular system).
     """
-    iterations, best, since, least = 0, math.inf, 0, math.inf
+    iterations, best, since, least, kept = 0, math.inf, 0, math.inf, lam
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             while True:
                 residual, point, done, step = evaluate(lam)
                 if residual < least:
-                    least, u = residual, point
+                    least, u, kept = residual, point, lam
                 if residual <= 0.5 * best:
                     best, since = residual, iterations
                 if done or iterations >= max_iter or iterations - since >= 30 or not (move := step()):
@@ -204,7 +211,7 @@ def _newton(evaluate, lam: np.ndarray, u: np.ndarray, max_iter: int):
                 iterations += 1
     except (ArithmeticError, np.linalg.LinAlgError):
         pass
-    return u, iterations
+    return u, kept, iterations
 
 
 def _project_vrep(space: LpSpace, C: sets.PolytopeV, x: np.ndarray, max_iter: int):
@@ -251,12 +258,12 @@ def _project_vrep(space: LpSpace, C: sets.PolytopeV, x: np.ndarray, max_iter: in
         return _newton(evaluate, np.eye(1, len(V), start)[0], V[start], max_iter)
 
     start = min(range(len(V)), key=lambda k: space.norm(x - V[k]))
-    u, iterations = solve(LpSpace(2.0), max_iter)
+    u, _, iterations = solve(LpSpace(2.0), max_iter)
     if np.all(np.abs(x - u) <= 32.0 * len(V) * _EPS * np.abs(V).max(axis=0)):
         return x.copy(), iterations
     if space.p == 2.0:
         return u, iterations
-    u, more = solve(space, max_iter - iterations)
+    u, _, more = solve(space, max_iter - iterations)
     return u, iterations + more
 
 
@@ -268,7 +275,9 @@ def _project_hrep(space: LpSpace, C: sets.PolytopeH, x: np.ndarray, max_iter: in
     -A diag((q - 1)|Aᵀλ|^(q-2)) Aᵀ, here on the rows with λ_i > 0 or g_i > 0.
     The line search is the root of g(λ + t d)·d: Armijo on dual values stalls
     below the dual's rounding, and unit Newton steps cycle where z_i = x_i (a
-    cube-root map at p = 4).  The residual is |λ - max(λ + g, 0)|.
+    cube-root map at p = 4).  The residual is |λ - max(λ + g, 0)|.  Returns
+    the point pulled onto the rows, the weights λ of Newton's point, and
+    the step count.
     """
     A, b, q = C.normals, C.offsets, space.q
     c = A @ x - b
@@ -302,22 +311,60 @@ def _project_hrep(space: LpSpace, C: sets.PolytopeH, x: np.ndarray, max_iter: in
 
         return d, search
 
-    u, iterations = _newton(evaluate, np.zeros_like(b), x, max_iter)
-    return _pull_feasible(C, u, C.feasible_point()), iterations   # the dual's point onto the rows
+    u, lam, iterations = _newton(evaluate, np.zeros_like(b), x, max_iter)
+    return _pull_feasible(C, u, C.feasible_point()), lam, iterations   # the dual's point onto the rows
+
+
+def _dual_gap(space: LpSpace, C: sets.PolytopeH, x: np.ndarray, u: np.ndarray, lam: np.ndarray,
+              iterations: int, cert_tol: float, box: float) -> ProjectionCertificate:
+    """Certify a row-feasible u by weak duality from the weights λ, with no LP.
+
+    For μ >= 0 and z in C with |z_i - x_i| <= box, ⟨j, z⟩ = μᵀAz + ⟨j - Aᵀμ, z⟩
+    <= μᵀb + ⟨j - Aᵀμ, x⟩ + box·‖j - Aᵀμ‖₁, so the residual
+    ⟨j, u - x⟩ + μᵀ(Ax - b) - box·‖j - Aᵀμ‖₁ is a lower bound on the support
+    gap ⟨j, u - z⟩ of `_support_gap`.  At the optimum j = J(x - u) is a
+    positive multiple of Aᵀλ, and μ = cλ takes the least-squares one,
+    c = max(⟨j, Aᵀλ⟩/‖Aᵀλ‖², 0), computed on Aᵀλ/max|Aᵀλ| (‖Aᵀλ‖² overflows
+    at p = 20).  The allowance for rounding is 4·(n + m)·ε times the
+    magnitudes of the three terms, capped at the largest double; a NaN
+    or -inf residual never passes.
+    """
+    A, b = C.normals, C.offsets
+    distance, j = space._norm_and_map(x - u, space.p)
+    with np.errstate(over="ignore", invalid="ignore"):   # a NaN residual never passes
+        s = A.T @ lam
+        top = np.abs(s).max()
+        mu = np.zeros_like(lam)
+        if top > 0.0:   # scaled by max|Aᵀλ|: ‖Aᵀλ‖² overflows at p = 20
+            k = s / top
+            mu = max((j @ k) / (k @ k) / top, 0.0) * lam
+        residual = float(j @ (u - x) + mu @ (A @ x - b) - box * np.abs(j - A.T @ mu).sum())
+        if residual < -cert_tol:
+            scale = (np.abs(j) @ (np.abs(u) + np.abs(x)) + mu @ (np.abs(A) @ np.abs(x) + np.abs(b))
+                     + box * (np.abs(j).sum() + mu @ np.abs(A).sum(axis=1)))
+            cert_tol += min(4.0 * (x.size + b.size) * _EPS * float(scale), _MAX)
+    return ProjectionCertificate(u, residual, iterations, distance, residual >= -cert_tol)
 
 
 def _project_polytope(space: LpSpace, C, x: np.ndarray, max_iter: int = MAX_ITER,
                       cert_tol: float = CERT_TOL) -> ProjectionCertificate:
     """Certified ℓ_p projection of a checked x onto a polytope (either
-    representation): Newton's point (an H one pulled onto the rows),
-    finished by Frank–Wolfe while uncertified; both share `max_iter`."""
+    representation): Newton's point (an H one pulled onto the rows and
+    certified from its weights when it can be), finished by Frank–Wolfe
+    while uncertified; both share `max_iter`."""
     vrep = isinstance(C, sets.PolytopeV)
-    # exact rows save an inside H point the support LP (a V `contains` projects)
-    if not vrep and C.contains(space, x, 0.0):
+    if vrep:
+        u, iterations = _project_vrep(space, C, x, max_iter)
+    elif C.contains(space, x, 0.0):   # exact rows: an inside point is its own projection
         return ProjectionCertificate(x.copy(), 0.0, 0, 0.0, True)
-    u, iterations = (_project_vrep if vrep else _project_hrep)(space, C, x, max_iter)
+    else:
+        u, lam, iterations = _project_hrep(space, C, x, max_iter)
     box = 2.0 * space.norm(x - u) + 1.0
-    cert = _support_gap(space, C, x, u, iterations, cert_tol, box)
+    if not vrep and _feasible(C, u):
+        cert = _dual_gap(space, C, x, u, lam, iterations, cert_tol, box)
+        if cert.converged:
+            return cert
+    cert = _support_gap(space, C, x, u, iterations, cert_tol, box)   # the support LP, for H
     if not cert.converged and iterations < max_iter:
         u, iterations = _conditional_gradient(space, C, x, u, box, iterations, max_iter, cert_tol)
         cert = _support_gap(space, C, x, u, iterations, cert_tol, box)

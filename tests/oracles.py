@@ -8,7 +8,9 @@ is evidence, not circularity.  The one exception is `duality_smoothness`, which 
 the package's duality map and quotient estimator; `xi_quotient` checks it.
 `wrapped_power_norm` and `wrapped_duality_map` are the kernel's earlier
 NumPy form, and `line_param_brentq` is the line search's earlier SciPy
-form, kept to pin their bits rather than their accuracy.
+form, kept to pin their bits rather than their accuracy.  `highs_feasible`
+and `highs_support` are HiGHS linear programs: the H-polytope's earlier
+feasibility probe, and the boxed support point behind the certificate.
 """
 import numpy as np
 from scipy import optimize
@@ -228,6 +230,23 @@ def line_param_brentq(p, origin, d, x, hi=None, xtol=np.finfo(float).tiny):
         return upper(end)
     return float(optimize.brentq(slope, lo, end, xtol=xtol,
                                  rtol=4.0 * np.finfo(float).eps, maxiter=2000))
+
+
+def highs_feasible(A, b):
+    """Is {z : Az <= b} nonempty?  HiGHS on the zero objective, free
+    variables: True (status 0), False (status 2, infeasible), or None when
+    HiGHS decides neither way."""
+    A = np.asarray(A, dtype=float)
+    res = optimize.linprog(np.zeros(A.shape[1]), A_ub=A, b_ub=b,
+                           bounds=[(None, None)] * A.shape[1], method="highs")
+    return {0: True, 2: False}.get(res.status)
+
+
+def highs_support(A, b, j, x, box):
+    """argmax ⟨j, z⟩ over {Az <= b, |z_i - x_i| <= box} by HiGHS, or None."""
+    res = optimize.linprog(-np.asarray(j, dtype=float), A_ub=A, b_ub=b,
+                           bounds=list(zip(x - box, x + box)), method="highs")
+    return res.x if res.status == 0 else None
 
 
 def line_derivative(p, d, r, v):

@@ -13,6 +13,7 @@ import pytest
 from banachproj import solver
 from banachproj.cli import main
 from banachproj.verify import CheckResult, SuiteReport
+from test_solver import FALLBACK as FALLBACK_SET, FALLBACK_P, FALLBACK_X
 
 HARD_ROWS = [
     {"normal": [-2.138225589513189, -1.4499480667813884, 0.7959134126817742],
@@ -640,7 +641,8 @@ class TestConsoleScript:
 
 
 SEGMENT = ([0.5, -1.0, 2.0], [1.5, 0.25, -0.5], [1.2, -0.3, 1.1])   # u, w, x: interior foot
-POLYTOPE = ([[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]], [1, 1, 1, 1], [2.0, 1.5, -0.5])
+# the H projection that only the support LP and Frank–Wolfe certify: p, normals, offsets, x
+FALLBACK = (FALLBACK_P, FALLBACK_SET.normals.tolist(), FALLBACK_SET.offsets.tolist(), FALLBACK_X.tolist())
 MODULI_ARGS = (3.0, 2, [0.2, 0.5, 1.0])
 MODULI_KW = {"budget": 500, "seed": 7, "threads": 2}
 
@@ -658,9 +660,9 @@ print(json.dumps({"codes": codes, "loaded": loaded}))
 POLYTOPE_PROBE = """
 import json, sys
 from banachproj import LpSpace, PolytopeH, project
-normals, offsets, x = json.loads(sys.argv[1])
+p, normals, offsets, x = json.loads(sys.argv[1])
 before = "scipy.optimize" in sys.modules
-point = project(LpSpace(3.0), PolytopeH(normals=normals, offsets=offsets), x)
+point = project(LpSpace(p), PolytopeH(normals=normals, offsets=offsets), x)
 print(json.dumps({"before": before, "after": "scipy.optimize" in sys.modules,
                   "point": [repr(c) for c in point]}))
 """
@@ -687,8 +689,9 @@ print(json.dumps({"message": message, "optimize": "scipy.optimize" in sys.module
 
 
 class TestStartup:
-    """Closed forms, V-polytopes and moduli load no SciPy module; the first
-    H-polytope loads scipy.optimize."""
+    """Closed forms, both polytope types and moduli load no SciPy module;
+    an H projection that its Newton weights leave uncertified loads
+    scipy.optimize for the support LP."""
 
     def run_fresh(self, code, *args):
         proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
@@ -736,14 +739,33 @@ class TestStartup:
         out = self.run_fresh(LAZY_PROBE, json.dumps([("moduli", str(path))]))
         assert out == {"codes": [0], "loaded": []}
 
-    def test_first_polytope_projection_loads_optimize_and_matches_a_warm_one(self):
+    def test_axis_box_commands_and_properties4_load_no_scipy(self, tmp_path):
+        # the box's feasible point comes from NNLS and its projections are
+        # certified from Newton's weights, so no LP runs
+        box = {"type": "polytope_h", "rows": [
+            {"normal": row, "offset": 1.0} for row in np.vstack([np.eye(3), -np.eye(3)]).tolist()]}
+        x = [2.0, -0.4, 1.7]
+        configs = [(command, {"space": {"p": 3, "n": 3}, "set": box, **extra}) for command, extra in (
+            ("project", {"inputs": [x, [0.1, 0.2, 0.3], [-3.0, 2.0, 0.5]]}),
+            ("derivative", {"inputs": {"x": x, "v": [1, 0, 0]}}),
+            ("rate", {"inputs": {"x": x}, "rate": {"count": 2}}))]
+        configs.append(("verify", {"suite": "properties4", "count": 3}))
+        commands = []
+        for i, (command, config) in enumerate(configs):
+            path = tmp_path / f"{i}_{command}.json"
+            path.write_text(json.dumps(config))
+            commands.append((command, str(path)))
+        out = self.run_fresh(LAZY_PROBE, json.dumps(commands))
+        assert out == {"codes": [0] * len(configs), "loaded": []}
+
+    def test_support_lp_fallback_loads_optimize_and_matches_a_warm_one(self):
         import scipy.optimize  # noqa: F401  (the reference answer runs with it loaded)
         from banachproj import LpSpace, PolytopeH, project
 
-        out = self.run_fresh(POLYTOPE_PROBE, json.dumps(POLYTOPE))
+        out = self.run_fresh(POLYTOPE_PROBE, json.dumps(FALLBACK))
         assert (out["before"], out["after"]) == (False, True)
-        normals, offsets, x = POLYTOPE
-        eager = project(LpSpace(3.0), PolytopeH(normals=normals, offsets=offsets), x)
+        p, normals, offsets, x = FALLBACK
+        eager = project(LpSpace(p), PolytopeH(normals=normals, offsets=offsets), x)
         assert out["point"] == [repr(c) for c in eager]
 
     def test_classify_refuses_a_polytope_before_its_membership_lp(self):

@@ -1,4 +1,6 @@
 """Set descriptors, membership, closed-form projections, inverse images."""
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,7 @@ from banachproj.sets import _TYPES, _Polytope, _tolerance
 from banachproj.verify import _random_sets
 from oracles import (
     grid_project,
+    highs_feasible,
     line_param_bisect,
     line_param_brentq,
     lp_norm,
@@ -73,6 +76,12 @@ class TestDescriptorValidation:
         z = C.feasible_point()
         assert np.all(C.normals @ z <= C.offsets + 1e-9)
 
+    def test_redundant_zero_and_duplicate_rows_are_feasible(self):
+        # a zero row with offset 0 and a row given twice leave the set as it is
+        C = PolytopeH(normals=[[0.0, 0.0], [1.0, 1.0], [1.0, 1.0], [-1.0, 0.0]],
+                      offsets=[0.0, -1.0, -1.0, 3.0])
+        assert_allclose(C.feasible_point(), [-0.5, -0.5], rtol=0.0, atol=1e-15)
+
     def test_vertex_matrix_shape_checked(self):
         with pytest.raises(ValueError):
             PolytopeV(vertices=np.zeros((0, 2)))
@@ -84,6 +93,91 @@ class TestDescriptorValidation:
             Singleton(y=[1.0, float("inf")])
         with pytest.raises(ValueError):
             Ball(center=[float("nan"), 0.0], radius=1.0)
+
+
+def probe_corpus():
+    """2000 seeded row systems Az <= b: n = 2..12, 1..3n rows, each row and
+    the anchor z0 scaled by e^U(-3, 3).  Of each four, one has every row
+    tight at z0 (b = Az0), one slack rows (b = Az0 + s), and two those
+    slack rows plus a row -σAᵀy, y >= 0 random, with offset below -σbᵀy,
+    so that y and that row's weight 1/σ are a Farkas ray (infeasible by
+    construction).  Yields (feasible, A, b)."""
+    rng = np.random.default_rng(32)
+    for i in range(2000):
+        n = int(rng.integers(2, 13))
+        m = int(rng.integers(1, 3 * n + 1))
+        A = rng.normal(size=(m, n)) * np.exp(rng.uniform(-3.0, 3.0, size=(m, 1)))
+        b = A @ (rng.normal(size=n) * np.exp(rng.uniform(-3.0, 3.0)))
+        if i % 4:
+            b = b + rng.uniform(0.0, 1.0, m) * np.exp(rng.uniform(-3.0, 3.0))
+        if i % 4 >= 2:
+            y = rng.uniform(0.0, 1.0, m) * (rng.random(m) < 0.6)
+            y[rng.integers(m)] += 1.0
+            sigma = np.exp(rng.uniform(-3.0, 3.0))
+            gap = rng.uniform(0.01, 1.0) * np.exp(rng.uniform(-3.0, 3.0))
+            order = rng.permutation(m + 1)
+            A = np.vstack([A, -sigma * (A.T @ y)])[order]
+            b = np.append(b, -sigma * (b @ y) - gap)[order]
+        yield i % 4 < 2, A, b
+
+
+#: seconds allowed for one construction at n = 100 and 300.  On a 2-core
+#: VM it took 9-24 ms and 0.14-0.22 s alone, and up to 0.3 s and 20 s while
+#: a benchmark kept both cores busy (each Gram solve is a threaded LAPACK
+#: call); a least-squares solve per step takes 20-58 s at 300 alone
+LARGE_PROBE_S = {100: 5.0, 300: 60.0}
+
+
+def _rows_hold(A, b, z):
+    return bool(np.all(A @ z <= b + 1e-9 * max(1.0, float(np.abs(b).max()))))
+
+
+class TestFeasibilityProbe:
+    """The construction probe: Lawson–Hanson NNLS instead of a HiGHS LP."""
+
+    def test_seeded_systems_decide_as_the_construction_and_highs(self):
+        disagree, undecided = [], 0
+        for i, (feasible, A, b) in enumerate(probe_corpus()):
+            try:
+                z = PolytopeH(normals=A, offsets=b).feasible_point()
+                found = True
+                assert _rows_hold(A, b, z), i
+            except InfeasibleSetError:
+                found = False
+            except ValueError:
+                undecided += 1
+                continue
+            if not found == feasible == highs_feasible(A, b):
+                disagree.append(i)
+        assert (disagree, undecided) == ([], 0)
+
+    @pytest.mark.parametrize("center", [1e3, 1e6, 1e12])
+    def test_sets_far_from_the_origin_decide(self, center):
+        # one unscaled least-distance pass left boxes 1e3 away in R^12
+        # undecided: the origin's distance swamps the rows' own scale
+        rng = np.random.default_rng(int(np.log10(center)))
+        for n in (2, 5, 12, 50):
+            A = np.vstack([np.eye(n), -np.eye(n), rng.normal(size=(n, n))])
+            b = A @ (center + rng.normal(size=n)) + rng.uniform(0.01, 1.0, 3 * n)
+            assert _rows_hold(A, b, PolytopeH(normals=A, offsets=b).feasible_point())
+            with pytest.raises(InfeasibleSetError):   # the first row against its opposite
+                PolytopeH(normals=np.vstack([A, -A[0]]), offsets=np.append(b, -b[0] - 1e-3 * center))
+
+    @pytest.mark.parametrize("n", [100, 300])
+    def test_hundreds_of_rows(self, n):
+        # the chain z_(i+1) >= z_i + 1 has every row active at its
+        # least-norm point i - (n - 1)/2; the cuts are 2n random rows
+        chain = np.eye(n)[:-1] - np.eye(n, k=1)[:-1]
+        rng = np.random.default_rng(n)
+        cuts = rng.normal(size=(2 * n, n))
+        for A, b in ((chain, -np.ones(n - 1)),
+                     (cuts, cuts @ rng.normal(size=n) + rng.uniform(0.0, 1.0, 2 * n))):
+            start = time.perf_counter()
+            z = PolytopeH(normals=A, offsets=b).feasible_point()
+            assert time.perf_counter() - start < LARGE_PROBE_S[n]
+            assert _rows_hold(A, b, z)
+        assert_allclose(PolytopeH(normals=chain, offsets=-np.ones(n - 1)).feasible_point(),
+                        np.arange(n) - (n - 1) / 2.0, rtol=0.0, atol=1e-9)
 
 
 class TestDescriptorJson:

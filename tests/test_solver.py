@@ -25,8 +25,9 @@ from banachproj import (
     project_with_certificate,
     support,
 )
-from banachproj.solver import _support_gap
-from oracles import grid_argmin, grid_project, lp_norm, probe_gap
+from banachproj import sets as sets_mod
+from banachproj.solver import _dual_gap, _project_hrep, _support_gap
+from oracles import grid_argmin, grid_project, highs_support, lp_norm, probe_gap
 
 SIMPLEX = PolytopeV(vertices=np.eye(3))
 
@@ -47,6 +48,20 @@ CUT_BOX = PolytopeH(normals=np.vstack([np.eye(6), -np.eye(6), CUT_BOX_R]), offse
     0.22172917519762203, 0.6919148542472096, 0.7617921827335532])
 CUT_BOX_X = np.array([0.5572889494886955, -0.3445596738419935, 2.066836084627908,
                       -4.618991052248645, 2.7838787469832997, -1.4996233235552492])
+
+
+# one p = 1.2 projection of corpus B (PR 28's default_rng(7) corpus), a
+# box cut by four rows: Newton's weights leave the weak-duality bound at
+# -923, so the support LP (-3.2) and Frank–Wolfe finish it, at the vertex
+# where rows 4 and 6 meet, the parent's point to the last bit
+FALLBACK_P = 1.2
+FALLBACK = PolytopeH(normals=np.vstack([np.eye(2), -np.eye(2), [
+    [-0.9203315025983154, -0.39113926589531606], [-0.9937772624612621, -0.11138560326631033],
+    [0.9977421129143278, -0.06716156726322522], [0.6402188888886222, 0.7681925372653772]]]),
+    offsets=[0.6175111562261242, 0.6528314576480834, 1.109892410847337, 1.2792483677207405,
+             0.341149179269687, 0.31736965352299434, 0.17885005240123464, 0.3404227824848916])
+FALLBACK_X = np.array([-17.60406556872011, -15.83438172746199])
+FALLBACK_POINT = np.array([0.10406236726739333, -1.117047282636568])
 
 
 def cut_corpus():
@@ -170,12 +185,9 @@ class TestSupportGap:
                     type(C).__name__
 
     def test_failed_support_lp_never_certifies(self, monkeypatch):
-        import banachproj.sets as sets_mod
-
-        space = LpSpace(2.0)
-        C = PolytopeH(normals=[[1.0, 0.0], [0.0, 1.0]], offsets=[1.0, 1.0])
+        # the fallback instance: its weights do not certify, so the LP is asked
         monkeypatch.setattr(sets_mod, "support", lambda *args: None)
-        cert = project_with_certificate(space, C, np.array([2.0, 0.5]))
+        cert = project_with_certificate(LpSpace(FALLBACK_P), FALLBACK, FALLBACK_X)
         assert not cert.converged
         assert cert.residual == -np.inf
 
@@ -547,6 +559,52 @@ class TestHalfspaceRepresentation:
             assert np.all(C.normals @ cert.point <= C.offsets + 1e-9)
             worst = min(worst, cert.residual)
         assert worst >= -1e-13
+
+
+class TestDualCertificate:
+    """H projections certified by weak duality from Newton's weights."""
+
+    def test_cut_corpus_certifies_without_lp_below_the_highs_residual(self, monkeypatch):
+        # the bound is a lower bound on the support gap; against the HiGHS
+        # twin it was at most 1.6e-15 above it (rounding), worst bound -3.0e-14
+        monkeypatch.setattr(PolytopeH, "support", lambda *args: pytest.fail("support LP asked"))
+        for p, C, x in list(cut_corpus()) + [(4.0, CUT_BOX, CUT_BOX_X)]:
+            space = LpSpace(p)
+            cert = project_with_certificate(space, C, x)
+            assert cert.converged
+            if cert.iterations:
+                u = cert.point
+                j = space.duality_map(x - u)
+                z = highs_support(C.normals, C.offsets, j, x, 2.0 * space.norm(x - u) + 1.0)
+                assert cert.residual <= float(j @ (u - z)) + 1e-14
+                assert cert.residual >= -1e-13
+
+    def test_bound_fails_and_the_lp_with_frank_wolfe_certifies(self, monkeypatch):
+        space = LpSpace(FALLBACK_P)
+        u, lam, iterations = _project_hrep(space, FALLBACK, FALLBACK_X, 5000)
+        box = 2.0 * space.norm(FALLBACK_X - u) + 1.0
+        assert not _dual_gap(space, FALLBACK, FALLBACK_X, u, lam, iterations, CERT_TOL, box).converged
+        assert not _support_gap(space, FALLBACK, FALLBACK_X, u, iterations, CERT_TOL, box).converged
+        calls = []
+        lp = PolytopeH.support
+        monkeypatch.setattr(PolytopeH, "support", lambda *args: calls.append(1) or lp(*args))
+        cert = project_with_certificate(space, FALLBACK, FALLBACK_X)
+        assert cert.converged and len(calls) > 1   # Frank–Wolfe asked for support points
+        assert_allclose(cert.point, FALLBACK_POINT, rtol=0.0, atol=1e-15)
+        vertex = np.linalg.solve(FALLBACK.normals[[4, 6]], FALLBACK.offsets[[4, 6]])
+        assert_allclose(cert.point, vertex, rtol=0.0, atol=1e-15)
+
+    def test_nan_or_infinite_weights_never_certify(self):
+        space = LpSpace(3.0)
+        x, u = np.array([3.0, 0.5]), np.array([1.0, 0.5])
+        C = PolytopeH(normals=[[1.0, 0.0], [0.0, 1.0]], offsets=[1.0, 1.0])
+        for lam in ([np.nan, 0.0], [np.inf, 0.0], [1e308, 1e308]):
+            cert = _dual_gap(space, C, x, u, np.array(lam), 1, CERT_TOL, 5.0)
+            assert not cert.converged
+        assert _dual_gap(space, C, x, u, np.array([1.0, 0.0]), 1, CERT_TOL, 5.0).converged
+        # zero weights certify only a point that is its own projection (j = 0)
+        assert not _dual_gap(space, C, x, u, np.zeros(2), 0, CERT_TOL, 5.0).converged
+        assert _dual_gap(space, C, u, u, np.zeros(2), 0, CERT_TOL, 1.0).residual == 0.0
 
 
 class TestIterationBudget:
