@@ -8,10 +8,11 @@ the stand-in for later reads.  So `scipy.optimize` is loaded only by an
 H-polytope projection that the weak-duality bound from Newton's weights
 leaves uncertified: its support point is then a boxed linear program
 (`PolytopeH.support`), for the support-gap certificate and the
-Frank–Wolfe finish.  `solver` binds `optimize` only so that the span
-tracer of the benchmark can hook it.  `stats` is read by nothing in the
-package: it remains for the span tracer of the benchmark, which hooks
-`moduli.stats.gamma.ppf`, so only traced runs import `scipy.stats`.
+simplicial decomposition that finishes the point.  `solver` binds
+`optimize` only so that the span tracer of the benchmark can hook it.
+`stats` is read by nothing in the package: it remains for the span
+tracer of the benchmark, which hooks `moduli.stats.gamma.ppf`, so only
+traced runs import `scipy.stats`.
 """
 from __future__ import annotations
 

@@ -707,7 +707,7 @@ def _line_end(hi: float | None, t: float) -> float:
 
 
 def _project_line_param(space: LpSpace, origin: np.ndarray, d: np.ndarray, x: np.ndarray,
-                        lo: float, hi: float | None, xtol: float = _TINY) -> float:
+                        lo: float, hi: float | None) -> float:
     """Parameter of the nearest point on {origin + t d : t in [lo, hi]}.
 
     hi=None is a ray, searched on [lo, 2^59].  Where d_i != 0,
@@ -727,11 +727,8 @@ def _project_line_param(space: LpSpace, origin: np.ndarray, d: np.ndarray, x: np
     (|r_i|^(p-1) overflowing to inf on both sides of the sum).
 
     Brent stops at its least relative tolerance, 4 ulp of t, or at the
-    absolute tolerance `xtol`.  Segments and rays keep the least normal
-    double, so their answer is a fixed point of the search to a few ulp.
-    The polytope solver's Frank–Wolfe steps ask for 1e-15: their roots
-    lie near t = 0, where full precision costs about five times the slope
-    evaluations.
+    least normal double as absolute tolerance, so the answer is a fixed
+    point of the search to a few ulp.
     """
     base = x - origin
     first, last = math.inf, -math.inf
@@ -757,7 +754,7 @@ def _project_line_param(space: LpSpace, origin: np.ndarray, d: np.ndarray, x: np
     if f_end <= 0.0:
         return _line_end(hi, end)
     return _brent_root(lambda t: _param_distance_slope(space, base, d, t),
-                       lo, f_lo, end, f_end, xtol)
+                       lo, f_lo, end, f_end, _TINY)
 
 
 def _line_point(space: LpSpace, origin: np.ndarray, d: np.ndarray, x: np.ndarray,

@@ -13,16 +13,17 @@ than u, so it stays sound.
 
 Polytopes (`sets._Polytope`) project through `_project_polytope`: active-set
 Newton (`_newton`) on an H-polytope's separable dual or on a V-polytope's
-hull weights, finished while uncertified by Frank–Wolfe steps toward the
-support point; `max_iter` caps all of their steps together.  Only an
-H-polytope tests x for membership first (by its rows).  An H point is
-certified first from its dual weights λ (`_dual_gap`): weak duality gives
-a lower bound on the support gap over the same box with no LP, so only a
-point that this bound leaves uncertified asks for the support LP and
-Frank–Wolfe.  V and Frank–Wolfe steps search their line exactly with the
-segment projector's `sets._project_line_param`.  A failed certificate or
-support LP is reported as converged=False with the best iterate retained
-— never silently accepted.
+hull weights.  A V point is certified by the support gap as Newton leaves
+it.  Only an H-polytope tests x for membership first (by its rows).  An H
+point is certified first from its dual weights λ (`_dual_gap`): weak
+duality gives a lower bound on the support gap over the same box with no
+LP, so only a point that this bound leaves uncertified asks for support
+LPs, by simplicial decomposition (`_decompose`) on the V solver;
+`max_iter` caps all Newton steps and decomposition rounds together.  V
+steps search their line exactly with the segment projector's
+`sets._project_line_param`.  A failed certificate or support LP is
+reported as converged=False with the best iterate retained — never
+silently accepted.
 """
 from __future__ import annotations
 
@@ -104,38 +105,6 @@ def _support_gap(space: LpSpace, C, x: np.ndarray, u: np.ndarray, iterations: in
         allowance = float(np.dot(4.0 * u.size * _EPS * np.abs(j), C._gap_scale(space, u, z)))
         cert_tol += min(allowance, _MAX)
     return ProjectionCertificate(u, residual, iterations, distance, residual >= -cert_tol)
-
-
-def _conditional_gradient(space: LpSpace, C, x: np.ndarray, u: np.ndarray, box: float,
-                          iterations: int, max_iter: int, cert_tol: float):
-    """Frank–Wolfe steps toward the support point, with exact line search.
-
-    The internal target is tighter than cert_tol because for p > 2 the
-    gap is only order p-1 in the point error: clearing 1e-8 can leave
-    coordinates 1e-5 off, while a couple more exact line minimizations
-    reach the flat optimum nearly exactly.  Returns (u, iterations).
-    """
-    f = lambda z: float(np.sum(np.abs(x - z) ** space.p))
-    polish_tol = min(cert_tol, 1e-12)
-    f_prev = f(u)
-    while iterations < max_iter:
-        j = space.duality_map(x - u)
-        z = sets.support(space, C, j, x, box)
-        if z is None or space.pairing(j, u - z) >= -polish_tol:
-            break
-        t = sets._project_line_param(space, u, z - u, x, 0.0, 1.0, xtol=1e-15)
-        if t <= 0.0:
-            break
-        u = u + t * (z - u)
-        iterations += 1
-        # monotone objective decrease is the honest progress measure; the
-        # gap alone can chatter at Hölder scale for p < 2, so stop once the
-        # decrease is below double precision
-        f_cur = f(u)
-        if f_prev - f_cur <= 1e-15 * max(1.0, f_cur):
-            break
-        f_prev = f_cur
-    return u, iterations
 
 
 def _feasible(C: sets.PolytopeH, z: np.ndarray) -> bool:
@@ -317,7 +286,7 @@ def _project_hrep(space: LpSpace, C: sets.PolytopeH, x: np.ndarray, max_iter: in
 
 def _dual_gap(space: LpSpace, C: sets.PolytopeH, x: np.ndarray, u: np.ndarray, lam: np.ndarray,
               iterations: int, cert_tol: float, box: float) -> ProjectionCertificate:
-    """Certify a row-feasible u by weak duality from the weights λ, with no LP.
+    """Certify u by weak duality from the weights λ, with no LP.
 
     For μ >= 0 and z in C with |z_i - x_i| <= box, ⟨j, z⟩ = μᵀAz + ⟨j - Aᵀμ, z⟩
     <= μᵀb + ⟨j - Aᵀμ, x⟩ + box·‖j - Aᵀμ‖₁, so the residual
@@ -327,7 +296,8 @@ def _dual_gap(space: LpSpace, C: sets.PolytopeH, x: np.ndarray, u: np.ndarray, l
     c = max(⟨j, Aᵀλ⟩/‖Aᵀλ‖², 0), computed on Aᵀλ/max|Aᵀλ| (‖Aᵀλ‖² overflows
     at p = 20).  The allowance for rounding is 4·(n + m)·ε times the
     magnitudes of the three terms, capped at the largest double; a NaN
-    or -inf residual never passes.
+    or -inf residual never passes, nor a u off the rows at membership
+    scale (the bound grows with their violation).
     """
     A, b = C.normals, C.offsets
     distance, j = space._norm_and_map(x - u, space.p)
@@ -343,32 +313,50 @@ def _dual_gap(space: LpSpace, C: sets.PolytopeH, x: np.ndarray, u: np.ndarray, l
             scale = (np.abs(j) @ (np.abs(u) + np.abs(x)) + mu @ (np.abs(A) @ np.abs(x) + np.abs(b))
                      + box * (np.abs(j).sum() + mu @ np.abs(A).sum(axis=1)))
             cert_tol += min(4.0 * (x.size + b.size) * _EPS * float(scale), _MAX)
-    return ProjectionCertificate(u, residual, iterations, distance, residual >= -cert_tol)
+    return ProjectionCertificate(u, residual, iterations, distance,
+                                 residual >= -cert_tol and _feasible(C, u))
+
+
+def _decompose(space: LpSpace, C: sets.PolytopeH, x: np.ndarray, u: np.ndarray, box: float,
+               iterations: int, max_iter: int):
+    """Simplicial decomposition (von Hohenbalken 1977): x projected by
+    `_project_vrep` onto the hull of u and every support point of J(x - u)
+    met so far, until the support LP fails, the budget is spent or the
+    hull's projection is no closer to x.  A round counts its Newton steps
+    against `max_iter`, and at least one, so the budget also bounds the
+    LPs (about half of the rounds need no step).  Returns (u, iterations)."""
+    points = [u]
+    while iterations < max_iter:
+        z = sets.support(space, C, space.duality_map(x - u), x, box)
+        if z is None:
+            break
+        points.append(z)
+        w, steps = _project_vrep(space, sets.PolytopeV(np.array(points)), x, max_iter - iterations)
+        iterations += max(steps, 1)
+        if not space.norm(x - w) < space.norm(x - u):
+            break
+        u = w
+    return u, iterations
 
 
 def _project_polytope(space: LpSpace, C, x: np.ndarray, max_iter: int = MAX_ITER,
                       cert_tol: float = CERT_TOL) -> ProjectionCertificate:
     """Certified ℓ_p projection of a checked x onto a polytope (either
-    representation): Newton's point (an H one pulled onto the rows and
-    certified from its weights when it can be), finished by Frank–Wolfe
-    while uncertified; both share `max_iter`."""
-    vrep = isinstance(C, sets.PolytopeV)
-    if vrep:
+    representation): Newton's point, an H one pulled onto the rows and
+    certified from its weights, or finished while those leave it
+    uncertified by `_decompose`; both share `max_iter`."""
+    if isinstance(C, sets.PolytopeV):
         u, iterations = _project_vrep(space, C, x, max_iter)
-    elif C.contains(space, x, 0.0):   # exact rows: an inside point is its own projection
+        return _support_gap(space, C, x, u, iterations, cert_tol)
+    if C.contains(space, x, 0.0):   # exact rows: an inside point is its own projection
         return ProjectionCertificate(x.copy(), 0.0, 0, 0.0, True)
-    else:
-        u, lam, iterations = _project_hrep(space, C, x, max_iter)
+    u, lam, iterations = _project_hrep(space, C, x, max_iter)
     box = 2.0 * space.norm(x - u) + 1.0
-    if not vrep and _feasible(C, u):
-        cert = _dual_gap(space, C, x, u, lam, iterations, cert_tol, box)
-        if cert.converged:
-            return cert
-    cert = _support_gap(space, C, x, u, iterations, cert_tol, box)   # the support LP, for H
-    if not cert.converged and iterations < max_iter:
-        u, iterations = _conditional_gradient(space, C, x, u, box, iterations, max_iter, cert_tol)
-        cert = _support_gap(space, C, x, u, iterations, cert_tol, box)
-    cert.converged = cert.converged and (vrep or _feasible(C, u))
+    cert = _dual_gap(space, C, x, u, lam, iterations, cert_tol, box)
+    if not cert.converged:
+        u, iterations = _decompose(space, C, x, u, box, iterations, max_iter)
+        cert = _support_gap(space, C, x, u, iterations, cert_tol, box)   # the support LP
+        cert.converged = cert.converged and _feasible(C, u)
     return cert
 
 

@@ -641,7 +641,8 @@ class TestConsoleScript:
 
 
 SEGMENT = ([0.5, -1.0, 2.0], [1.5, 0.25, -0.5], [1.2, -0.3, 1.1])   # u, w, x: interior foot
-# the H projection that only the support LP and Frank–Wolfe certify: p, normals, offsets, x
+# the H projection that only the support LP and simplicial decomposition certify: p, normals,
+# offsets, x
 FALLBACK = (FALLBACK_P, FALLBACK_SET.normals.tolist(), FALLBACK_SET.offsets.tolist(), FALLBACK_X.tolist())
 MODULI_ARGS = (3.0, 2, [0.2, 0.5, 1.0])
 MODULI_KW = {"budget": 500, "seed": 7, "threads": 2}

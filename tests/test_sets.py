@@ -512,11 +512,10 @@ def _search_outcome(search):
 
 class TestLineSearchBits:
     """The in-house Brent against SciPy's brentq (the twin in oracles):
-    the same t, bit for bit, on segments, rays and Frank–Wolfe steps
-    (xtol 1e-15), with each slope evaluated once per parameter."""
+    the same t, bit for bit, on segments and rays, with each slope
+    evaluated once per parameter."""
 
-    KINDS = {"segment": (1.0, sets._TINY), "ray": (None, sets._TINY),
-             "frank_wolfe": (1.0, 1e-15)}
+    KINDS = {"segment": (1.0, 2), "ray": (None, 1)}   # hi, and the seed of the kind's corpus
 
     @staticmethod
     def _corpus(rng):
@@ -542,14 +541,14 @@ class TestLineSearchBits:
     @pytest.mark.parametrize("kind", sorted(KINDS))
     @pytest.mark.parametrize("p", [1.05, 1.5, 2.0, 3.0, 8.0, 20.0])
     def test_same_bits_as_the_brentq_twin(self, p, kind):
-        hi, xtol = self.KINDS[kind]
+        hi, seed = self.KINDS[kind]
         space = LpSpace(p)
-        rng = np.random.default_rng([int(100 * p), sorted(self.KINDS).index(kind)])
+        rng = np.random.default_rng([int(100 * p), seed])
         for origin, d, x in self._corpus(rng):
             with np.errstate(over="ignore"):   # slopes at p = 20 may overflow to ±inf
                 ours = _search_outcome(
-                    lambda: sets._project_line_param(space, origin, d, x, 0.0, hi, xtol))
-                twin = _search_outcome(lambda: line_param_brentq(p, origin, d, x, hi, xtol))
+                    lambda: sets._project_line_param(space, origin, d, x, 0.0, hi))
+                twin = _search_outcome(lambda: line_param_brentq(p, origin, d, x, hi))
             assert ours == twin, (origin, d, x)
 
     def test_each_slope_evaluated_once_per_parameter(self, monkeypatch):
@@ -561,10 +560,10 @@ class TestLineSearchBits:
         searched = 0
         for p in (1.05, 2.0, 3.0, 8.0):
             space = LpSpace(p)
-            for hi, xtol in self.KINDS.values():
+            for hi, _ in self.KINDS.values():
                 for origin, d, x in self._corpus(rng):
                     calls.clear()
-                    sets._project_line_param(space, origin, d, x, 0.0, hi, xtol)
+                    sets._project_line_param(space, origin, d, x, 0.0, hi)
                     assert len(set(calls)) == len(calls), calls
                     searched += len(calls) > 2
         assert searched > 1000   # the corpus reaches Brent's iterates

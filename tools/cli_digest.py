@@ -18,8 +18,11 @@ string `moduli` fit flag and a string exponent for `project`), then
 four set descriptors with wrong-typed entries that must exit with code 2
 (a ball with string center and radius, a ball with a boolean radius, and
 a coordinate subspace whose mask holds strings, then one that holds
-numbers), and last a segment projection at p = 20 whose line-search slope
-overflows to NaN, which must exit with code 4.  Each config runs through
+numbers), a segment projection at p = 20 whose line-search slope
+overflows to NaN, which must exit with code 4, and last an H-polytope
+projection at p = 1.2 that the weak-duality bound from Newton's weights
+leaves uncertified, so that the support LP and simplicial decomposition
+finish it.  Each config runs through
 `banachproj.cli.main` in-process, inside a temporary directory, and the
 script prints a header of `#` lines (the NumPy and SciPy versions) and
 then one line per config:
@@ -192,6 +195,17 @@ def corpus() -> list[tuple[str, str, dict]]:
     out.append(("project_segment_p20_overflow", "project", {
         "space": {"p": 20.0, "n": 2}, "set": {"type": "segment", "u": [0.0, 0.0], "w": [1e20, 1e20]},
         "inputs": {"x": [1e20, 0.0]},
+    }))
+    cuts = [[-0.9203315025983154, -0.39113926589531606], [-0.9937772624612621, -0.11138560326631033],
+            [0.9977421129143278, -0.06716156726322522], [0.6402188888886222, 0.7681925372653772]]
+    offsets = [0.6175111562261242, 0.6528314576480834, 1.109892410847337, 1.2792483677207405,
+               0.341149179269687, 0.31736965352299434, 0.17885005240123464, 0.3404227824848916]
+    rows = np.vstack([np.eye(2), -np.eye(2), cuts])
+    out.append(("project_polytope_h_fallback", "project", {
+        "space": {"p": 1.2, "n": 2},
+        "set": {"type": "polytope_h",
+                "rows": [{"normal": _lst(r), "offset": o} for r, o in zip(rows, offsets)]},
+        "inputs": {"x": [-17.60406556872011, -15.83438172746199]},
     }))
     return out
 
