@@ -256,6 +256,8 @@ def _cmd_verify(cfg: dict, seed: int, out) -> int:
         options["p"] = space.p
         options["n"] = n
     accepted = inspect.signature(SUITES[name]).parameters
+    if "p" not in accepted and options.get("p", 2.0) != 2.0:
+        raise _ConfigError(f"suite {name!r} runs at p = 2 only, space says p = {options['p']:g}")
     options = {k: v for k, v in options.items() if k in accepted}
     report = run_suite(name, **options)
     sys.stdout.write(report.summary() + "\n")

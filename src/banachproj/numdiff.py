@@ -97,12 +97,6 @@ def _window_spread(space, quotients, window: int) -> float:
     Infinite when one of them is not finite, so such a window never closes.
     """
     recent = quotients[-window:]
-    if recent[0].size == 1:
-        # one coordinate: the norm is |a - b|, largest for the extreme pair
-        vals = [q.item() for q in recent]
-        if not all(map(math.isfinite, vals)):
-            return math.inf
-        return max(vals) - min(vals)
     if not all(np.isfinite(q).all() for q in recent):
         return math.inf
     worst = 0.0

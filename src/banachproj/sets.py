@@ -375,6 +375,11 @@ def _nnls(M: np.ndarray, e: np.ndarray) -> np.ndarray:
     return psi
 
 
+def _rows_hold(A: np.ndarray, b: np.ndarray, z: np.ndarray) -> bool:
+    """Does z pass every row of Az <= b at membership slack 1e-9·max(1, max|b|)?"""
+    return bool(np.all(A @ z <= b + MEMBERSHIP_TOL * max(1.0, float(np.abs(b).max()))))
+
+
 def _feasible_point(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """A point of {Az <= b}, at or near its least-norm point, or
     InfeasibleSetError.
@@ -389,7 +394,7 @@ def _feasible_point(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     missed its rows by 2.8e-7 that way.)  The scaling and the passes from
     z + dz keep sets far from the origin decidable: with one unscaled pass
     boxes 1e3 away in R^12 went undecided.  A z that passes every row at
-    membership slack 1e-9·max(1, max|b|) is returned, after at most four
+    membership slack (`_rows_hold`) is returned, after at most four
     passes.  Otherwise ψ is read as a Farkas ray: ψ >= 0, rᵀψ < 0 and
     max|Aᵀψ| within 1e-9 of max(|A|ᵀψ) (a rounding residue, 6.6e-15 at
     worst on the tests' seeded systems; taken coordinate by coordinate it
@@ -399,11 +404,10 @@ def _feasible_point(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(A, axis=1)
     live = norms > 0.0   # a zero row holds: one with a negative offset was refused
     A_, b_ = A[live] / norms[live, None], b[live] / norms[live]
-    slack = MEMBERSHIP_TOL * max(1.0, float(np.abs(b).max()))
     n = A.shape[1]
     z = np.zeros(n)
     for _ in range(4):
-        if np.all(A @ z <= b + slack):
+        if _rows_hold(A, b, z):
             return z
         r = b_ - A_ @ z
         M = np.vstack([A_.T, r / np.abs(r).max()])
@@ -413,7 +417,7 @@ def _feasible_point(A: np.ndarray, b: np.ndarray) -> np.ndarray:
             raise InfeasibleSetError("half-space system has no solution")
         tight = psi > 0.0
         z = z + np.linalg.lstsq(A_[tight], r[tight], rcond=None)[0]
-    if np.all(A @ z <= b + slack):
+    if _rows_hold(A, b, z):
         return z
     raise ValueError("feasibility probe failed: the rows decide neither way")
 
@@ -619,9 +623,11 @@ def support(space: LpSpace, C, j, x, box: float) -> np.ndarray | None:
     far end of a piece of it that covers the box, and the H-polytope the
     boxed LP solution, or None when the LP fails.  The box must reach C;
     once box > ‖x - u‖ it holds every point of C closer to x than u, so
-    ⟨J(x - u), u - z⟩ is a sound optimality gap for u (see solver).  The
-    solver asks an H-polytope for this LP only when the weak-duality lower
-    bound on that gap, from its Newton weights, does not certify u.
+    ⟨J(x - u), u - z⟩ is a sound optimality gap for u (see solver, whose
+    box 2‖x - u‖ + 1 comes from x and u alone).  The solver asks an
+    H-polytope for this LP only when the weak-duality lower bound on that
+    gap, from its Newton weights, does not certify u, and then once per
+    iterate of its simplicial decomposition.
     """
     return _descriptor(C).support(space, np.asarray(j, dtype=float),
                                   np.asarray(x, dtype=float), box)

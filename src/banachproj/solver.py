@@ -7,9 +7,9 @@ every z in C.  The left side is affine in z, so its minimum over C sits
 at the support point z = sets.support(C, j) of j = J(x - u): the
 residual ⟨j, u - z⟩ is the Frank–Wolfe duality gap of u and certifies it
 against the whole set, not a sample of it.  Every certificate here,
-closed form or iterative, is this one formula; the box 2‖x - u‖ + 1 that
-keeps it finite on unbounded sets holds every point of C closer to x
-than u, so it stays sound.
+closed form or iterative, is this one formula of C, x and u alone; the box
+2‖x - u‖ + 1 that keeps it finite on unbounded sets holds every point of
+C closer to x than u, so it stays sound.
 
 Polytopes (`sets._Polytope`) project through `_project_polytope`: active-set
 Newton (`_newton`) on an H-polytope's separable dual or on a V-polytope's
@@ -18,9 +18,9 @@ it.  Only an H-polytope tests x for membership first (by its rows).  An H
 point is certified first from its dual weights λ (`_dual_gap`): weak
 duality gives a lower bound on the support gap over the same box with no
 LP, so only a point that this bound leaves uncertified asks for support
-LPs, by simplicial decomposition (`_decompose`) on the V solver;
-`max_iter` caps all Newton steps and decomposition rounds together.  V
-steps search their line exactly with the segment projector's
+LPs, one per iterate of simplicial decomposition (`_decompose`) on the V
+solver; `max_iter` caps all Newton steps and decomposition rounds
+together.  V steps search their line exactly with the segment projector's
 `sets._project_line_param`.  A failed certificate or support LP is
 reported as converged=False with the best iterate retained — never
 silently accepted.
@@ -89,13 +89,12 @@ class ProjectionCertificate:
 
 
 def _support_gap(space: LpSpace, C, x: np.ndarray, u: np.ndarray, iterations: int,
-                 cert_tol: float, box: float | None = None) -> ProjectionCertificate:
-    """Certify u by the support gap at j = J(x - u); box defaults to 2‖x - u‖ + 1."""
-    r = x - u
-    distance, j = space._norm_and_map(r, space.p)
-    if box is None:
-        box = 2.0 * distance + 1.0
-    z = sets.support(space, C, j, x, box)
+                 cert_tol: float, z: np.ndarray | None = None) -> ProjectionCertificate:
+    """Certify u by the support gap at j = J(x - u) over C within 2‖x - u‖ + 1
+    of x; a caller that already holds that support point passes it as z."""
+    distance, j = space._norm_and_map(x - u, space.p)
+    if z is None:
+        z = sets.support(space, C, j, x, 2.0 * distance + 1.0)
     if z is None:
         return ProjectionCertificate(u, -math.inf, iterations, distance, False)
     residual = float(np.dot(j, u - z))
@@ -107,12 +106,6 @@ def _support_gap(space: LpSpace, C, x: np.ndarray, u: np.ndarray, iterations: in
     return ProjectionCertificate(u, residual, iterations, distance, residual >= -cert_tol)
 
 
-def _feasible(C: sets.PolytopeH, z: np.ndarray) -> bool:
-    """Do all rows hold at membership scale?"""
-    slack = 1e-9 * max(1.0, float(np.abs(C.offsets).max()))
-    return bool(np.all(C.normals @ z <= C.offsets + slack))
-
-
 def _pull_feasible(C: sets.PolytopeH, z: np.ndarray, anchor: np.ndarray) -> np.ndarray:
     """Shift z toward a feasible anchor until rows hold at membership scale.
 
@@ -121,12 +114,12 @@ def _pull_feasible(C: sets.PolytopeH, z: np.ndarray, anchor: np.ndarray) -> np.n
     anchor itself lay on that row and no strict convex combination could
     clear it.  Membership tolerance is the contract, not exactness.
     """
-    if _feasible(C, z):
+    if sets._rows_hold(C.normals, C.offsets, z):
         return z
     lo, hi = 0.0, 1.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if _feasible(C, z + mid * (anchor - z)):
+        if sets._rows_hold(C.normals, C.offsets, z + mid * (anchor - z)):
             hi = mid
         else:
             lo = mid
@@ -285,13 +278,13 @@ def _project_hrep(space: LpSpace, C: sets.PolytopeH, x: np.ndarray, max_iter: in
 
 
 def _dual_gap(space: LpSpace, C: sets.PolytopeH, x: np.ndarray, u: np.ndarray, lam: np.ndarray,
-              iterations: int, cert_tol: float, box: float) -> ProjectionCertificate:
+              iterations: int, cert_tol: float) -> ProjectionCertificate:
     """Certify u by weak duality from the weights λ, with no LP.
 
-    For μ >= 0 and z in C with |z_i - x_i| <= box, ⟨j, z⟩ = μᵀAz + ⟨j - Aᵀμ, z⟩
-    <= μᵀb + ⟨j - Aᵀμ, x⟩ + box·‖j - Aᵀμ‖₁, so the residual
-    ⟨j, u - x⟩ + μᵀ(Ax - b) - box·‖j - Aᵀμ‖₁ is a lower bound on the support
-    gap ⟨j, u - z⟩ of `_support_gap`.  At the optimum j = J(x - u) is a
+    For μ >= 0 and z in C with |z_i - x_i| <= β, ⟨j, z⟩ = μᵀAz + ⟨j - Aᵀμ, z⟩
+    <= μᵀb + ⟨j - Aᵀμ, x⟩ + β‖j - Aᵀμ‖₁, so with the box β = 2‖x - u‖ + 1 of
+    `_support_gap` the residual ⟨j, u - x⟩ + μᵀ(Ax - b) - β‖j - Aᵀμ‖₁ is a
+    lower bound on its support gap ⟨j, u - z⟩.  At the optimum j = J(x - u) is a
     positive multiple of Aᵀλ, and μ = cλ takes the least-squares one,
     c = max(⟨j, Aᵀλ⟩/‖Aᵀλ‖², 0), computed on Aᵀλ/max|Aᵀλ| (‖Aᵀλ‖² overflows
     at p = 20).  The allowance for rounding is 4·(n + m)·ε times the
@@ -301,6 +294,7 @@ def _dual_gap(space: LpSpace, C: sets.PolytopeH, x: np.ndarray, u: np.ndarray, l
     """
     A, b = C.normals, C.offsets
     distance, j = space._norm_and_map(x - u, space.p)
+    box = 2.0 * distance + 1.0
     with np.errstate(over="ignore", invalid="ignore"):   # a NaN residual never passes
         s = A.T @ lam
         top = np.abs(s).max()
@@ -314,29 +308,35 @@ def _dual_gap(space: LpSpace, C: sets.PolytopeH, x: np.ndarray, u: np.ndarray, l
                      + box * (np.abs(j).sum() + mu @ np.abs(A).sum(axis=1)))
             cert_tol += min(4.0 * (x.size + b.size) * _EPS * float(scale), _MAX)
     return ProjectionCertificate(u, residual, iterations, distance,
-                                 residual >= -cert_tol and _feasible(C, u))
+                                 residual >= -cert_tol and sets._rows_hold(A, b, u))
 
 
-def _decompose(space: LpSpace, C: sets.PolytopeH, x: np.ndarray, u: np.ndarray, box: float,
-               iterations: int, max_iter: int):
-    """Simplicial decomposition (von Hohenbalken 1977): x projected by
-    `_project_vrep` onto the hull of u and every support point of J(x - u)
-    met so far, until the support LP fails, the budget is spent or the
-    hull's projection is no closer to x.  A round counts its Newton steps
-    against `max_iter`, and at least one, so the budget also bounds the
-    LPs (about half of the rounds need no step).  Returns (u, iterations)."""
+def _decompose(space: LpSpace, C: sets.PolytopeH, x: np.ndarray, u: np.ndarray,
+               iterations: int, max_iter: int, cert_tol: float) -> ProjectionCertificate:
+    """Simplicial decomposition (von Hohenbalken 1977).  Each round's one
+    support LP at u certifies u (`_support_gap`, and its rows) and adds its
+    point to the hull of the first u and the support points met so far, onto
+    which `_project_vrep` projects x for the next u.  Returns the last
+    round's certificate, with every Newton step counted, once the LP fails,
+    the budget is spent or the hull's projection is no closer to x.  A round
+    counts its steps against `max_iter`, and at least one, so the budget also
+    bounds the LPs (about half of the rounds need no step)."""
     points = [u]
-    while iterations < max_iter:
-        z = sets.support(space, C, space.duality_map(x - u), x, box)
+    while True:
+        distance, j = space._norm_and_map(x - u, space.p)
+        z = sets.support(space, C, j, x, 2.0 * distance + 1.0)
         if z is None:
-            break
+            return ProjectionCertificate(u, -math.inf, iterations, distance, False)
+        cert = _support_gap(space, C, x, u, iterations, cert_tol, z)
+        cert.converged = cert.converged and sets._rows_hold(C.normals, C.offsets, u)
+        if iterations >= max_iter:
+            return cert
         points.append(z)
-        w, steps = _project_vrep(space, sets.PolytopeV(np.array(points)), x, max_iter - iterations)
+        u, steps = _project_vrep(space, sets.PolytopeV(np.array(points)), x, max_iter - iterations)
         iterations += max(steps, 1)
-        if not space.norm(x - w) < space.norm(x - u):
-            break
-        u = w
-    return u, iterations
+        if not space.norm(x - u) < distance:
+            cert.iterations = iterations
+            return cert
 
 
 def _project_polytope(space: LpSpace, C, x: np.ndarray, max_iter: int = MAX_ITER,
@@ -351,13 +351,8 @@ def _project_polytope(space: LpSpace, C, x: np.ndarray, max_iter: int = MAX_ITER
     if C.contains(space, x, 0.0):   # exact rows: an inside point is its own projection
         return ProjectionCertificate(x.copy(), 0.0, 0, 0.0, True)
     u, lam, iterations = _project_hrep(space, C, x, max_iter)
-    box = 2.0 * space.norm(x - u) + 1.0
-    cert = _dual_gap(space, C, x, u, lam, iterations, cert_tol, box)
-    if not cert.converged:
-        u, iterations = _decompose(space, C, x, u, box, iterations, max_iter)
-        cert = _support_gap(space, C, x, u, iterations, cert_tol, box)   # the support LP
-        cert.converged = cert.converged and _feasible(C, u)
-    return cert
+    cert = _dual_gap(space, C, x, u, lam, iterations, cert_tol)
+    return cert if cert.converged else _decompose(space, C, x, u, iterations, max_iter, cert_tol)
 
 
 def project(space: LpSpace, C, x) -> np.ndarray:

@@ -239,6 +239,13 @@ class TestVerify:
         assert code == 0
         assert out.splitlines()[0] == "suite hilbert: 4/4 checks passed"
 
+    def test_hilbert_suite_refuses_another_p(self, tmp_path):
+        # p = 3 once ran the suite at p = 2 and exited 0
+        code, out, err = run_cli(tmp_path, "verify",
+                                 {"suite": "hilbert", "space": {"p": 3, "n": 4}})
+        assert code == 2 and out == ""
+        assert err.startswith("config error:") and "'hilbert'" in err
+
     def test_report_file(self, tmp_path):
         target = tmp_path / "suite.json"
         code, _, _ = run_cli(tmp_path, "verify",

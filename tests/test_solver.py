@@ -750,9 +750,8 @@ class TestDualCertificate:
     def test_bound_fails_and_simplicial_decomposition_certifies(self, monkeypatch):
         space = LpSpace(FALLBACK_P)
         u, lam, iterations = _project_hrep(space, FALLBACK, FALLBACK_X, 5000)
-        box = 2.0 * space.norm(FALLBACK_X - u) + 1.0
-        assert not _dual_gap(space, FALLBACK, FALLBACK_X, u, lam, iterations, CERT_TOL, box).converged
-        assert not _support_gap(space, FALLBACK, FALLBACK_X, u, iterations, CERT_TOL, box).converged
+        assert not _dual_gap(space, FALLBACK, FALLBACK_X, u, lam, iterations, CERT_TOL).converged
+        assert not _support_gap(space, FALLBACK, FALLBACK_X, u, iterations, CERT_TOL).converged
         calls = []
         lp = PolytopeH.support
         monkeypatch.setattr(PolytopeH, "support", lambda *args: calls.append(1) or lp(*args))
@@ -769,8 +768,7 @@ class TestDualCertificate:
         space = LpSpace(FALLBACK_P)
         u, lam, iterations = _project_hrep(space, FALLBACK, FALLBACK_X, 5000)
         assert_allclose(u, [1.705, -15.219], atol=1e-3)
-        box = 2.0 * space.norm(FALLBACK_X - u) + 1.0
-        cert = _dual_gap(space, FALLBACK, FALLBACK_X, u, lam, iterations, CERT_TOL, box)
+        cert = _dual_gap(space, FALLBACK, FALLBACK_X, u, lam, iterations, CERT_TOL)
         assert cert.residual > 100.0
         assert not cert.converged
 
@@ -779,8 +777,7 @@ class TestDualCertificate:
         p, C, x = case
         space = LpSpace(p)
         u, lam, iterations = _project_hrep(space, C, x, 5000)
-        box = 2.0 * space.norm(x - u) + 1.0
-        assert not _dual_gap(space, C, x, u, lam, iterations, CERT_TOL, box).converged
+        assert not _dual_gap(space, C, x, u, lam, iterations, CERT_TOL).converged
         cert = project_with_certificate(space, C, x, max_iter=5000)
         assert cert.converged and cert.iterations < 1000
         assert np.all(C.normals @ cert.point <= C.offsets + 1e-9 * np.abs(C.offsets).max())
@@ -801,6 +798,24 @@ class TestDualCertificate:
         cert = project_with_certificate(space, C, x, max_iter=full.iterations)
         assert cert.converged and np.array_equal(cert.point, full.point)
 
+    def test_decomposition_solves_one_support_lp_per_iterate(self, monkeypatch):
+        # each round's LP certifies its iterate and extends the hull, so no
+        # call repeats the one before it (38 calls here, five of them
+        # repeats, when the certificate solved the last LP again)
+        calls = []
+        lp = PolytopeH.support
+        monkeypatch.setattr(PolytopeH, "support", lambda self, space, j, x, box:
+                            calls.append((j, box)) or lp(self, space, j, x, box))
+        total = 0
+        for p, C, x in [(FALLBACK_P, FALLBACK, FALLBACK_X), CUTS_P8, CUTS_P20,
+                        isotonic_point(18), isotonic_point(55)]:
+            calls.clear()
+            assert project_with_certificate(LpSpace(p), C, x, max_iter=5000).converged
+            for (j, box), (j_next, box_next) in zip(calls, calls[1:]):
+                assert not (np.array_equal(j, j_next) and box == box_next)
+            total += len(calls)
+        assert total <= 32
+
     @pytest.mark.parametrize("index, bound_s", [(18, 5.0), (55, 2.0)])
     def test_isotonic_chains_certify_quickly(self, index, bound_s):
         # 0.5-0.8 s and 0.18 s measured on a 2-core VM (5,000 Frank–Wolfe
@@ -816,12 +831,12 @@ class TestDualCertificate:
         x, u = np.array([3.0, 0.5]), np.array([1.0, 0.5])
         C = PolytopeH(normals=[[1.0, 0.0], [0.0, 1.0]], offsets=[1.0, 1.0])
         for lam in ([np.nan, 0.0], [np.inf, 0.0], [1e308, 1e308]):
-            cert = _dual_gap(space, C, x, u, np.array(lam), 1, CERT_TOL, 5.0)
+            cert = _dual_gap(space, C, x, u, np.array(lam), 1, CERT_TOL)
             assert not cert.converged
-        assert _dual_gap(space, C, x, u, np.array([1.0, 0.0]), 1, CERT_TOL, 5.0).converged
+        assert _dual_gap(space, C, x, u, np.array([1.0, 0.0]), 1, CERT_TOL).converged
         # zero weights certify only a point that is its own projection (j = 0)
-        assert not _dual_gap(space, C, x, u, np.zeros(2), 0, CERT_TOL, 5.0).converged
-        assert _dual_gap(space, C, u, u, np.zeros(2), 0, CERT_TOL, 1.0).residual == 0.0
+        assert not _dual_gap(space, C, x, u, np.zeros(2), 0, CERT_TOL).converged
+        assert _dual_gap(space, C, u, u, np.zeros(2), 0, CERT_TOL).residual == 0.0
 
 
 class TestIterationBudget:

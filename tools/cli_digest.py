@@ -22,7 +22,9 @@ numbers), a segment projection at p = 20 whose line-search slope
 overflows to NaN, which must exit with code 4, and last an H-polytope
 projection at p = 1.2 that the weak-duality bound from Newton's weights
 leaves uncertified, so that the support LP and simplicial decomposition
-finish it.  Each config runs through
+finish it, and the two such projections in R^12 at p = 8 and p = 20
+whose decompositions take several rounds (`CUTS_P8` and `CUTS_P20` of
+`tests/test_solver.py`).  Each config runs through
 `banachproj.cli.main` in-process, inside a temporary directory, and the
 script prints a header of `#` lines (the NumPy and SciPy versions) and
 then one line per config:
@@ -52,7 +54,9 @@ import hashlib
 import io
 import json
 import os
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import scipy
@@ -207,6 +211,13 @@ def corpus() -> list[tuple[str, str, dict]]:
                 "rows": [{"normal": _lst(r), "offset": o} for r, o in zip(rows, offsets)]},
         "inputs": {"x": [-17.60406556872011, -15.83438172746199]},
     }))
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+    from test_solver import CUTS_P8, CUTS_P20
+
+    for p, C, x in (CUTS_P8, CUTS_P20):
+        out.append((f"project_polytope_h_cuts_p{p:g}", "project", {
+            "space": {"p": p, "n": x.size}, "set": C.to_json(), "inputs": {"x": _lst(x)},
+        }))
     return out
 
 
