@@ -315,6 +315,9 @@ def _cmd_rate(cfg: dict, seed: int, out) -> int:
         rng = np.random.default_rng(seed)
         dirs = [space.unit(rng.standard_normal(n)) for _ in range(opts.get("count", 8))]
     k_min, k_max = opts.get("k_min", 8), opts.get("k_max", 20)
+    for key, k in (("k_min", k_min), ("k_max", k_max)):
+        if not -1024 < k < 1075:   # 2^-k overflows from k = -1024 and rounds to 0 from 1075
+            raise _ConfigError(f"rate {key} must give a finite positive step 2^-k, got {k}")
     if k_max <= k_min:
         raise _ConfigError("rate schedule needs k_max > k_min")
     sched = StepSchedule(tuple(2.0 ** -k for k in range(k_min, k_max + 1)))

@@ -15,9 +15,9 @@ ball clauses
     "ball:exterior"     x strictly outside: radial-pullback derivative
                         (r/d²)(d·v - g·‖v‖·(x - c)) with d = ‖x - c‖ and
                         g the norm-smoothness of t ↦ ‖x - c + t v‖.
-    "ball:sphere-up"    x on the sphere, v pointing outward or tangent:
-                        v - (‖v‖/r)·g·(x - c).
-    "ball:sphere-down"  x on the sphere, v pointing inward: v.
+    "ball:sphere-up"    x on the sphere (within SPHERE_BAND·r) and g >= 0,
+                        v outward or tangent: v - (‖v‖/r)·g·(x - c).
+    "ball:sphere-down"  x on the sphere and g < 0, v inward: v.
 
 positive-cone clauses
     "cone:p{a}z{b}n{c}/clamp{k}"  a, b, c count the positive, zero, and
@@ -50,10 +50,7 @@ from . import sets, solver
 from .numdiff import ConvergenceError, NumericDerivative, numdiff_derivative
 from .space import LpSpace
 
-__all__ = ["DerivativeResult", "TIE_TOL", "directional_derivative"]
-
-#: |norm-smoothness| below this goes to the sampling fallback
-TIE_TOL = 1e-9
+__all__ = ["DerivativeResult", "directional_derivative"]
 
 #: relative half-width of the sphere band in ball case dispatch
 SPHERE_BAND = 1e-9
@@ -90,26 +87,6 @@ def _slope(space: LpSpace, xc: np.ndarray, d: float, v: np.ndarray, nv: float) -
     return space.pairing(space.duality_map(xc / d), v / nv)
 
 
-def _enters(space: LpSpace, c: np.ndarray, radius: float, x: np.ndarray, v: np.ndarray,
-            d: float, g: float) -> bool:
-    """Does v point into the open ball from x, within the sphere band at d = ‖x - c‖?
-
-    The slope g of t ↦ ‖x - c + t v‖ at 0 (up to the positive factor ‖v‖)
-    decides all but ties, |g| <= TIE_TOL.  Ties sample the sign of
-    ‖x + t_k v - c‖ - r at t_k = 2^-k, k = 10..24: by convexity that sign is
-    eventually constant, and an exactly tangent direction stays outside.
-    """
-    if abs(g) > TIE_TOL:
-        return g < 0.0
-    scale = max(radius, d)
-    for k in range(10, 25):
-        t = 2.0 ** -k
-        val = space.norm(x + t * v - c) - radius
-        if abs(val) > 64.0 * np.finfo(float).eps * scale:
-            return val < 0.0
-    return False
-
-
 def _ball_clause(space: LpSpace, c: np.ndarray, radius: float, x: np.ndarray,
                  v: np.ndarray) -> DerivativeResult:
     xc = x - c
@@ -121,7 +98,7 @@ def _ball_clause(space: LpSpace, c: np.ndarray, radius: float, x: np.ndarray,
     g = _slope(space, xc, d, v, nv)
     if d > radius + band:
         return DerivativeResult((radius / d ** 2) * (d * v - g * nv * xc), "ball:exterior")
-    if _enters(space, c, radius, x, v, d, g):
+    if g < 0.0:
         return DerivativeResult(v.copy(), "ball:sphere-down")
     return DerivativeResult(v - (nv / radius) * g * xc, "ball:sphere-up")
 

@@ -3,13 +3,14 @@
 Supported shapes: balls, the positive cone, coordinate subspaces,
 polytopes in half-space or vertex representation, segments, rays, and
 singletons.  Each is a `SetDescriptor` subclass that answers for itself
-(JSON form, dimension, projection, support point, membership, sample
-members, and where one exists the internal/cuticle classification).  A new
-set type is one such class plus its entry in `_TYPES`, and an entry in
+(JSON form, dimension, projection, support point, sample members, and where
+one exists the internal/cuticle classification).  A new set type is one
+such class plus its entry in `_TYPES`, and an entry in
 `derivative._CLOSED_FORMS` if it has an exact derivative.  `contains`,
 `support`, `classify_point` and the JSON codecs are entry points that check
 arguments and ask it; each point of C is checked once, by `_point`, and the
-methods trust it.
+methods trust it.  Membership is the same rule for every set: the ℓ_p
+distance from x to its projection, within the tolerance.
 
 Projections have one public way in, `solver.project` (or
 `project_with_certificate`), which checks the point and calls the
@@ -99,9 +100,8 @@ class SetDescriptor:
     set's dimension (see `_point`), not checked again.  A subclass sets
     `kind` (its JSON type name) and `dim` (the dimension it pins, None if
     any fits) and defines `project(space, x)`, `support(space, j, x, box)`
-    (see `support`) and, unless the distance to its projection decides
-    membership, `contains(space, x, eff)` at a resolved tolerance eff >= 0.
-    `sample(rng, n)` yields a few members of the set in R^n.
+    (see `support`); membership is the distance to `project` (see
+    `contains`).  `sample(rng, n)` yields a few members of the set in R^n.
     Types with a closed-form rule override `classify(space, y, eff)` (the
     internal/cuticle tag of a member y, see `classify_point`); the base
     version refuses.  Its JSON form is its fields, unless it overrides
@@ -111,9 +111,6 @@ class SetDescriptor:
     """
 
     _entry_types = (int, float)
-
-    def contains(self, space: LpSpace, x: np.ndarray, eff: float) -> bool:
-        return space.norm(x - self.project(space, x)) <= eff
 
     def classify(self, space: LpSpace, y: np.ndarray, eff: float) -> PointClass:
         raise ValueError(
@@ -164,9 +161,6 @@ class Ball(SetDescriptor):
             return self.center.copy()
         return self.center + self.radius * t
 
-    def contains(self, space, x, eff):
-        return space.norm(x - self.center) <= self.radius + eff
-
     def _gap_scale(self, space, u, z):
         # u = c + s(x - c) and z = c + r|j/‖j‖_q|^(q-1) sign j round at the
         # scale of c, and the power q - 1 multiplies the rounding of z - c
@@ -198,9 +192,6 @@ class PositiveCone(SetDescriptor):
 
     def support(self, space, j, x, box):
         return np.maximum(np.where(j > 0.0, x + box, x - box), 0.0)
-
-    def contains(self, space, x, eff):
-        return bool(np.all(x >= -eff))
 
     def sample(self, rng, n):
         for _ in range(4):
@@ -242,9 +233,6 @@ class CoordinateSubspace(SetDescriptor):
 
     def support(self, space, j, x, box):
         return np.where(self.free, x + box * np.sign(j), 0.0)
-
-    def contains(self, space, x, eff):
-        return bool(np.all(np.abs(x[~self.free]) <= eff))
 
     def sample(self, rng, n):
         for _ in range(4):
@@ -305,10 +293,6 @@ class PolytopeH(_Polytope):
             bounds=list(zip(x - box, x + box)), method="highs",
         )
         return np.asarray(res.x, dtype=float) if res.status == 0 else None
-
-    def contains(self, space, x, eff):
-        return (bool(np.all(self.normals @ x <= self.offsets))
-                or (eff > 0.0 and super().contains(space, x, eff)))
 
     def to_json(self) -> dict:
         rows = [{"normal": n.tolist(), "offset": float(b)}
@@ -529,9 +513,6 @@ class Singleton(SetDescriptor):
     def support(self, space, j, x, box):
         return self.y.copy()
 
-    def contains(self, space, x, eff):
-        return space.norm(x - self.y) <= eff
-
     def sample(self, rng, n):
         yield self.y.copy()
 
@@ -603,16 +584,20 @@ def contains(space: LpSpace, C, x, tol: float | None = None) -> bool:
     """Is x within ℓ_p distance `tol` of C?
 
     With tol=None a scale-aware default 1e-9 * max(1, ‖x‖) applies; an
-    explicit tol (0 included) is used as given.  Each set type decides by
-    exact arithmetic or by the distance to its projection, which is 0 at
-    a V-polytope's members; an H-polytope takes that distance only when
-    its rows fail and tol > 0.
+    explicit tol (0 included) is used as given.  Every set type decides by
+    the ℓ_p distance ‖x - P_C(x)‖ from x to its projection, which is 0 at
+    a point the projection returns as itself.
     """
     x = _point(C, x)
     eff = _tolerance(space, x) if tol is None else float(tol)
     if eff < 0.0:
         raise ValueError("tolerance must be nonnegative")
-    return C.contains(space, x, eff)
+    return _within(space, C, x, eff)
+
+
+def _within(space: LpSpace, C: SetDescriptor, x: np.ndarray, eff: float) -> bool:
+    # membership of a checked x at a resolved tolerance: its distance to P_C(x)
+    return space.norm(x - C.project(space, x)) <= eff
 
 
 def support(space: LpSpace, C, j, x, box: float) -> np.ndarray | None:
@@ -779,12 +764,13 @@ def classify_point(space: LpSpace, C, y) -> PointClass:
     vs sphere), the positive cone (strictly positive coordinates vs
     boundary), coordinate subspaces (always cuticle), and singletons
     (always cuticle); each is its descriptor's `classify`.  Other
-    descriptors are refused before membership is tested.
+    descriptors are refused before membership (as `contains` decides it at
+    the default tolerance) is tested.
     """
     y = _point(C, y)
     eff = _tolerance(space, y)
     tag = C.classify(space, y, eff)   # the types without a rule refuse here
-    if not C.contains(space, y, eff):
+    if not _within(space, C, y, eff):
         raise ValueError("point must belong to the set")
     return tag
 

@@ -14,16 +14,17 @@ C closer to x than u, so it stays sound.
 Polytopes (`sets._Polytope`) project through `_project_polytope`: active-set
 Newton (`_newton`) on an H-polytope's separable dual or on a V-polytope's
 hull weights.  A V point is certified by the support gap as Newton leaves
-it.  Only an H-polytope tests x for membership first (by its rows).  An H
-point is certified first from its dual weights λ (`_dual_gap`): weak
-duality gives a lower bound on the support gap over the same box with no
-LP, so only a point that this bound leaves uncertified asks for support
-LPs, one per iterate of simplicial decomposition (`_decompose`) on the V
-solver; `max_iter` caps all Newton steps and decomposition rounds
-together.  V steps search their line exactly with the segment projector's
-`sets._project_line_param`.  A failed certificate or support LP is
-reported as converged=False with the best iterate retained — never
-silently accepted.
+it.  Neither type tests x for membership first: the H dual's residual at
+λ = 0 is 0 exactly when x satisfies every row, so Newton returns such an x
+as itself in 0 steps, certified at residual 0.  An H point is certified
+first from its dual weights λ (`_dual_gap`): weak duality gives a lower
+bound on the support gap over the same box with no LP, so only a point
+that this bound leaves uncertified asks for support LPs, one per iterate
+of simplicial decomposition (`_decompose`) on the V solver; `max_iter`
+caps all Newton steps and decomposition rounds together.  V steps search
+their line exactly with the segment projector's `sets._project_line_param`.
+A failed certificate or support LP is reported as converged=False with the
+best iterate retained — never silently accepted.
 """
 from __future__ import annotations
 
@@ -348,8 +349,6 @@ def _project_polytope(space: LpSpace, C, x: np.ndarray, max_iter: int = MAX_ITER
     if isinstance(C, sets.PolytopeV):
         u, iterations = _project_vrep(space, C, x, max_iter)
         return _support_gap(space, C, x, u, iterations, cert_tol)
-    if C.contains(space, x, 0.0):   # exact rows: an inside point is its own projection
-        return ProjectionCertificate(x.copy(), 0.0, 0, 0.0, True)
     u, lam, iterations = _project_hrep(space, C, x, max_iter)
     cert = _dual_gap(space, C, x, u, lam, iterations, cert_tol)
     return cert if cert.converged else _decompose(space, C, x, u, iterations, max_iter, cert_tol)

@@ -369,6 +369,19 @@ class TestRate:
         assert code == 2
         assert "k_max" in err
 
+    @pytest.mark.parametrize("key, k", [("k_min", -2000), ("k_min", -1024), ("k_max", 1075)])
+    def test_step_beyond_doubles_is_refused(self, tmp_path, key, k):
+        # 2^-k overflows, or rounds to 0, outside -1024 < k < 1075
+        rate = {"count": 2, "k_min": 8, "k_max": 12, key: k}
+        code, out, err = run_cli(tmp_path, "rate", {
+            "space": {"p": 2, "n": 2},
+            "set": {"type": "positive_cone"},
+            "inputs": {"x": [1, -1]},
+            "rate": rate,
+        })
+        assert (code, out) == (2, "")
+        assert key in err
+
 
 class TestDeterminism:
     CONFIG = {

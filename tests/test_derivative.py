@@ -42,12 +42,21 @@ class TestSphereClauses:
         assert res.case_label == "ball:sphere-down"
         assert np.array_equal(res.value, [-1.0, 0.0])
 
-    def test_tangent_resolves_up_by_sampling(self):
+    def test_tangent_resolves_up(self):
         # first-order growth is an exact tie; ||(1, t)|| > 1 for t > 0
         # settles it on the outside, where the zero slope leaves v
         res = directional_derivative(LpSpace(2.0), DISK, [1.0, 0.0], [0.0, 1.0])
         assert res.case_label == "ball:sphere-up"
         assert np.array_equal(res.value, [0.0, 1.0])
+
+    def test_near_tangent_follows_the_slope(self):
+        # x + t v stays in the disk for t < 1e-9 when v tilts inward by
+        # 5e-10, so P(x + t v) = x + t v and the derivative is v itself
+        res = directional_derivative(LpSpace(2.0), DISK, [1.0, 0.0], [-5e-10, 1.0])
+        assert res.case_label == "ball:sphere-down"
+        assert np.array_equal(res.value, [-5e-10, 1.0])
+        res = directional_derivative(LpSpace(2.0), DISK, [1.0, 0.0], [5e-10, 1.0])
+        assert res.case_label == "ball:sphere-up"
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
     def test_tangent_is_up(self, p):

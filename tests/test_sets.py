@@ -252,6 +252,32 @@ class TestContains:
         assert contains(space, V, [1.0, 0.0], tol=0.0)
         assert not contains(space, V, [0.6, 0.6], tol=0.0)
 
+    def test_cone_tolerance_is_an_lp_distance(self):
+        # each coordinate is within tol of the cone, the point is not:
+        # its ℓ_2 distance is 0.9·√3 = 1.559
+        assert not contains(LpSpace(2.0), PositiveCone(), [-0.9, -0.9, -0.9], tol=1.0)
+
+    def test_subspace_tolerance_is_an_lp_distance(self):
+        # ℓ_2 distance 0.9·√2 = 1.273 from the first axis
+        C = CoordinateSubspace(free=[True, False, False])
+        assert not contains(LpSpace(2.0), C, [0.0, 0.9, 0.9], tol=1.0)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
+    def test_membership_is_the_distance_to_the_projection(self, p):
+        # near every set type's boundary: points of the set moved by about
+        # the tolerance, on either side of it
+        space = LpSpace(p)
+        rng = np.random.default_rng(35)
+        for n in (2, 3, 5):
+            for C in _random_sets(rng, n):
+                for scale in (1e-10, 5e-10, 1e-9, 2e-9):
+                    u = project(space, C, 2.0 * rng.standard_normal(n))
+                    x = u + scale * rng.uniform(-1.0, 1.0, n)
+                    for tol in (None, 0.0, 1e-9):
+                        eff = _tolerance(space, x) if tol is None else tol
+                        want = space.norm(x - project(space, C, x)) <= eff
+                        assert contains(space, C, x, tol) == want, (type(C).__name__, x, tol)
+
     def test_dimension_and_tolerance_validation(self):
         space = LpSpace(2.0)
         with pytest.raises(ValueError):

@@ -24,7 +24,12 @@ projection at p = 1.2 that the weak-duality bound from Newton's weights
 leaves uncertified, so that the support LP and simplicial decomposition
 finish it, and the two such projections in R^12 at p = 8 and p = 20
 whose decompositions take several rounds (`CUTS_P8` and `CUTS_P20` of
-`tests/test_solver.py`).  Each config runs through
+`tests/test_solver.py`), then three near-boundary cases: a `classify` on
+the positive cone of a point whose coordinates are each within the
+default tolerance of it but whose ℓ_2 distance is not (exit 2), a ball
+`derivative` at a sphere point along a direction tilted inward by 5e-10
+(`ball:sphere-down`), and a `rate` whose `k_min` of -2000 makes the step
+2^-k overflow (exit 2).  Each config runs through
 `banachproj.cli.main` in-process, inside a temporary directory, and the
 script prints a header of `#` lines (the NumPy and SciPy versions) and
 then one line per config:
@@ -218,6 +223,18 @@ def corpus() -> list[tuple[str, str, dict]]:
         out.append((f"project_polytope_h_cuts_p{p:g}", "project", {
             "space": {"p": p, "n": x.size}, "set": C.to_json(), "inputs": {"x": _lst(x)},
         }))
+    out.append(("classify_cone_near_boundary", "classify", {
+        "space": {"p": 2.0, "n": 3}, "set": {"type": "positive_cone"},
+        "inputs": {"x": [1.0, -8e-10, -8e-10]},
+    }))
+    out.append(("derivative_ball_sphere_tie", "derivative", {
+        "space": {"p": 2.0, "n": 2}, "set": {"type": "ball", "center": [0.0, 0.0], "radius": 1.0},
+        "inputs": {"x": [1.0, 0.0], "v": [-5e-10, 1.0]},
+    }))
+    out.append(("rate_step_overflow", "rate", {
+        "space": space, "set": segment, "inputs": {"x": [1.0, 2.0, 3.0]},
+        "rate": {"count": 2, "k_min": -2000},
+    }))
     return out
 
 
