@@ -219,14 +219,14 @@ def _cmd_derivative(cfg: dict, seed: int, out) -> int:
     x = _get_vec(cfg, "x", n)
     v = _get_vec(cfg, "v", n)
     result = directional_derivative(space, C, x, v)
-    # sets without a closed form were already differenced by the same
-    # projector and schedule, so their agreement is a self-comparison
+    # sets without a closed form were already differenced, and comparing
+    # those quotients with themselves would show nothing: no agreement
     est = result.numeric
+    agreement = None
     if est is None:
         est = numdiff_derivative(space, lambda z: solver.project(space, C, z), x, v)
-    agreement = None
-    if est.converged:
-        agreement = space.norm(result.value - est.estimate) / max(1.0, space.norm(result.value))
+        if est.converged:
+            agreement = space.norm(result.value - est.estimate) / max(1.0, space.norm(result.value))
     report = _set_report("derivative", space, n, C, x=x, v=v, analytic=result.to_json(),
                          numeric=est.summary(), agreement=agreement)
     _emit(report, out)

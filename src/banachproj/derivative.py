@@ -35,9 +35,19 @@ coordinate-subspace clauses
                                 projection is linear, so these three
                                 clauses are exact at every base point.
 
+segment and ray clauses (P(x) = origin + t·d, r = x - P(x))
+    t' = dᵀDv / dᵀDd, D = diag |r|^(p-2), differentiates the root of the
+    slope Σ d_i |r_i|^(p-1) sign r_i; where r_i = 0 with d_i != 0, and
+    p < 2 or dᵀDd = 0, those |·|^p terms lead: t' is their ℓ_p fit of v on d.
+    "line:interior"  the value t'·d.
+    "line:end"       t = 0 (or 1 on a segment) and g = ⟨|r|^(p-1) sign r, d⟩
+                     pushes against that end: the value is 0.
+    "line:tie"       t at an end and g = 0: max(t', 0)·d at t = 0,
+                     min(t', 0)·d at t = 1.
+
 region clauses
     "singleton"   constant projections have derivative 0.
-    "numeric"     no closed form: certified quotient estimate.
+    "numeric"     no closed form (polytopes): certified quotient estimate.
 """
 from __future__ import annotations
 
@@ -128,6 +138,29 @@ def _subspace_clause(space: LpSpace, mask: np.ndarray, v: np.ndarray) -> Derivat
     return DerivativeResult(np.where(mask, v, 0.0), "subspace:coordinatewise")
 
 
+def _line_clause(space: LpSpace, origin: np.ndarray, d: np.ndarray, hi: float | None,
+                 x: np.ndarray, v: np.ndarray) -> DerivativeResult:
+    p, t = space.p, sets._project_line_param(space, origin, d, x, 0.0, hi)
+    r = (x - origin) - t * d   # the residual the line search took its slope from
+    on = d != 0.0   # coordinates that move with t
+    dn, vn, a = d[on], v[on], np.abs(r[on])
+    with np.errstate(divide="ignore"):   # scaled, so small r do not underflow D at large p
+        w = dn * (a / (a.max() or 1.0)) ** (p - 2.0)
+    dDd, lead = float(w.dot(dn)), a == 0.0
+    if lead.any() and (p < 2.0 or dDd == 0.0):   # the zero coordinates' |·|^p terms lead
+        tau = sets._project_line_param(space, np.zeros(int(lead.sum())), dn[lead], vn[lead],
+                                       -sets._RAY_CAP, sets._RAY_CAP)
+    else:
+        tau = float(w.dot(vn)) / dDd
+    if t == 0.0 or t == hi:
+        lower, g = t == 0.0, float(space._signed_power(r, p - 1.0).dot(d))
+        if (g < 0.0) if lower else (g > 0.0):
+            return DerivativeResult(np.zeros_like(v), "line:end")
+        if g == 0.0:
+            return DerivativeResult((max(tau, 0.0) if lower else min(tau, 0.0)) * d, "line:tie")
+    return DerivativeResult(tau * d, "line:interior")
+
+
 def _certified(space: LpSpace, C, z: np.ndarray) -> np.ndarray:
     cert = solver.project_with_certificate(space, C, z)
     if not cert.converged:
@@ -141,6 +174,8 @@ _CLOSED_FORMS = {
     sets.PositiveCone: lambda space, C, x, v: _cone_coordinatewise(x, v),
     sets.CoordinateSubspace: lambda space, C, x, v: _subspace_clause(space, C.free, v),
     sets.Singleton: lambda space, C, x, v: DerivativeResult(np.zeros_like(v), "singleton"),
+    sets.Segment: lambda space, C, x, v: _line_clause(space, C.u, C.w - C.u, 1.0, x, v),
+    sets.Ray: lambda space, C, x, v: _line_clause(space, C.v, C.dir, None, x, v),
 }
 
 
@@ -149,11 +184,11 @@ def directional_derivative(space: LpSpace, C, x, v) -> DerivativeResult:
 
     x and v must be finite and v nonzero, for every set type.  A descriptor
     whose class has an entry in `_CLOSED_FORMS` (balls, the positive cone,
-    coordinate subspaces, singletons) gets its exact clause at every base
-    point.  The others (segments, rays, polytopes) are differenced
-    numerically on the default `StepSchedule`, from certified projections,
-    and labeled "numeric"; non-convergence, or an uncertified projection,
-    raises ConvergenceError.
+    coordinate subspaces, segments, rays, singletons) gets its exact clause
+    at every base point.  The polytopes are differenced numerically on the
+    default `StepSchedule`, from certified projections, and labeled
+    "numeric"; non-convergence, or an uncertified projection, raises
+    ConvergenceError.
     """
     x = sets._point(C, x)
     v = _direction(x, v)

@@ -42,9 +42,9 @@ estimate for metric projections,
     ‖Px - Py‖ <= k · δ⁻¹( 6 ρ( 2 ‖x - y‖ ) ),
     k = 2 max{ 1, ‖x - Py‖, ‖Px - y‖ },
 
-with δ inverted by monotone piecewise-linear interpolation of a lowered
-envelope and ρ raised, so interpolation between grid points cannot
-manufacture violations.
+on the exact curves.  Clarkson's and Hanner's relations are symmetric in
+1 - δ and ε/2, so δ⁻¹ solves the same relation for the other side: in
+closed form for p >= 2, by the bisection that gives δ for p < 2.
 """
 from __future__ import annotations
 
@@ -59,12 +59,11 @@ from . import solver
 from ._scipy import stats  # noqa: F401  (never read here; the span tracer hooks it)
 from .space import LpSpace
 
-__all__ = ["ModuliEstimate", "PowerFit", "BoundReport", "thread_count",
-           "estimate_convexity_modulus", "estimate_smoothness_modulus", "fit_power_type",
-           "distance_bound_check"]
+__all__ = ["ModuliEstimate", "PowerFit", "BoundReport", "estimate_convexity_modulus",
+           "estimate_smoothness_modulus", "fit_power_type", "distance_bound_check"]
 
 
-def thread_count(requested: int | None = None) -> int:
+def _thread_count(requested: int | None = None) -> int:
     """Worker cap: the explicit argument, else all cores this process may
     run on (its affinity mask, where the platform has one)."""
     if requested is not None:
@@ -169,19 +168,39 @@ def _delta(eps: np.ndarray, p: float) -> np.ndarray:
             log_gap = np.where(x < 0.5, np.log1p(-x),
                                np.log(-np.expm1(p * np.log1p(half - 1.0))))
             return -np.expm1(log_gap / p)
-        # Hanner's equation as p·log M + log(((1 + w)^p + (1 - w)^p)/2) = 0,
-        # M = max(1 - δ, ε/2) and w = min/M: its left side falls from >= 0
-        # at δ = 0 to <= 0 at δ = 1; keep the end of the bisection where <= 0
-        lo, hi = np.zeros_like(eps), np.ones_like(eps)
-        while True:
-            mid = 0.5 * (lo + hi)
-            if not np.any((lo < mid) & (mid < hi)):
-                return hi
-            u = 1.0 - mid
-            big = u >= half
-            log_m = np.where(big, np.log1p(-mid), np.log(half))
-            side = p * log_m + _log_mean_power(np.where(big, half / u, u / half), p)
-            lo, hi = np.where(side > 0.0, mid, lo), np.where(side > 0.0, hi, mid)
+        return _hanner_root(half, p, solve_delta=True)
+
+
+def _hanner_root(known: np.ndarray, p: float, solve_delta: bool) -> np.ndarray:
+    # Hanner's equation (u + h)^p + |u - h|^p = 2, u = 1 - δ, h = ε/2, as
+    # p·log M + log(((1 + w)^p + (1 - w)^p)/2) = 0, M = max(u, h), w = min/M.
+    # It is symmetric in u and h: one bisection on [0, 1] to adjacent doubles,
+    # keeping the upper end, finds δ given h (the left side falls from >= 0
+    # to <= 0 in δ) or h given δ (it rises from <= 0 to >= 0 in h)
+    lo, hi = np.zeros_like(known), np.ones_like(known)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not np.any((lo < mid) & (mid < hi)):
+            return hi
+        if solve_delta:
+            u, log_u, h = 1.0 - mid, np.log1p(-mid), known
+        else:
+            u, log_u, h = 1.0 - known, np.log1p(-known), mid
+        big = u >= h
+        log_m = np.where(big, log_u, np.log(h))
+        side = p * log_m + _log_mean_power(np.where(big, h / u, u / h), p)
+        up = side > 0.0 if solve_delta else side < 0.0
+        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+
+
+def _delta_inverse(d: np.ndarray, p: float) -> np.ndarray:
+    """ε with δ(ε) = d, 0 <= d <= 1: the relations behind δ are symmetric in
+    1 - δ and ε/2, so each is solved for the other side."""
+    d = np.asarray(d, dtype=float)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if p >= 2.0:
+            return 2.0 * (-np.expm1(p * np.log1p(-d))) ** (1.0 / p)
+        return np.where(d > 0.0, 2.0 * _hanner_root(d, p, solve_delta=False), 0.0)
 
 
 def _rho(t: np.ndarray, p: float) -> np.ndarray:
@@ -272,7 +291,7 @@ def _estimate(curve: str, p: float, n: int, grid, budget: int, seed: int,
     # δ draws from the first child of `seed` and ρ from the second
     seeds = np.random.SeedSequence(seed).spawn(2)[curve == "rho"].spawn(-(-pairs // c))
     sizes, top = [min(c, pairs - a) for a in range(0, pairs, c)], float(g[-1])
-    with ThreadPoolExecutor(max_workers=thread_count(threads)) as pool:
+    with ThreadPoolExecutor(max_workers=_thread_count(threads)) as pool:
         slack = min(pool.map(lambda k, s: _least_slack(curve, p, n, k, top, s), sizes, seeds))
     if curve == "delta":
         return ModuliEstimate(p=float(p), n=int(n), epsilons=g, delta_values=_delta(g, p),
@@ -350,71 +369,35 @@ class BoundReport:
         }
 
 
-# safety factors for the conservative envelopes: δ lowered, ρ raised
-DELTA_ENVELOPE_SHRINK = 0.9
-RHO_ENVELOPE_GROW = 1.1
-
 #: a row whose left side exceeds this multiple of the bound is an anomaly
 ANOMALY_FACTOR = 1.05
-
-
-def _delta_inverse_table(est: ModuliEstimate, fit: PowerFit):
-    eps_max = float(est.epsilons.max())
-    grid = np.geomspace(min(1e-8, est.epsilons.min() / 10.0), eps_max, 4096)
-    interp = np.interp(grid, est.epsilons, est.delta_values,
-                       left=np.inf, right=np.inf)
-    fitted = fit.a * grid ** fit.p_fit
-    env = DELTA_ENVELOPE_SHRINK * np.minimum(interp, fitted)
-    env = np.maximum.accumulate(np.maximum(env, 1e-300))
-    return grid, env
-
-
-def _rho_envelope(est: ModuliEstimate, fit: PowerFit, t: float) -> float:
-    t_max = float(est.ts.max())
-    if t > t_max * (1.0 + 1e-9):
-        raise ValueError(f"rho argument {t:g} outside the estimated range (max {t_max:g})")
-    interp = float(np.interp(t, est.ts, est.rho_values))
-    fitted = fit.b * t ** fit.q_fit if math.isfinite(fit.b) else 0.0
-    return RHO_ENVELOPE_GROW * max(interp, fitted)
 
 
 def distance_bound_check(space: LpSpace, C, pairs, est: ModuliEstimate,
                          fit: PowerFit | None = None) -> BoundReport:
     """Check ‖Px - Py‖ <= k δ⁻¹(6 ρ(2‖x - y‖)) over explicit pairs.
 
-    Uses conservative envelopes of the sampled moduli; rows violating the
-    bound by more than `ANOMALY_FACTOR` are counted as anomalies.  Raises
-    when an argument of δ⁻¹ or ρ lands outside the estimated range.
+    δ⁻¹ and ρ are the exact curves of the space, so the estimate is read
+    only for its p, which must be the space's; `fit` is accepted and not
+    read.  Rows violating the bound by more than `ANOMALY_FACTOR` are
+    counted as anomalies.  Raises where 6 ρ(2‖x - y‖) exceeds δ(2) = 1,
+    the largest value δ takes, so that δ⁻¹ is undefined.
     """
-    if est.epsilons.size == 0 or est.ts.size == 0:
-        raise ValueError("the bound needs both modulus curves in the estimate")
-    if fit is None:
-        fit = fit_power_type(est)
-    inv_grid, inv_env = _delta_inverse_table(est, fit)
-    delta_top = float(inv_env[-1])
-
-    rows = []
-    anomalies = 0
-    for x, y in pairs:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        px = solver.project(space, C, x)
-        py = solver.project(space, C, y)
-        lhs = space.norm(px - py)
-        dist = space.norm(x - y)
-        if dist == 0.0:
-            rows.append((lhs, 0.0, 2.0, 0.0, lhs <= 1e-12))
-            continue
-        k = 2.0 * max(1.0, space.norm(x - py), space.norm(px - y))
-        arg = 6.0 * _rho_envelope(est, fit, 2.0 * dist)
-        if arg > delta_top:
-            raise ValueError(
-                f"delta-inverse argument {arg:g} outside the estimated range "
-                f"(max {delta_top:g}); extend the epsilon grid or shrink the pairs"
-            )
-        rhs = k * float(np.interp(arg, inv_env, inv_grid))
-        ok = lhs <= ANOMALY_FACTOR * rhs + 1e-12
-        if not ok:
-            anomalies += 1
-        rows.append((float(lhs), float(rhs), float(k), float(dist), bool(ok)))
-    return BoundReport(rows=rows, count=len(rows), anomalies=anomalies)
+    p = space.p
+    if est.p != p:
+        raise ValueError(f"the estimate is for p = {est.p:g}, the space has p = {p:g}")
+    pairs = list(pairs)
+    if not pairs:
+        return BoundReport(rows=[], count=0, anomalies=0)
+    X, Y = (np.array(a, dtype=float) for a in zip(*pairs))
+    PX, PY = (np.array([solver.project(space, C, z) for z in Z]) for Z in (X, Y))
+    lhs, dist = _row_norms(PX - PY, p), _row_norms(X - Y, p)
+    arg = 6.0 * _rho(2.0 * dist, p)
+    if np.any(arg > 1.0):
+        raise ValueError(f"6 rho(2|x - y|) = {arg.max():g} exceeds delta(2) = 1; shrink the pairs")
+    far = np.maximum(_row_norms(X - PY, p), _row_norms(PX - Y, p))
+    k = np.where(dist == 0.0, 2.0, 2.0 * np.maximum(1.0, far))
+    rhs = k * _delta_inverse(arg, p)   # δ⁻¹(6ρ(0)) = 0
+    ok = lhs <= ANOMALY_FACTOR * rhs + 1e-12
+    rows = list(zip(lhs.tolist(), rhs.tolist(), k.tolist(), dist.tolist(), ok.tolist()))
+    return BoundReport(rows=rows, count=len(rows), anomalies=int(np.sum(~ok)))

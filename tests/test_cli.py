@@ -177,15 +177,28 @@ class TestDerivative:
         monkeypatch.setattr(deriv_mod, "numdiff_derivative", counting(deriv_mod.numdiff_derivative))
         code, out, _ = run_cli(tmp_path, "derivative", {
             "space": {"p": 3, "n": 2},
-            "set": {"type": "segment", "u": [0, 0], "w": [1, 0]},
+            "set": {"type": "polytope_v", "vertices": [[0, 0], [1, 0]]},
             "inputs": {"x": [0.5, 1], "v": [1, 0]},
         })
         assert code == 0
         assert len(calls) == 1
         report = json.loads(out)
-        # the analytic value is the numeric estimate itself here
+        # the analytic value is the numeric estimate itself here, so there
+        # is nothing to compare it with
         assert report["analytic"]["case_label"] == "numeric"
-        assert report["agreement"] == 0.0
+        assert report["agreement"] is None
+
+    def test_line_clause_is_compared_with_the_quotients(self, tmp_path):
+        code, out, _ = run_cli(tmp_path, "derivative", {
+            "space": {"p": 3, "n": 2},
+            "set": {"type": "segment", "u": [0, 0], "w": [1, 0]},
+            "inputs": {"x": [0.5, 1], "v": [1, 0]},
+        })
+        assert code == 0
+        report = json.loads(out)
+        assert report["analytic"]["case_label"] == "line:interior"
+        assert report["numeric"]["converged"]
+        assert report["agreement"] is not None and report["agreement"] <= 1e-6
 
     def test_ball_report_shape(self, tmp_path):
         code, out, _ = run_cli(tmp_path, "derivative", {
@@ -531,7 +544,7 @@ class TestErrors:
         monkeypatch.setattr(solver, "project_with_certificate", uncertified)
         code, out, err = run_cli(tmp_path, "derivative", {
             "space": {"p": 3, "n": 2},
-            "set": {"type": "segment", "u": [0, 0], "w": [1, 0]},
+            "set": {"type": "polytope_v", "vertices": [[0, 0], [1, 0]]},
             "inputs": {"x": [0.5, 1], "v": [1, 0]},
         })
         assert code == 4

@@ -21,9 +21,11 @@ from banachproj import (
     project,
     solver,
 )
+from banachproj import derivative as derivative_mod
 from banachproj.derivative import _cone_coordinatewise
 from banachproj.numdiff import ConvergenceError
 from oracles import cone_table_3d, line_derivative, lp_norm
+from oracles_mp import mp_line_derivative
 
 DISK = Ball(center=[0.0, 0.0], radius=1.0)
 BALL3 = Ball(center=np.zeros(3), radius=1.0)
@@ -412,8 +414,8 @@ class TestInteriorRule:
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
     @pytest.mark.parametrize("kind, x, label", [
         ("cone", [-1.0, -2.0, -3.0], "cone:p0z0n3/clamp0"),
-        ("segment", [-1.0, 0.5, 0.2], "numeric"),
-        ("ray", [-1.0, -2.0, 0.5], "numeric"),
+        ("segment", [-1.0, 0.5, 0.2], "line:end"),
+        ("ray", [-1.0, -2.0, 0.5], "line:end"),
         ("singleton", [5.0, -3.0, 0.0], "singleton"),
     ], ids=["cone", "segment", "ray", "singleton"])
     def test_constant_inside_an_inverse_image(self, kind, x, label, p):
@@ -449,6 +451,26 @@ VPOLY_SLOW_QUOTIENTS = [
      [2.6173489842830753, -0.29895689615093557, 0.8471317866421242],
      [0.9555906882274241, -1.1159950778480618, 0.5526405956996042]),
 ]
+
+
+# the `cli` benchmark's derivative_vpoly config at seed 4 (p = 3, n = 3):
+# vertices, x and v.  Its quotients do not settle on the default schedule
+VPOLY_UNSETTLED = (
+    [[-1.3617656025994362, -0.16143837575387002, -0.19406210961205958],
+     [1.6491022232617059, 2.2208589831901704, 1.38334775442377],
+     [-1.7544408423491922, -0.8498648378186076, 0.8005175528313379],
+     [-1.2035538043660607, -1.1221708455432715, -1.3721519408436182],
+     [-0.918671526450632, 0.04567877270955541, 0.6189172598459473],
+     [-2.594078435406809, -1.2613113501934372, -1.6776374929303433],
+     [0.12555471630689669, 0.8283314679261615, -0.10834374890704546],
+     [0.8974844818662295, 0.6036526513338238, -2.3582223099849102],
+     [-1.1586874528774507, 2.111537430495931, 0.6357822113643719]],
+    [2.813010946807341, 0.20852521540315233, -0.7550476565378601],
+    [-0.3647211166820687, 1.3356262387603393, -0.5163552764233295],
+)
+
+#: a segment of R^2 given by its two vertices, so that it is differenced
+SEGMENT_V = PolytopeV(vertices=[[0.0, 0.0], [1.0, 0.0]])
 
 
 class TestDirectionalDerivativeDispatch:
@@ -489,8 +511,8 @@ class TestDirectionalDerivativeDispatch:
         space = LpSpace(2.0)
         res = directional_derivative(space, Segment(u=[0.0, 0.0], w=[1.0, 0.0]),
                                      np.array([0.5, 1.0]), np.array([1.0, 0.0]))
-        assert res.case_label == "numeric"
-        assert_allclose(res.value, [1.0, 0.0], atol=1e-8)
+        assert res.case_label == "line:interior"
+        assert_allclose(res.value, [1.0, 0.0], atol=1e-15)
 
     def test_uncertified_projection_raises_while_project_still_answers(self, monkeypatch):
         # the quotients are differenced from certified points only; the
@@ -503,7 +525,7 @@ class TestDirectionalDerivativeDispatch:
             return cert
 
         monkeypatch.setattr(solver, "project_with_certificate", uncertified)
-        space, C, x = LpSpace(2.0), Segment(u=[0.0, 0.0], w=[1.0, 0.0]), np.array([0.5, 1.0])
+        space, C, x = LpSpace(2.0), SEGMENT_V, np.array([0.5, 1.0])
         with pytest.raises(ConvergenceError, match="uncertified"):
             directional_derivative(space, C, x, np.array([1.0, 0.0]))
         assert_allclose(project(space, C, x), [0.5, 0.0])
@@ -512,8 +534,8 @@ class TestDirectionalDerivativeDispatch:
         space = LpSpace(2.0)
         res = directional_derivative(space, Ray(v=[0.0, 0.0], dir=[1.0, 0.0]),
                                      np.array([2.0, 1.0]), np.array([1.0, 0.0]))
-        assert res.case_label == "numeric"
-        assert_allclose(res.value, [1.0, 0.0], atol=1e-8)
+        assert res.case_label == "line:interior"
+        assert_allclose(res.value, [1.0, 0.0], atol=1e-15)
 
     def test_h_polytope_quotients_on_the_default_schedule(self):
         space = LpSpace(2.0)
@@ -537,14 +559,25 @@ class TestDirectionalDerivativeDispatch:
         assert_allclose((moved.point - base.point) / h, res.value, rtol=0.0, atol=1e-7)
 
     def test_non_convergence_raises_with_trace(self):
-        # a ray at p = 1.5 whose quotients do not settle on the default
-        # schedule: x - P(x) = (0.0086, 0.686, -4.154) has a small coordinate
-        C = Ray(v=[-1.746, -0.979, 1.582], dir=[0.368, 1.204, 0.506])
-        x = [-1.612, 0.117, -2.400]
-        v = [-1.614, 0.772, -0.353]
+        # quotients that do not settle on the default schedule
+        vertices, x, v = VPOLY_UNSETTLED
         with pytest.raises(ConvergenceError) as exc:
-            directional_derivative(LpSpace(1.5), C, x, v)
+            directional_derivative(LpSpace(3.0), PolytopeV(vertices=vertices), x, v)
         assert len(exc.value.trace) == len(StepSchedule().t_values) == 23
+
+    def test_ray_with_a_small_residual_coordinate(self):
+        # once a non-convergence instance of the quotients: x - P(x) =
+        # (0.0086, 0.686, -4.154) has a small coordinate, where |r|^(p-2)
+        # is large at p = 1.5
+        C = Ray(v=[-1.746, -0.979, 1.582], dir=[0.368, 1.204, 0.506])
+        x = np.array([-1.612, 0.117, -2.400])
+        v = np.array([-1.614, 0.772, -0.353])
+        space = LpSpace(1.5)
+        res = directional_derivative(space, C, x, v)
+        assert res.case_label == "line:interior"
+        assert_allclose(res.value, [-0.591129, -1.934020, -0.812802], rtol=0.0, atol=1e-6)
+        want = line_derivative(1.5, C.dir, x - project(space, C, x), v)
+        assert_allclose(res.value, want, rtol=1e-13, atol=0.0)
 
     def test_ray_quotients_settle_on_the_exact_value(self):
         # once a non-convergence instance: its quotients settle since the
@@ -555,14 +588,128 @@ class TestDirectionalDerivativeDispatch:
         v = np.array([-0.4298437372777596, 1.7751592107843002, -1.5084321712555864])
         space = LpSpace(1.5)
         res = directional_derivative(space, C, x, v)
-        assert res.case_label == "numeric"
+        assert res.case_label == "line:interior"
         want = line_derivative(1.5, C.dir, x - project(space, C, x), v)
-        assert_allclose(res.value, want, rtol=0.0, atol=1e-6)
+        assert_allclose(res.value, want, rtol=1e-13, atol=0.0)
+        est = numdiff_derivative(space, lambda z: project(space, C, z), x, v)
+        assert est.converged
+        assert_allclose(res.value, est.estimate, rtol=0.0, atol=1e-6)
 
     def test_unknown_descriptor(self):
         space = LpSpace(2.0)
         with pytest.raises(TypeError):
             directional_derivative(space, object(), np.ones(2), np.ones(2))
+
+
+LINE_EXPONENTS = [1.05, 1.2, 1.5, 2.0, 3.0, 4.0, 8.0]
+
+
+def _line(C):
+    """(origin, direction, upper parameter) of a segment or a ray."""
+    return (C.u, C.w - C.u, 1.0) if isinstance(C, Segment) else (C.v, C.dir, None)
+
+
+def line_draws(count):
+    """The seeded line corpus as (p, set, x, v): odd draws take the segment
+    [a, a + d], even draws the ray from a along d."""
+    rng = np.random.default_rng(7)
+    for k in range(count):
+        p = float(rng.choice(LINE_EXPONENTS))
+        n = int(rng.integers(2, 6))
+        a, d = rng.standard_normal(n), rng.standard_normal(n)
+        x = a + 2.0 * rng.standard_normal(n)
+        v = rng.standard_normal(n)
+        yield p, Segment(u=a, w=a + d) if k % 2 else Ray(v=a, dir=d), x, v
+
+
+E1_SEGMENT = Segment(u=[0.0, 0.0, 0.0], w=[1.0, 0.0, 0.0])
+DIAGONAL = Segment(u=[-1.0, -1.0, -1.0], w=[1.0, 1.0, 1.0])
+PLANE_RAY = Ray(v=[0.0, 0.0, 0.0], dir=[1.0, 2.0, 0.0])
+FLAT_RAY = Ray(v=[0.0, 0.0, 0.0], dir=[1.0, -1.0, 0.0])
+UNIT_SEGMENT = Segment(u=[0.0, 0.0], w=[1.0, 0.0])
+
+# exact-zero coordinates of x - P(x), ties and points on the line, as
+# (p, set, x, v, label)
+LINE_CASES = [
+    # r = (0, 1, 2) with d = e1: dᵀDd = 0 at p = 3, the first coordinate leads
+    (3.0, E1_SEGMENT, [0.5, 1.0, 2.0], [0.3, -0.7, 0.2], "line:interior"),
+    (3.0, E1_SEGMENT, [0.0, 1.0, 2.0], [-0.3, -0.7, 0.2], "line:tie"),
+    (3.0, E1_SEGMENT, [0.0, 1.0, 2.0], [0.3, -0.7, 0.2], "line:tie"),
+    # P(x) = 0 by symmetry and r = (0, 1, -1): one zero coordinate
+    *[(p, DIAGONAL, [0.0, 1.0, -1.0], [0.3, -0.7, 0.2], "line:interior") for p in (1.05, 1.5, 3.0)],
+    # x on the line, inside it and at the vertex of the ray
+    (1.5, PLANE_RAY, [0.5, 1.0, 0.0], [0.3, -0.7, 0.2], "line:interior"),
+    (1.5, PLANE_RAY, [0.0, 0.0, 0.0], [-0.3, -0.7, 0.2], "line:tie"),
+    (1.5, PLANE_RAY, [0.0, 0.0, 0.0], [0.3, 0.7, 0.2], "line:tie"),
+    # r ⊥ d at the vertex: the slope is 0 there
+    *[(p, FLAT_RAY, [0.0, 0.0, 3.0], [0.3, 0.7, 0.2], "line:tie") for p in (1.2, 4.0)],
+    # |r_i|^(p-2) underflows at p = 20 unless D is scaled by its largest entry
+    (20.0, Segment(u=[-1.0, -1.0], w=[1.0, 1.0]), [1e-20, -1e-20], [1.0, 0.5], "line:interior"),
+    # the far end of a segment: a tie, then a push past it
+    (1.5, UNIT_SEGMENT, [1.0, 3.0], [-0.4, 0.1], "line:tie"),
+    (1.5, UNIT_SEGMENT, [1.0, 3.0], [0.4, 0.1], "line:tie"),
+    (1.5, UNIT_SEGMENT, [2.0, 1.0], [-0.4, 0.1], "line:end"),
+]
+
+
+class TestLineClause:
+    def test_quotients_agree_where_they_settle(self):
+        # measured: 86 of 3,000 draws never settle (70 at p = 1.05); the
+        # others agree with the clause to 2.0e-7
+        settled = 0
+        for p, C, x, v in line_draws(1000):
+            space = LpSpace(p)
+            res = directional_derivative(space, C, x, v)
+            est = numdiff_derivative(space, lambda z: project(space, C, z), x, v)
+            if est.converged:
+                settled += 1
+                scale = max(1.0, np.max(np.abs(res.value)))
+                assert np.max(np.abs(res.value - est.estimate)) <= 1e-6 * scale
+        assert settled >= 980
+
+    @pytest.mark.parametrize("p", LINE_EXPONENTS)
+    def test_high_precision_secants_on_the_corpus(self, p):
+        # the first draws at p whose projection is inside the line, and
+        # one at an end; measured worst 2.5e-15 over 114 draws
+        inner = ends = 0
+        for q, C, x, v in line_draws(400):
+            if q != p:
+                continue
+            res = directional_derivative(LpSpace(p), C, x, v)
+            if res.case_label == "line:end":
+                if ends:
+                    continue
+                ends += 1
+            else:
+                inner += 1
+            twin = np.array([float(e) for e in mp_line_derivative(p, *_line(C), x, v)])
+            assert np.max(np.abs(res.value - twin)) <= 1e-12 * max(1.0, np.max(np.abs(twin)))
+            if inner == 3 and ends:
+                break
+        assert inner == 3 and ends == 1
+
+    @pytest.mark.parametrize("p, C, x, v, label", LINE_CASES)
+    def test_high_precision_secants_on_zeros_ties_and_the_line(self, p, C, x, v, label):
+        res = directional_derivative(LpSpace(p), C, x, v)
+        assert res.case_label == label
+        twin = np.array([float(e) for e in mp_line_derivative(p, *_line(C), x, v)])
+        assert np.max(np.abs(res.value - twin)) <= 1e-12 * max(1.0, np.max(np.abs(twin)))
+
+    def test_flat_fit_is_exact(self):
+        # at p = 3, P(x + s v) = (0.5 + 0.3 s, 0, 0) for small s: the
+        # quotients gave 0.2999999999998977
+        res = directional_derivative(LpSpace(3.0), E1_SEGMENT, [0.5, 1.0, 2.0], [0.3, -0.7, 0.2])
+        assert np.array_equal(res.value, [0.3, 0.0, 0.0])
+
+    def test_lines_never_reach_the_quotients(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(derivative_mod, "numdiff_derivative",
+                            lambda *args, **kwargs: calls.append(args))
+        kinds = set()
+        for p, C, x, v in line_draws(200):
+            directional_derivative(LpSpace(p), C, x, v)
+            kinds.add(type(C))
+        assert kinds == {Segment, Ray} and calls == []
 
 
 # one 3-d descriptor of every set type

@@ -37,7 +37,6 @@ SETTINGS = [
     ("StepSchedule", "quotient_tol"),
     ("numdiff_derivative", "schedule"),
     ("cauchy_rate_probe", "schedule"),
-    ("thread_count", "requested"),
     *[(f"estimate_{curve}_modulus", key) for curve in ("convexity", "smoothness")
       for key in ("budget", "seed", "threads")],
     ("distance_bound_check", "fit"),
@@ -71,4 +70,4 @@ def test_settable_keywords_are_the_pinned_list():
     for suite in SUITES.values():
         found += _settings(suite.__name__, suite)
     assert sorted(found) == sorted(SETTINGS)
-    assert len(SETTINGS) == 38
+    assert len(SETTINGS) == 37

@@ -18,9 +18,9 @@ from banachproj import (
     fit_power_type,
     moduli,
 )
-from banachproj.moduli import _row_norms, _unit_rows, thread_count
+from banachproj.moduli import _delta_inverse, _row_norms, _thread_count, _unit_rows
 from oracles import exact_delta, exact_rho, hilbert_delta, hilbert_rho, lp_norm
-from oracles_mp import mp_delta, mp_rho, rel_error
+from oracles_mp import mp_delta, mp_delta_inverse, mp_rho, rel_error
 
 # The values are exact at any budget; small budgets keep the cross-checks
 # fast.
@@ -57,25 +57,25 @@ def est2():
 
 class TestThreadCount:
     def test_explicit_request_wins(self):
-        assert thread_count(3) == 3
+        assert _thread_count(3) == 3
 
     def test_floor_is_one(self):
-        assert thread_count(0) == 1
-        assert thread_count(-4) == 1
+        assert _thread_count(0) == 1
+        assert _thread_count(-4) == 1
 
     def test_default_positive(self):
-        assert thread_count() >= 1
+        assert _thread_count() >= 1
 
     def test_default_follows_the_affinity_mask(self, monkeypatch):
         # a process pinned to one core by taskset or a cpuset gets one worker
         monkeypatch.setattr(moduli.os, "sched_getaffinity", lambda pid: {3}, raising=False)
         monkeypatch.setattr(moduli.os, "cpu_count", lambda: 64)
-        assert thread_count() == 1
+        assert _thread_count() == 1
 
     def test_default_without_affinity_counts_cores(self, monkeypatch):
         monkeypatch.delattr(moduli.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(moduli.os, "cpu_count", lambda: 3)
-        assert thread_count() == 3
+        assert _thread_count() == 3
 
 
 class TestConvexityEstimate:
@@ -208,6 +208,15 @@ class TestHighPrecisionTwin:
     def test_rho(self, p):
         got = estimate_smoothness_modulus(p, 2, self.TS, budget=64).rho_values
         assert max(rel_error(v, mp_rho(p, t)) for v, t in zip(got, self.TS)) <= 1e-15
+
+    @pytest.mark.parametrize("p", [1.05, 1.5, 2.0, 3.0, 8.0, 20.0])
+    def test_delta_inverse(self, p):
+        # measured worst 4.7e-15 at p = 1.05, at most 1.6e-15 from 1.2 on;
+        # δ⁻¹ solves δ's relation for the other side, so δ⁻¹(1) = 2
+        ds = np.geomspace(1e-14, 1.0, 29)
+        got = _delta_inverse(ds, p)
+        assert max(rel_error(e, mp_delta_inverse(p, d)) for e, d in zip(got, ds)) <= 1e-14
+        assert got[-1] == 2.0 and _delta_inverse(0.0, p) == 0.0
 
 
 class TestAttainingPairs:
@@ -639,26 +648,30 @@ class TestDistanceBoundCheck:
         assert set(js) == {"count", "anomalies", "anomaly_rate", "rows"}
         json.dumps(js)
 
-    def test_needs_both_curves(self, rng):
-        partial = estimate_convexity_modulus(3.0, 3, [0.5, 1.0], budget=600,
-                                             seed=1)
-        with pytest.raises(ValueError, match="both modulus curves"):
-            distance_bound_check(LpSpace(3.0), PositiveCone(),
-                                 [(np.ones(3), np.zeros(3))], partial)
+    def test_estimate_of_another_space_is_refused(self, est3, rng):
+        # the curves are those of the estimate's p, so they must be the space's
+        pairs = [(x, x + 0.01) for x in rng.normal(size=(5, 3))]
+        with pytest.raises(ValueError, match="estimate is for p = 3, the space has p = 4"):
+            distance_bound_check(LpSpace(4.0), PositiveCone(), pairs, est3)
 
     def test_pair_beyond_rho_grid(self, est3):
+        # 6 ρ(2‖x - y‖) is far above δ(2) = 1, where δ⁻¹ is undefined
         far = (np.array([4.0, 0.0, 0.0]), np.array([-4.0, 1.0, 0.0]))
-        with pytest.raises(ValueError, match="outside the estimated range"):
+        with pytest.raises(ValueError, match="exceeds delta"):
             distance_bound_check(LpSpace(3.0), PositiveCone(), [far], est3)
 
     def test_delta_inverse_runs_out_of_range(self):
-        # a delta grid stopping at tiny epsilon cannot invert the rho values
-        # that a moderately separated pair produces
+        # a delta grid stopping at tiny epsilon once left δ⁻¹ undefined for
+        # this pair; the exact curves answer it, and the bound holds
         d = estimate_convexity_modulus(3.0, 3, np.geomspace(0.01, 0.05, 4),
                                        budget=800, seed=1)
         r = estimate_smoothness_modulus(3.0, 3, np.geomspace(0.02, 1.9, 8),
                                         budget=800, seed=1)
         pair = (np.array([0.5, 0.2, 0.1]), np.array([0.45, 0.25, 0.12]))
-        with pytest.raises(ValueError, match="delta-inverse argument"):
-            distance_bound_check(LpSpace(3.0), PositiveCone(), [pair],
-                                 d.merged_with(r))
+        report = distance_bound_check(LpSpace(3.0), PositiveCone(), [pair],
+                                      d.merged_with(r))
+        assert report.count == 1 and report.anomalies == 0
+
+    def test_no_pairs_give_an_empty_report(self, est3):
+        report = distance_bound_check(LpSpace(3.0), PositiveCone(), [], est3)
+        assert (report.rows, report.count, report.anomalies) == ([], 0, 0)

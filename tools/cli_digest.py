@@ -29,7 +29,11 @@ the positive cone of a point whose coordinates are each within the
 default tolerance of it but whose ℓ_2 distance is not (exit 2), a ball
 `derivative` at a sphere point along a direction tilted inward by 5e-10
 (`ball:sphere-down`), and a `rate` whose `k_min` of -2000 makes the step
-2^-k overflow (exit 2).  Each config runs through
+2^-k overflow (exit 2), and last three line derivatives: a ray at p = 1.5
+whose x - P(x) has a small coordinate, and at p = 3 two on the segment
+[0, e₁], one whose x - P(x) is 0 in the first coordinate (its own line
+fit leads) and one at the end u with a zero slope (`line:tie`).  Each
+config runs through
 `banachproj.cli.main` in-process, inside a temporary directory, and the
 script prints a header of `#` lines (the NumPy and SciPy versions) and
 then one line per config:
@@ -235,6 +239,17 @@ def corpus() -> list[tuple[str, str, dict]]:
         "space": space, "set": segment, "inputs": {"x": [1.0, 2.0, 3.0]},
         "rate": {"count": 2, "k_min": -2000},
     }))
+    out.append(("derivative_ray_small_residual", "derivative", {
+        "space": {"p": 1.5, "n": 3},
+        "set": {"type": "ray", "v": [-1.746, -0.979, 1.582], "dir": [0.368, 1.204, 0.506]},
+        "inputs": {"x": [-1.612, 0.117, -2.400], "v": [-1.614, 0.772, -0.353]},
+    }))
+    e1_segment = {"type": "segment", "u": [0.0, 0.0, 0.0], "w": [1.0, 0.0, 0.0]}
+    for case, x, v in (("flat_fit", [0.5, 1.0, 2.0], [0.3, -0.7, 0.2]),
+                       ("tie", [0.0, 1.0, 2.0], [-0.3, -0.7, 0.2])):
+        out.append((f"derivative_segment_{case}", "derivative", {
+            "space": space, "set": e1_segment, "inputs": {"x": x, "v": v},
+        }))
     return out
 
 
