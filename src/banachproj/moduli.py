@@ -44,7 +44,10 @@ estimate for metric projections,
 
 on the exact curves.  Clarkson's and Hanner's relations are symmetric in
 1 - δ and ε/2, so δ⁻¹ solves the same relation for the other side: in
-closed form for p >= 2, by the bisection that gives δ for p < 2.
+closed form for p >= 2, by the bisection that gives δ for p < 2, which
+skips d = 0 (δ⁻¹(0) = 0).  The points x and y are checked and projected
+as two stacks (`sets.SetDescriptor._project_rows`), with the bits of
+projecting each point on its own.
 """
 from __future__ import annotations
 
@@ -55,9 +58,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import solver
+from . import sets
 from ._scipy import stats  # noqa: F401  (never read here; the span tracer hooks it)
-from .space import LpSpace
+from .space import LpSpace, _row_sums
 
 __all__ = ["ModuliEstimate", "PowerFit", "BoundReport", "estimate_convexity_modulus",
            "estimate_smoothness_modulus", "fit_power_type", "distance_bound_check"]
@@ -200,7 +203,12 @@ def _delta_inverse(d: np.ndarray, p: float) -> np.ndarray:
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if p >= 2.0:
             return 2.0 * (-np.expm1(p * np.log1p(-d))) ** (1.0 / p)
-        return np.where(d > 0.0, 2.0 * _hanner_root(d, p, solve_delta=False), 0.0)
+        # only d > 0 is bisected: at d = 0 the root is 0, reached by halving
+        # down to the least subnormal, about 1,075 steps
+        eps = np.zeros_like(d)
+        pos = d > 0.0
+        eps[pos] = 2.0 * _hanner_root(d[pos], p, solve_delta=False)
+        return eps
 
 
 def _rho(t: np.ndarray, p: float) -> np.ndarray:
@@ -228,7 +236,7 @@ def _row_norms(M: np.ndarray, p: float) -> np.ndarray:
     # normal range (every |m| < 0.03 at p = 200), the row is divided by its
     # largest entry first; the other rows keep their bits
     with np.errstate(over="ignore"):
-        total = (np.abs(M) ** p).sum(axis=1)
+        total = _row_sums(np.abs(M) ** p)
     nr = total ** (1.0 / p)
     odd = ~((total >= _NORMAL) & (total < np.inf))
     if odd.any():
@@ -236,7 +244,7 @@ def _row_norms(M: np.ndarray, p: float) -> np.ndarray:
         top = B.max(axis=1)
         np.copyto(top, 1.0, where=top == 0.0)
         B /= top[:, None]
-        nr[odd] = top * (B ** p).sum(axis=1) ** (1.0 / p)
+        nr[odd] = top * _row_sums(B ** p) ** (1.0 / p)
     return nr
 
 
@@ -389,8 +397,8 @@ def distance_bound_check(space: LpSpace, C, pairs, est: ModuliEstimate,
     pairs = list(pairs)
     if not pairs:
         return BoundReport(rows=[], count=0, anomalies=0)
-    X, Y = (np.array(a, dtype=float) for a in zip(*pairs))
-    PX, PY = (np.array([solver.project(space, C, z) for z in Z]) for Z in (X, Y))
+    X, Y = (sets._point(C, np.array(a, dtype=float), ndim=2) for a in zip(*pairs))
+    PX, PY = C._project_rows(space, X), C._project_rows(space, Y)
     lhs, dist = _row_norms(PX - PY, p), _row_norms(X - Y, p)
     arg = 6.0 * _rho(2.0 * dist, p)
     if np.any(arg > 1.0):

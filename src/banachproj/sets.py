@@ -14,12 +14,17 @@ distance from x to its projection, within the tolerance.
 
 Projections have one public way in, `solver.project` (or
 `project_with_certificate`), which checks the point and calls the
-descriptor's `project`.  Balls, the cone, and coordinate subspaces project
-in closed form (independent of p for the cone and subspace: Σ|x_i - z_i|^p
-separates, so each coordinate is clipped or zeroed on its own); segments
-and rays reduce to root finding on a monotone derivative, solved by a
-port of SciPy's Brent (`_brent_root`) that needs only NumPy; polytopes
-are handed to the iterative solver.  An H-polytope finds its feasible
+descriptor's `project`.  A caller with many points checks them as one
+stack (`_point` with ndim=2) and calls `_project_rows`, which loops over
+`project` unless the type does better: a ball projects every row at once
+with the bits of its single-point projection, and the cone and the
+coordinate subspaces work elementwise, so their `project` serves rows.
+Balls, the cone, and coordinate subspaces project in closed form
+(independent of p for the cone and subspace: Σ|x_i - z_i|^p separates,
+so each coordinate is clipped or zeroed on its own); segments and rays
+reduce to root finding on a monotone derivative, solved by a port of
+SciPy's Brent (`_brent_root`) that needs only NumPy; polytopes are
+handed to the iterative solver.  An H-polytope finds its feasible
 point by non-negative least squares (`_nnls`), and the solver certifies
 its projections from the dual weights, a weak-duality lower bound on the
 support gap; only a point that bound leaves uncertified asks
@@ -64,9 +69,9 @@ class InfeasibleSetError(ValueError):
     """The descriptor defines an empty set."""
 
 
-def _vec(x) -> np.ndarray:
+def _vec(x, ndim: int = 1) -> np.ndarray:
     a = np.asarray(x, dtype=float)
-    if a.ndim != 1 or a.size == 0:
+    if a.ndim != ndim or a.size == 0:
         raise ValueError("expected a nonempty 1-d coordinate array")
     if not np.isfinite(a).all():
         raise ValueError("coordinates must be finite")
@@ -101,8 +106,9 @@ class SetDescriptor:
     `kind` (its JSON type name) and `dim` (the dimension it pins, None if
     any fits) and defines `project(space, x)`, `support(space, j, x, box)`
     (see `support`); membership is the distance to `project` (see
-    `contains`).  `sample(rng, n)` yields a few members of the set in R^n.
-    Types with a closed-form rule override `classify(space, y, eff)` (the
+    `contains`), and `_project_rows(space, X)` projects a checked stack.
+    `sample(rng, n)` yields a few members of the set in R^n.  Types with
+    a closed-form rule override `classify(space, y, eff)` (the
     internal/cuticle tag of a member y, see `classify_point`); the base
     version refuses.  Its JSON form is its fields, unless it overrides
     `to_json`, and `descriptor_from_json` takes only entries of the types
@@ -116,6 +122,10 @@ class SetDescriptor:
         raise ValueError(
             f"no closed-form internal/cuticle classification for {type(self).__name__}"
         )
+
+    def _project_rows(self, space: LpSpace, X: np.ndarray) -> np.ndarray:
+        # `project` of each row of a checked stack
+        return np.array([self.project(space, x) for x in X])
 
     def _gap_scale(self, space: LpSpace, u: np.ndarray, z: np.ndarray) -> np.ndarray:
         # coordinate magnitudes behind the rounding of the support gap
@@ -154,6 +164,19 @@ class Ball(SetDescriptor):
             return x.copy()
         return self.center + (self.radius / d) * xc
 
+    def _project_rows(self, space, X):
+        # `project` of every row at once, bit for bit; a row whose |x - c|
+        # overflows (its norm is not finite) takes `project` itself
+        with np.errstate(over="ignore"):
+            XC = X - self.center
+        d = space._power_norm_rows(np.abs(XC), space.p)
+        U = X.copy()
+        out = (d > self.radius) & (d < math.inf)
+        U[out] = self.center + (self.radius / d[out])[:, None] * XC[out]
+        for i in np.flatnonzero(~np.isfinite(d)):
+            U[i] = self.project(space, X[i])
+        return U
+
     def support(self, space, j, x, box):
         # c + (r/‖j‖_q) J⁻¹(j), written out so that ‖j‖_q is taken once
         nj, t = space._norm_and_power(j, space.q)
@@ -189,6 +212,8 @@ class PositiveCone(SetDescriptor):
 
     def project(self, space, x):
         return np.maximum(x, 0.0)
+
+    _project_rows = project   # elementwise, so it serves a stack as it is
 
     def support(self, space, j, x, box):
         return np.maximum(np.where(j > 0.0, x + box, x - box), 0.0)
@@ -230,6 +255,8 @@ class CoordinateSubspace(SetDescriptor):
 
     def project(self, space, x):
         return np.where(self.free, x, 0.0)
+
+    _project_rows = project   # the mask broadcasts over rows
 
     def support(self, space, j, x, box):
         return np.where(self.free, x + box * np.sign(j), 0.0)
@@ -533,12 +560,13 @@ def _descriptor(C) -> SetDescriptor:
     return C
 
 
-def _point(C, x) -> np.ndarray:
-    """x checked as a point for C: finite, nonempty and 1-d, in C's dimension."""
-    x = _vec(x)
+def _point(C, x, ndim: int = 1) -> np.ndarray:
+    """x checked as a point for C: finite, nonempty and 1-d, in C's dimension.
+    With ndim=2, x is a stack of such points, one a row, checked at once."""
+    x = _vec(x, ndim)
     d = _descriptor(C).dim
-    if d is not None and x.size != d:
-        raise ValueError(f"point has dimension {x.size}, set expects {d}")
+    if d is not None and x.shape[-1] != d:
+        raise ValueError(f"point has dimension {x.shape[-1]}, set expects {d}")
     return x
 
 

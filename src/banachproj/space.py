@@ -30,6 +30,13 @@ inputs, and ``math.fsum`` (from n = 3) and Python's ``sum`` (from n = 8,
 NumPy's pairwise block) round differently from NumPy's sum.  The sign
 stays ``np.sign``, which maps -0.0 to +0.0, where ``np.copysign`` would
 keep -0.0 and move report bytes.
+
+``_power_norm_rows`` is the same kernel on the rows of a stack (the
+ball's batched projection): the same scaled powers, and row sums with the
+bits of the one-row sum (``_row_sums``: NumPy adds rows of up to 7
+entries in order, so those are added column by column, which is faster
+than its short-axis reduction).  The root stays per row in Python's float
+power: NumPy's array power puts about 5% of these roots 1 ulp away.
 """
 from __future__ import annotations
 
@@ -41,6 +48,18 @@ __all__ = ["LpSpace", "SPHERE_TOL"]
 
 # unit-sphere membership tolerance for the smoothness functional
 SPHERE_TOL = 1e-9
+
+
+def _row_sums(S: np.ndarray) -> np.ndarray:
+    # S.sum(axis=1), bit for bit: NumPy adds rows of up to 7 entries in
+    # order, and adding those column by column skips its slow short-axis
+    # reduction; longer rows keep NumPy's pairwise sum
+    if S.shape[1] > 7:
+        return S.sum(axis=1)
+    total = S[:, 0].copy()
+    for k in range(1, S.shape[1]):
+        total += S[:, k]
+    return total
 
 
 class LpSpace:
@@ -77,6 +96,20 @@ class LpSpace:
         s = a / m
         s **= expo
         return m * float(s.sum()) ** (1.0 / expo)
+
+    @staticmethod
+    def _power_norm_rows(A: np.ndarray, expo: float) -> np.ndarray:
+        # `_power_norm` of each row of A = |X|, bit for bit, with A used as
+        # scratch: the same scaled powers and sums, and the root per row in
+        # Python's float power, as the point kernel takes it.  A row whose
+        # max entry is 0 or not finite gives that max
+        m = A.max(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            A /= m[:, None]
+        A **= expo
+        inv = 1.0 / expo
+        return np.array([t if t == 0.0 or not math.isfinite(t) else t * s ** inv
+                         for t, s in zip(m.tolist(), _row_sums(A).tolist())])
 
     def norm(self, x) -> float:
         """ℓ_p norm of a primal vector."""

@@ -8,14 +8,17 @@ is evidence, not circularity.  The one exception is `duality_smoothness`, which 
 the package's duality map and quotient estimator; `xi_quotient` checks it.
 `wrapped_power_norm` and `wrapped_duality_map` are the kernel's earlier
 NumPy form, and `line_param_brentq` is the line search's earlier SciPy
-form, kept to pin their bits rather than their accuracy.  `highs_feasible`
-and `highs_support` are HiGHS linear programs: the H-polytope's earlier
-feasibility probe, and the boxed support point behind the certificate.
+form, kept to pin their bits rather than their accuracy; so are
+`row_norms_summed` and `bound_rows_per_point`, the bound check's earlier
+row norms and per-point loop (which read the package's ρ and δ⁻¹).
+`highs_feasible` and `highs_support` are HiGHS linear programs: the
+H-polytope's earlier feasibility probe, and the boxed support point
+behind the certificate.
 """
 import numpy as np
 from scipy import optimize
 
-from banachproj import numdiff_derivative
+from banachproj import moduli, numdiff_derivative, project
 
 
 def lp_norm(x, p):
@@ -230,6 +233,36 @@ def line_param_brentq(p, origin, d, x, hi=None, xtol=np.finfo(float).tiny):
         return upper(end)
     return float(optimize.brentq(slope, lo, end, xtol=xtol,
                                  rtol=4.0 * np.finfo(float).eps, maxiter=2000))
+
+
+def row_norms_summed(M, p):
+    """ℓ_p norms of the rows of M from NumPy's row sums; a row whose power
+    sum overflows or leaves the normal range is divided by its largest
+    entry first (a zero row stays 0)."""
+    with np.errstate(over="ignore"):
+        total = np.sum(np.abs(M) ** p, axis=1)
+    nr = total ** (1.0 / p)
+    odd = ~((total >= 2.0 ** -1022) & (total < np.inf))
+    if odd.any():
+        B = np.abs(M[odd])
+        top = B.max(axis=1)
+        np.copyto(top, 1.0, where=top == 0.0)
+        nr[odd] = top * np.sum((B / top[:, None]) ** p, axis=1) ** (1.0 / p)
+    return nr
+
+
+def bound_rows_per_point(space, C, pairs):
+    """The rows of `distance_bound_check`, each point projected on its own
+    through `project` and each norm by `row_norms_summed`."""
+    p = space.p
+    X, Y = (np.array(a, dtype=float) for a in zip(*pairs))
+    PX, PY = (np.array([project(space, C, z) for z in Z]) for Z in (X, Y))
+    lhs, dist = row_norms_summed(PX - PY, p), row_norms_summed(X - Y, p)
+    far = np.maximum(row_norms_summed(X - PY, p), row_norms_summed(PX - Y, p))
+    k = np.where(dist == 0.0, 2.0, 2.0 * np.maximum(1.0, far))
+    rhs = k * moduli._delta_inverse(6.0 * moduli._rho(2.0 * dist, p), p)
+    ok = lhs <= moduli.ANOMALY_FACTOR * rhs + 1e-12
+    return list(zip(lhs.tolist(), rhs.tolist(), k.tolist(), dist.tolist(), ok.tolist()))
 
 
 def highs_feasible(A, b):

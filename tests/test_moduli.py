@@ -12,6 +12,7 @@ from banachproj import (
     LpSpace,
     ModuliEstimate,
     PositiveCone,
+    Segment,
     distance_bound_check,
     estimate_convexity_modulus,
     estimate_smoothness_modulus,
@@ -19,7 +20,15 @@ from banachproj import (
     moduli,
 )
 from banachproj.moduli import _delta_inverse, _row_norms, _thread_count, _unit_rows
-from oracles import exact_delta, exact_rho, hilbert_delta, hilbert_rho, lp_norm
+from oracles import (
+    bound_rows_per_point,
+    exact_delta,
+    exact_rho,
+    hilbert_delta,
+    hilbert_rho,
+    lp_norm,
+    row_norms_summed,
+)
 from oracles_mp import mp_delta, mp_delta_inverse, mp_rho, rel_error
 
 # The values are exact at any budget; small budgets keep the cross-checks
@@ -217,6 +226,20 @@ class TestHighPrecisionTwin:
         got = _delta_inverse(ds, p)
         assert max(rel_error(e, mp_delta_inverse(p, d)) for e, d in zip(got, ds)) <= 1e-14
         assert got[-1] == 2.0 and _delta_inverse(0.0, p) == 0.0
+
+    def test_delta_inverse_bisects_only_positive_entries(self, monkeypatch):
+        # a zero entry would halve down to the least subnormal; it is 0
+        # without a bisection, and the other entries keep their bits
+        ds = np.geomspace(1e-14, 1.0, 29)
+        want = _delta_inverse(ds, 1.5)
+        seen, root = [], moduli._hanner_root
+        monkeypatch.setattr(moduli, "_hanner_root",
+                            lambda known, p, solve_delta: seen.append(known) or root(known, p, solve_delta))
+        zeros = [0, 11, 31]
+        got = _delta_inverse(np.insert(ds, [0, 10, 29], 0.0), 1.5)
+        assert np.array_equal(np.delete(got, zeros), want) and not got[zeros].any()
+        assert _delta_inverse(0.0, 1.5) == 0.0
+        assert seen and not any((known == 0.0).any() for known in seen)
 
 
 class TestAttainingPairs:
@@ -566,16 +589,22 @@ class TestSphereMap:
         rows = _unit_rows(np.random.default_rng(13).standard_normal((2000, n)), p)
         assert max(abs(lp_norm(r, p) - 1.0) for r in rows) <= 1e-12
 
-    @pytest.mark.parametrize("p", [1.5, 3.0])
+    @pytest.mark.parametrize("p", [1.5, 3.0, 1e4])
     def test_row_norms_match_a_row_sum(self, p):
+        # NumPy adds rows of up to 7 entries in order, so their column sums
+        # are its row sums bit for bit; longer rows are summed by NumPy.
+        # The rows hold zeros (every 50th is zero), and at p = 1e4 most
+        # overflow or underflow and take the scaled path
         rng = np.random.default_rng(14)
-        for n in (1, 2, 3, 4, 5, 6, 7, 8, 12):
+        for n in (1, 2, 3, 4, 5, 6, 7, 8, 9, 12):
             M = rng.standard_normal((500, n)) * 10.0 ** rng.integers(-3, 4, size=(500, 1))
-            ref = np.sum(np.abs(M) ** p, axis=1) ** (1.0 / p)
-            if n <= 7:   # NumPy adds rows this short in order
-                assert np.array_equal(_row_norms(M, p), ref)
-            else:
-                np.testing.assert_allclose(_row_norms(M, p), ref, rtol=1e-15, atol=0.0)
+            M[rng.random((500, n)) < 0.2] = 0.0
+            M[::50] = 0.0
+            assert np.array_equal(_row_norms(M, p), row_norms_summed(M, p))
+            if p == 1e4:
+                with np.errstate(over="ignore"):
+                    total = np.sum(np.abs(M) ** p, axis=1)
+                assert np.sum((total < 2.0 ** -1022) | (total == np.inf)) >= 250
 
 
 class TestVeryLargeExponents:
@@ -675,3 +704,41 @@ class TestDistanceBoundCheck:
     def test_no_pairs_give_an_empty_report(self, est3):
         report = distance_bound_check(LpSpace(3.0), PositiveCone(), [], est3)
         assert (report.rows, report.count, report.anomalies) == ([], 0, 0)
+
+    @staticmethod
+    def _near_pairs(rng, space, count, scale=(0.3, 1.5)):
+        # acceptance criterion 10's design: separations up to 0.05
+        pairs = []
+        for _ in range(count):
+            x = rng.standard_normal(3) * rng.uniform(*scale)
+            step = rng.standard_normal(3)
+            step *= rng.uniform(0.0, 0.05) / max(space.norm(step), 1e-12)
+            pairs.append((x, x + step))
+        return pairs
+
+    def test_rows_match_the_per_point_loop(self, est3):
+        # criterion 10's pairs, the ball's and then the cone's, and a
+        # segment, which projects its stacks row by row
+        space, rng = LpSpace(3.0), np.random.default_rng(1000)
+        for C in (Ball(center=np.zeros(3), radius=1.0), PositiveCone()):
+            pairs = self._near_pairs(rng, space, 1000)
+            assert distance_bound_check(space, C, pairs, est3).rows == bound_rows_per_point(space, C, pairs)
+        C = Segment(u=np.array([-1.0, 0.5, 0.0]), w=np.array([1.0, -0.5, 0.3]))
+        pairs = self._near_pairs(np.random.default_rng(1001), space, 40)
+        assert distance_bound_check(space, C, pairs, est3).rows == bound_rows_per_point(space, C, pairs)
+
+    def test_ball_pairs_are_projected_as_stacks(self, est3, monkeypatch):
+        space, C = LpSpace(3.0), Ball(center=np.zeros(3), radius=1.0)
+        pairs = self._near_pairs(np.random.default_rng(1002), space, 50)
+        calls, single = [], Ball.project
+        monkeypatch.setattr(Ball, "project", lambda *a: calls.append(1) or single(*a))
+        assert distance_bound_check(space, C, pairs, est3).count == 50
+        assert calls == []
+
+    def test_bad_points_are_refused(self, est3):
+        space, C = LpSpace(3.0), Ball(center=np.zeros(3), radius=1.0)
+        x = np.array([0.5, 0.2, 0.1])
+        with pytest.raises(ValueError, match="coordinates must be finite"):
+            distance_bound_check(space, C, [(x, x + 0.01), (x, np.array([0.5, np.nan, 0.1]))], est3)
+        with pytest.raises(ValueError, match="point has dimension 2, set expects 3"):
+            distance_bound_check(space, C, [(x[:2], x[:2] + 0.01)] * 3, est3)

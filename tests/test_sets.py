@@ -341,6 +341,52 @@ class TestProjectBall:
             project(space, Ball(center=[0.0, 0.0, 0.0], radius=1.0), [1.0, 0.0])
 
 
+class TestBallRows:
+    # `_project_rows` is `project` on each row, bit for bit: the same scaled
+    # powers and row sums, and the root taken per row
+
+    @staticmethod
+    def _stack(rng, C, p, rows=24):
+        # points at up to three radii from the center, four on the sphere
+        # (up to rounding) and the center itself
+        D = rng.standard_normal((rows, C.center.size))
+        D /= np.sum(np.abs(D) ** p, axis=1, keepdims=True) ** (1.0 / p)
+        t = rng.uniform(0.0, 3.0, size=(rows, 1))
+        t[:4], t[4] = 1.0, 0.0
+        return C.center + C.radius * t * D
+
+    @pytest.mark.parametrize("p", [1.05, 1.5, 2.0, 3.0, 4.0, 8.0, 20.0])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 9, 17, 40])
+    def test_rows_match_single_projections(self, p, n):
+        space, rng = LpSpace(p), np.random.default_rng([15, n, int(p * 100)])
+        for scale in (1e-150, 1e-3, 1.0, 1e3, 1e150):
+            C = Ball(center=rng.standard_normal(n) * scale, radius=rng.uniform(0.1, 3.0) * scale)
+            X = self._stack(rng, C, p)
+            want = np.array([project(space, C, x) for x in X])
+            assert np.array_equal(C._project_rows(space, X), want)
+
+    def test_inside_and_center_rows_stay(self):
+        # the center row divides 0 by 0 inside the batch, which warns of nothing
+        space, C = LpSpace(3.0), Ball(center=np.array([1.0, -2.0, 0.5]), radius=1.0)
+        X = np.array([C.center, C.center + [0.2, -0.3, 0.1], C.center + [1.0, 0.0, 0.0]])
+        with np.errstate(all="raise"):
+            assert np.array_equal(C._project_rows(space, X), X)
+
+    def test_overflowing_row_takes_the_point_path(self, monkeypatch):
+        # |x - c| overflows in the second row only; that row alone is
+        # handed to `project`, which gives what a single call gives
+        space, C = LpSpace(1.5), Ball(center=np.array([-1e308, 0.0]), radius=1.0)
+        X = np.array([[-1e308, 3.0], [1e308, 0.5], [-1e308, 0.2]])
+        with np.errstate(all="ignore"):
+            want = np.array([project(space, C, x) for x in X])
+            calls = []
+            single = Ball.project
+            monkeypatch.setattr(Ball, "project", lambda *a: calls.append(1) or single(*a))
+            got = C._project_rows(space, X)
+        assert len(calls) == 1
+        assert np.array_equal(got, want, equal_nan=True)
+
+
 class TestProjectPositiveCone:
     # clipping does not depend on p
     space = LpSpace(3.0)
