@@ -276,7 +276,8 @@ def _cmd_moduli(cfg: dict, seed: int, out) -> int:
     curve = _given(opts, curve=_string).get("curve", "both")
     if curve not in ("delta", "rho", "both"):
         raise _ConfigError('moduli curve must be "delta", "rho" or "both"')
-    kw = _given(opts, budget=_integer, threads=_integer)
+    # type-checked and not read: perfbench/workloads.py sets them
+    _given(opts, budget=_integer, threads=_integer)
     est = None
     try:
         for name in ("delta", "rho") if curve == "both" else (curve,):
@@ -284,7 +285,7 @@ def _cmd_moduli(cfg: dict, seed: int, out) -> int:
             grid = _given(opts, **{key: _floats}).get(key)
             if grid is None:
                 raise _ConfigError(f"{name} estimation needs a {key!r} grid")
-            part = estimate(space.p, n, grid, seed=seed, **kw)
+            part = estimate(space.p, n, grid)
             est = part if est is None else est.merged_with(part)
     except ValueError as exc:
         raise _ConfigError(str(exc)) from exc

@@ -101,6 +101,8 @@ def _ball_clause(space: LpSpace, c: np.ndarray, radius: float, x: np.ndarray,
                  v: np.ndarray) -> DerivativeResult:
     xc = x - c
     d = space.norm(xc)
+    if d == math.inf:   # x - c overflows; d² below overflows from d = 1.3e154 on
+        raise OverflowError("the ball derivative overflows: |x - c| is not finite")
     band = SPHERE_BAND * radius
     if d < radius - band:
         return DerivativeResult(v.copy(), "ball:interior")

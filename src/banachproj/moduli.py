@@ -24,14 +24,8 @@ The values are evaluated without cancellation, so they keep their
 relative accuracy where δ or ρ is tiny and next to ε = 2, where Hanner's
 equation (bisected to adjacent doubles) is flat in δ: δ(2) = 1 exactly.
 
-Each estimate also checks its inequality on max(64, `budget`) random unit
-pairs (Gaussian rows scaled onto the sphere), each scored at its own
-separation e (δ) or at its own length t, uniform up to the largest grid
-value (ρ).  It records the least slack: 1 - m^p - (e/2)^p (Clarkson),
-2 - F(m, e) (Hanner) or ρ(t) + 1 - (‖x + y‖ + ‖x - y‖)/2 (Lindenstrauss).
-A slack below 0 by more than rounding would refute the closed form.  Each
-block of `_BLOCK` entries draws from its own child of `seed`, on up to
-`threads` workers, so memory is bounded and no bit depends on `threads`.
+The values do not depend on n, and nothing is sampled: the estimators'
+`budget`, `seed` and `threads` are accepted and not read.
 
 Power-type fits a·ε^p and b·t^q are unconstrained least squares in
 log-log space over the small-argument tail.
@@ -52,8 +46,6 @@ projecting each point on its own.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,21 +58,10 @@ __all__ = ["ModuliEstimate", "PowerFit", "BoundReport", "estimate_convexity_modu
            "estimate_smoothness_modulus", "fit_power_type", "distance_bound_check"]
 
 
-def _thread_count(requested: int | None = None) -> int:
-    """Worker cap: the explicit argument, else all cores this process may
-    run on (its affinity mask, where the platform has one)."""
-    if requested is not None:
-        return max(1, int(requested))
-    if hasattr(os, "sched_getaffinity"):
-        return max(1, len(os.sched_getaffinity(0)))
-    return max(1, os.cpu_count() or 1)
-
-
 @dataclass
 class ModuliEstimate:
-    """Exact modulus curves for one space, and the least slacks of their
-    inequalities over `sample_count` random pairs in all.  A curve that
-    was not estimated is empty, and its slack is NaN."""
+    """Exact modulus curves for one space; a curve that was not estimated
+    is empty."""
 
     p: float
     n: int
@@ -88,9 +69,7 @@ class ModuliEstimate:
     delta_values: np.ndarray = field(default_factory=lambda: np.array([]))
     ts: np.ndarray = field(default_factory=lambda: np.array([]))
     rho_values: np.ndarray = field(default_factory=lambda: np.array([]))
-    sample_count: int = 0
-    delta_slack: float = math.nan
-    rho_slack: float = math.nan
+    sample_count = 0   # not a field: read by perfbench/spans.py on traced runs
 
     def merged_with(self, other: "ModuliEstimate") -> "ModuliEstimate":
         if (self.p, self.n) != (other.p, other.n):
@@ -98,10 +77,9 @@ class ModuliEstimate:
         take_delta = self if self.epsilons.size else other
         take_rho = self if self.ts.size else other
         return ModuliEstimate(
-            p=self.p, n=self.n, sample_count=self.sample_count + other.sample_count,
+            p=self.p, n=self.n,
             epsilons=take_delta.epsilons.copy(), delta_values=take_delta.delta_values.copy(),
-            ts=take_rho.ts.copy(), rho_values=take_rho.rho_values.copy(),
-            delta_slack=take_delta.delta_slack, rho_slack=take_rho.rho_slack)
+            ts=take_rho.ts.copy(), rho_values=take_rho.rho_values.copy())
 
     def csv_rows(self):
         yield ("curve", "argument", "value")
@@ -118,13 +96,10 @@ class ModuliEstimate:
             "delta_values": [float(d) for d in self.delta_values],
             "ts": [float(t) for t in self.ts],
             "rho_values": [float(r) for r in self.rho_values],
-            "sample_count": self.sample_count,
             "delta_side": "exact",
             "delta_inequality": "clarkson" if self.p >= 2.0 else "hanner",
-            "delta_slack": self.delta_slack,
             "rho_side": "exact",
             "rho_inequality": "lindenstrauss",
-            "rho_slack": self.rho_slack,
         }
 
 
@@ -223,12 +198,10 @@ def _rho(t: np.ndarray, p: float) -> np.ndarray:
                         + _log_mean_power(np.minimum(t, 1.0 / t), p) / p)
 
 
-# -- the cross-check -------------------------------------------------------------
+# -- row norms and the estimators -----------------------------------------------
 
 #: least normal double
 _NORMAL = 2.0 ** -1022
-#: entries per array of a check block (16k pairs at n = 2)
-_BLOCK = 1 << 15
 
 
 def _row_norms(M: np.ndarray, p: float) -> np.ndarray:
@@ -248,31 +221,6 @@ def _row_norms(M: np.ndarray, p: float) -> np.ndarray:
     return nr
 
 
-def _unit_rows(M: np.ndarray, p: float) -> np.ndarray:
-    """Scale the rows of M onto the unit sphere in place (a zero row stays)."""
-    nr = _row_norms(M, p)
-    M /= np.where(nr < 1e-300, 1.0, nr)[:, None]
-    return M
-
-
-def _least_slack(curve: str, p: float, n: int, count: int, top: float, seed_seq) -> float:
-    # the least slack of the curve's inequality over one block of pairs
-    rng = np.random.default_rng(seed_seq)
-    X = _unit_rows(rng.standard_normal((count, n)), p)
-    Y = _unit_rows(rng.standard_normal((count, n)), p)
-    if curve == "rho":
-        t = top * rng.random(count)
-        Y *= t[:, None]
-        slack = _rho(t, p) + 1.0 - 0.5 * (_row_norms(X + Y, p) + _row_norms(X - Y, p))
-    else:
-        e, m = 0.5 * _row_norms(X - Y, p), 0.5 * _row_norms(X + Y, p)
-        if p >= 2.0:
-            slack = 1.0 - (m ** p + e ** p)
-        else:
-            slack = 2.0 - ((m + e) ** p + np.abs(m - e) ** p)
-    return float(slack.min())
-
-
 def _validate_grid(grid, upper: float, name: str) -> np.ndarray:
     g = np.asarray(grid, dtype=float)
     if g.ndim != 1 or g.size == 0:
@@ -284,42 +232,28 @@ def _validate_grid(grid, upper: float, name: str) -> np.ndarray:
     return g
 
 
-def _estimate(curve: str, p: float, n: int, grid, budget: int, seed: int,
-              threads: int | None) -> ModuliEstimate:
+def _estimate(curve: str, p: float, n: int, grid) -> ModuliEstimate:
     LpSpace(p)
     if n < 2:
         raise ValueError("the moduli need dimension >= 2")
-    if n > 10_600:
-        # the supported range.  A check block holds _BLOCK entries at any
-        # n, so memory stays bounded, but at this n a block holds only 3
-        # pairs: budget 1e5 means 33,000 seeded blocks and 2.1e9 normals
-        raise ValueError(f"the moduli support dimension <= 10600, got {n}")
-    g = _validate_grid(grid, *((2.0, "epsilon") if curve == "delta" else (math.inf, "t")))
-    pairs, c = max(64, int(budget)), max(1, _BLOCK // n)
-    # δ draws from the first child of `seed` and ρ from the second
-    seeds = np.random.SeedSequence(seed).spawn(2)[curve == "rho"].spawn(-(-pairs // c))
-    sizes, top = [min(c, pairs - a) for a in range(0, pairs, c)], float(g[-1])
-    with ThreadPoolExecutor(max_workers=_thread_count(threads)) as pool:
-        slack = min(pool.map(lambda k, s: _least_slack(curve, p, n, k, top, s), sizes, seeds))
     if curve == "delta":
-        return ModuliEstimate(p=float(p), n=int(n), epsilons=g, delta_values=_delta(g, p),
-                              sample_count=pairs, delta_slack=slack)
-    return ModuliEstimate(p=float(p), n=int(n), ts=g, rho_values=_rho(g, p),
-                          sample_count=pairs, rho_slack=slack)
+        g = _validate_grid(grid, 2.0, "epsilon")
+        return ModuliEstimate(p=float(p), n=int(n), epsilons=g, delta_values=_delta(g, p))
+    g = _validate_grid(grid, math.inf, "t")
+    return ModuliEstimate(p=float(p), n=int(n), ts=g, rho_values=_rho(g, p))
 
 
+# `budget`, `seed` and `threads` are not read; perfbench/workloads.py passes them
 def estimate_convexity_modulus(p: float, n: int, eps_grid, budget: int = 100_000,
                                seed: int = 0, threads: int | None = None) -> ModuliEstimate:
-    """Exact δ(ε) over a grid, with Clarkson's (p >= 2) or Hanner's (p < 2)
-    inequality checked on max(64, budget) seeded random pairs."""
-    return _estimate("delta", p, n, eps_grid, budget, seed, threads)
+    """Exact δ(ε) over a grid: Clarkson's for p >= 2, Hanner's for p < 2."""
+    return _estimate("delta", p, n, eps_grid)
 
 
 def estimate_smoothness_modulus(p: float, n: int, t_grid, budget: int = 100_000,
                                 seed: int = 0, threads: int | None = None) -> ModuliEstimate:
-    """Exact ρ(t) over a grid, with the inequality behind Lindenstrauss's
-    formula checked on max(64, budget) seeded random pairs."""
-    return _estimate("rho", p, n, t_grid, budget, seed, threads)
+    """Exact ρ(t) over a grid (Lindenstrauss)."""
+    return _estimate("rho", p, n, t_grid)
 
 
 def _tail_fit(args: np.ndarray, vals: np.ndarray) -> tuple[float, float, float]:

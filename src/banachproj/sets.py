@@ -162,6 +162,11 @@ class Ball(SetDescriptor):
         d = space._power_norm(np.abs(xc), space.p)
         if d <= self.radius:
             return x.copy()
+        if d == math.inf:
+            # x - c overflows: x/2 - c/2 points the same way, taken to max entry 1
+            xc = 0.5 * x - 0.5 * self.center
+            xc /= np.abs(xc).max()
+            d = space._power_norm(np.abs(xc), space.p)
         return self.center + (self.radius / d) * xc
 
     def _project_rows(self, space, X):

@@ -100,6 +100,13 @@ class _Collector:
         return SuiteReport(self.name, self.checks)
 
 
+def _rng(count: int, seed: int) -> np.random.Generator:
+    # every suite starts here, so none passes having checked nothing
+    if count < 1:
+        raise ValueError(f"a suite needs count >= 1, got {count}")
+    return np.random.default_rng(seed)
+
+
 def _sample(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
     return rng.standard_normal((count, n)) * rng.uniform(0.2, 3.0, (count, 1))
 
@@ -107,7 +114,7 @@ def _sample(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
 def duality_suite(p: float = 3.0, n: int = 4, count: int = 1000, seed: int = 0) -> SuiteReport:
     """Duality-map identities on random nonzero vectors (vectorized)."""
     space = LpSpace(p)
-    rng = np.random.default_rng(seed)
+    rng = _rng(count, seed)
     X = _sample(rng, count, n)
     X = X[np.max(np.abs(X), axis=1) > 1e-12]
     col = _Collector("duality")
@@ -134,7 +141,7 @@ def duality_suite(p: float = 3.0, n: int = 4, count: int = 1000, seed: int = 0) 
 def ball_suite(p: float = 3.0, n: int = 4, count: int = 200, seed: int = 1) -> SuiteReport:
     """Ball projection: membership, idempotence, radial formula, certificate."""
     space = LpSpace(p)
-    rng = np.random.default_rng(seed)
+    rng = _rng(count, seed)
     col = _Collector("ball")
     worst_member = worst_idem = worst_radial = 0.0
     worst_cert = np.inf
@@ -163,7 +170,7 @@ def cone_suite(p: float = 3.0, n: int = 4, count: int = 200, seed: int = 2) -> S
     """Positive-cone projection: clipping law, membership, certificate,
     and the coordinatewise derivative on random sign patterns."""
     space = LpSpace(p)
-    rng = np.random.default_rng(seed)
+    rng = _rng(count, seed)
     C = PositiveCone()
     col = _Collector("cone")
     worst_clip = worst_member = 0.0
@@ -192,7 +199,7 @@ def subspace_suite(p: float = 3.0, n: int = 5, count: int = 200, seed: int = 3) 
     """Coordinate-subspace projection: masking law, membership, and the
     duality-orthogonality of the residual x - Px."""
     space = LpSpace(p)
-    rng = np.random.default_rng(seed)
+    rng = _rng(count, seed)
     col = _Collector("subspace")
     worst_mask = worst_member = worst_ortho = worst_idem = 0.0
     for _ in range(count):
@@ -240,7 +247,7 @@ def properties4_suite(p: float = 3.0, n: int = 3, count: int = 25, seed: int = 4
     membership of Px, idempotence, fixing of points already in the set, and
     minimality against random competitors from the set."""
     space = LpSpace(p)
-    rng = np.random.default_rng(seed)
+    rng = _rng(count, seed)
     col = _Collector("properties4")
     worst_member_fail = 0
     worst_idem = worst_fix = worst_min = 0.0
@@ -273,7 +280,7 @@ def hilbert_suite(n: int = 4, count: int = 300, seed: int = 5) -> SuiteReport:
     collapse to the inner product, projections are nonexpansive, and the
     sphere derivative takes its classical closed form."""
     space = LpSpace(2.0)
-    rng = np.random.default_rng(seed)
+    rng = _rng(count, seed)
     col = _Collector("hilbert")
     worst_j = worst_psi = worst_expand = worst_form = 0.0
     C = Ball(center=np.zeros(n), radius=1.0)

@@ -11,6 +11,8 @@ NumPy form, and `line_param_brentq` is the line search's earlier SciPy
 form, kept to pin their bits rather than their accuracy; so are
 `row_norms_summed` and `bound_rows_per_point`, the bound check's earlier
 row norms and per-point loop (which read the package's ρ and δ⁻¹).
+`least_slack` is the moduli's earlier sampled check of their inequalities,
+on one thread; its ρ side reads the package's ρ.
 `highs_feasible` and `highs_support` are HiGHS linear programs: the
 H-polytope's earlier feasibility probe, and the boxed support point
 behind the certificate.
@@ -249,6 +251,34 @@ def row_norms_summed(M, p):
         np.copyto(top, 1.0, where=top == 0.0)
         nr[odd] = top * np.sum((B / top[:, None]) ** p, axis=1) ** (1.0 / p)
     return nr
+
+
+def unit_rows(G, p):
+    """The rows of G scaled onto the unit sphere of ℓ_p."""
+    return G / row_norms_summed(G, p)[:, None]
+
+
+def least_slack(curve, p, n, count, top=1.0, seed=0):
+    """The least slack, over `count` random pairs in R^n, of the inequality
+    behind a closed-form modulus.  x and y are Gaussian rows scaled onto
+    the unit sphere, on one generator.  For δ (curve "delta") the slack is
+    1 - m^p - (e/2)^p (Clarkson, p >= 2) or 2 - (m + e/2)^p - |m - e/2|^p
+    (Hanner, p < 2), with m = ‖(x + y)/2‖ and e = ‖x - y‖.  For ρ, y is
+    scaled to a length t uniform on [0, top), and the slack is
+    ρ(t) + 1 - (‖x + y‖ + ‖x - y‖)/2 (Lindenstrauss), with ρ read from
+    `moduli._rho` at the call.  A slack below 0 by more than rounding
+    refutes the closed form."""
+    rng = np.random.default_rng(seed)
+    X, Y = (unit_rows(G, p) for G in rng.standard_normal((2, count, n)))
+    if curve == "rho":
+        t = top * rng.random(count)
+        Y *= t[:, None]
+        slack = moduli._rho(t, p) + 1.0 - 0.5 * (row_norms_summed(X + Y, p)
+                                                 + row_norms_summed(X - Y, p))
+    else:
+        e, m = 0.5 * row_norms_summed(X - Y, p), 0.5 * row_norms_summed(X + Y, p)
+        slack = 1.0 - (m ** p + e ** p) if p >= 2.0 else 2.0 - ((m + e) ** p + np.abs(m - e) ** p)
+    return float(slack.min())
 
 
 def bound_rows_per_point(space, C, pairs):

@@ -347,8 +347,8 @@ def test_criterion_10_moduli_exponents_and_bound():
     grid = np.geomspace(0.05, 0.8, 6)
     windows = {2.0: (2.0, 2.0), 3.0: (3.0, 2.0), 1.5: (2.0, 1.5)}
     for p, (pe, qe) in windows.items():
-        d = estimate_convexity_modulus(p, 2, grid, budget=100_000, seed=5)
-        r = estimate_smoothness_modulus(p, 2, grid, budget=100_000, seed=5)
+        d = estimate_convexity_modulus(p, 2, grid)
+        r = estimate_smoothness_modulus(p, 2, grid)
         est = d.merged_with(r)
         fit = fit_power_type(est)
         assert abs(fit.p_fit - pe) <= 0.2, f"p={p}: p_fit {fit.p_fit:.3f}"
@@ -359,10 +359,8 @@ def test_criterion_10_moduli_exponents_and_bound():
         assert np.all((est.rho_values >= 0.0) & (est.rho_values <= est.ts + 1e-15))
 
     space = LpSpace(3.0)
-    d3 = estimate_convexity_modulus(3.0, 3, np.geomspace(0.05, 1.9, 8),
-                                    budget=100_000, seed=6)
-    r3 = estimate_smoothness_modulus(3.0, 3, np.geomspace(0.02, 1.9, 8),
-                                     budget=100_000, seed=6)
+    d3 = estimate_convexity_modulus(3.0, 3, np.geomspace(0.05, 1.9, 8))
+    r3 = estimate_smoothness_modulus(3.0, 3, np.geomspace(0.02, 1.9, 8))
     est3 = d3.merged_with(r3)
     rng = np.random.default_rng(1000)
     anomalies = 0

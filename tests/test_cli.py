@@ -272,6 +272,12 @@ class TestVerify:
         assert code == 2
         assert "unknown suite" in err
 
+    @pytest.mark.parametrize("suite", ["duality", "ball", "cone", "subspace", "properties4", "hilbert"])
+    def test_count_below_one_is_invalid_input(self, tmp_path, suite):
+        code, out, err = run_cli(tmp_path, "verify", {"suite": suite, "count": 0})
+        assert (code, out) == (2, "")
+        assert "count >= 1, got 0" in err
+
     def test_failing_suite_exits_1(self, tmp_path, monkeypatch):
         import banachproj.cli as cli_mod
         broken = SuiteReport("cone", [CheckResult("planted failure", False)])
@@ -312,6 +318,22 @@ class TestModuli:
         # the rho side was never estimated; strict JSON has no NaN literal
         assert fit["q_fit"] is None
 
+    def test_report_is_the_closed_forms_alone(self, tmp_path):
+        # no sample count or slacks, and `seed`, `budget` and `threads`
+        # move no byte
+        outs = []
+        for extra in ({}, {"seed": 3}, {"moduli": {"budget": 7, "threads": 5}}):
+            moduli = {"curve": "both", "epsilons": [0.5, 1.0], "ts": [0.5, 1.0]}
+            code, out, _ = run_cli(tmp_path, "moduli", {
+                "space": {"p": 1.5, "n": 3}, "seed": extra.get("seed", 0),
+                "moduli": {**moduli, **extra.get("moduli", {})}})
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1] == outs[2]
+        report = json.loads(outs[0])
+        assert not {"sample_count", "delta_slack", "rho_slack"} & set(report)
+        assert (report["delta_inequality"], report["rho_inequality"]) == ("hanner", "lindenstrauss")
+
     def test_missing_grid(self, tmp_path):
         code, _, err = run_cli(tmp_path, "moduli", {
             "space": {"p": 2, "n": 2},
@@ -328,14 +350,18 @@ class TestModuli:
         assert code == 2
         assert "increasing" in err
 
-    def test_dimension_past_the_supported_limit_is_config_error(self, tmp_path):
-        # refused before any pair is drawn
-        code, out, err = run_cli(tmp_path, "moduli", {
-            "space": {"p": 3, "n": 10601},
-            "moduli": {"curve": "delta", "epsilons": [0.5], "budget": 10, "threads": 1},
-        })
-        assert (code, out) == (2, "")
-        assert "dimension <= 10600" in err
+    def test_large_dimension_reports_the_plane_values(self, tmp_path):
+        # the closed forms hold for every n >= 2; `budget` and `threads` are not read
+        reports = []
+        for n, extra in ((10601, {"budget": 10, "threads": 1}), (2, {})):
+            code, out, _ = run_cli(tmp_path, "moduli", {
+                "space": {"p": 3, "n": n},
+                "moduli": {"curve": "delta", "epsilons": [0.5], **extra},
+            })
+            assert code == 0
+            reports.append(json.loads(out))
+        assert reports[0]["n"] == 10601
+        assert reports[0]["delta_values"] == reports[1]["delta_values"]
 
 
 class TestRate:
@@ -678,7 +704,6 @@ SEGMENT = ([0.5, -1.0, 2.0], [1.5, 0.25, -0.5], [1.2, -0.3, 1.1])   # u, w, x: i
 # offsets, x
 FALLBACK = (FALLBACK_P, FALLBACK_SET.normals.tolist(), FALLBACK_SET.offsets.tolist(), FALLBACK_X.tolist())
 MODULI_ARGS = (3.0, 2, [0.2, 0.5, 1.0])
-MODULI_KW = {"budget": 500, "seed": 7, "threads": 2}
 
 LAZY_PROBE = """
 import contextlib, io, json, sys
@@ -704,8 +729,7 @@ print(json.dumps({"before": before, "after": "scipy.optimize" in sys.modules,
 MODULI_PROBE = """
 import json, sys
 from banachproj import estimate_convexity_modulus
-args, kw = json.loads(sys.argv[1])
-est = estimate_convexity_modulus(*args, **kw)
+est = estimate_convexity_modulus(*json.loads(sys.argv[1]))
 print(json.dumps([repr(d) for d in est.delta_values]))
 """
 
@@ -763,7 +787,7 @@ class TestStartup:
         assert out == {"codes": [0] * len(configs), "loaded": []}
 
     def test_moduli_command_loads_no_scipy(self, tmp_path):
-        # the closed forms and the check's Gaussian rows need only NumPy
+        # the closed forms need only NumPy
         path = tmp_path / "moduli.json"
         path.write_text(json.dumps({
             "space": {"p": 3, "n": 2}, "seed": 5,
@@ -807,9 +831,9 @@ class TestStartup:
         assert out == {"message": "no closed-form internal/cuticle classification for PolytopeV",
                        "optimize": False}
 
-    def test_first_moduli_estimate_on_a_pool_matches_a_warm_one(self):
+    def test_first_moduli_estimate_matches_a_warm_one(self):
         from banachproj import estimate_convexity_modulus
 
-        warm = estimate_convexity_modulus(*MODULI_ARGS, **MODULI_KW)
-        fresh = self.run_fresh(MODULI_PROBE, json.dumps([MODULI_ARGS, MODULI_KW]))
+        warm = estimate_convexity_modulus(*MODULI_ARGS)
+        fresh = self.run_fresh(MODULI_PROBE, json.dumps(MODULI_ARGS))
         assert fresh == [repr(d) for d in warm.delta_values]

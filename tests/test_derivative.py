@@ -767,6 +767,14 @@ class TestEntryValidation:
         assert res.case_label == "ball:interior"
         assert np.array_equal(res.value, [1.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_ball_clause_refuses_an_overflowing_offset(self, p):
+        # x - c overflows: an arithmetic failure (CLI exit 4), where it
+        # once gave NaN under the exterior label
+        with np.errstate(over="ignore"), pytest.raises(ArithmeticError, match="not finite"):
+            directional_derivative(LpSpace(p), Ball(center=[-1e308, 0.0], radius=1.0),
+                                   [1e308, 0.5], [1.0, 0.0])
+
     @pytest.mark.parametrize("entry", sorted(DERIVATIVE_ENTRY_POINTS))
     def test_every_entry_point_rejects_a_nan_base_point(self, entry):
         # a NaN base point must not come back as a NaN value under a

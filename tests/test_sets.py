@@ -333,6 +333,14 @@ class TestProjectBall:
                 z = z / space.norm(z) * rng.uniform(0.0, 1.0)
                 assert space.pairing(j, u - z) >= -1e-8
 
+    @pytest.mark.parametrize("p", [1.01, 1.5, 3.0])
+    def test_overflowing_offset_still_projects(self, p):
+        # x - c overflows, so the direction comes from x/2 - c/2: once NaN
+        space, C = LpSpace(p), Ball(center=[-1e308, 0.0], radius=1.0)
+        with np.errstate(over="ignore"):
+            u = project(space, C, [1e308, 0.5])
+        assert np.array_equal(u, [-1e308, 0.25 / 1e308])
+
     def test_rejects_bad_arguments(self):
         space = LpSpace(2.0)
         with pytest.raises(ValueError):
@@ -374,7 +382,8 @@ class TestBallRows:
 
     def test_overflowing_row_takes_the_point_path(self, monkeypatch):
         # |x - c| overflows in the second row only; that row alone is
-        # handed to `project`, which gives what a single call gives
+        # handed to `project`, which gives what a single call gives, and
+        # no NaN
         space, C = LpSpace(1.5), Ball(center=np.array([-1e308, 0.0]), radius=1.0)
         X = np.array([[-1e308, 3.0], [1e308, 0.5], [-1e308, 0.2]])
         with np.errstate(all="ignore"):
@@ -384,7 +393,7 @@ class TestBallRows:
             monkeypatch.setattr(Ball, "project", lambda *a: calls.append(1) or single(*a))
             got = C._project_rows(space, X)
         assert len(calls) == 1
-        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(got, want) and np.isfinite(got).all()
 
 
 class TestProjectPositiveCone:

@@ -31,6 +31,18 @@ class TestSuitesPass:
         b = run_suite("ball", count=20, seed=3).to_json()
         assert a == b
 
+    @pytest.mark.parametrize("name", sorted(SUITES))
+    def test_one_instance_is_enough(self, name):
+        report = run_suite(name, count=1)
+        assert report.passed, report.summary()
+
+    @pytest.mark.parametrize("count", [0, -2])
+    @pytest.mark.parametrize("name", sorted(SUITES))
+    def test_a_suite_that_would_check_nothing_is_refused(self, name, count):
+        # it once passed with no checks run, or failed inside NumPy
+        with pytest.raises(ValueError, match=f"count >= 1, got {count}"):
+            run_suite(name, count=count)
+
 
 class TestFailureAccounting:
     def test_impossible_tolerance_fails(self, monkeypatch):

@@ -3,11 +3,12 @@
 The corpus is built from one fixed seed: `project` batches on all eight
 set types at p in {1.5, 3} and n in {2, 3}, `derivative` on every set
 type, `classify` on a ball, the positive cone, a coordinate subspace and
-a singleton, every `verify` suite at count 5, `moduli` at budget 500,
-`rate` on a segment, a ray and both polytopes, two malformed set configs
-(a set of the wrong dimension, an unknown set type) that must exit with
-code 2, `moduli` at p = 1.5, n = 3 on two threads, three refused inputs
-that must exit with code 2 (`classify` on a segment, and on a singleton
+a singleton, every `verify` suite at count 5, `moduli` (its `budget` key
+of 500 is type-checked and not read), `rate` on a segment, a ray and
+both polytopes, two malformed set configs (a set of the wrong dimension,
+an unknown set type) that must exit with code 2, `moduli` at p = 1.5,
+n = 3 (its `threads` key of 2 is type-checked and not read either),
+three refused inputs that must exit with code 2 (`classify` on a segment, and on a singleton
 a `derivative` along a zero direction and a `project` of non-finite
 points), and last the ball `derivative` at a sphere point along an
 outward and an inward direction and at an exterior point (the
