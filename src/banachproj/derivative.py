@@ -101,7 +101,7 @@ def _ball_clause(space: LpSpace, c: np.ndarray, radius: float, x: np.ndarray,
                  v: np.ndarray) -> DerivativeResult:
     xc = x - c
     d = space.norm(xc)
-    if d == math.inf:   # x - c overflows; d² below overflows from d = 1.3e154 on
+    if d == math.inf:   # x - c overflows
         raise OverflowError("the ball derivative overflows: |x - c| is not finite")
     band = SPHERE_BAND * radius
     if d < radius - band:
@@ -109,7 +109,10 @@ def _ball_clause(space: LpSpace, c: np.ndarray, radius: float, x: np.ndarray,
     nv = space.norm(v)
     g = _slope(space, xc, d, v, nv)
     if d > radius + band:
-        return DerivativeResult((radius / d ** 2) * (d * v - g * nv * xc), "ball:exterior")
+        try:
+            return DerivativeResult((radius / d ** 2) * (d * v - g * nv * xc), "ball:exterior")
+        except OverflowError:   # d² overflows from d = 1.3e154 on
+            return DerivativeResult((radius / d) * (v - (g * nv / d) * xc), "ball:exterior")
     if g < 0.0:
         return DerivativeResult(v.copy(), "ball:sphere-down")
     return DerivativeResult(v - (nv / radius) * g * xc, "ball:sphere-up")
@@ -188,7 +191,7 @@ def directional_derivative(space: LpSpace, C, x, v) -> DerivativeResult:
     whose class has an entry in `_CLOSED_FORMS` (balls, the positive cone,
     coordinate subspaces, segments, rays, singletons) gets its exact clause
     at every base point.  The polytopes are differenced numerically on the
-    default `StepSchedule`, from certified projections, and labeled
+    fixed steps of `numdiff_derivative`, from certified projections, and labeled
     "numeric"; non-convergence, or an uncertified projection, raises
     ConvergenceError.
     """

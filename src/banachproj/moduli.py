@@ -207,7 +207,9 @@ _NORMAL = 2.0 ** -1022
 def _row_norms(M: np.ndarray, p: float) -> np.ndarray:
     # the ℓ_p norms of the rows of M.  Where Σ|m|^p overflows or leaves the
     # normal range (every |m| < 0.03 at p = 200), the row is divided by its
-    # largest entry first; the other rows keep their bits
+    # largest entry first; the other rows keep their bits.  Not the space's
+    # `_power_norm_rows`: the bound needs no single-point bits, and that
+    # kernel's division of every row and root per row in Python is slower
     with np.errstate(over="ignore"):
         total = _row_sums(np.abs(M) ** p)
     nr = total ** (1.0 / p)

@@ -5,6 +5,12 @@ produced here are independent of any closed-form expression they are
 later compared against.  All limits are taken from the right (t ↓ 0);
 central differences are never used, because metric projections are in
 general only one-sidedly differentiable.
+
+The steps halve, t = 2^-k, which keeps the one-step Richardson update well
+conditioned: k = 8..30 (`_STEPS`) for `numdiff_derivative`, which stops once
+3 consecutive quotients agree pairwise within `_QUOTIENT_TOL`, and k_min..k_max
+for `cauchy_rate_probe`.  Stacked differences are normed by `LpSpace`'s row
+kernel, with the bits of `LpSpace.norm`.
 """
 from __future__ import annotations
 
@@ -15,7 +21,6 @@ import numpy as np
 
 __all__ = [
     "ConvergenceError",
-    "StepSchedule",
     "NumericDerivative",
     "RateReport",
     "numdiff_derivative",
@@ -24,7 +29,7 @@ __all__ = [
 
 
 class ConvergenceError(RuntimeError):
-    """A difference-quotient sequence failed to settle within its schedule.
+    """A difference-quotient sequence failed to settle within its steps.
 
     The partial quotient trace is kept on the exception so callers can
     inspect (or report) what was actually computed; no estimate is ever
@@ -37,33 +42,9 @@ class ConvergenceError(RuntimeError):
 
 
 _WINDOW = 3
+_STEPS = tuple(2.0 ** -k for k in range(8, 31))
+_QUOTIENT_TOL = 1e-7
 _EPS = float(np.finfo(float).eps)
-
-
-@dataclass(frozen=True)
-class StepSchedule:
-    """Strictly decreasing step sizes, at least three of them.
-
-    A quotient sequence counts as converged once `_WINDOW` = 3 consecutive
-    entries agree pairwise within `quotient_tol`.  The default steps are
-    t_k = 2^-k for k = 8..30; halving steps keep the one-step Richardson
-    update well conditioned.
-    """
-
-    t_values: tuple = tuple(2.0 ** -k for k in range(8, 31))
-    quotient_tol: float = 1e-7
-
-    def __post_init__(self):
-        ts = tuple(float(t) for t in self.t_values)
-        if len(ts) < _WINDOW:
-            raise ValueError("schedule shorter than its convergence window")
-        if any(not math.isfinite(t) or t <= 0.0 for t in ts):
-            raise ValueError("step sizes must be positive and finite")
-        if any(b >= a for a, b in zip(ts, ts[1:])):
-            raise ValueError("step sizes must be strictly decreasing")
-        if not (0.0 < self.quotient_tol < 1.0):
-            raise ValueError("quotient_tol must lie in (0, 1)")
-        object.__setattr__(self, "t_values", ts)
 
 
 @dataclass
@@ -96,26 +77,22 @@ def _window_spread(space, quotients, window: int) -> float:
 
     Infinite when one of them is not finite, so such a window never closes.
     """
-    recent = quotients[-window:]
-    if not all(np.isfinite(q).all() for q in recent):
+    recent = np.array(quotients[-window:], dtype=float)
+    if not np.isfinite(recent).all():
         return math.inf
-    worst = 0.0
-    for i in range(len(recent)):
-        for j in range(i + 1, len(recent)):
-            worst = max(worst, space.norm(recent[i] - recent[j]))
-    return worst
+    i, j = np.triu_indices(len(recent), 1)
+    return float(space._power_norm_rows(np.abs(recent[i] - recent[j]), space.p).max(initial=0.0))
 
 
-def numdiff_derivative(space, projector, x, v, schedule: StepSchedule | None = None) -> NumericDerivative:
+def numdiff_derivative(space, projector, x, v) -> NumericDerivative:
     """Estimate the one-sided directional derivative of a projector.
 
-    Walks the schedule until the convergence window closes, then applies
-    a single Richardson extrapolation assuming a leading error linear in
-    t.  If the extrapolated value strays more than 10x the quotient
-    tolerance from the final raw quotient, the linear-error model is not
-    trusted and the raw quotient is returned instead.
+    Walks the steps `_STEPS` until the convergence window closes, then
+    applies a single Richardson extrapolation assuming a leading error
+    linear in t.  If the extrapolated value strays more than 10x the
+    quotient tolerance from the final raw quotient, the linear-error model
+    is not trusted and the raw quotient is returned instead.
     """
-    sched = schedule if schedule is not None else StepSchedule()
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     if x.shape != v.shape:
@@ -126,23 +103,18 @@ def numdiff_derivative(space, projector, x, v, schedule: StepSchedule | None = N
     base = np.asarray(projector(x), dtype=float)
     ts: list[float] = []
     quotients: list[np.ndarray] = []
-    hit = False
-    for t in sched.t_values:
-        q = (np.asarray(projector(x + t * v), dtype=float) - base) / t
+    for t in _STEPS:
         ts.append(t)
-        quotients.append(q)
-        if len(quotients) >= _WINDOW:
-            if _window_spread(space, quotients, _WINDOW) < sched.quotient_tol:
-                hit = True
-                break
-
-    if not hit:
+        quotients.append((np.asarray(projector(x + t * v), dtype=float) - base) / t)
+        if len(quotients) >= _WINDOW and _window_spread(space, quotients, _WINDOW) < _QUOTIENT_TOL:
+            break
+    else:
         return NumericDerivative(None, False, ts, quotients, False)
 
     q_last, q_prev = quotients[-1], quotients[-2]
     ratio = ts[-2] / ts[-1]
     extrap = (ratio * q_last - q_prev) / (ratio - 1.0)
-    if space.norm(extrap - q_last) > 10.0 * sched.quotient_tol:
+    if space.norm(extrap - q_last) > 10.0 * _QUOTIENT_TOL:
         return NumericDerivative(q_last.copy(), True, ts, quotients, False)
     return NumericDerivative(extrap, True, ts, quotients, True)
 
@@ -182,16 +154,18 @@ class RateReport:
         }
 
 
-def cauchy_rate_probe(space, projector, x, directions, schedule: StepSchedule | None = None) -> RateReport:
-    """Tabulate ||D_t - D_s|| over consecutive schedule steps s < t.
+def cauchy_rate_probe(space, projector, x, directions, k_min=8, k_max=20) -> RateReport:
+    """Tabulate ||D_t - D_s|| over consecutive steps s < t, t = 2^-k for k_min <= k <= k_max.
 
     Directions must be unit vectors (checked to 1e-9): the deviations are
     compared across directions, so a common scale is required.  At least
     three consecutive pairs are needed for the table to mean anything.
     """
-    sched = schedule if schedule is not None else StepSchedule()
-    if len(sched.t_values) < 4:
-        raise ValueError("need at least 3 consecutive step pairs")
+    for key, k in (("k_min", k_min), ("k_max", k_max)):
+        if not -1024 < k < 1075:   # 2^-k overflows from k = -1024 and rounds to 0 from 1075
+            raise ValueError(f"{key} must give a finite positive step 2^-k, got {k}")
+    if k_max - k_min < 3:
+        raise ValueError("need k_max >= k_min + 3, at least 3 consecutive step pairs")
     x = np.asarray(x, dtype=float)
     dirs = [np.asarray(v, dtype=float) for v in directions]
     if not dirs:
@@ -201,29 +175,27 @@ def cauchy_rate_probe(space, projector, x, directions, schedule: StepSchedule | 
             raise ValueError("probe directions must be unit vectors")
 
     base = np.asarray(projector(x), dtype=float)
-    ts = list(sched.t_values)
+    ts = [2.0 ** -k for k in range(k_min, k_max + 1)]
+    t_col = np.array(ts)[:, None]
     n_pairs = len(ts) - 1
+    i, j = np.triu_indices(len(ts), 1)
     pairs = []
     sup_curve = np.zeros(n_pairs)
-    k_terms = [1.0]
+    envelope = 1.0
     size = float(np.abs(np.append(x, base)).max())
     for dir_id, v in enumerate(dirs):
-        points = [x + t * v for t in ts]
-        projs = [np.asarray(projector(pt), dtype=float) for pt in points]
-        size = max(size, float(np.abs(projs).max()))
-        quotients = [(pj - base) / t for pj, t in zip(projs, ts)]
-        for k in range(n_pairs):
-            dev = space.norm(quotients[k] - quotients[k + 1])
-            pairs.append((dir_id, ts[k], ts[k + 1], dev))
-            sup_curve[k] = max(sup_curve[k], dev)
-        # envelope constant over all sampled pairs s < t, plus the s -> 0 limit
-        for i in range(len(ts)):
-            for j in range(i + 1, len(ts)):
-                k_terms.append(space.norm(projs[i] - points[j]))
-                k_terms.append(space.norm(points[i] - projs[j]))
-        for i in range(len(ts)):
-            k_terms.append(space.norm(projs[i] - x))
-            k_terms.append(space.norm(points[i] - base))
+        X = x + t_col * v
+        P = np.array([projector(pt) for pt in X], dtype=float)
+        size = max(size, float(np.abs(P).max()))
+        Q = (P - base) / t_col
+        # consecutive deviations, then the envelope constant over all sampled
+        # pairs s < t plus the s -> 0 limit; fmax passes over NaN rows
+        D = np.concatenate([Q[:-1] - Q[1:], P[i] - X[j], X[i] - P[j], P - x, X - base])
+        norms = space._power_norm_rows(np.abs(D), space.p)   # `space.norm` of each row
+        devs = norms[:n_pairs]
+        pairs += [(dir_id, ts[k], ts[k + 1], dev) for k, dev in enumerate(devs.tolist())]
+        sup_curve = np.fmax(sup_curve, devs)
+        envelope = max(envelope, float(np.fmax.reduce(norms[n_pairs:])))
 
     # a deviation below 1e-10, or below the rounding of the projections
     # (ε·max|x|, ε·max|P|) over s, is noise, not a measurable convergence rate
@@ -255,7 +227,7 @@ def cauchy_rate_probe(space, projector, x, directions, schedule: StepSchedule | 
     return RateReport(
         pairs=pairs,
         fitted_order=fitted_order,
-        uniform_sup=float(sup_curve.max()) if n_pairs else 0.0,
+        uniform_sup=float(sup_curve.max()),
         uniform_sup_curve=[float(d) for d in sup_curve],
-        k_envelope=2.0 * max(k_terms),
+        k_envelope=2.0 * envelope,
     )

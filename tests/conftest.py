@@ -1,10 +1,21 @@
 import numpy as np
 import pytest
 
+from banachproj import numdiff
+
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260819)
+
+
+@pytest.fixture
+def steps(monkeypatch):
+    """Puts numdiff_derivative on other steps and another quotient tolerance."""
+    def use(ts, tol=numdiff._QUOTIENT_TOL):
+        monkeypatch.setattr(numdiff, "_STEPS", tuple(ts))
+        monkeypatch.setattr(numdiff, "_QUOTIENT_TOL", tol)
+    return use
 
 
 def random_unit(rng, space, n):

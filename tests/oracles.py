@@ -10,7 +10,8 @@ the package's duality map and quotient estimator; `xi_quotient` checks it.
 NumPy form, and `line_param_brentq` is the line search's earlier SciPy
 form, kept to pin their bits rather than their accuracy; so are
 `row_norms_summed` and `bound_rows_per_point`, the bound check's earlier
-row norms and per-point loop (which read the package's ρ and δ⁻¹).
+row norms and per-point loop (which read the package's ρ and δ⁻¹), and
+`rate_per_pair`, the rate probe's earlier loop of one norm per difference.
 `least_slack` is the moduli's earlier sampled check of their inequalities,
 on one thread; its ρ side reads the package's ρ.
 `highs_feasible` and `highs_support` are HiGHS linear programs: the
@@ -82,7 +83,7 @@ def xi_quotient(p, x, v, t):
     return (jdot(x + t * v) - jdot(x)) / t
 
 
-def duality_smoothness(space, x, v, schedule=None):
+def duality_smoothness(space, x, v):
     """Quotient estimate of the one-sided derivative of t -> <J(x+tv), x> at 0.
 
     `numdiff_derivative` on the 1-vector map z -> [<J z, x>], J the space's
@@ -90,7 +91,7 @@ def duality_smoothness(space, x, v, schedule=None):
     derivatives.  Returns the estimate with its steps and quotients.
     """
     return numdiff_derivative(space, lambda z: np.array([space.pairing(space.duality_map(z), x)]),
-                              x, v, schedule)
+                              x, v)
 
 
 def probe_gap(p, x, u, probes):
@@ -463,3 +464,29 @@ def exact_rho(p, t):
     r = np.abs(1.0 - t) / (1.0 + t)
     return np.where(np.isfinite(plain), plain,
                     (1.0 + t) * ((1.0 + r ** p) / 2.0) ** (1.0 / p) - 1.0)
+
+
+def rate_per_pair(space, projector, x, directions, ts):
+    """`cauchy_rate_probe`'s earlier loop on the steps ts, one `space.norm`
+    call per difference: its (direction_id, t, s, deviation) pairs, the sup
+    of each pair's deviation over the directions, and the envelope constant
+    2 max{1, ‖P(x + tv) − (x + sv)‖, ‖(x + tv) − P(x + sv)‖ for s < t,
+    ‖P(x + tv) − x‖, ‖x + tv − P(x)‖}.  Kept to pin the probe's bits."""
+    x = np.asarray(x, dtype=float)
+    base = np.asarray(projector(x), dtype=float)
+    pairs, sup_curve, terms = [], np.zeros(len(ts) - 1), [1.0]
+    for dir_id, v in enumerate(directions):
+        points = [x + t * v for t in ts]
+        projs = [np.asarray(projector(pt), dtype=float) for pt in points]
+        quotients = [(pj - base) / t for pj, t in zip(projs, ts)]
+        for k in range(len(ts) - 1):
+            dev = space.norm(quotients[k] - quotients[k + 1])
+            pairs.append((dir_id, ts[k], ts[k + 1], dev))
+            sup_curve[k] = max(sup_curve[k], dev)
+        for i in range(len(ts)):
+            for j in range(i + 1, len(ts)):
+                terms.append(space.norm(projs[i] - points[j]))
+                terms.append(space.norm(points[i] - projs[j]))
+            terms.append(space.norm(projs[i] - x))
+            terms.append(space.norm(points[i] - base))
+    return pairs, [float(d) for d in sup_curve], 2.0 * max(terms)

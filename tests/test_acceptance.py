@@ -19,7 +19,6 @@ from banachproj import (
     Ray,
     Segment,
     Singleton,
-    StepSchedule,
     cauchy_rate_probe,
     distance_bound_check,
     estimate_convexity_modulus,
@@ -383,7 +382,6 @@ def test_criterion_10_moduli_exponents_and_bound():
 
 def test_criterion_11_rate_probes():
     rng = np.random.default_rng(1100)
-    schedule = StepSchedule(t_values=tuple(2.0 ** -k for k in range(8, 21)), quotient_tol=1e-7)
     instances = []
     for p in (1.5, 3.0):
         space = LpSpace(p)
@@ -397,7 +395,8 @@ def test_criterion_11_rate_probes():
     worst_final = 0.0
     for space, C, x in instances:
         dirs = [space.unit(rng.standard_normal(3)) for _ in range(32)]
-        report = cauchy_rate_probe(space, lambda z: project(space, C, z), x, dirs, schedule)
+        report = cauchy_rate_probe(space, lambda z: project(space, C, z), x, dirs,
+                                   k_min=8, k_max=20)
         curve = np.asarray(report.uniform_sup_curve)
         tail = curve[curve.size // 2:]
         assert tail[-1] < 1e-5, f"{type(C).__name__}: final deviation {tail[-1]:.3e}"

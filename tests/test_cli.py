@@ -211,6 +211,18 @@ class TestDerivative:
         assert set(report) == {"command", "space", "set", "x", "v",
                                "analytic", "numeric", "agreement"}
 
+    def test_far_exterior_ball_point(self, tmp_path):
+        # ‖x − c‖² overflows: once an OverflowError and exit 4
+        code, out, err = run_cli(tmp_path, "derivative", {
+            "space": {"p": 1.5, "n": 2},
+            "set": {"type": "ball", "center": [0, 0], "radius": 1},
+            "inputs": {"x": [1e160, 0.5], "v": [1, 1]},
+        })
+        assert (code, err) == (0, "")
+        analytic = json.loads(out)["analytic"]
+        assert analytic["case_label"] == "ball:exterior"
+        assert analytic["value"][1] == pytest.approx(1e-160, rel=1e-12)
+
 
 class TestClassify:
     def test_cuticle_point(self, tmp_path):
@@ -407,6 +419,46 @@ class TestRate:
         })
         assert code == 2
         assert "k_max" in err
+
+    @pytest.mark.parametrize("k_min, k_max", [(8, 10), (-1000, -998), (1070, 1072)])
+    def test_two_step_pairs_are_refused(self, tmp_path, k_min, k_max):
+        code, out, err = run_cli(tmp_path, "rate", {
+            "space": {"p": 2, "n": 2},
+            "set": {"type": "positive_cone"},
+            "inputs": {"x": [1, -1]},
+            "rate": {"count": 2, "k_min": k_min, "k_max": k_max},
+        })
+        assert (code, out) == (2, "")
+        assert "k_max" in err
+
+    @pytest.mark.parametrize("rate, steps", [({"k_min": 10}, 11), ({"k_max": 11}, 4), ({}, 13)])
+    def test_unset_k_keeps_its_default(self, tmp_path, rate, steps):
+        # the steps are 2^-k for k = 8..20 unless the config sets an end
+        code, out, _ = run_cli(tmp_path, "rate", {
+            "space": {"p": 2, "n": 2},
+            "set": {"type": "positive_cone"},
+            "inputs": {"x": [1, -1]},
+            "rate": {"count": 2, **rate},
+        })
+        assert code == 0
+        pairs = json.loads(out)["pairs"]
+        assert [row[1] for row in pairs[:steps - 1]] == [2.0 ** -k for k in range(
+            rate.get("k_min", 8), rate.get("k_max", 20))]
+        assert len(pairs) == 2 * (steps - 1)
+
+    def test_directions_take_precedence_over_count(self, tmp_path):
+        cfg = {
+            "space": {"p": 2, "n": 2},
+            "set": {"type": "positive_cone"},
+            "inputs": {"x": [1, -1]},
+            "rate": {"directions": [[1, 0], [0, 1]], "k_min": 8, "k_max": 12},
+        }
+        code, alone, _ = run_cli(tmp_path, "rate", cfg)
+        cfg["rate"]["count"] = 5
+        code_both, both, err = run_cli(tmp_path, "rate", cfg)
+        assert (code, code_both, err) == (0, 0, "")
+        assert both == alone
+        assert json.loads(both)["pair_count"] == 2 * 4
 
     @pytest.mark.parametrize("key, k", [("k_min", -2000), ("k_min", -1024), ("k_max", 1075)])
     def test_step_beyond_doubles_is_refused(self, tmp_path, key, k):

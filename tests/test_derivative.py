@@ -1,5 +1,6 @@
 """Directional derivatives of projections: clause values, labels, oracles."""
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ from banachproj import (
     Ray,
     Segment,
     Singleton,
-    StepSchedule,
     directional_derivative,
+    numdiff,
     numdiff_derivative,
     project,
     solver,
@@ -563,7 +564,7 @@ class TestDirectionalDerivativeDispatch:
         vertices, x, v = VPOLY_UNSETTLED
         with pytest.raises(ConvergenceError) as exc:
             directional_derivative(LpSpace(3.0), PolytopeV(vertices=vertices), x, v)
-        assert len(exc.value.trace) == len(StepSchedule().t_values) == 23
+        assert len(exc.value.trace) == len(numdiff._STEPS) == 23
 
     def test_ray_with_a_small_residual_coordinate(self):
         # once a non-convergence instance of the quotients: x - P(x) =
@@ -774,6 +775,28 @@ class TestEntryValidation:
         with np.errstate(over="ignore"), pytest.raises(ArithmeticError, match="not finite"):
             directional_derivative(LpSpace(p), Ball(center=[-1e308, 0.0], radius=1.0),
                                    [1e308, 0.5], [1.0, 0.0])
+
+    @pytest.mark.parametrize("p", [1.2, 1.5, 3.0, 8.0])
+    def test_far_exterior_derivative_is_the_scaled_instance(self, p):
+        # (r/d²)(d·v − g‖v‖(x − c)) overflows in d² from d = 1.34e154 on,
+        # where the derivative, of size r/d, is finite.  Scaling C and x by
+        # s = 2^-k leaves P′ unchanged: P′_{sC}(sx; v) = P′_C(x; v), and
+        # at the scale ‖s(x − c)‖ ≈ 1 the clause takes no overflow branch
+        space, rng = LpSpace(p), np.random.default_rng(int(10 * p))
+        for d in (1.3e154, 1.35e154, 1e160, 1e200, 1e300):
+            c, r = rng.standard_normal(3), float(np.exp(rng.standard_normal()))
+            x, v = c + d * space.unit(rng.standard_normal(3)), rng.standard_normal(3)
+            far = directional_derivative(space, Ball(center=c, radius=r), x, v)
+            s = 2.0 ** -math.frexp(d)[1]
+            scaled = directional_derivative(space, Ball(center=s * c, radius=s * r), s * x, v)
+            assert far.case_label == scaled.case_label == "ball:exterior"
+            assert space.norm(far.value - scaled.value) <= 1e-14 * space.norm(scaled.value)
+
+    def test_far_exterior_derivative_of_the_unit_disk(self):
+        # once an OverflowError, and exit 4 from the CLI
+        res = directional_derivative(LpSpace(1.5), DISK, [1e160, 0.5], [1.0, 1.0])
+        assert res.case_label == "ball:exterior"
+        assert np.all(np.isfinite(res.value)) and res.value[1] == pytest.approx(1e-160, rel=1e-12)
 
     @pytest.mark.parametrize("entry", sorted(DERIVATIVE_ENTRY_POINTS))
     def test_every_entry_point_rejects_a_nan_base_point(self, entry):

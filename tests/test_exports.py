@@ -33,10 +33,8 @@ SETTINGS = [
     ("contains", "tol"),
     ("project_with_certificate", "max_iter"),
     ("project_with_certificate", "cert_tol"),
-    ("StepSchedule", "t_values"),
-    ("StepSchedule", "quotient_tol"),
-    ("numdiff_derivative", "schedule"),
-    ("cauchy_rate_probe", "schedule"),
+    ("cauchy_rate_probe", "k_min"),
+    ("cauchy_rate_probe", "k_max"),
     *[(f"estimate_{curve}_modulus", key) for curve in ("convexity", "smoothness")
       for key in ("budget", "seed", "threads")],
     ("distance_bound_check", "fit"),
@@ -52,8 +50,8 @@ def _settings(name, fn):
 
 
 def test_settable_keywords_are_the_pinned_list():
-    # functions and public methods reachable from banachproj.__all__, the
-    # StepSchedule fields, and the verify suites
+    # functions and public methods reachable from banachproj.__all__, and
+    # the verify suites
     from banachproj.verify import SUITES
 
     found = []
@@ -62,12 +60,10 @@ def test_settable_keywords_are_the_pinned_list():
         if inspect.isfunction(obj):
             found += _settings(name, obj)
         elif inspect.isclass(obj):
-            if obj is banachproj.StepSchedule:
-                found += _settings(name, obj)
             for attr, member in vars(obj).items():
                 if not attr.startswith("_") and inspect.isfunction(member):
                     found += _settings(f"{name}.{attr}", member)
     for suite in SUITES.values():
         found += _settings(suite.__name__, suite)
     assert sorted(found) == sorted(SETTINGS)
-    assert len(SETTINGS) == 37
+    assert len(SETTINGS) == 35

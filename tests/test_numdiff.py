@@ -17,12 +17,13 @@ from banachproj import (
     NumericDerivative,
     PolytopeH,
     PositiveCone,
-    StepSchedule,
     cauchy_rate_probe,
+    numdiff,
     numdiff_derivative,
     project,
 )
 from banachproj.numdiff import _window_spread
+from oracles import rate_per_pair
 
 
 def ball_projector(space, center, radius):
@@ -30,44 +31,17 @@ def ball_projector(space, center, radius):
     return lambda y: project(space, ball, y)
 
 
-def first_quotient(space, projector, x, v, t):
+@pytest.fixture
+def first_quotient(steps):
     """(P(x + t v) - P(x)) / t, the first entry of numdiff_derivative's trace."""
-    schedule = StepSchedule(t_values=(t, t / 2.0, t / 4.0))
-    return numdiff_derivative(space, projector, x, v, schedule).quotients[0]
-
-
-class TestStepSchedule:
-    def test_default_steps(self):
-        sched = StepSchedule()
-        assert sched.t_values[0] == 2.0 ** -8
-        assert sched.t_values[-1] == 2.0 ** -30
-        assert len(sched.t_values) == 23
-        assert sched.quotient_tol == 1e-7
-
-    def test_rejects_schedules_shorter_than_the_window(self):
-        with pytest.raises(ValueError, match="shorter"):
-            StepSchedule(t_values=(0.5, 0.25))
-
-    def test_rejects_bad_steps(self):
-        with pytest.raises(ValueError):
-            StepSchedule(t_values=(0.5, 0.25, 0.0))
-        with pytest.raises(ValueError):
-            StepSchedule(t_values=(0.5, 0.25, -0.125))
-        with pytest.raises(ValueError):
-            StepSchedule(t_values=(0.5, 0.5, 0.25))
-        with pytest.raises(ValueError):
-            StepSchedule(t_values=(0.25, 0.5, 0.125))
-        with pytest.raises(ValueError):
-            StepSchedule(t_values=(0.5, 0.25, float("inf")))
-
-    def test_rejects_bad_tolerance(self):
-        for tol in (0.0, -1e-3, 1.0, 2.0):
-            with pytest.raises(ValueError):
-                StepSchedule(quotient_tol=tol)
+    def quotient(space, projector, x, v, t):
+        steps((t, t / 2.0, t / 4.0))
+        return numdiff_derivative(space, projector, x, v).quotients[0]
+    return quotient
 
 
 class TestDiffQuotient:
-    def test_ball_quotient_matches_radial_formula(self):
+    def test_ball_quotient_matches_radial_formula(self, first_quotient):
         """One quotient of the Euclidean unit-ball projection at t = 0.01."""
         space = LpSpace(2.0)
         x = np.array([2.0, 0.0])
@@ -84,7 +58,7 @@ class TestDiffQuotient:
         assert_allclose(q, [0.0, 0.5], atol=1.3e-3)
         assert q[1] == pytest.approx(0.49999375, abs=1e-8)
 
-    def test_identity_inside_ball_is_exact(self):
+    def test_identity_inside_ball_is_exact(self, first_quotient):
         # dyadic data keeps every intermediate exactly representable
         space = LpSpace(2.0)
         x = np.array([0.25, 0.125])
@@ -92,27 +66,20 @@ class TestDiffQuotient:
         q = first_quotient(space, ball_projector(space, np.zeros(2), 1.0), x, v, 2.0 ** -7)
         assert np.array_equal(q, v)
 
-    def test_singleton_projector_gives_zero(self):
+    def test_singleton_projector_gives_zero(self, first_quotient):
         y = np.array([1.0, 2.0, 3.0])
         q = first_quotient(LpSpace(2.0), lambda z: y, np.array([5.0, 0.0, 0.0]),
                            np.array([0.0, 1.0, 0.0]), 0.5)
         assert np.array_equal(q, np.zeros(3))
 
-    def test_rejects_bad_steps_and_directions(self):
+    def test_rejects_bad_directions(self):
         space = LpSpace(2.0)
         proj = lambda y: y
         x = np.array([1.0, 0.0])
-        v = np.array([0.0, 1.0])
         with pytest.raises(ValueError):
-            first_quotient(space, proj, x, v, 0.0)
+            numdiff_derivative(space, proj, x, np.zeros(2))
         with pytest.raises(ValueError):
-            first_quotient(space, proj, x, v, -0.1)
-        with pytest.raises(ValueError):
-            first_quotient(space, proj, x, v, float("nan"))
-        with pytest.raises(ValueError):
-            first_quotient(space, proj, x, np.zeros(2), 0.1)
-        with pytest.raises(ValueError):
-            first_quotient(space, proj, x, np.array([1.0, 0.0, 0.0]), 0.1)
+            numdiff_derivative(space, proj, x, np.array([1.0, 0.0, 0.0]))
 
 
 class TestNumdiffDerivative:
@@ -150,15 +117,14 @@ class TestNumdiffDerivative:
         assert len(res.ts) == 3
         assert np.array_equal(res.estimate, [1.0, -1.0, 0.0])
 
-    def test_non_convergence_keeps_trace_and_no_estimate(self):
+    def test_non_convergence_keeps_trace_and_no_estimate(self, steps):
         space = LpSpace(2.0)
-        sched = StepSchedule(t_values=(0.25, 0.125, 0.0625), quotient_tol=1e-15)
+        steps((0.25, 0.125, 0.0625), 1e-15)
         res = numdiff_derivative(
             space,
             ball_projector(space, np.zeros(2), 1.0),
             np.array([2.0, 0.0]),
             np.array([0.0, 1.0]),
-            sched,
         )
         assert not res.converged
         assert res.estimate is None
@@ -179,7 +145,7 @@ class TestNumdiffDerivative:
         )
         assert not res.converged
         assert res.estimate is None
-        assert len(res.ts) == len(StepSchedule().t_values)
+        assert len(res.ts) == len(numdiff._STEPS)
 
     def test_richardson_removes_linear_error(self):
         # synthetic map with quotient exactly v + t*u: the extrapolation
@@ -196,7 +162,7 @@ class TestNumdiffDerivative:
         assert_allclose(res.estimate, v, atol=1e-12)
         assert space.norm(res.quotients[-1] - v) > 1e-9
 
-    def test_richardson_rejected_when_jump_too_large(self):
+    def test_richardson_rejected_when_jump_too_large(self, steps):
         # slowly shrinking steps make the extrapolation jump exceed 10x
         # the window tolerance, so the raw final quotient is kept
         space = LpSpace(2.0)
@@ -204,8 +170,8 @@ class TestNumdiffDerivative:
         v = np.array([1.0, 0.0])
         u = np.array([0.0, 1.0])
         proj = lambda y: y + np.sum((y - x) ** 2) * u
-        ts = tuple(0.1 * 0.96 ** k for k in range(6))
-        res = numdiff_derivative(space, proj, x, v, StepSchedule(ts, quotient_tol=0.0079))
+        steps([0.1 * 0.96 ** k for k in range(6)], 0.0079)
+        res = numdiff_derivative(space, proj, x, v)
         assert res.converged
         assert not res.extrapolated
         assert_allclose(res.estimate, res.quotients[-1], rtol=0, atol=0)
@@ -234,14 +200,20 @@ class TestNumdiffDerivative:
 
 
 class TestWindowSpread:
-    def test_one_coordinate_matches_pairwise_norms_bitwise(self):
-        rng = np.random.default_rng(8)
-        space = LpSpace(3.0)
-        for window in (2, 3, 5):
-            for _ in range(200):
-                qs = [np.array([v]) for v in rng.standard_normal(window) * 10.0 ** rng.integers(-9, 3)]
-                pairwise = max(space.norm(a - b) for i, a in enumerate(qs) for b in qs[i + 1:])
-                assert _window_spread(space, qs, window) == pairwise
+    @pytest.mark.parametrize("n", [1, 2, 3, 9])
+    def test_matches_pairwise_norms_bitwise(self, n):
+        # the window's pairs are normed as one stack by the row kernel
+        rng = np.random.default_rng(8 + n)
+        for p in (1.5, 2.0, 3.0, 8.0):
+            space = LpSpace(p)
+            for window in (2, 3, 5):
+                for _ in range(50):
+                    scale = 10.0 ** rng.integers(-9, 3, (window, n))
+                    qs = list(rng.standard_normal((window, n)) * scale)
+                    if rng.random() < 0.2:
+                        qs[-1] = qs[0].copy()   # a zero difference
+                    pairwise = max(space.norm(a - b) for i, a in enumerate(qs) for b in qs[i + 1:])
+                    assert _window_spread(space, qs, window) == pairwise
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("n", [1, 3])
@@ -268,28 +240,26 @@ class TestCauchyRateProbe:
 
     def test_ball_exterior_rate(self):
         space = LpSpace(2.0)
-        sched = StepSchedule(tuple(2.0 ** -k for k in range(8, 21)))
         dirs = [np.array([0.0, 1.0]), np.array([0.6, -0.8]), np.array([-1.0, 0.0])]
         probe = cauchy_rate_probe(
-            space, ball_projector(space, np.zeros(2), 1.0), np.array([2.0, 0.0]), dirs, sched
+            space, ball_projector(space, np.zeros(2), 1.0), np.array([2.0, 0.0]), dirs
         )
         # smooth case: quotient differentiable in t, deviations ~ t
         assert 0.6 < probe.fitted_order < 1.4
         assert probe.uniform_sup_curve[-1] < 1e-5
         assert probe.uniform_sup == max(probe.uniform_sup_curve)
-        assert len(probe.pairs) == len(dirs) * (len(sched.t_values) - 1)
+        assert len(probe.pairs) == len(dirs) * 12   # k = 8..20 by default
         assert all(dev >= 0.0 for _, _, _, dev in probe.pairs)
         assert math.isfinite(probe.k_envelope) and probe.k_envelope >= 2.0
 
     def test_tail_deviations_non_increasing(self):
         # tail monotonicity within a 10% noise allowance, per direction
         space = LpSpace(2.0)
-        sched = StepSchedule(tuple(2.0 ** -k for k in range(8, 21)))
         dirs = [np.array([0.0, 1.0]), np.array([0.8, 0.6])]
         probe = cauchy_rate_probe(
-            space, ball_projector(space, np.zeros(2), 1.0), np.array([1.5, 0.5]), dirs, sched
+            space, ball_projector(space, np.zeros(2), 1.0), np.array([1.5, 0.5]), dirs
         )
-        n_pairs = len(sched.t_values) - 1
+        n_pairs = 12
         for d in range(len(dirs)):
             devs = [row[3] for row in probe.pairs if row[0] == d]
             assert len(devs) == n_pairs
@@ -299,13 +269,12 @@ class TestCauchyRateProbe:
     def test_cone_face_quotients_settle(self):
         # piecewise-linear projection: quotients constant up to rounding
         space = LpSpace(2.0)
-        sched = StepSchedule(tuple(2.0 ** -k for k in range(8, 17)))
         probe = cauchy_rate_probe(
             space,
             lambda y: project(space, PositiveCone(), y),
             np.array([2.0, 3.0, 0.0]),
             [np.array([0.6, 0.0, -0.8])],
-            sched,
+            k_max=16,
         )
         assert probe.uniform_sup <= 1e-8
         # residual deviations are rounding noise, reported as order 0
@@ -339,8 +308,7 @@ class TestCauchyRateProbe:
         x = np.array([-4.8301754727538677, 3.2491086732543293, 1.0999852696148271])
         rng = np.random.default_rng(1)
         dirs = [space.unit(rng.standard_normal(3)) for _ in range(3)]
-        sched = StepSchedule(tuple(2.0 ** -k for k in range(8, 21)))
-        probe = cauchy_rate_probe(space, lambda y: project(space, C, y), x, dirs, sched)
+        probe = cauchy_rate_probe(space, lambda y: project(space, C, y), x, dirs)
         assert 1e-10 < probe.uniform_sup < 1e-8
         assert probe.fitted_order == 0.0
 
@@ -349,13 +317,32 @@ class TestCauchyRateProbe:
         with pytest.raises(ValueError, match="unit"):
             cauchy_rate_probe(space, lambda y: y, np.zeros(2), [np.array([2.0, 0.0])])
 
-    def test_requires_directions_and_enough_steps(self):
-        space = LpSpace(2.0)
-        with pytest.raises(ValueError):
-            cauchy_rate_probe(space, lambda y: y, np.zeros(2), [])
-        short = StepSchedule(t_values=(0.5, 0.25, 0.125))
-        with pytest.raises(ValueError, match="pairs"):
-            cauchy_rate_probe(space, lambda y: y, np.zeros(2), [np.array([1.0, 0.0])], short)
+    def test_requires_directions(self):
+        with pytest.raises(ValueError, match="direction"):
+            cauchy_rate_probe(LpSpace(2.0), lambda y: y, np.zeros(2), [])
+
+    def test_default_steps_are_two_to_the_minus_8_to_20(self):
+        probe = cauchy_rate_probe(LpSpace(2.0), lambda y: y, np.zeros(2), [np.array([1.0, 0.0])])
+        steps = [(t, s) for _, t, s, _ in probe.pairs]
+        assert steps == [(2.0 ** -k, 2.0 ** -(k + 1)) for k in range(8, 20)]
+
+    @pytest.mark.parametrize("k_min, k_max, match", [
+        (8, 10, "pairs"), (8, 9, "pairs"), (8, 8, "pairs"), (12, 8, "pairs"),
+        (-1024, 8, "k_min"), (-2000, 8, "k_min"), (8, 1075, "k_max"), (1072, 1075, "k_max"),
+    ])
+    def test_refuses_k_ranges(self, k_min, k_max, match):
+        # 2^-k overflows from k = -1024 and rounds to 0 from k = 1075, and a
+        # table needs at least 3 consecutive pairs
+        with pytest.raises(ValueError, match=match):
+            cauchy_rate_probe(LpSpace(2.0), lambda y: y, np.zeros(2), [np.array([1.0, 0.0])],
+                              k_min=k_min, k_max=k_max)
+
+    @pytest.mark.parametrize("k_min", [-1023, 8, 1071])
+    def test_accepts_k_ranges_of_three_pairs_within_the_doubles(self, k_min):
+        probe = cauchy_rate_probe(LpSpace(2.0), lambda y: y, np.zeros(2), [np.array([1.0, 0.0])],
+                                  k_min=k_min, k_max=k_min + 3)
+        assert [t for _, t, _, _ in probe.pairs] == [2.0 ** -k for k in range(k_min, k_min + 3)]
+        assert probe.uniform_sup == 0.0
 
     def test_csv_rows_and_summary(self):
         space = LpSpace(2.0)
@@ -385,6 +372,36 @@ class TestCauchyRateProbe:
         second = cauchy_rate_probe(*args)
         assert first.pairs == second.pairs
         assert first.k_envelope == second.k_envelope
+
+
+class TestRateTwin:
+    """The stacked probe against its earlier loop of one `space.norm` per
+    difference (`oracles.rate_per_pair`), bit for bit.  n = 9 sums its rows
+    by NumPy's pairwise sum, shorter rows by columns."""
+
+    @pytest.mark.parametrize("n", [2, 3, 9])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 8.0])
+    def test_pairs_curve_and_envelope_match_the_per_pair_loop(self, p, n):
+        space = LpSpace(p)
+        rng = np.random.default_rng(int(10 * p) + n)
+        ball = Ball(center=0.3 * rng.standard_normal(n), radius=1.2)
+        face = np.abs(rng.standard_normal(n)) + 0.5
+        face[::2] = 0.0
+        cases = [
+            (ball, ball.center + 3.0 * space.unit(rng.standard_normal(n))),   # exterior
+            (ball, ball.center + 0.25 * space.unit(rng.standard_normal(n))),  # interior: zero rows
+            (PositiveCone(), face),                                           # on a cone face
+        ]
+        dirs = [space.unit(rng.standard_normal(n)) for _ in range(4)]
+        dirs.append(space.unit(-face))   # into the cone's face
+        for C, x in cases:
+            proj = lambda y, C=C: project(space, C, y)
+            probe = cauchy_rate_probe(space, proj, x, dirs)
+            ts = [2.0 ** -k for k in range(8, 21)]
+            pairs, curve, envelope = rate_per_pair(space, proj, x, dirs, ts)
+            assert probe.pairs == pairs
+            assert probe.uniform_sup_curve == curve
+            assert probe.k_envelope == envelope
 
 
 def test_convergence_error_keeps_trace():

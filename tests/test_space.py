@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from banachproj import LpSpace, StepSchedule
+from banachproj import LpSpace
 from conftest import random_unit
 from oracles import (
     duality_smoothness,
@@ -317,22 +317,22 @@ class TestDualitySmoothness:
             assert abs(space.norm_smoothness(x, v) - inner) <= 1e-10
             assert abs(duality_smoothness(space, x, v).estimate[0] - inner) <= 1e-10
 
-    def test_non_convergence_reports_every_step(self):
+    def test_non_convergence_reports_every_step(self, steps):
         space = LpSpace(3.0)
-        sched = StepSchedule(t_values=(0.25, 0.125, 0.0625), quotient_tol=1e-14)
+        steps((0.25, 0.125, 0.0625), 1e-14)
         x = space.unit([1.0, 2.0, -0.5])
         v = space.unit([-1.0, 0.3, 0.9])
-        est = duality_smoothness(space, x, v, sched)
+        est = duality_smoothness(space, x, v)
         assert not est.converged
         assert len(est.ts) == 3
 
-    def test_trace_pairs_are_step_and_quotient(self):
+    def test_trace_pairs_are_step_and_quotient(self, steps):
         space = LpSpace(3.0)
-        sched = StepSchedule(t_values=(0.25, 0.125, 0.0625, 0.03125), quotient_tol=1e-14)
+        steps((0.25, 0.125, 0.0625, 0.03125), 1e-14)
         x = space.unit([1.0, 2.0, -0.5])
         v = space.unit([-1.0, 0.3, 0.9])
-        est = duality_smoothness(space, x, v, sched)
+        est = duality_smoothness(space, x, v)
         assert not est.converged
-        assert list(est.ts) == list(sched.t_values)
+        assert list(est.ts) == [0.25, 0.125, 0.0625, 0.03125]
         for t, q in zip(est.ts, est.quotients):
             assert abs(q[0] - xi_quotient(3.0, x, v, t)) <= 1e-12
